@@ -1,7 +1,12 @@
 """First group cohomology and Tate-Shafarevich restriction kernels.
 
-H^1(G, M) is computed as Z^1/B^1 from materialized coboundary matrices over
-Z/m, fed to the Smith-form engine.  The Sha kernels are computed from a
+H^1(G, M) is computed on the values x_s = z(s) of a cocycle at the
+generating set S of G, which determine it: a BFS over the Cayley graph
+writes every z(g) through them, and each Cayley edge off the BFS tree adds
+the rank-many linear conditions that make z a cocycle.  Z^1/B^1 is then a
+quotient inside (Z/m)^(|S| rank), fed to the Smith-form engine.  The
+full-cochain coboundary matrices d0, d1 stay exported for the tests and the
+tracer, but h1 does not build them.  The Sha kernels are computed from a
 finite model: all cyclic subgroups of G stand in for the (infinitely many)
 unramified places, since every cyclic subgroup is a Frobenius of infinitely
 many of them and conjugate decomposition groups give canonically isomorphic
@@ -29,15 +34,20 @@ __all__ = [
 ]
 
 
+def _differences(module, elements):
+    """a -> (g.a - a for g in elements), stacked as a (len(elements) r x r) matrix."""
+    r = module.rank
+    rows = []
+    for g in elements:
+        act = module.action[g]
+        for i in range(r):
+            rows.append([act[i][j] - (i == j) for j in range(r)])
+    return IntMatrix(len(rows), r, [x for row in rows for x in row])
+
+
 def coboundary0_matrix(group, module):
     """d0: M -> C^1, (d0 a)(g) = g.a - a, as an (nr x r) integer matrix."""
-    n, r = group.order, module.rank
-    rows = []
-    for g in range(n):
-        act = module.act_matrix(g)
-        for i in range(r):
-            rows.append([act[i][j] - (1 if i == j else 0) for j in range(r)])
-    return IntMatrix.from_rows(rows)
+    return _differences(module, range(group.order))
 
 
 def coboundary1_matrix(group, module):
@@ -78,12 +88,68 @@ def is_cocycle(group, module, rep):
     return True
 
 
-def _flatten(rep):
-    return [x for vec in rep for x in vec]
+def _centered(x, m):
+    """x mod m in (-m/2, m/2].
+
+    The Smith form works over Z, where residues like m - 1 in place of -1
+    make its coefficients grow: at |G| = 25 the quotient step stalled on them.
+    """
+    x %= m
+    return x - m if 2 * x > m else x
 
 
-def _unflatten(flat, n, r, m):
-    return tuple(tuple(x % m for x in flat[g * r : (g + 1) * r]) for g in range(n))
+def _cayley_system(group, module):
+    """Cocycle conditions on the generator values x = (z(s) for s in S).
+
+    A BFS over the Cayley graph of S writes each z(g) as an r x (|S| r)
+    matrix via z(gs) = z(g) + g.x_s.  An edge g -> gs reaching a visited
+    vertex gives a second expression for z(gs); their difference gives r
+    rows of d1 in centered residues, of which zero and repeated rows are
+    dropped.  Conditions on every edge make z a cocycle: z(gh) = z(g) +
+    g.z(h) then holds for h = s, and passes from h to hs.  Returns (d1, tree)
+    with tree the BFS edges (g, i, gs), s = S[i].
+    """
+    gens = group.generating_set()
+    r, m = module.rank, module.modulus
+    dim = len(gens) * r
+    zmat = [None] * group.order
+    zmat[group.identity] = [[0] * dim for _ in range(r)]
+    tree = []
+    rows = {}  # distinct nonzero constraint rows, in the order found
+    queue = [group.identity]
+    for g in queue:  # the queue grows while it is walked
+        act = module.action[g]
+        for i, s in enumerate(gens):
+            gs = group.table[g][s]
+            base = i * r
+            cand = []
+            for zrow, arow in zip(zmat[g], act):
+                row = list(zrow)
+                for j, a in enumerate(arow):
+                    row[base + j] = (row[base + j] + a) % m
+                cand.append(row)
+            if zmat[gs] is None:
+                zmat[gs] = cand
+                tree.append((g, i, gs))
+                queue.append(gs)
+                continue
+            for crow, zrow in zip(cand, zmat[gs]):
+                diff = tuple(_centered(x - y, m) for x, y in zip(crow, zrow))
+                if any(diff):
+                    rows[diff] = None
+    d1 = IntMatrix(len(rows), dim, [x for row in rows for x in row])
+    return d1, tree
+
+
+def _expand(group, module, tree, x):
+    """The cocycle with generator values x, per element, along the BFS tree."""
+    r, m = module.rank, module.modulus
+    z = [None] * group.order
+    z[group.identity] = (0,) * r
+    for g, i, gs in tree:
+        gx = module.act(g, x[i * r : (i + 1) * r])
+        z[gs] = tuple((a + b) % m for a, b in zip(z[g], gx))
+    return tuple(z)
 
 
 @dataclass(frozen=True)
@@ -93,6 +159,8 @@ class H1Result:
     `cocycle_reps[i]` (a tuple of module vectors, one per group element)
     generates the invariant factor `structure.invariant_factors[i]`; the
     `basis_correspondence` tuple repeats those orders for convenience.
+    `presentation` works on generator values: a vector lists z(s) for each
+    s in `group.generating_set()`, in that order.
     """
 
     group: Group
@@ -107,31 +175,37 @@ class H1Result:
         return self.structure.order
 
     def class_coordinates(self, rep):
-        """Coordinates of a cocycle's class, one residue per invariant factor."""
-        flat = _flatten(rep) if rep and isinstance(rep[0], tuple) else list(rep)
-        return self.presentation.coordinates(flat)
+        """Coordinates of a cocycle's class, one residue per invariant factor.
+
+        `rep` gives the cocycle per group element; only its values on the
+        generating set are read.
+        """
+        return self.presentation.coordinates(
+            [x for s in self.group.generating_set() for x in rep[s]])
 
 
 def h1(group, module):
     """H^1(G, M) = Z^1/B^1 with representatives lifting the invariant factors.
 
-    Cached on the (immutable) module, so the Sha kernels can revisit the
-    same H^1 without recomputing the cochain kernel.
+    Z^1 is the kernel of the Cayley-graph conditions on the generator values
+    (see `_cayley_system`) and B^1 the image of a -> (s.a - a)_s, so the
+    matrices have |S| rank columns instead of |G| rank.  Each generator of
+    the quotient is expanded to a per-element cocycle and checked.  Cached
+    on the (immutable) module, so the Sha kernels can revisit the same H^1
+    without recomputing the kernel.
     """
     if module.group != group:
         raise ValueError("module is over a different group")
     if module._h1_cache is not None:
         return module._h1_cache
     m = module.modulus
-    n, r = group.order, module.rank
-    d1 = coboundary1_matrix(group, module)
-    d0 = coboundary0_matrix(group, module)
+    d1, tree = _cayley_system(group, module)
     zgens = kernel_mod(d1, m)
-    pres = QuotientPresentation(d0, zgens, m)
+    pres = QuotientPresentation(_differences(module, group.generating_set()), zgens, m)
     reps = []
     for col in pres.generator_columns:
-        rep = _unflatten(list(col), n, r, m)
-        if rep[group.identity] != (0,) * r or not is_cocycle(group, module, rep):
+        rep = _expand(group, module, tree, col)
+        if rep[group.identity] != module.zero() or not is_cocycle(group, module, rep):
             raise AssertionError("internal error: lifted representative is not a normalized cocycle")
         reps.append(rep)
     result = H1Result(
@@ -154,12 +228,7 @@ def tate_h0(group, module):
     n, r = group.order, module.rank
     if r == 0:
         return AbGroupStructure()
-    stacked = []
-    for g in range(n):
-        act = module.act_matrix(g)
-        for i in range(r):
-            stacked.append([act[i][j] - (1 if i == j else 0) for j in range(r)])
-    fixed = kernel_mod(IntMatrix.from_rows(stacked), m)
+    fixed = kernel_mod(_differences(module, range(n)), m)
     norm = [[0] * r for _ in range(r)]
     for g in range(n):
         act = module.act_matrix(g)
@@ -168,11 +237,6 @@ def tate_h0(group, module):
                 norm[i][j] += act[i][j]
     norm_image = IntMatrix.from_rows(norm)
     return QuotientPresentation(norm_image, fixed, m).structure
-
-
-def _restrict_rep(rep, sub):
-    """A G-cocycle as an H-cochain, flattened in the subgroup's local order."""
-    return [x for parent_idx in sub.elements for x in rep[parent_idx]]
 
 
 def res_h1(group, sub, module, *, h1_g=None, h1_h=None):
@@ -190,7 +254,7 @@ def res_h1(group, sub, module, *, h1_g=None, h1_h=None):
     target_factors = h1_h.structure.invariant_factors
     cols = []
     for rep in h1_g.cocycle_reps:
-        coords = h1_h.presentation.coordinates(_restrict_rep(rep, sub))
+        coords = h1_h.class_coordinates([rep[x] for x in sub.elements])
         cols.append(list(coords))
     rows = [
         [cols[j][i] % target_factors[i] for j in range(len(cols))]
@@ -247,17 +311,12 @@ def _restriction_kernel(group, module, subgroups):
     pres = QuotientPresentation(relations, kernel, m)
 
     gens = []
-    n, r = group.order, module.rank
+    reps = h1_g.cocycle_reps
     for col in pres.generator_columns:
-        flat = [0] * (n * r)
-        for j, coeff in enumerate(col):
-            rep = h1_g.cocycle_reps[j]
-            for g in range(n):
-                base = g * r
-                vec = rep[g]
-                for c in range(r):
-                    flat[base + c] += coeff * vec[c]
-        gens.append(_unflatten(flat, n, r, m))
+        gens.append(tuple(
+            tuple(sum(coeff * rep[g][c] for coeff, rep in zip(col, reps)) % m
+                  for c in range(module.rank))
+            for g in range(group.order)))
     return ShaResult(pres.structure, tuple(gens), h1_g.structure)
 
 

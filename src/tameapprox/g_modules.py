@@ -33,10 +33,10 @@ class GModule:
     """(Z/m)^r with a G-action given per group element by an r x r matrix.
 
     Construction verifies that the action is a genuine homomorphism
-    G -> GL_r(Z/m): the identity acts trivially and action(g)action(h) =
-    action(gh), checked on all pairs for |G| <= 64 and on (generator, element)
-    pairs above that (which implies the full property since the generators
-    generate).  Invertibility follows: action(g) action(g^{-1}) = 1.
+    G -> GL_r(Z/m): the identity acts trivially and action(s)action(h) =
+    action(sh) for every generator s and element h, which implies the full
+    property since the generators generate.  Invertibility follows:
+    action(g) action(g^{-1}) = 1.
     """
 
     __slots__ = ("group", "modulus", "rank", "action", "label",
@@ -63,15 +63,12 @@ class GModule:
         ident = _identity_rows(r)
         if mats[group.identity] != ident:
             raise ValueError("identity element must act as the identity matrix")
-        if n <= _FULL_SCAN_LIMIT:
-            pairs = ((g, h) for g in range(n) for h in range(n))
-        else:
-            pairs = ((s, h) for s in group.generating_set() for h in range(n))
-        for g, h in pairs:
-            if _mat_mul_mod(mats[g], mats[h], m) != mats[group.table[g][h]]:
-                raise ValueError(
-                    f"action is not a homomorphism: action({g})*action({h}) != action({g}*{h})"
-                )
+        for g in group.generating_set():
+            for h in range(n):
+                if _mat_mul_mod(mats[g], mats[h], m) != mats[group.table[g][h]]:
+                    raise ValueError(
+                        f"action is not a homomorphism: action({g})*action({h}) != action({g}*{h})"
+                    )
 
         self.group = group
         self.modulus = m
@@ -99,22 +96,6 @@ class GModule:
 
     def zero(self):
         return (0,) * self.rank
-
-    def vectors(self):
-        """All m^r vectors, in lexicographic order.  Only for small modules."""
-        m, r = self.modulus, self.rank
-        vec = [0] * r
-        while True:
-            yield tuple(vec)
-            i = r - 1
-            while i >= 0:
-                vec[i] += 1
-                if vec[i] < m:
-                    break
-                vec[i] = 0
-                i -= 1
-            if i < 0:
-                return
 
     def __repr__(self):
         return f"GModule({self.label}, |G|={self.group.order})"

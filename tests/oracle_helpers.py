@@ -1,12 +1,16 @@
 """Independent brute-force oracles for the test suite.
 
-Nothing here goes through the Smith-form or cohomology code paths: oracles
-read only the raw data of their inputs (Cayley tables, action matrices,
-matrix entries) and enumerate.  They are deliberately slow and only run at
-the small sizes the properties quantify over.
+The brute-force oracles go through neither the Smith-form nor the cohomology
+code paths: they read only the raw data of their inputs (Cayley tables,
+action matrices, matrix entries) and enumerate.  They are deliberately slow
+and only run at the small sizes the properties quantify over.  The one
+exception is `full_cochain_h1`, the reference for the generator-based H^1.
 """
 
 from itertools import product
+
+from tameapprox.cohomology import coboundary0_matrix, coboundary1_matrix
+from tameapprox.zmod_linalg import QuotientPresentation, kernel_mod
 
 
 def all_vectors(m, r):
@@ -173,6 +177,17 @@ def brute_h1_order(group, module):
     b = len(brute_coboundaries(group, module))
     assert z % b == 0
     return z // b
+
+
+def full_cochain_h1(group, module):
+    """Structure of H^1(G, M) = Z^1/B^1 over all cochains G -> M.
+
+    The full coboundary matrices have |G|^2 r x |G| r and |G| r x r entries;
+    `cohomology.h1` solves on the generator values instead and must agree.
+    """
+    m = module.modulus
+    zgens = kernel_mod(coboundary1_matrix(group, module), m)
+    return QuotientPresentation(coboundary0_matrix(group, module), zgens, m).structure
 
 
 def brute_cyclic_subgroup_sets(group):

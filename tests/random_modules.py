@@ -7,9 +7,10 @@ the GModule constructor re-verifies it.  Conjugation randomizes the matrices
 without leaving exact arithmetic.
 """
 
+import random
 from itertools import product
 
-from tameapprox.finite_groups import all_subgroups
+from tameapprox.finite_groups import all_subgroups, builtin_group, cyclic_group
 from tameapprox.g_modules import GModule
 
 from oracle_helpers import spanning_tree
@@ -152,3 +153,15 @@ def random_gmodule(group, rng, max_size=81):
         action = _conjugate(twisted, p, pinv, m)
         return GModule(group, m, dim, action,
                        label=f"random coset module dim {dim} mod {m}")
+
+
+def sweep_modules():
+    """The seeded oracle sweep: eight random modules over each small group."""
+    groups = [
+        cyclic_group(1), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+        builtin_group("klein4"), cyclic_group(5), builtin_group("z6"),
+        builtin_group("s3"),
+    ]
+    rng = random.Random(0x5ca1ab1e)
+    return [(group, random_gmodule(group, rng, max_size=81))
+            for group in groups for _ in range(8)]

@@ -14,7 +14,6 @@ from tameapprox.cohomology import dimension_shift_check, h1, res_h1, sha_sigma
 from tameapprox.finite_groups import (
     all_subgroups,
     builtin_group,
-    cyclic_group,
     cyclic_subgroups,
 )
 from tameapprox.g_modules import restrict
@@ -27,7 +26,7 @@ from oracle_helpers import (
     is_brute_coboundary,
     trial_division_factor,
 )
-from random_modules import random_gmodule
+from random_modules import sweep_modules
 
 BATTERY_EXPECTED = {
     "klein4": (2,),
@@ -152,21 +151,13 @@ def _cross_check_restrictions(group, module):
 
 def test_criterion_5_oracle_equivalence():
     start = time.perf_counter()
-    groups = [
-        cyclic_group(1), cyclic_group(2), cyclic_group(3), cyclic_group(4),
-        builtin_group("klein4"), cyclic_group(5), builtin_group("z6"),
-        builtin_group("s3"),
-    ]
-    rng = random.Random(0x5ca1ab1e)
     runs = 0
     ok = True
-    for group in groups:
-        for _ in range(8):
-            module = random_gmodule(group, rng, max_size=81)
-            assert module.size <= 81
-            ok = ok and h1(group, module).order == brute_h1_order(group, module)
-            ok = ok and _cross_check_restrictions(group, module)
-            runs += 1
+    for group, module in sweep_modules():
+        assert module.size <= 81
+        ok = ok and h1(group, module).order == brute_h1_order(group, module)
+        ok = ok and _cross_check_restrictions(group, module)
+        runs += 1
     ok = ok and runs >= 50
     verdict(5, f"oracle equivalence ({runs} randomized modules)", ok,
             time.perf_counter() - start)

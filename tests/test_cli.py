@@ -36,6 +36,13 @@ class TestCertifyCommand:
             _, out, _ = run_cli(capsys, *argv)
             jsonschema.validate(json.loads(out), schema)
 
+    def test_order_25(self, capsys):
+        status, out, _ = run_cli(capsys, "certify", "--ell", "5", "--n", "1", "--p", "11")
+        assert status == 0
+        report = json.loads(out)
+        assert report["conclusion"] == "certified"
+        assert report["sha"]["cyc"] == ["5"]
+
     def test_refuted_exit_code(self, capsys):
         status, out, _ = run_cli(capsys, "certify", "--ell", "2", "--n", "1",
                                  "--p", "3", "--q", "15")

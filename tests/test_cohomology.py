@@ -24,10 +24,11 @@ from tameapprox.finite_groups import (
     subgroup_generated,
     trivial_subgroup,
 )
-from tameapprox.g_modules import augmentation_ideal, group_ring, restrict, trivial_module
+from tameapprox.g_modules import GModule, augmentation_ideal, group_ring, restrict, trivial_module
 from tameapprox.zmod_linalg import AbGroupStructure
 
-from oracle_helpers import brute_h1_order, is_brute_coboundary
+from oracle_helpers import brute_h1_order, full_cochain_h1, is_brute_coboundary
+from random_modules import sweep_modules
 
 BATTERY = ["klein4", "z2xz4", "z4", "z3xz3", "s3", "z6", "q8", "z2xz2xz2"]
 
@@ -304,3 +305,31 @@ class TestOracleEquivalence:
                 if mod.size > 81:
                     continue
                 assert h1(g, mod).order == brute_h1_order(g, mod), (name, mod.label)
+
+
+class TestFullCochainOracle:
+    """h1 on generator values against Z^1/B^1 over all cochains."""
+
+    BUILTINS = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "z2xz4", "z3xz3",
+                "z2xz2xz2", "s3", "q8"]
+
+    def test_builtin_groups(self):
+        for name in self.BUILTINS:
+            g = builtin_group(name)
+            n = g.order
+            for mod in (augmentation_ideal(g, n)[0], group_ring(g, n),
+                        trivial_module(g, n), trivial_module(g, 2)):
+                assert h1(g, mod).structure == full_cochain_h1(g, mod), (name, mod.label)
+
+    def test_random_modules(self):
+        for g, mod in sweep_modules():
+            assert h1(g, mod).structure == full_cochain_h1(g, mod), (g, mod.label)
+
+    def test_degenerate_inputs(self):
+        one = cyclic_group(1)
+        klein = builtin_group("klein4")
+        for g, mod in ((one, trivial_module(one, 6)), (one, group_ring(one, 4)),
+                       (klein, GModule(klein, 4, 0, [()] * 4))):
+            res = h1(g, mod)
+            assert res.structure == full_cochain_h1(g, mod) == AbGroupStructure()
+            assert res.cocycle_reps == ()
