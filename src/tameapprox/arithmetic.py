@@ -271,6 +271,12 @@ def local_square(d, place):
     d = int(d)
     if d == 0 or not is_squarefree(d):
         raise ValueError(f"{d} is not a nonzero squarefree integer")
+    return _local_square_rule(d, place)
+
+
+def _local_square_rule(d, place):
+    """`local_square` for a d already known to be squarefree, e.g. a class of a
+    KummerPair: d is not factored again, so it may exceed is_prime's range."""
     if place == "inf":
         return LocalSquareClass("inf", d, d > 0)
     p = int(place)
@@ -335,7 +341,10 @@ def decomposition_subgroup(pair, place, group=None):
 
     An automorphism lies in the local Galois group iff it fixes sqrt(d) for
     every d in {a, b, ab} that is a square in Q_place, so the order is
-    4 / #(locally square classes among {1, a, b, ab}).
+    4 / #(locally square classes among {1, a, b, ab}).  The three classes
+    are squarefree (KummerPair checks a and b; `third_class` multiplies
+    coprime squarefree factors), so they are not factored again: a*b may
+    exceed the 2**64 range of is_prime.
     """
     if group is None:
         group = biquadratic_galois_group()
@@ -345,7 +354,7 @@ def decomposition_subgroup(pair, place, group=None):
     square_exponents = [
         (alpha, beta)
         for alpha, beta, d in classes
-        if local_square(d, place).is_square
+        if _local_square_rule(d, place).is_square
     ]
     members = [
         2 * i + j
@@ -376,7 +385,7 @@ def biquadratic_place_records(pair, group=None):
             "place": v,
             "ramified": v in ramified,
             "square_classes": {
-                str(d): local_square(d, v).is_square
+                str(d): _local_square_rule(d, v).is_square
                 for d in (pair.a, pair.b, pair.third_class)
             },
             "decomposition_order": sub.order,

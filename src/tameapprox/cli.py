@@ -3,7 +3,8 @@
 Every command emits a machine-readable JSON report (the canonical format;
 all integers are decimal strings so 64-bit consumers never overflow) or a
 human-readable table derived from it.  Exit status: 0 = success/certified,
-1 = a verification or certification failed, 2 = input or usage error.
+1 = a verification or certification failed, 2 = input or usage error,
+3 = internal error (a failed invariant of the engine, not of the input).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .finite_groups import (
     subgroup_generated,
 )
 from .g_modules import augmentation_ideal, group_ring, module_from_json, trivial_module
+from .zmod_linalg import NotInSpanError
 
 LIMIT_ENV_VAR = "TAMEAPPROX_GROUP_LIMIT"
 
@@ -372,6 +374,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return run(args)
+    except (NotInSpanError, AssertionError) as exc:
+        # before ValueError: NotInSpanError subclasses it, but means a bug here
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except (UsageError, SearchBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

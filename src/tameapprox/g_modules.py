@@ -18,11 +18,20 @@ _FULL_SCAN_LIMIT = 64
 
 
 def _mat_mul_mod(a, b, m):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % m for col in bt)
-        for row in a
-    )
+    """a @ b mod m, each row built from the rows of b that a's nonzeros select.
+
+    The cost is the nonzeros of a times the width of b: about r^2 for the
+    0/+-1 actions of the group ring and the augmentation ideal, not r^3.
+    """
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for k, x in enumerate(row):
+            if x:
+                acc = [u + x * v for u, v in zip(acc, b[k])]
+        out.append(tuple(u % m for u in acc))
+    return tuple(out)
 
 
 def _identity_rows(r):
@@ -34,9 +43,11 @@ class GModule:
 
     Construction verifies that the action is a genuine homomorphism
     G -> GL_r(Z/m): the identity acts trivially and action(s)action(h) =
-    action(sh) for every generator s and element h, which implies the full
-    property since the generators generate.  Invertibility follows:
-    action(g) action(g^{-1}) = 1.
+    action(sh) for every generator s and element h.  That suffices: every
+    g is a word s_1...s_k in the generators, and induction on k gives
+    action(g)action(h) = action(s_1)action(s_2...s_k h) = action(gh).
+    Invertibility follows: action(g) action(g^{-1}) = 1.  `_from_validated`
+    skips the check for an action that is already known to be one.
     """
 
     __slots__ = ("group", "modulus", "rank", "action", "label",
@@ -69,12 +80,22 @@ class GModule:
                     raise ValueError(
                         f"action is not a homomorphism: action({g})*action({h}) != action({g}*{h})"
                     )
+        self._set(group, m, r, mats, label)
 
+    @classmethod
+    def _from_validated(cls, group, modulus, rank, action, label):
+        """A module over `action`, a tuple of reduced matrices already known
+        to be a homomorphism from `group`; nothing is checked or copied."""
+        module = cls.__new__(cls)
+        module._set(group, modulus, rank, action, label)
+        return module
+
+    def _set(self, group, modulus, rank, action, label):
         self.group = group
-        self.modulus = m
-        self.rank = r
-        self.action = mats
-        self.label = label or f"module of rank {r} over Z/{m}"
+        self.modulus = modulus
+        self.rank = rank
+        self.action = action
+        self.label = label or f"module of rank {rank} over Z/{modulus}"
         self._h1_cache = None
         self._restrict_cache = {}
 
@@ -102,7 +123,12 @@ class GModule:
 
 
 class ModuleMap:
-    """A G-equivariant linear map between modules over the same Z/m."""
+    """A G-equivariant linear map between modules over the same Z/m.
+
+    Commutation is checked on `group.generating_set()` only.  That suffices:
+    if f commutes with action(s) and action(t), it commutes with
+    action(st) = action(s)action(t), hence with every product of generators.
+    """
 
     __slots__ = ("source", "target", "matrix")
 
@@ -117,7 +143,7 @@ class ModuleMap:
             )
         m = source.modulus
         mat = matrix.mod(m)
-        for g in range(source.group.order):
+        for g in source.group.generating_set():
             left = _mat_mul_mod(target.act_matrix(g), mat._data, m)
             right = _mat_mul_mod(mat._data, source.act_matrix(g), m)
             if left != right:
@@ -212,8 +238,7 @@ def _check_augmentation_exactness(incl, aug):
     m = incl.source.modulus
     if kernel_mod(incl.matrix, m).cols != 0:
         raise AssertionError("augmentation ideal inclusion is not injective mod m")
-    comp = aug.matrix @ incl.matrix
-    if any(x % m for x in comp.entries):
+    if any(any(row) for row in _mat_mul_mod(aug.matrix._data, incl.matrix._data, m)):
         raise AssertionError("aug o incl is nonzero")
     ker = kernel_mod(aug.matrix, m)
     if not quotient_structure(incl.matrix, ker, m).is_trivial:
@@ -223,8 +248,12 @@ def _check_augmentation_exactness(incl, aug):
 def restrict(module, sub):
     """The same (Z/m)^r viewed over a subgroup, re-indexed as a standalone group.
 
-    Cached per element set, so the restriction (and its cached H^1) is shared
-    between the kernel computations that revisit the same subgroup.
+    The restricted action shares the parent's matrices and is not checked
+    again: local element i of `sub.as_group()` is `sub.elements[i]`, with
+    the parent's multiplication, so the parent's homomorphism property holds
+    for it verbatim.  Cached per element set, so the restriction (and its
+    cached H^1) is shared between the kernel computations that revisit the
+    same subgroup.
     """
     if not isinstance(sub, Subgroup):
         raise TypeError("restrict expects a Subgroup")
@@ -233,10 +262,10 @@ def restrict(module, sub):
     cached = module._restrict_cache.get(sub.elements)
     if cached is not None:
         return cached
-    k = sub.as_group()
-    action = [module.action[x] for x in sub.elements]
-    res = GModule(k, module.modulus, module.rank, action,
-                  label=f"{module.label} restricted to order-{sub.order} subgroup")
+    action = tuple(module.action[x] for x in sub.elements)
+    res = GModule._from_validated(
+        sub.as_group(), module.modulus, module.rank, action,
+        f"{module.label} restricted to order-{sub.order} subgroup")
     module._restrict_cache[sub.elements] = res
     return res
 

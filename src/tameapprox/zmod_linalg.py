@@ -127,9 +127,6 @@ class IntMatrix:
             raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
         return tuple(sum(a * v for a, v in zip(row, vec)) for row in self._data)
 
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows, [self._data[i][j] for j in range(self.cols) for i in range(self.rows)])
-
     def mod(self, m):
         return IntMatrix(self.rows, self.cols, [x % m for row in self._data for x in row])
 
@@ -137,11 +134,6 @@ class IntMatrix:
         if self.rows != other.rows:
             raise ValueError("row counts differ")
         return IntMatrix.from_rows([list(a) + list(b) for a, b in zip(self._data, other._data)])
-
-    def vstack(self, other):
-        if self.cols != other.cols:
-            raise ValueError("column counts differ")
-        return IntMatrix.from_rows([list(r) for r in self._data] + [list(r) for r in other._data])
 
     def det(self):
         """Exact determinant via fraction-free (Bareiss) elimination."""
@@ -452,6 +444,14 @@ class QuotientPresentation:
     Carries explicit generators: `generator_columns[i]` has exact order
     `structure.invariant_factors[i]` in the quotient, and `coordinates(x)`
     expresses any ambient-span vector in those generators.
+
+    With U_amb [A | mI] V = D, a vector x lies in the ambient lattice iff
+    D^-1 U_amb x is integral, and that integral vector is its coordinate in
+    the lattice basis W = U_amb^-1 D.  The sub lattice [S | mI] has
+    coordinates C = D^-1 U_amb [S | mI]; with U_rel C V' = diag(delta), the
+    quotient is the sum of Z/delta_i, generated by the columns of
+    W U_rel^-1.  Only the columns with delta_i >= 2 are formed: the others
+    are trivial in the quotient.
     """
 
     __slots__ = ("structure", "generator_columns", "modulus", "dim",
@@ -479,15 +479,18 @@ class QuotientPresentation:
             raise AssertionError("ambient lattice lost full rank despite m*I columns")
         diag = diag[:dim]
 
-        sub = sub_gens.hstack(IntMatrix.diagonal([m] * dim))
-        y = s_amb.u @ sub
+        # U [S | mI] = [US | mU], with US summed over the nonzeros of U
+        s_rows = sub_gens._data
         coords = []
-        for i in range(dim):
-            yrow = y.row(i)
-            di = diag[i]
+        for urow, di in zip(s_amb.u._data, diag):
+            yrow = [0] * sub_gens.cols
+            for k, x in enumerate(urow):
+                if x:
+                    yrow = [a + x * b for a, b in zip(yrow, s_rows[k])]
+            yrow += [m * x for x in urow]
             crow = []
-            for j in range(sub.cols):
-                q, r = divmod(yrow[j], di)
+            for j, yj in enumerate(yrow):
+                q, r = divmod(yj, di)
                 if r:
                     if j < sub_gens.cols:
                         raise NotInSpanError(
@@ -503,13 +506,13 @@ class QuotientPresentation:
             raise AssertionError("relation lattice lost full rank despite m*I columns")
         delta = tuple(delta[:dim])
 
-        w_prime = s_amb.u_inv @ IntMatrix.diagonal(diag) @ s_rel.u_inv
         factors = []
         gens = []
         for i, d in enumerate(delta):
             if d >= 2:
                 factors.append(d)
-                gens.append(tuple(x % m for x in w_prime.column(i)))
+                dcol = [dk * row[i] for dk, row in zip(diag, s_rel.u_inv._data)]
+                gens.append(tuple(x % m for x in s_amb.u_inv.mul_vector(dcol)))
         self.structure = AbGroupStructure(factors)
         self.generator_columns = tuple(gens)
         self._u_amb = s_amb.u

@@ -3,14 +3,22 @@
 The brute-force oracles go through neither the Smith-form nor the cohomology
 code paths: they read only the raw data of their inputs (Cayley tables,
 action matrices, matrix entries) and enumerate.  They are deliberately slow
-and only run at the small sizes the properties quantify over.  The one
-exception is `full_cochain_h1`, the reference for the generator-based H^1.
+and only run at the small sizes the properties quantify over.  The
+exceptions are the earlier, slower formulas kept as references for their
+fast replacements: `full_cochain_h1` for the generator-based H^1,
+`dense_mat_mul_mod` for the sparse module products and
+`dense_quotient_presentation` for the column-wise quotient presentation.
 """
 
 from itertools import product
 
 from tameapprox.cohomology import coboundary0_matrix, coboundary1_matrix
-from tameapprox.zmod_linalg import QuotientPresentation, kernel_mod
+from tameapprox.zmod_linalg import (
+    IntMatrix,
+    QuotientPresentation,
+    kernel_mod,
+    smith_decomposition,
+)
 
 
 def all_vectors(m, r):
@@ -188,6 +196,46 @@ def full_cochain_h1(group, module):
     m = module.modulus
     zgens = kernel_mod(coboundary1_matrix(group, module), m)
     return QuotientPresentation(coboundary0_matrix(group, module), zgens, m).structure
+
+
+def dense_mat_mul_mod(a, b, m):
+    """a @ b mod m over every (row, column) pair, zeros included."""
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % m for col in bt)
+        for row in a
+    )
+
+
+def dense_quotient_presentation(sub_gens, amb_gens, m):
+    """(factors, generator columns, coordinates function) of span(amb)/span(sub) mod m.
+
+    The full products: U_amb @ [S | mI] for the relation coordinates, and all
+    of W' = U_amb^-1 @ D @ U_rel^-1, whose columns with delta_i >= 2 are the
+    generators.  Assumes m >= 2, a positive dimension and S inside the
+    ambient span.
+    """
+    dim = amb_gens.rows
+    m_block = IntMatrix.diagonal([m] * dim)
+    s_amb = smith_decomposition(amb_gens.hstack(m_block), want_u=True,
+                                want_u_inv=True, want_v=False)
+    diag = s_amb.diagonal[:dim]
+    y = s_amb.u @ sub_gens.hstack(m_block)
+    coords = [[y[i, j] // diag[i] for j in range(y.cols)] for i in range(dim)]
+    s_rel = smith_decomposition(IntMatrix.from_rows(coords), want_u=True,
+                                want_u_inv=True, want_v=False)
+    delta = s_rel.diagonal[:dim]
+    w_prime = s_amb.u_inv @ IntMatrix.diagonal(diag) @ s_rel.u_inv
+    factors = tuple(d for d in delta if d >= 2)
+    gens = tuple(tuple(x % m for x in w_prime.column(i))
+                 for i, d in enumerate(delta) if d >= 2)
+
+    def coordinates(vector):
+        c = [yi // di for yi, di in zip(s_amb.u.mul_vector(vector), diag)]
+        full = s_rel.u.mul_vector(c)
+        return tuple(full[i] % d for i, d in enumerate(delta) if d >= 2)
+
+    return factors, gens, coordinates
 
 
 def brute_cyclic_subgroup_sets(group):

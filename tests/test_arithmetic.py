@@ -341,6 +341,15 @@ class TestCertify:
         assert cert.module_order_exponent == 6
         assert cert.conclusion == "certified"
 
+    def test_p_times_q_beyond_64_bits(self):
+        # p*q > 2**64: the class of p*q is squarefree by construction and is
+        # not factored again, where is_prime would have refused it
+        p = 3508985929865264281
+        cert = certify(2, 1, p)
+        assert cert.q * p > 2 ** 64
+        assert cert.conclusion == "certified"
+        assert cert.sigma0_labels == sorted([p, cert.q])
+
     def test_flagship_auto_q(self):
         cert = certify(2, 1, 3)
         assert cert.q == 17 and cert.certified

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from tameapprox import cli
 from tameapprox.cli import main
+from tameapprox.zmod_linalg import NotInSpanError
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "certificate.schema.json"
 
@@ -170,6 +172,18 @@ class TestErrorHandling:
                                  "--p", "3", "--search-bound", "10")
         assert status == 2
         assert "no admissible q" in err
+
+    @pytest.mark.parametrize("exc", [NotInSpanError("lost a generator"),
+                                     AssertionError("lost a generator")])
+    def test_internal_error_exits_3(self, capsys, monkeypatch, exc):
+        def broken(args, limit):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "sha-cyc", broken)
+        status, out, err = run_cli(capsys, "sha-cyc", "--group", "builtin:z2")
+        assert status == 3
+        assert out == ""
+        assert err == "internal error: lost a generator\n"
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

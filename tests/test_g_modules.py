@@ -1,5 +1,10 @@
+import random
+import weakref
+
 import pytest
 
+from tameapprox import g_modules
+from tameapprox.cohomology import sha_cyc
 from tameapprox.finite_groups import (
     builtin_group,
     cyclic_group,
@@ -19,6 +24,11 @@ from tameapprox.g_modules import (
     trivial_module,
 )
 from tameapprox.zmod_linalg import IntMatrix, kernel_mod, quotient_structure
+
+from oracle_helpers import dense_mat_mul_mod
+
+BUILTINS = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "z2xz4", "z3xz3",
+            "z2xz2xz2", "s3", "q8"]
 
 
 def assert_action_homomorphism(module):
@@ -116,6 +126,51 @@ class TestModuleValidation:
         with pytest.raises(ValueError, match="commute"):
             ModuleMap(ring, triv, IntMatrix.from_rows([[1, 0]]))
 
+    def test_module_map_checked_on_every_generator(self):
+        # the generators of q8 are (-1, i, j); left translation by j
+        # commutes with the first, -1, but not with the second, i
+        g = builtin_group("q8")
+        first, second, j = g.generating_set()
+        ring = group_ring(g, 8)
+        mat = ring.action[j]
+        for s, commutes in ((first, True), (second, False)):
+            left = dense_mat_mul_mod(ring.action[s], mat, 8)
+            assert (left == dense_mat_mul_mod(mat, ring.action[s], 8)) is commutes
+        with pytest.raises(ValueError, match=f"commute with the action of element {second}$"):
+            ModuleMap(ring, ring, IntMatrix.from_rows(mat))
+
+    def test_mat_mul_mod_matches_dense_product(self):
+        rng = random.Random(314)
+        for _ in range(200):
+            m = rng.choice([2, 3, 4, 8, 9, 25])
+            rows, inner, cols = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+            density = rng.choice([0.0, 0.2, 0.5, 1.0])
+
+            def entry():
+                return rng.randint(-2 * m, 2 * m) if rng.random() < density else 0
+
+            a = tuple(tuple(entry() for _ in range(inner)) for _ in range(rows))
+            b = tuple(tuple(rng.randint(0, m - 1) for _ in range(cols)) for _ in range(inner))
+            assert _mat_mul_mod(a, b, m) == dense_mat_mul_mod(a, b, m)
+
+    def test_init_count_for_sha_cyc(self, monkeypatch):
+        # ideal, ring and the trivial target of the augmentation; restrict
+        # builds the 7 cyclic restrictions without GModule.__init__
+        monkeypatch.setattr(g_modules, "_RING_CACHE", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", weakref.WeakKeyDictionary())
+        calls = []
+        init = GModule.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(kwargs.get("label"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GModule, "__init__", counting_init)
+        g = builtin_group("zlxzln:2:3")
+        ideal, _, _ = augmentation_ideal(g, g.order)
+        assert str(sha_cyc(g, ideal)) == "Z/2"
+        assert len(calls) == 3, calls
+
     def test_module_from_json(self):
         g = cyclic_group(2)
         mod = module_from_json(g, {
@@ -154,6 +209,25 @@ class TestRestrict:
         for i in range(4):
             j = next(k for k in range(4) if nontriv[k][i] == 1)
             assert nontriv[i][j] == 1 and j != i
+
+    def test_shares_parent_action_and_stays_a_homomorphism(self):
+        for name in BUILTINS:
+            g = builtin_group(name)
+            for module in (augmentation_ideal(g, g.order)[0], group_ring(g, g.order)):
+                m = module.modulus
+                for sub in cyclic_subgroups(g):
+                    res = restrict(module, sub)
+                    k = res.group
+                    assert k.order == sub.order
+                    assert all(res.action[i] is module.action[x]
+                               for i, x in enumerate(sub.elements))
+                    ident = tuple(tuple(int(i == j) for j in range(module.rank))
+                                  for i in range(module.rank))
+                    assert res.action[k.identity] == ident
+                    for a in range(k.order):
+                        for b in range(k.order):
+                            assert dense_mat_mul_mod(res.action[a], res.action[b], m) == \
+                                res.action[k.table[a][b]], (name, module.label, sub)
 
 
 class TestDual:

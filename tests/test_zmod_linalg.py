@@ -16,9 +16,30 @@ from tameapprox.zmod_linalg import (
 from oracle_helpers import (
     brute_kernel_set,
     coset_order_counts,
+    dense_quotient_presentation,
     predicted_order_counts,
     span_mod,
 )
+
+
+def random_quotient_inputs():
+    """60 seeded (m, dim, amb_cols, sub_cols, amb_set), sub inside amb."""
+    rng = random.Random(99)
+    trials = 0
+    while trials < 60:
+        m = rng.choice([2, 3, 4, 6, 8, 9])
+        dim = rng.randint(1, 3)
+        if m ** dim > 2 ** 14:
+            continue
+        amb_cols = [
+            tuple(rng.randint(0, m - 1) for _ in range(dim))
+            for _ in range(rng.randint(1, 3))
+        ]
+        amb_set = span_mod(amb_cols, m, dim)
+        members = sorted(amb_set)
+        sub_cols = [rng.choice(members) for _ in range(rng.randint(0, 2))]
+        yield m, dim, amb_cols, sub_cols, amb_set
+        trials += 1
 
 
 def assert_snf_contract(mat):
@@ -144,20 +165,7 @@ class TestQuotientStructure:
             quotient_structure(sub, amb, 4)
 
     def test_against_coset_counting(self):
-        rng = random.Random(99)
-        trials = 0
-        while trials < 60:
-            m = rng.choice([2, 3, 4, 6, 8, 9])
-            dim = rng.randint(1, 3)
-            if m ** dim > 2 ** 14:
-                continue
-            amb_cols = [
-                tuple(rng.randint(0, m - 1) for _ in range(dim))
-                for _ in range(rng.randint(1, 3))
-            ]
-            amb_set = span_mod(amb_cols, m, dim)
-            members = sorted(amb_set)
-            sub_cols = [rng.choice(members) for _ in range(rng.randint(0, 2))]
+        for m, dim, amb_cols, sub_cols, amb_set in random_quotient_inputs():
             sub_set = span_mod(sub_cols, m, dim)
             s = quotient_structure(
                 IntMatrix.from_columns(sub_cols, dim=dim),
@@ -167,7 +175,41 @@ class TestQuotientStructure:
             assert s.order == len(amb_set) // len(sub_set)
             assert coset_order_counts(amb_set, sub_set, m, dim) == \
                 predicted_order_counts(s.invariant_factors, m)
-            trials += 1
+
+    def test_presentation_matches_dense_formulas(self):
+        # U @ [S | mI] and all of U_amb^-1 D U_rel^-1, as first written
+        for m, dim, amb_cols, sub_cols, amb_set in random_quotient_inputs():
+            sub = IntMatrix.from_columns(sub_cols, dim=dim)
+            amb = IntMatrix.from_columns(amb_cols, dim=dim)
+            pres = QuotientPresentation(sub, amb, m)
+            factors, gens, coordinates = dense_quotient_presentation(sub, amb, m)
+            assert pres.structure.invariant_factors == factors
+            assert pres.generator_columns == gens
+            for vec in sorted(amb_set)[:40]:
+                assert pres.coordinates(vec) == coordinates(vec)
+
+    def test_presentation_matches_dense_formulas_larger(self):
+        # dimensions up to 10, beyond what the coset counting can enumerate
+        rng = random.Random(2026)
+        for _ in range(40):
+            m = rng.choice([4, 8, 9, 16, 25, 27])
+            dim = rng.randint(2, 10)
+            k = rng.randint(1, dim + 2)
+            amb = IntMatrix.from_columns(
+                [[rng.choice((0, 0, 1, -1, rng.randint(0, m - 1))) for _ in range(dim)]
+                 for _ in range(k)])
+
+            def member():
+                return amb.mul_vector([rng.randint(0, m - 1) for _ in range(k)])
+
+            sub = IntMatrix.from_columns([member() for _ in range(rng.randint(0, 3))], dim=dim)
+            pres = QuotientPresentation(sub, amb, m)
+            factors, gens, coordinates = dense_quotient_presentation(sub, amb, m)
+            assert pres.structure.invariant_factors == factors
+            assert pres.generator_columns == gens
+            for _ in range(5):
+                vec = member()
+                assert pres.coordinates(vec) == coordinates(vec)
 
     def test_presentation_generators_and_coordinates(self):
         amb = IntMatrix.identity(2)
