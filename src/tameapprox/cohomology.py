@@ -75,14 +75,26 @@ def coboundary1_matrix(group, module):
 
 
 def is_cocycle(group, module, rep):
-    """Check z(gh) = z(g) + g.z(h) mod m for a representative given per element."""
+    """Check z(gh) = z(g) + g.z(h) mod m for a representative given per element.
+
+    Only z(e) = 0 and the pairs (g, s) with s in the generating set S are
+    tested; the verdict is that of the check on all pairs.  For fixed z the
+    elements h with z(gh) = z(g) + g.z(h) for every g are closed under
+    products: for two of them, h and k,
+        z(ghk) = z(gh) + gh.z(k) = z(g) + g.(z(h) + h.z(k)) = z(g) + g.z(hk).
+    G is finite, so s^-1 = s^(ord s - 1) and every element is a product of
+    elements of S; the condition on S thus gives it on all of G.  The empty
+    product e, the only element of the trivial group, satisfies it iff
+    z(e) = 0.
+    """
     m = module.modulus
-    n = group.order
-    for g in range(n):
-        for h in range(n):
-            gh = group.table[g][h]
-            lhs = rep[gh]
-            gz = module.act(g, rep[h])
+    if any(x % m for x in rep[group.identity]):
+        return False
+    for s in group.generating_set():
+        zs = rep[s]
+        for g in range(group.order):
+            lhs = rep[group.table[g][s]]
+            gz = module.act(g, zs)
             if any((a - b - c) % m for a, b, c in zip(lhs, rep[g], gz)):
                 return False
     return True
@@ -228,7 +240,8 @@ def tate_h0(group, module):
     n, r = group.order, module.rank
     if r == 0:
         return AbGroupStructure()
-    fixed = kernel_mod(_differences(module, range(n)), m)
+    # M^G is the intersection of ker(s - 1) over the generators s
+    fixed = kernel_mod(_differences(module, group.generating_set()), m)
     norm = [[0] * r for _ in range(r)]
     for g in range(n):
         act = module.act_matrix(g)
@@ -237,6 +250,12 @@ def tate_h0(group, module):
                 norm[i][j] += act[i][j]
     norm_image = IntMatrix.from_rows(norm)
     return QuotientPresentation(norm_image, fixed, m).structure
+
+
+def _restricted_h1(module, sub):
+    """H^1(H, M|_H) over the cached restriction's group (no `sub.as_group()` rebuild)."""
+    res = restrict(module, sub)
+    return h1(res.group, res)
 
 
 def res_h1(group, sub, module, *, h1_g=None, h1_h=None):
@@ -250,7 +269,7 @@ def res_h1(group, sub, module, *, h1_g=None, h1_h=None):
     if h1_g is None:
         h1_g = h1(group, module)
     if h1_h is None:
-        h1_h = h1(sub.as_group(), restrict(module, sub))
+        h1_h = _restricted_h1(module, sub)
     target_factors = h1_h.structure.invariant_factors
     cols = []
     for rep in h1_g.cocycle_reps:
@@ -292,7 +311,7 @@ def _restriction_kernel(group, module, subgroups):
     for sub in ordered:
         if sub.order == 1:
             continue  # H^1 of the trivial group vanishes
-        h1_h = h1(sub.as_group(), restrict(module, sub))
+        h1_h = _restricted_h1(module, sub)
         target = h1_h.structure.invariant_factors
         if not target:
             continue
@@ -437,9 +456,8 @@ def dimension_shift_check(group, subgroups=None):
             subgroups.append(full_subgroup(group))
     reports = []
     for sub in sorted(subgroups, key=lambda s: (s.order, s.elements)):
-        k = sub.as_group()
-        ideal_h1 = h1(k, restrict(ideal, sub)).structure
-        ring_h1 = h1(k, restrict(ring, sub)).structure
+        ideal_h1 = _restricted_h1(ideal, sub).structure
+        ring_h1 = _restricted_h1(ring, sub).structure
         expected = AbGroupStructure([sub.order] if sub.order > 1 else [])
         reports.append(ShiftReport(sub, ideal_h1, expected, ring_h1))
     return reports

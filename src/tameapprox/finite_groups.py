@@ -80,9 +80,6 @@ class Group:
                         if rows[xy][z] != rows[x][rows[y][z]]:
                             raise ValueError(f"associativity fails at ({x}, {y}, {z})")
 
-    def mul(self, a, b):
-        return self.table[a][b]
-
     def inverse(self, a):
         if self._inverses is None:
             e = self.identity
@@ -91,15 +88,6 @@ class Group:
                 inv[x] = self.table[x].index(e)
             self._inverses = tuple(inv)
         return self._inverses[a]
-
-    def power(self, a, k):
-        e = self.identity
-        if k < 0:
-            a, k = self.inverse(a), -k
-        acc = e
-        for _ in range(k):
-            acc = self.table[acc][a]
-        return acc
 
     def element_order(self, a):
         if self._orders is None:
@@ -196,9 +184,6 @@ class Subgroup:
     def is_cyclic(self):
         g = self.parent
         return any(g.element_order(x) == self.order for x in self.elements)
-
-    def is_full(self):
-        return self.order == self.parent.order
 
     def local_index(self, parent_idx):
         if self._local_index is None:

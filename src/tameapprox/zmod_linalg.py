@@ -225,7 +225,6 @@ class SmithDecomposition:
     u: IntMatrix | None
     u_inv: IntMatrix | None
     v: IntMatrix | None
-    v_inv: IntMatrix | None
     diagonal: tuple
     rows: int
     cols: int
@@ -251,68 +250,61 @@ def _nearest_quotient(a, d):
     return q
 
 
-def smith_decomposition(mat, *, want_u=True, want_u_inv=False, want_v=True, want_v_inv=False):
+def smith_decomposition(mat, *, want_u=True, want_u_inv=False, want_v=True):
     """Smith normal form with selectable transform tracking.
 
     Pivot choice is the smallest nonzero absolute value, ties broken by lowest
     (row, col), so outputs are reproducible across runs and platforms.
+
+    The transforms ride along with the matrix (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, section 2.4): the R rows
+    under reduction are [A | I_R], so every row operation also builds U;
+    below them C rows I_C, as wide as A, make [A ; I_C], so every column
+    operation also builds V.  Pivot search and divisibility checks read only
+    the first C columns of the first R rows.  U^-1 is kept apart and
+    transposed: undoing row_i -= q row_k adds q times its column i to its
+    column k.
     """
     R, C = mat.rows, mat.cols
+
+    def identity(n):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+
     a = mat.row_lists()
-    u = [[int(i == j) for j in range(R)] for i in range(R)] if want_u else None
-    ui = [[int(i == j) for j in range(R)] for i in range(R)] if want_u_inv else None
-    v = [[int(i == j) for j in range(C)] for i in range(C)] if want_v else None
-    vi = [[int(i == j) for j in range(C)] for i in range(C)] if want_v_inv else None
+    if want_u:
+        for row, urow in zip(a, identity(R)):
+            row += urow
+    if want_v:
+        a += identity(C)
+    uit = identity(R) if want_u_inv else None
 
     def row_swap(i, k):
         a[i], a[k] = a[k], a[i]
-        if u is not None:
-            u[i], u[k] = u[k], u[i]
-        if ui is not None:
-            for r in range(R):
-                ui[r][i], ui[r][k] = ui[r][k], ui[r][i]
+        if uit is not None:
+            uit[i], uit[k] = uit[k], uit[i]
 
     def row_sub(i, k, q):
-        # row_i -= q * row_k
-        ai, ak = a[i], a[k]
-        for j in range(C):
-            ai[j] -= q * ak[j]
-        if u is not None:
-            uik, ukk = u[i], u[k]
-            for j in range(R):
-                uik[j] -= q * ukk[j]
-        if ui is not None:
-            for r in range(R):
-                ui[r][k] += q * ui[r][i]
+        # row_i -= q * row_k, in place and over the nonzeros of row_k
+        ai = a[i]
+        for j, y in enumerate(a[k]):
+            if y:
+                ai[j] -= q * y
+        if uit is not None:
+            uit[k] = [x + q * y for x, y in zip(uit[k], uit[i])]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-        if ui is not None:
-            for r in range(R):
-                ui[r][i] = -ui[r][i]
+        if uit is not None:
+            uit[i] = [-x for x in uit[i]]
 
     def col_swap(j, k):
         for r in a:
             r[j], r[k] = r[k], r[j]
-        if v is not None:
-            for r in v:
-                r[j], r[k] = r[k], r[j]
-        if vi is not None:
-            vi[j], vi[k] = vi[k], vi[j]
 
     def col_sub(j, k, q):
         # col_j -= q * col_k
         for r in a:
             r[j] -= q * r[k]
-        if v is not None:
-            for r in v:
-                r[j] -= q * r[k]
-        if vi is not None:
-            vj, vk = vi[j], vi[k]
-            for c in range(C):
-                vk[c] += q * vj[c]
 
     t = 0
     limit = min(R, C)
@@ -392,12 +384,10 @@ def smith_decomposition(mat, *, want_u=True, want_u_inv=False, want_v=True, want
             t += 1
 
     diag = tuple(a[i][i] for i in range(limit))
-
-    def wrap(rows_list):
-        return None if rows_list is None else IntMatrix.from_rows(rows_list)
-
     return SmithDecomposition(
-        u=wrap(u), u_inv=wrap(ui), v=wrap(v), v_inv=wrap(vi),
+        u=IntMatrix.from_rows([row[C:] for row in a[:R]]) if want_u else None,
+        u_inv=None if uit is None else IntMatrix.from_columns(uit, dim=R),
+        v=IntMatrix.from_rows(a[R:]) if want_v else None,
         diagonal=diag, rows=R, cols=C,
     )
 

@@ -6,8 +6,10 @@ action matrices, matrix entries) and enumerate.  They are deliberately slow
 and only run at the small sizes the properties quantify over.  The
 exceptions are the earlier, slower formulas kept as references for their
 fast replacements: `full_cochain_h1` for the generator-based H^1,
-`dense_mat_mul_mod` for the sparse module products and
-`dense_quotient_presentation` for the column-wise quotient presentation.
+`dense_mat_mul_mod` for the sparse module products,
+`dense_quotient_presentation` for the column-wise quotient presentation and
+`reference_smith_decomposition` for the Smith reduction that carries its
+transforms as augmented rows and columns.
 """
 
 from itertools import product
@@ -159,6 +161,16 @@ def brute_cocycles(group, module, count_only=False):
     return count if count_only else found
 
 
+def all_pairs_is_cocycle(group, module, rep):
+    """z(gh) == z(g) + g.z(h) mod m on every one of the |G|^2 pairs."""
+    n, m = group.order, module.modulus
+    return all(
+        tuple(x % m for x in rep[group.table[g][h]])
+        == vec_add(rep[g], mat_vec(module.action[g], rep[h], m), m)
+        for g in range(n) for h in range(n)
+    )
+
+
 def brute_coboundaries(group, module):
     """{ g -> g.a - a : a in M } as a set of flattened tuples."""
     n, r, m = group.order, module.rank, module.modulus
@@ -236,6 +248,167 @@ def dense_quotient_presentation(sub_gens, amb_gens, m):
         return tuple(full[i] % d for i, d in enumerate(delta) if d >= 2)
 
     return factors, gens, coordinates
+
+
+def nearest_quotient(a, d):
+    # d > 0; quotient q with a - q*d in (-d/2, d/2]
+    q, r = divmod(a, d)
+    if 2 * r > d:
+        q += 1
+    return q
+
+
+def reference_smith_decomposition(mat, *, want_u=True, want_u_inv=False, want_v=True,
+                                  want_v_inv=False):
+    """Smith reduction that repeats each operation on every tracked transform.
+
+    The reference for `smith_decomposition`, which must give the same
+    integers.  Returns (u, u_inv, v, v_inv, diagonal), each matrix None
+    unless asked for.
+
+    Pivot choice is the smallest nonzero absolute value, ties broken by lowest
+    (row, col), so outputs are reproducible across runs and platforms.
+    """
+    R, C = mat.rows, mat.cols
+    a = mat.row_lists()
+    u = [[int(i == j) for j in range(R)] for i in range(R)] if want_u else None
+    ui = [[int(i == j) for j in range(R)] for i in range(R)] if want_u_inv else None
+    v = [[int(i == j) for j in range(C)] for i in range(C)] if want_v else None
+    vi = [[int(i == j) for j in range(C)] for i in range(C)] if want_v_inv else None
+
+    def row_swap(i, k):
+        a[i], a[k] = a[k], a[i]
+        if u is not None:
+            u[i], u[k] = u[k], u[i]
+        if ui is not None:
+            for r in range(R):
+                ui[r][i], ui[r][k] = ui[r][k], ui[r][i]
+
+    def row_sub(i, k, q):
+        # row_i -= q * row_k
+        ai, ak = a[i], a[k]
+        for j in range(C):
+            ai[j] -= q * ak[j]
+        if u is not None:
+            uik, ukk = u[i], u[k]
+            for j in range(R):
+                uik[j] -= q * ukk[j]
+        if ui is not None:
+            for r in range(R):
+                ui[r][k] += q * ui[r][i]
+
+    def row_negate(i):
+        a[i] = [-x for x in a[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
+        if ui is not None:
+            for r in range(R):
+                ui[r][i] = -ui[r][i]
+
+    def col_swap(j, k):
+        for r in a:
+            r[j], r[k] = r[k], r[j]
+        if v is not None:
+            for r in v:
+                r[j], r[k] = r[k], r[j]
+        if vi is not None:
+            vi[j], vi[k] = vi[k], vi[j]
+
+    def col_sub(j, k, q):
+        # col_j -= q * col_k
+        for r in a:
+            r[j] -= q * r[k]
+        if v is not None:
+            for r in v:
+                r[j] -= q * r[k]
+        if vi is not None:
+            vj, vk = vi[j], vi[k]
+            for c in range(C):
+                vk[c] += q * vj[c]
+
+    t = 0
+    limit = min(R, C)
+    while t < limit:
+        # locate pivot: minimal |entry|, lowest (row, col) on ties
+        best_abs = 0
+        best_i = best_j = -1
+        for i in range(t, R):
+            ai = a[i]
+            for j in range(t, C):
+                x = ai[j]
+                if x:
+                    ax = -x if x < 0 else x
+                    if best_abs == 0 or ax < best_abs:
+                        best_abs, best_i, best_j = ax, i, j
+                        if ax == 1:
+                            break
+            if best_abs == 1:
+                break
+        if best_abs == 0:
+            break
+        if best_i != t:
+            row_swap(t, best_i)
+        if best_j != t:
+            col_swap(t, best_j)
+        if a[t][t] < 0:
+            row_negate(t)
+
+        while True:
+            # clear column t; a remainder smaller than the pivot becomes the pivot
+            restart = False
+            for i in range(t + 1, R):
+                x = a[i][t]
+                if x:
+                    d = a[t][t]
+                    q = nearest_quotient(x, d)
+                    if q:
+                        row_sub(i, t, q)
+                    if a[i][t]:
+                        row_swap(t, i)
+                        if a[t][t] < 0:
+                            row_negate(t)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, C):
+                x = a[t][j]
+                if x:
+                    d = a[t][t]
+                    q = nearest_quotient(x, d)
+                    if q:
+                        col_sub(j, t, q)
+                    if a[t][j]:
+                        col_swap(t, j)
+                        if a[t][t] < 0:
+                            row_negate(t)
+                        restart = True
+                        break
+            if restart:
+                continue
+            break
+
+        # pivot must divide the rest of the submatrix before we advance
+        d = a[t][t]
+        fixed = True
+        for i in range(t + 1, R):
+            ai = a[i]
+            for j in range(t + 1, C):
+                if ai[j] % d:
+                    row_sub(t, i, -1)  # row_t += row_i, reintroduces the offender
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if fixed:
+            t += 1
+
+    diag = tuple(a[i][i] for i in range(limit))
+
+    def wrap(rows_list):
+        return None if rows_list is None else IntMatrix.from_rows(rows_list)
+
+    return wrap(u), wrap(ui), wrap(v), wrap(vi), diag
 
 
 def brute_cyclic_subgroup_sets(group):

@@ -19,7 +19,7 @@ from tameapprox.arithmetic import (
     sigma0_biquadratic,
     squarefree_part,
 )
-from tameapprox.finite_groups import subgroup_generated
+from tameapprox.finite_groups import Group, subgroup_generated
 from tameapprox.zmod_linalg import AbGroupStructure
 
 from oracle_helpers import (
@@ -349,6 +349,21 @@ class TestCertify:
         assert cert.q * p > 2 ** 64
         assert cert.conclusion == "certified"
         assert cert.sigma0_labels == sorted([p, cert.q])
+
+    def test_warm_certify_builds_only_its_group(self, monkeypatch):
+        # Z/3, Z/3 and their product; the subgroups' standalone groups come
+        # from the cached restrictions instead of being rebuilt per call
+        certify(3, 1, 7)
+        sizes = []
+        init = Group.__init__
+
+        def counting_init(self, table, *args, **kwargs):
+            sizes.append(len(table))
+            init(self, table, *args, **kwargs)
+
+        monkeypatch.setattr(Group, "__init__", counting_init)
+        assert certify(3, 1, 7).certified
+        assert len(sizes) <= 3, sizes
 
     def test_flagship_auto_q(self):
         cert = certify(2, 1, 3)

@@ -27,7 +27,12 @@ from tameapprox.finite_groups import (
 from tameapprox.g_modules import GModule, augmentation_ideal, group_ring, restrict, trivial_module
 from tameapprox.zmod_linalg import AbGroupStructure
 
-from oracle_helpers import brute_h1_order, full_cochain_h1, is_brute_coboundary
+from oracle_helpers import (
+    all_pairs_is_cocycle,
+    brute_h1_order,
+    full_cochain_h1,
+    is_brute_coboundary,
+)
 from random_modules import sweep_modules
 
 BATTERY = ["klein4", "z2xz4", "z4", "z3xz3", "s3", "z6", "q8", "z2xz2xz2"]
@@ -92,6 +97,56 @@ class TestH1:
             assert h1(g, mod).order == brute_h1_order(g, mod)
         ideal, _, _ = augmentation_ideal(g, 4)
         assert h1(g, ideal).order == brute_h1_order(g, ideal)
+
+
+class TestIsCocycle:
+    def test_matches_all_pairs_check(self):
+        # H^1 representatives, the same plus a coboundary, copies with one
+        # value changed (the identity's value included), and copies with a
+        # constant added on one left coset x<s> of the first generator s,
+        # which keeps every condition z(xs) = z(x) + x.z(s) of s itself
+        rng = random.Random(11)
+        verdicts = set()
+        for name in BATTERY:
+            g = builtin_group(name)
+            n = g.order
+            for module in (augmentation_ideal(g, n)[0], trivial_module(g, n)):
+                m, r = module.modulus, module.rank
+                for rep in h1(g, module).cocycle_reps:
+                    a = [rng.randrange(m) for _ in range(r)]
+                    shifted = tuple(
+                        tuple((z + ga - b) % m for z, ga, b in zip(rep[x], module.act(x, a), a))
+                        for x in range(n))
+                    candidates = [rep, shifted]
+                    for x in (g.identity, rng.randrange(n), rng.randrange(n)):
+                        bent = list(rep)
+                        c = rng.randrange(r)
+                        bent[x] = tuple((z + (i == c) * rng.randrange(1, m)) % m
+                                        for i, z in enumerate(rep[x]))
+                        candidates.append(tuple(bent))
+                    gens = g.generating_set()
+                    if len(gens) > 1:
+                        coset, y = set(), gens[1]
+                        while y not in coset:
+                            coset.add(y)
+                            y = g.table[y][gens[0]]
+                        b = [rng.randrange(m) for _ in range(r - 1)] + [rng.randrange(1, m)]
+                        candidates.append(tuple(
+                            tuple((z + bi * (x in coset)) % m for z, bi in zip(rep[x], b))
+                            for x in range(n)))
+                    for cand in candidates:
+                        verdict = is_cocycle(g, module, cand)
+                        assert verdict == all_pairs_is_cocycle(g, module, cand)
+                        verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_trivial_group_needs_zero_at_identity(self):
+        # the trivial group has no generators; only z(e) = 0 is left to check
+        g = cyclic_group(1)
+        mod = trivial_module(g, 4, rank=2)
+        assert is_cocycle(g, mod, ((0, 4),))
+        assert not is_cocycle(g, mod, ((0, 1),))
+        assert not all_pairs_is_cocycle(g, mod, ((0, 1),))
 
 
 class TestTateH0:

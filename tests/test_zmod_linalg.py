@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,7 @@ from oracle_helpers import (
     coset_order_counts,
     dense_quotient_presentation,
     predicted_order_counts,
+    reference_smith_decomposition,
     span_mod,
 )
 
@@ -101,11 +103,52 @@ class TestSNF:
         rng = random.Random(7)
         for _ in range(25):
             mat = IntMatrix(4, 5, [rng.randint(-9, 9) for _ in range(20)])
-            dec = smith_decomposition(mat, want_u=True, want_u_inv=True,
-                                      want_v=True, want_v_inv=True)
+            dec = smith_decomposition(mat, want_u=True, want_u_inv=True, want_v=True)
             assert dec.u @ dec.u_inv == IntMatrix.identity(4)
-            assert dec.v @ dec.v_inv == IntMatrix.identity(5)
             assert dec.u @ mat @ dec.v == dec.d
+
+
+def reference_shapes():
+    """Seeded integer matrices with 0-12 rows and columns, empty ones included.
+
+    Dense, sparse and low-rank (a product through 1-3 inner columns) kinds,
+    plus diagonals whose entries do not divide each other, so that the
+    reduction runs its pivot swaps, remainders and divisibility fix-ups.
+    """
+    rng = random.Random(404)
+    mats = [IntMatrix(r, c, []) for r, c in ((0, 0), (0, 5), (7, 0))]
+    mats += [IntMatrix.diagonal(d) for d in ([2, 3], [6, 4, 9], [0, 5, 10])]
+    for _ in range(90):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        kind = rng.choice(("dense", "sparse", "low-rank"))
+        if kind == "dense":
+            entries = [rng.randint(-50, 50) for _ in range(rows * cols)]
+        elif kind == "sparse":
+            entries = [rng.choice((0, 0, 0, 2, -3, 4, 6, 9)) for _ in range(rows * cols)]
+        else:
+            k = rng.randint(1, 3)
+            left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+            entries = [sum(left[i][t] * right[t][j] for t in range(k))
+                       for i in range(rows) for j in range(cols)]
+        mats.append(IntMatrix(rows, cols, entries))
+    return mats
+
+
+class TestReferenceSmith:
+    def test_matches_reference_on_every_flag_combination(self):
+        # same pivots and operations as the four-transform reduction, so the
+        # same integers in every output it still produces
+        for mat in reference_shapes():
+            for want_u, want_u_inv, want_v in product((False, True), repeat=3):
+                flags = dict(want_u=want_u, want_u_inv=want_u_inv, want_v=want_v)
+                dec = smith_decomposition(mat, **flags)
+                u, u_inv, v, _, diagonal = reference_smith_decomposition(mat, **flags)
+                assert dec.u == u
+                assert dec.u_inv == u_inv
+                assert dec.v == v
+                assert dec.diagonal == diagonal
+                assert (dec.rows, dec.cols) == (mat.rows, mat.cols)
 
 
 class TestKernelMod:
