@@ -1,8 +1,8 @@
 """Exact linear algebra: Smith normal form, kernels, and quotient structure.
 
-Everything in this package reduces to Smith normal form over Python's
-arbitrary-precision integers.  This script walks the three primitives:
-snf, kernel_mod, and quotient_structure.
+snf is the Smith normal form over Python's arbitrary-precision integers;
+kernel_mod and quotient_structure, which everything else in this package
+reduces to, run an elimination over Z/p^e.  This script walks the three.
 """
 
 from tameapprox import IntMatrix, kernel_mod, quotient_structure, snf

@@ -2,8 +2,8 @@
 counterexamples to tame approximation.
 
 The library computes H^1(G, M) and the Tate-Shafarevich restriction kernels
-Sha^1_cyc and Sha^1_Sigma for finite G-modules over Z/mZ, exactly (Smith
-normal form over arbitrary-precision integers), and uses them to construct
+Sha^1_cyc and Sha^1_Sigma for finite G-modules over Z/mZ, exactly (an
+elimination over Z/p^e on Python ints), and uses them to construct
 and machine-check abelian modules that fail weak approximation precisely on
 a set of ramified places coprime to the module order.
 """

@@ -4,7 +4,7 @@ H^1(G, M) is computed on the values x_s = z(s) of a cocycle at the
 generating set S of G, which determine it: a BFS over the Cayley graph
 writes every z(g) through them, and each Cayley edge off the BFS tree adds
 the rank-many linear conditions that make z a cocycle.  Z^1/B^1 is then a
-quotient inside (Z/m)^(|S| rank), fed to the Smith-form engine.  The
+quotient inside (Z/m)^(|S| rank), fed to the elimination mod m.  The
 full-cochain coboundary matrices d0, d1 stay exported for the tests and the
 tracer, but h1 does not build them.  The Sha kernels are computed from a
 finite model: all cyclic subgroups of G stand in for the (infinitely many)
@@ -100,23 +100,13 @@ def is_cocycle(group, module, rep):
     return True
 
 
-def _centered(x, m):
-    """x mod m in (-m/2, m/2].
-
-    The Smith form works over Z, where residues like m - 1 in place of -1
-    make its coefficients grow: at |G| = 25 the quotient step stalled on them.
-    """
-    x %= m
-    return x - m if 2 * x > m else x
-
-
 def _cayley_system(group, module):
     """Cocycle conditions on the generator values x = (z(s) for s in S).
 
     A BFS over the Cayley graph of S writes each z(g) as an r x (|S| r)
     matrix via z(gs) = z(g) + g.x_s.  An edge g -> gs reaching a visited
     vertex gives a second expression for z(gs); their difference gives r
-    rows of d1 in centered residues, of which zero and repeated rows are
+    rows of d1 in residues [0, m), of which zero and repeated rows are
     dropped.  Conditions on every edge make z a cocycle: z(gh) = z(g) +
     g.z(h) then holds for h = s, and passes from h to hs.  Returns (d1, tree)
     with tree the BFS edges (g, i, gs), s = S[i].
@@ -146,7 +136,7 @@ def _cayley_system(group, module):
                 queue.append(gs)
                 continue
             for crow, zrow in zip(cand, zmat[gs]):
-                diff = tuple(_centered(x - y, m) for x, y in zip(crow, zrow))
+                diff = tuple((x - y) % m for x, y in zip(crow, zrow))
                 if any(diff):
                     rows[diff] = None
     d1 = IntMatrix(len(rows), dim, [x for row in rows for x in row])

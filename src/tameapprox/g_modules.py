@@ -253,12 +253,15 @@ def restrict(module, sub):
     the parent's multiplication, so the parent's homomorphism property holds
     for it verbatim.  Cached per element set, so the restriction (and its
     cached H^1) is shared between the kernel computations that revisit the
-    same subgroup.
+    same subgroup.  The full subgroup gives `module` itself, whose group
+    has the same table, so its cached H^1 is reused too.
     """
     if not isinstance(sub, Subgroup):
         raise TypeError("restrict expects a Subgroup")
     if sub.parent != module.group:
         raise ValueError("subgroup belongs to a different group")
+    if sub.order == module.group.order:
+        return module
     cached = module._restrict_cache.get(sub.elements)
     if cached is not None:
         return cached

@@ -1,16 +1,25 @@
 """Exact linear algebra over Z and Z/mZ.
 
 Everything downstream (cochain kernels, cohomology quotients, Tate groups)
-reduces to Smith normal form of integer matrices, so this module is the one
-computational engine.  All arithmetic is on Python ints: intermediate entries
-of a Smith reduction can outgrow any fixed word size even for small inputs,
-and a silent overflow would corrupt invariant factors.
+reduces to `kernel_mod` and `QuotientPresentation`, and both run one
+elimination engine over the chain ring Z/p^e (Howell, "Spans in the module
+(Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for linear algebra
+modulo N", 1998).  A composite modulus is split by CRT into its prime-power
+parts.  Over Z/p^e every residue is a unit times a power of p, so a pivot of
+least p-valuation, scaled to exactly p^v, clears its column and its row in
+one operation per entry: there are no remainder loops and no divisibility
+fix-ups, and every entry stays a residue in [0, p^e).  The arithmetic is
+still exact (residues are Python ints), and the fixed pivot rule (least
+valuation, then lowest (row, col)) keeps every output reproducible.
+
+`smith_decomposition` and `snf` remain as the Smith normal form over Z,
+whose entries can outgrow any word size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from operator import mul
 
 
 class NotInSpanError(ValueError):
@@ -223,7 +232,6 @@ class SmithDecomposition:
     """U @ M @ V = D with U, V unimodular and D = diag(diagonal), d_i | d_{i+1}."""
 
     u: IntMatrix | None
-    u_inv: IntMatrix | None
     v: IntMatrix | None
     diagonal: tuple
     rows: int
@@ -250,7 +258,14 @@ def _nearest_quotient(a, d):
     return q
 
 
-def smith_decomposition(mat, *, want_u=True, want_u_inv=False, want_v=True):
+def _identity_rows(n):
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
+def smith_decomposition(mat, *, want_u=True, want_v=True):
     """Smith normal form with selectable transform tracking.
 
     Pivot choice is the smallest nonzero absolute value, ties broken by lowest
@@ -261,27 +276,15 @@ def smith_decomposition(mat, *, want_u=True, want_u_inv=False, want_v=True):
     under reduction are [A | I_R], so every row operation also builds U;
     below them C rows I_C, as wide as A, make [A ; I_C], so every column
     operation also builds V.  Pivot search and divisibility checks read only
-    the first C columns of the first R rows.  U^-1 is kept apart and
-    transposed: undoing row_i -= q row_k adds q times its column i to its
-    column k.
+    the first C columns of the first R rows.
     """
     R, C = mat.rows, mat.cols
-
-    def identity(n):
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-
     a = mat.row_lists()
     if want_u:
-        for row, urow in zip(a, identity(R)):
+        for row, urow in zip(a, _identity_rows(R)):
             row += urow
     if want_v:
-        a += identity(C)
-    uit = identity(R) if want_u_inv else None
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        if uit is not None:
-            uit[i], uit[k] = uit[k], uit[i]
+        a += _identity_rows(C)
 
     def row_sub(i, k, q):
         # row_i -= q * row_k, in place and over the nonzeros of row_k
@@ -289,13 +292,9 @@ def smith_decomposition(mat, *, want_u=True, want_u_inv=False, want_v=True):
         for j, y in enumerate(a[k]):
             if y:
                 ai[j] -= q * y
-        if uit is not None:
-            uit[k] = [x + q * y for x, y in zip(uit[k], uit[i])]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
-        if uit is not None:
-            uit[i] = [-x for x in uit[i]]
 
     def col_swap(j, k):
         for r in a:
@@ -327,7 +326,7 @@ def smith_decomposition(mat, *, want_u=True, want_u_inv=False, want_v=True):
         if best_abs == 0:
             break
         if best_i != t:
-            row_swap(t, best_i)
+            a[t], a[best_i] = a[best_i], a[t]
         if best_j != t:
             col_swap(t, best_j)
         if a[t][t] < 0:
@@ -344,7 +343,7 @@ def smith_decomposition(mat, *, want_u=True, want_u_inv=False, want_v=True):
                     if q:
                         row_sub(i, t, q)
                     if a[i][t]:
-                        row_swap(t, i)
+                        a[t], a[i] = a[i], a[t]
                         if a[t][t] < 0:
                             row_negate(t)
                         restart = True
@@ -386,7 +385,6 @@ def smith_decomposition(mat, *, want_u=True, want_u_inv=False, want_v=True):
     diag = tuple(a[i][i] for i in range(limit))
     return SmithDecomposition(
         u=IntMatrix.from_rows([row[C:] for row in a[:R]]) if want_u else None,
-        u_inv=None if uit is None else IntMatrix.from_columns(uit, dim=R),
         v=IntMatrix.from_rows(a[R:]) if want_v else None,
         diagonal=diag, rows=R, cols=C,
     )
@@ -402,30 +400,204 @@ def snf(mat):
     return dec.u, dec.d, dec.v
 
 
+def _prime_powers(m):
+    """(p, e) for each prime power p^e exactly dividing m >= 2.
+
+    Trial division, whose cost can reach the square root of m: nothing for
+    group orders and the small moduli of modules.
+    """
+    parts = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            parts.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        parts.append((m, 1))
+    return parts
+
+
+def _crt_lift(m, q):
+    """The residue mod m that is 1 mod q and 0 mod m/q (q, m/q coprime)."""
+    k = m // q
+    return k * pow(k, -1, q) % m
+
+
+def _reduce(rows, width, p, e, *, u_inv=False):
+    """Smith reduction over Z/p^e of the first `width` columns of `rows`, in place.
+
+    The rows hold residues in [0, p^e); entries past `width` only ride
+    along with the row operations, so a block [A | I] there ends as U.
+    Step t takes the entry of least p-valuation v in rows t.., lowest
+    (row, col) on ties, swaps its row to t and scales it by a unit inverse
+    so the pivot is exactly p^v; then each later row with x in the pivot
+    column drops (x / p^v) times it.  Every remaining entry keeps
+    valuation >= v, so the pivot also divides the rest of its own row, and
+    the column operations that would clear it touch no other row: they
+    are left out, as no caller needs V.  Rows past the last step are zero
+    in A.
+
+    Returns (vals, uit): U A V has p^vals[t] in row t for t < len(vals),
+    and zeros elsewhere.  uit lists the columns of U^-1 when asked for
+    (undoing row_i -= f row_t adds f times column i to column t).
+    """
+    q = p ** e
+    R = len(rows)
+    uit = _identity_rows(R) if u_inv else None
+    vals = []
+    for t in range(R):
+        best, bi, bc = e, -1, -1
+        for i in range(t, R):
+            row = rows[i]
+            if not any(row[:width]):
+                continue
+            for j in range(width):
+                x = row[j]
+                if x:
+                    val = 0
+                    while x % p == 0 and val < best:
+                        x //= p
+                        val += 1
+                    if val < best:
+                        best, bi, bc = val, i, j
+                        if not val:
+                            break
+            if not best:
+                break
+        if bi < 0:
+            break
+        rows[t], rows[bi] = rows[bi], rows[t]
+        if uit is not None:
+            uit[t], uit[bi] = uit[bi], uit[t]
+        prow = rows[t]
+        pv = p ** best
+        unit = prow[bc] // pv
+        if unit != 1:
+            inv = pow(unit, -1, q)
+            prow = rows[t] = [x * inv % q for x in prow]
+            if uit is not None:
+                uit[t] = [x * unit % q for x in uit[t]]
+        nz = [(j, y) for j, y in enumerate(prow) if y]
+        for i in range(t + 1, R):
+            row = rows[i]
+            x = row[bc]
+            if x:
+                f = x // pv
+                for j, y in nz:
+                    row[j] = (row[j] - f * y) % q
+                if uit is not None:
+                    uit[t] = [(a + f * b) % q for a, b in zip(uit[t], uit[i])]
+        vals.append(best)
+    return vals, uit
+
+
 def kernel_mod(mat, modulus):
     """Generators of { x mod modulus : mat @ x == 0 (mod modulus) } as columns.
 
-    From U M V = D: x = Vz is a solution iff d_i z_i == 0 (mod m), so the
-    kernel lattice is spanned by the columns of V scaled by m/gcd(d_i, m).
-    Zero columns are dropped; an injective map yields a 0-column matrix.
+    Per prime power q = p^e of the modulus, the transpose is reduced as
+    [A^T | I] over Z/q, which tracks a transform on C x C entries only,
+    however many rows A has: U A^T V = D.  Writing x = U^T w, A x = 0 iff
+    p^v_t w_t = 0 for each pivot row t, so the kernel mod q is spanned by
+    the rows of U, a pivot row scaled by p^(e - v_t), and each is lifted
+    to Z/m by CRT.  Zero columns are dropped; an injective map yields a
+    0-column matrix.
     """
     m = int(modulus)
     if m < 1:
         raise ValueError("modulus must be >= 1")
-    C = mat.cols
-    if m == 1:
-        return IntMatrix(C, 0, [])
-    dec = smith_decomposition(mat, want_u=False, want_v=True)
-    diag = dec.diagonal
+    R, C = mat.rows, mat.cols
     cols = []
-    vdata = dec.v._data
-    for i in range(C):
-        d = diag[i] if i < len(diag) else 0
-        scale = m // gcd(d, m)
-        col = [(vdata[r][i] * scale) % m for r in range(C)]
-        if any(col):
-            cols.append(col)
+    if m > 1:
+        for p, e in _prime_powers(m):
+            q = p ** e
+            lift = _crt_lift(m, q)
+            rows = [[x % q for x in mat.column(j)] + urow
+                    for j, urow in enumerate(_identity_rows(C))]
+            vals, _ = _reduce(rows, R, p, e)
+            for t, row in enumerate(rows):
+                s = p ** (e - vals[t]) if t < len(vals) else 1
+                col = [x * s % q * lift % m for x in row[R:]]
+                if any(col):
+                    cols.append(col)
     return IntMatrix.from_columns(cols, dim=C)
+
+
+class _PrimePowerQuotient:
+    """The p-primary part of span(amb)/span(sub), computed over Z/q, q = p^e.
+
+    The ambient step reduces A with no padding: U A V has pivots p^v_t in
+    rows t < r, so x lies in span(A) iff y = Ux has p^v_t | y_t for t < r
+    and y_t = 0 for t >= r (a row whose pivot is p^e = 0).  c_t = y_t / p^v_t
+    is then the coordinate of x in the ambient group, sum of Z/p^(e - v_t).
+    The relation step reduces, in those coordinates, the sub generators
+    next to p^(e - v_t) e_t for each pivot with v_t > 0 (the others relate
+    nothing mod q): U_rel R V_rel has pivots p^w_j, so the quotient is the
+    sum of Z/p^w_j plus a Z/q for each row without pivot, and its j-th
+    generator is U^-1 D U_rel^-1 e_j, D = diag(p^v_t).  `factors`, `gens`
+    and the rows of `_u_rel` cover the summands of order >= 2, ascending.
+    """
+
+    __slots__ = ("q", "lift", "factors", "gens", "_u", "_scales", "_u_rel")
+
+    def __init__(self, sub_gens, amb_gens, p, e, m):
+        q = p ** e
+        dim, width, n_sub = amb_gens.rows, amb_gens.cols, sub_gens.cols
+        # [A | S | I] becomes [UA | US | U]
+        rows = [[x % q for x in row + srow] + urow for row, srow, urow
+                in zip(amb_gens._data, sub_gens._data, _identity_rows(dim))]
+        vals, uit = _reduce(rows, width, p, e, u_inv=True)
+        r = len(vals)
+        # y lies in U span(A) iff scales[t] | y_t for every t (q | y_t means y_t = 0)
+        scales = [p ** val for val in vals] + [q] * (dim - r)
+        for j in range(width, width + n_sub):
+            if any(row[j] % s for row, s in zip(rows, scales)):
+                raise NotInSpanError(
+                    f"sub generator {j - width} is not in the ambient span mod {m}")
+
+        pad = [t for t in range(r) if scales[t] > 1]
+        rel_width = n_sub + len(pad)
+        rel = []
+        for t, urow in enumerate(_identity_rows(r)):
+            s = scales[t]
+            rel.append([y // s for y in rows[t][width:width + n_sub]]
+                       + [q // s if t == k else 0 for k in pad] + urow)
+        rel_vals, rel_uit = _reduce(rel, rel_width, p, e, u_inv=True)
+
+        factors, gens, u_rel = [], [], []
+        for j in range(r):
+            d = p ** rel_vals[j] if j < len(rel_vals) else q
+            if d < 2:
+                continue
+            acc = [0] * dim
+            for t, x in enumerate(rel_uit[j]):
+                if x:
+                    w = x * scales[t]
+                    acc = [a + w * b for a, b in zip(acc, uit[t])]
+            factors.append(d)
+            gens.append([a % q for a in acc])
+            u_rel.append(rel[j][rel_width:])
+        self.q = q
+        self.lift = _crt_lift(m, q)
+        self.factors = factors
+        self.gens = gens
+        self._u = [row[width + n_sub:] for row in rows]
+        self._scales = scales
+        self._u_rel = u_rel
+
+    def coordinates(self, vec):
+        """Integers that reduce mod `factors` to the class of `vec` (ambient span mod q)."""
+        q = self.q
+        c = []
+        for urow, s in zip(self._u, self._scales):
+            y = sum(map(mul, urow, vec)) % q
+            if y % s:
+                raise NotInSpanError("vector is not in the ambient span mod m")
+            c.append(y // s)
+        return [sum(map(mul, urow, c)) for urow in self._u_rel]
 
 
 class QuotientPresentation:
@@ -435,17 +607,14 @@ class QuotientPresentation:
     `structure.invariant_factors[i]` in the quotient, and `coordinates(x)`
     expresses any ambient-span vector in those generators.
 
-    With U_amb [A | mI] V = D, a vector x lies in the ambient lattice iff
-    D^-1 U_amb x is integral, and that integral vector is its coordinate in
-    the lattice basis W = U_amb^-1 D.  The sub lattice [S | mI] has
-    coordinates C = D^-1 U_amb [S | mI]; with U_rel C V' = diag(delta), the
-    quotient is the sum of Z/delta_i, generated by the columns of
-    W U_rel^-1.  Only the columns with delta_i >= 2 are formed: the others
-    are trivial in the quotient.
+    Each prime power q of m gives the p-primary part (`_PrimePowerQuotient`),
+    with its factors ascending.  Aligned at their largest factor, the parts'
+    factors multiply to the invariant factors, and the CRT lifts of their
+    generators add up to generators of the product orders; a coordinate is
+    the CRT combination of the parts' coordinates.
     """
 
-    __slots__ = ("structure", "generator_columns", "modulus", "dim",
-                 "_u_amb", "_diag_amb", "_u_rel", "_delta")
+    __slots__ = ("structure", "generator_columns", "modulus", "dim", "_parts")
 
     def __init__(self, sub_gens, amb_gens, modulus):
         m = int(modulus)
@@ -456,59 +625,25 @@ class QuotientPresentation:
         dim = amb_gens.rows
         self.modulus = m
         self.dim = dim
+        self._parts = ()
         if m == 1 or dim == 0:
             self.structure = TRIVIAL_STRUCTURE
             self.generator_columns = ()
-            self._u_amb = self._diag_amb = self._u_rel = self._delta = None
             return
 
-        amb = amb_gens.hstack(IntMatrix.diagonal([m] * dim))
-        s_amb = smith_decomposition(amb, want_u=True, want_u_inv=True, want_v=False)
-        diag = s_amb.diagonal
-        if len(diag) < dim or any(d == 0 for d in diag[:dim]):
-            raise AssertionError("ambient lattice lost full rank despite m*I columns")
-        diag = diag[:dim]
-
-        # U [S | mI] = [US | mU], with US summed over the nonzeros of U
-        s_rows = sub_gens._data
-        coords = []
-        for urow, di in zip(s_amb.u._data, diag):
-            yrow = [0] * sub_gens.cols
-            for k, x in enumerate(urow):
-                if x:
-                    yrow = [a + x * b for a, b in zip(yrow, s_rows[k])]
-            yrow += [m * x for x in urow]
-            crow = []
-            for j, yj in enumerate(yrow):
-                q, r = divmod(yj, di)
-                if r:
-                    if j < sub_gens.cols:
-                        raise NotInSpanError(
-                            f"sub generator {j} is not in the ambient span mod {m}"
-                        )
-                    raise AssertionError("m*I column escaped the ambient lattice")
-                crow.append(q)
-            coords.append(crow)
-        s_rel = smith_decomposition(IntMatrix.from_rows(coords),
-                                    want_u=True, want_u_inv=True, want_v=False)
-        delta = s_rel.diagonal
-        if len(delta) < dim or any(d == 0 for d in delta[:dim]):
-            raise AssertionError("relation lattice lost full rank despite m*I columns")
-        delta = tuple(delta[:dim])
-
-        factors = []
-        gens = []
-        for i, d in enumerate(delta):
-            if d >= 2:
-                factors.append(d)
-                dcol = [dk * row[i] for dk, row in zip(diag, s_rel.u_inv._data)]
-                gens.append(tuple(x % m for x in s_amb.u_inv.mul_vector(dcol)))
+        parts = tuple(_PrimePowerQuotient(sub_gens, amb_gens, p, e, m)
+                      for p, e in _prime_powers(m))
+        k = max(len(part.factors) for part in parts)
+        factors = [1] * k
+        gens = [[0] * dim for _ in range(k)]
+        for part in parts:
+            offset = k - len(part.factors)
+            for i, (d, gen) in enumerate(zip(part.factors, part.gens), offset):
+                factors[i] *= d
+                gens[i] = [(a + part.lift * b) % m for a, b in zip(gens[i], gen)]
         self.structure = AbGroupStructure(factors)
-        self.generator_columns = tuple(gens)
-        self._u_amb = s_amb.u
-        self._diag_amb = diag
-        self._u_rel = s_rel.u
-        self._delta = delta
+        self.generator_columns = tuple(tuple(gen) for gen in gens)
+        self._parts = parts
 
     def coordinates(self, vector):
         """Class of `vector` in generator coordinates (one residue per factor).
@@ -518,17 +653,14 @@ class QuotientPresentation:
         vec = list(vector)
         if len(vec) != self.dim:
             raise ValueError(f"vector length {len(vec)} != ambient dimension {self.dim}")
-        if self._u_amb is None:
-            return ()
-        y = self._u_amb.mul_vector(vec)
-        c = []
-        for yi, di in zip(y, self._diag_amb):
-            q, r = divmod(yi, di)
-            if r:
-                raise NotInSpanError("vector is not in the ambient span mod m")
-            c.append(q)
-        full = self._u_rel.mul_vector(c)
-        return tuple(full[i] % d for i, d in enumerate(self._delta) if d >= 2)
+        factors = self.structure.invariant_factors
+        c = [0] * len(factors)
+        for part in self._parts:
+            coords = part.coordinates(vec)
+            offset = len(factors) - len(coords)
+            for i, x in enumerate(coords, offset):
+                c[i] += part.lift * x
+        return tuple(x % d for x, d in zip(c, factors))
 
 
 def quotient_structure(sub_gens, amb_gens, modulus):

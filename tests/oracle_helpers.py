@@ -7,7 +7,8 @@ and only run at the small sizes the properties quantify over.  The
 exceptions are the earlier, slower formulas kept as references for their
 fast replacements: `full_cochain_h1` for the generator-based H^1,
 `dense_mat_mul_mod` for the sparse module products,
-`dense_quotient_presentation` for the column-wise quotient presentation and
+`dense_quotient_presentation` (the presentation over Z with m*I padding, on
+the reference reduction) for the presentation over Z/p^e and
 `reference_smith_decomposition` for the Smith reduction that carries its
 transforms as augmented rows and columns.
 """
@@ -19,7 +20,6 @@ from tameapprox.zmod_linalg import (
     IntMatrix,
     QuotientPresentation,
     kernel_mod,
-    smith_decomposition,
 )
 
 
@@ -229,22 +229,23 @@ def dense_quotient_presentation(sub_gens, amb_gens, m):
     """
     dim = amb_gens.rows
     m_block = IntMatrix.diagonal([m] * dim)
-    s_amb = smith_decomposition(amb_gens.hstack(m_block), want_u=True,
-                                want_u_inv=True, want_v=False)
-    diag = s_amb.diagonal[:dim]
-    y = s_amb.u @ sub_gens.hstack(m_block)
+    flags = dict(want_u=True, want_u_inv=True, want_v=False)
+    u_amb, u_amb_inv, _, _, diag = reference_smith_decomposition(
+        amb_gens.hstack(m_block), **flags)
+    diag = diag[:dim]
+    y = u_amb @ sub_gens.hstack(m_block)
     coords = [[y[i, j] // diag[i] for j in range(y.cols)] for i in range(dim)]
-    s_rel = smith_decomposition(IntMatrix.from_rows(coords), want_u=True,
-                                want_u_inv=True, want_v=False)
-    delta = s_rel.diagonal[:dim]
-    w_prime = s_amb.u_inv @ IntMatrix.diagonal(diag) @ s_rel.u_inv
+    u_rel, u_rel_inv, _, _, delta = reference_smith_decomposition(
+        IntMatrix.from_rows(coords), **flags)
+    delta = delta[:dim]
+    w_prime = u_amb_inv @ IntMatrix.diagonal(diag) @ u_rel_inv
     factors = tuple(d for d in delta if d >= 2)
     gens = tuple(tuple(x % m for x in w_prime.column(i))
                  for i, d in enumerate(delta) if d >= 2)
 
     def coordinates(vector):
-        c = [yi // di for yi, di in zip(s_amb.u.mul_vector(vector), diag)]
-        full = s_rel.u.mul_vector(c)
+        c = [yi // di for yi, di in zip(u_amb.mul_vector(vector), diag)]
+        full = u_rel.mul_vector(c)
         return tuple(full[i] % d for i, d in enumerate(delta) if d >= 2)
 
     return factors, gens, coordinates

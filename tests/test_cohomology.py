@@ -4,6 +4,8 @@ import pytest
 
 from tameapprox.cohomology import (
     PlaceRecord,
+    _cayley_system,
+    _differences,
     coboundary0_matrix,
     coboundary1_matrix,
     dimension_shift_check,
@@ -25,7 +27,7 @@ from tameapprox.finite_groups import (
     trivial_subgroup,
 )
 from tameapprox.g_modules import GModule, augmentation_ideal, group_ring, restrict, trivial_module
-from tameapprox.zmod_linalg import AbGroupStructure
+from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresentation, kernel_mod
 
 from oracle_helpers import (
     all_pairs_is_cocycle,
@@ -79,6 +81,20 @@ class TestH1:
         assert not is_brute_coboundary(g, ideal, twice)
         quadruple = tuple(tuple(4 * x % m for x in vec) for vec in rep)
         assert is_brute_coboundary(g, ideal, quadruple)
+
+    def test_order_25_system_in_residues_zero_to_m(self):
+        # H^1(G, I) = Z/25 for G = Z/5 x Z/5; an elimination over Z stalled
+        # on this system written in residues [0, m) instead of centered ones
+        g = builtin_group("zlxzln:5:1")
+        ideal, _, _ = augmentation_ideal(g, 25)
+
+        def residues(mat):
+            return IntMatrix(mat.rows, mat.cols, [x % 25 for x in mat.entries])
+
+        d1, _ = _cayley_system(g, ideal)
+        d0 = _differences(ideal, g.generating_set())
+        pres = QuotientPresentation(residues(d0), kernel_mod(residues(d1), 25), 25)
+        assert pres.structure == AbGroupStructure([25])
 
     def test_mismatched_group_rejected(self):
         with pytest.raises(ValueError, match="different group"):

@@ -103,8 +103,8 @@ class TestSNF:
         rng = random.Random(7)
         for _ in range(25):
             mat = IntMatrix(4, 5, [rng.randint(-9, 9) for _ in range(20)])
-            dec = smith_decomposition(mat, want_u=True, want_u_inv=True, want_v=True)
-            assert dec.u @ dec.u_inv == IntMatrix.identity(4)
+            dec = smith_decomposition(mat, want_u=True, want_v=True)
+            assert abs(dec.u.det()) == abs(dec.v.det()) == 1
             assert dec.u @ mat @ dec.v == dec.d
 
 
@@ -140,12 +140,11 @@ class TestReferenceSmith:
         # same pivots and operations as the four-transform reduction, so the
         # same integers in every output it still produces
         for mat in reference_shapes():
-            for want_u, want_u_inv, want_v in product((False, True), repeat=3):
-                flags = dict(want_u=want_u, want_u_inv=want_u_inv, want_v=want_v)
+            for want_u, want_v in product((False, True), repeat=2):
+                flags = dict(want_u=want_u, want_v=want_v)
                 dec = smith_decomposition(mat, **flags)
-                u, u_inv, v, _, diagonal = reference_smith_decomposition(mat, **flags)
+                u, _, v, _, diagonal = reference_smith_decomposition(mat, **flags)
                 assert dec.u == u
-                assert dec.u_inv == u_inv
                 assert dec.v == v
                 assert dec.diagonal == diagonal
                 assert (dec.rows, dec.cols) == (mat.rows, mat.cols)
@@ -168,16 +167,51 @@ class TestKernelMod:
 
     def test_against_brute_force(self):
         rng = random.Random(42)
-        for _ in range(150):
-            m = rng.randint(2, 9)
+        for trial in range(180):
+            m = rng.randint(2, 9) if trial < 150 else (6, 12, 36)[trial % 3]
             rows = rng.randint(1, 3)
-            cols = rng.randint(1, 4)
+            cols = rng.randint(1, 4 if m < 12 else 2)
             entries = [rng.randint(-6, 6) for _ in range(rows * cols)]
             mat = IntMatrix(rows, cols, entries)
             gens = kernel_mod(mat, m)
             spanned = span_mod([gens.column(j) for j in range(gens.cols)], m, cols)
             brute = brute_kernel_set(mat.row_lists(), m, cols)
             assert spanned == brute
+
+
+def assert_presentation_agrees(sub, amb, m, members):
+    """QuotientPresentation against the presentation over Z of `dense_quotient_presentation`.
+
+    Generator columns are not canonical, so they are compared through the
+    reference coordinates: those of the generators must form an automorphism
+    of the sum of Z/d_i (d_i gen_i is a relation, and with the relations
+    d_i e_i the images span Z^k), so gen_i has exact order d_i.  Then
+    coordinates(gen_i) = e_i, the sub generators have coordinates 0, and
+    sum c_i gen_i - v is in the sub span for each member v with coordinates c.
+    """
+    pres = QuotientPresentation(sub, amb, m)
+    factors, _, oracle = dense_quotient_presentation(sub, amb, m)
+    assert pres.structure.invariant_factors == factors
+    gens = pres.generator_columns
+    k = len(factors)
+    zero = (0,) * k
+    for d, gen in zip(factors, gens):
+        assert oracle([d * x for x in gen]) == zero
+    if k:
+        images = [oracle(gen) for gen in gens]
+        relations = [[d * (i == j) for i in range(k)] for j, d in enumerate(factors)]
+        *_, diagonal = reference_smith_decomposition(
+            IntMatrix.from_columns(images + relations), want_u=False, want_v=False)
+        assert diagonal == (1,) * k
+    for j, gen in enumerate(gens):
+        assert pres.coordinates(gen) == tuple(int(i == j) for i in range(k))
+    for j in range(sub.cols):
+        assert pres.coordinates(sub.column(j)) == zero
+    for vec in members:
+        c = pres.coordinates(vec)
+        combo = [sum(ci * gen[r] for ci, gen in zip(c, gens)) - vec[r]
+                 for r in range(amb.rows)]
+        assert oracle(combo) == zero
 
 
 class TestQuotientStructure:
@@ -207,6 +241,19 @@ class TestQuotientStructure:
         with pytest.raises(NotInSpanError):
             quotient_structure(sub, amb, 4)
 
+    def test_coordinates_reject_vector_outside_span(self):
+        # (1, 0) fails the 2 | y test of the pivot 2; (0, 1) meets a row
+        # without pivot, where y must vanish; mod 12, (0, 4) fails only the
+        # part mod 3
+        amb = IntMatrix.from_rows([[2], [0]])
+        for m, outside in ((4, [(1, 0), (0, 1), (3, 0)]),
+                           (12, [(1, 0), (0, 1), (3, 0), (0, 4)])):
+            pres = QuotientPresentation(IntMatrix(2, 0, []), amb, m)
+            pres.coordinates((2, 0))  # inside the span: no error
+            for vec in outside:
+                with pytest.raises(NotInSpanError):
+                    pres.coordinates(vec)
+
     def test_against_coset_counting(self):
         for m, dim, amb_cols, sub_cols, amb_set in random_quotient_inputs():
             sub_set = span_mod(sub_cols, m, dim)
@@ -219,23 +266,19 @@ class TestQuotientStructure:
             assert coset_order_counts(amb_set, sub_set, m, dim) == \
                 predicted_order_counts(s.invariant_factors, m)
 
-    def test_presentation_matches_dense_formulas(self):
-        # U @ [S | mI] and all of U_amb^-1 D U_rel^-1, as first written
+    def test_presentation_agrees_with_reference(self):
         for m, dim, amb_cols, sub_cols, amb_set in random_quotient_inputs():
-            sub = IntMatrix.from_columns(sub_cols, dim=dim)
-            amb = IntMatrix.from_columns(amb_cols, dim=dim)
-            pres = QuotientPresentation(sub, amb, m)
-            factors, gens, coordinates = dense_quotient_presentation(sub, amb, m)
-            assert pres.structure.invariant_factors == factors
-            assert pres.generator_columns == gens
-            for vec in sorted(amb_set)[:40]:
-                assert pres.coordinates(vec) == coordinates(vec)
+            assert_presentation_agrees(
+                IntMatrix.from_columns(sub_cols, dim=dim),
+                IntMatrix.from_columns(amb_cols, dim=dim),
+                m, sorted(amb_set)[:40])
 
-    def test_presentation_matches_dense_formulas_larger(self):
-        # dimensions up to 10, beyond what the coset counting can enumerate
+    def test_presentation_agrees_with_reference_larger(self):
+        # dimensions up to 10, beyond what the coset counting can enumerate;
+        # the composite moduli run one prime-power part per prime
         rng = random.Random(2026)
-        for _ in range(40):
-            m = rng.choice([4, 8, 9, 16, 25, 27])
+        for trial in range(70):
+            m = rng.choice([4, 8, 9, 16, 25, 27]) if trial < 40 else (6, 12, 36)[trial % 3]
             dim = rng.randint(2, 10)
             k = rng.randint(1, dim + 2)
             amb = IntMatrix.from_columns(
@@ -246,13 +289,7 @@ class TestQuotientStructure:
                 return amb.mul_vector([rng.randint(0, m - 1) for _ in range(k)])
 
             sub = IntMatrix.from_columns([member() for _ in range(rng.randint(0, 3))], dim=dim)
-            pres = QuotientPresentation(sub, amb, m)
-            factors, gens, coordinates = dense_quotient_presentation(sub, amb, m)
-            assert pres.structure.invariant_factors == factors
-            assert pres.generator_columns == gens
-            for _ in range(5):
-                vec = member()
-                assert pres.coordinates(vec) == coordinates(vec)
+            assert_presentation_agrees(sub, amb, m, [member() for _ in range(5)])
 
     def test_presentation_generators_and_coordinates(self):
         amb = IntMatrix.identity(2)
