@@ -1,4 +1,4 @@
-"""Number-theoretic layer: primes, residue symbols, local squares,
+"""Number-theoretic layer: prime searches, residue symbols, local squares,
 decomposition subgroups of biquadratic fields, and counterexample
 certificates.
 
@@ -26,13 +26,10 @@ from .finite_groups import (
     subgroup_generated,
 )
 from .g_modules import augmentation_ideal
+# primality and factoring live in the leaf module `primes`, which the
+# elimination layer shares; the names stay importable from here
+from .primes import _UINT64_MAX, _brent_rho, factorize, is_prime
 from .zmod_linalg import AbGroupStructure
-
-_UINT64_MAX = 2 ** 64
-
-# Strong-pseudoprime test with these twelve bases is deterministic for all
-# n < 3.3 * 10^24, which covers the full 64-bit range.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class SearchBoundError(RuntimeError):
@@ -41,96 +38,6 @@ class SearchBoundError(RuntimeError):
     Dirichlet guarantees the target exists, so this signals a bound chosen
     too small, not nonexistence.
     """
-
-
-def is_prime(x):
-    """Deterministic primality for 0 <= x <= 2**64 (Miller-Rabin, fixed bases)."""
-    x = int(x)
-    if x < 0:
-        raise ValueError("is_prime expects a nonnegative integer")
-    if x > _UINT64_MAX:
-        raise ValueError("is_prime is only deterministic up to 2**64")
-    if x < 2:
-        return False
-    for b in _MR_BASES:
-        if x == b:
-            return True
-        if x % b == 0:
-            return False
-    d = x - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        y = pow(b, d, x)
-        if y == 1 or y == x - 1:
-            continue
-        for _ in range(s - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _brent_rho(n):
-    # Brent's cycle variant of Pollard rho; deterministic constant schedule.
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = 0
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
-def factorize(n):
-    """Prime factorization of |n| as an ordered {prime: exponent} dict."""
-    n = abs(int(n))
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    factors = {}
-
-    def record(p):
-        factors[p] = factors.get(p, 0) + 1
-
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        while n % p == 0:
-            record(p)
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            record(m)
-            continue
-        d = _brent_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return dict(sorted(factors.items()))
 
 
 def is_squarefree(n):
@@ -406,6 +313,12 @@ def sigma0_biquadratic(pair):
     return [int(rec.label) for rec in records if rec.subgroup.order == 4]
 
 
+def _hensel_precision(ell, precision):
+    """The precision exponent `ellth_root_in_zell` works to: at least 3 for
+    ell = 2 and 2 otherwise, where the congruence on q starts."""
+    return max(int(precision), 3 if ell == 2 else 2)
+
+
 def ellth_root_in_zell(q, ell, precision=8):
     """A witness x with x^ell == q (mod ell^precision), or None.
 
@@ -413,7 +326,7 @@ def ellth_root_in_zell(q, ell, precision=8):
     ell: such units are ell-th powers in Z_ell (digit-by-digit Hensel lift).
     """
     q, ell = int(q), int(ell)
-    precision = max(int(precision), 3 if ell == 2 else 2)
+    precision = _hensel_precision(ell, precision)
     if ell == 2:
         if q % 8 != 1:
             return None
@@ -696,22 +609,23 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
             f" it contains no place over ell = {ell}; membership of the remaining ramified"
             f" places (over q = {q}) is not determined"
         )
+        witness = {"places_over_p": phi,
+                   "residue_field": f"F_{p}",
+                   "residue_degree_witness": pow(q, (p - 1) // ell, p)}
         add("decomposition_full_over_p",
             f"each place over p has full decomposition group: x^{ell}^{n} - p is Eisenstein"
             f" there (p splits completely in {cert.field_desc}, v(p) = 1), and the residue"
             f" extension has degree {ell} because q is not an {ell}-th power mod p",
-            {"places_over_p": phi,
-             "residue_field": f"F_{p}",
-             "residue_degree_witness": pow(q, (p - 1) // ell, p)},
-            True)
+            witness, _full_over_p_holds(ell, n, p, q, witness))
+        witness = {"root": ellth_root_in_zell(q, ell, hensel_precision)}
         add("decomposition_cyclic_over_ell",
             f"q is an {ell}-th power in Q_{ell}, so the decomposition group of the place"
             f" over {ell} embeds in the cyclic factor Z/{ell}^{n}",
-            {"root": ellth_root_in_zell(q, ell, hensel_precision)},
-            True)
+            witness, _cyclic_over_ell_holds(ell, q, hensel_precision, witness))
+        witness = {"sigma0_known_members": over_p_keys}
         add("sigma0_disjoint_from_ell",
             f"places over ell = {ell} have cyclic decomposition groups and are not in Sigma_0",
-            {"sigma0_known_members": over_p_keys}, True)
+            witness, _disjoint_from_ell_holds(ell, witness))
         designated = over_p_keys
 
     sigma0_excluded = [str(v) for v in cert.sigma0_labels]
@@ -752,6 +666,31 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     else:
         return refute()
     return cert
+
+
+def _full_over_p_holds(ell, n, p, q, witness):
+    """`decomposition_full_over_p` from its witness: there are ell^n - ell^(n-1)
+    places over p, p == 1 (mod ell^n) so that p splits completely in
+    Q(zeta_(ell^n)), and the recorded q^((p-1)/ell) mod p is right and not 1,
+    so that q is not an ell-th power mod p."""
+    w = witness["residue_degree_witness"]
+    return (witness["places_over_p"] == ell ** n - ell ** (n - 1)
+            and p % ell ** n == 1
+            and w == pow(q, (p - 1) // ell, p) and w != 1)
+
+
+def _cyclic_over_ell_holds(ell, q, precision, witness):
+    """`decomposition_cyclic_over_ell` from its witness: root^ell == q modulo
+    ell^precision, at the precision `ellth_root_in_zell` works to."""
+    root = witness["root"]
+    mod = ell ** _hensel_precision(ell, precision)
+    return root is not None and (pow(root, ell, mod) - q) % mod == 0
+
+
+def _disjoint_from_ell_holds(ell, witness):
+    """`sigma0_disjoint_from_ell` from its witness: no known member of Sigma_0
+    is the place over ell."""
+    return f"over-{ell}" not in witness["sigma0_known_members"]
 
 
 def _safe_prime(x):

@@ -1,16 +1,31 @@
 """First group cohomology and Tate-Shafarevich restriction kernels.
 
-H^1(G, M) is computed on the values x_s = z(s) of a cocycle at the
-generating set S of G, which determine it: a BFS over the Cayley graph
-writes every z(g) through them, and each Cayley edge off the BFS tree adds
-the rank-many linear conditions that make z a cocycle.  Z^1/B^1 is then a
-quotient inside (Z/m)^(|S| rank), fed to the elimination mod m.  The
-full-cochain coboundary matrices d0, d1 stay exported for the tests and the
-tracer, but h1 does not build them.  The Sha kernels are computed from a
-finite model: all cyclic subgroups of G stand in for the (infinitely many)
-unramified places, since every cyclic subgroup is a Frobenius of infinitely
-many of them and conjugate decomposition groups give canonically isomorphic
-H^1; ramified places enter through explicit PlaceRecords.
+H^1(G, M) is computed on the values x_i = z(g_i) of a cocycle at the
+generators of a presentation of G, which determine it.  A solvable G
+(every builtin group, and every group a certificate uses) has a
+polycyclic presentation (`Group.presentation`): a cocycle extends along
+the normal forms, and it is well defined exactly when z(lhs) = z(rhs) for
+each relator lhs = rhs, where z(s_1 ... s_k) = sum of s_1...s_(j-1).x_(s_j)
+(the Fox derivatives of the relator applied to x; Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, ch. 7-8).  That is one block
+of rank-many rows per relator.  A group that is not solvable (only a JSON
+input can be one) falls back to its Cayley graph: a BFS over the
+generating set writes every z(g) through the generator values, and each
+Cayley edge off the BFS tree adds a block.  Z^1/B^1 is then a quotient
+inside (Z/m)^(d rank), fed to the elimination mod m.  The full-cochain
+coboundary matrices d0, d1 stay exported for the tests and the tracer, but
+h1 does not build them.
+
+The Sha kernels are computed from a finite model: all cyclic subgroups of
+G stand in for the (infinitely many) unramified places, since every cyclic
+subgroup is a Frobenius of infinitely many of them and conjugate
+decomposition groups give canonically isomorphic H^1; ramified places
+enter through explicit PlaceRecords.  For a cyclic subgroup <g> of order k,
+H^1(<g>, M) = ker N_g / (g - 1)M with N_g = 1 + g + ... + g^(k-1)
+(Neukirch, Schmidt and Wingberg, Cohomology of Number Fields, Prop. 1.7.1),
+and a cocycle restricts to the class of its value z(g), so no restricted
+module or restricted H^1 is built for it.  Other subgroups restrict the
+module and solve H^1 on the subgroup's own presentation.
 """
 
 from __future__ import annotations
@@ -19,6 +34,7 @@ from dataclasses import dataclass
 
 from .finite_groups import Group, Subgroup, cyclic_subgroups, full_subgroup
 from .g_modules import GModule, augmentation_ideal, group_ring, restrict
+from .primes import is_prime
 from .zmod_linalg import (
     AbGroupStructure,
     IntMatrix,
@@ -143,8 +159,43 @@ def _cayley_system(group, module):
     return d1, tree
 
 
+def _fox_system(group, module, pres):
+    """Cocycle conditions on the values x = (z(g_i) for g_i in pres.generators).
+
+    A relator lhs = rhs of positive words holds for z exactly when
+    z(lhs) - z(rhs) = 0, with z(s_1 ... s_k) = sum over j of
+    (s_1 ... s_(j-1)).x_(s_j): per relator, r rows whose block for g_i sums
+    the actions of the prefixes in front of each letter g_i.  Residues are
+    in [0, m); zero and repeated rows are dropped.
+    """
+    gens = pres.generators
+    t, act = group.table, module.action
+    r, m = module.rank, module.modulus
+    rows = {}  # distinct nonzero constraint rows, in the order found
+    for lhs, rhs in pres.relators:
+        coeffs = [{} for _ in gens]  # per generator: prefix element -> multiplicity
+        for word, sign in ((lhs, 1), (rhs, -1)):
+            prefix = group.identity
+            for i in word:
+                coeffs[i][prefix] = coeffs[i].get(prefix, 0) + sign
+                prefix = t[prefix][gens[i]]
+        for c in range(r):
+            row = []
+            for block in coeffs:
+                acc = [0] * r
+                for prefix, k in block.items():
+                    if k:
+                        acc = [a + k * b for a, b in zip(acc, act[prefix][c])]
+                row += [a % m for a in acc]
+            row = tuple(row)
+            if any(row):
+                rows[row] = None
+    return IntMatrix(len(rows), len(gens) * r, [x for row in rows for x in row])
+
+
 def _expand(group, module, tree, x):
-    """The cocycle with generator values x, per element, along the BFS tree."""
+    """The cocycle with generator values x, per element, along the tree edges
+    (g, i, g s_i): z(g s_i) = z(g) + g.x_i."""
     r, m = module.rank, module.modulus
     z = [None] * group.order
     z[group.identity] = (0,) * r
@@ -162,7 +213,8 @@ class H1Result:
     generates the invariant factor `structure.invariant_factors[i]`; the
     `basis_correspondence` tuple repeats those orders for convenience.
     `presentation` works on generator values: a vector lists z(s) for each
-    s in `group.generating_set()`, in that order.
+    s in `generators` (the polycyclic generators of the group, or its
+    generating set for the Cayley fallback), in that order.
     """
 
     group: Group
@@ -171,6 +223,7 @@ class H1Result:
     cocycle_reps: tuple
     basis_correspondence: tuple
     presentation: QuotientPresentation
+    generators: tuple
 
     @property
     def order(self):
@@ -179,36 +232,42 @@ class H1Result:
     def class_coordinates(self, rep):
         """Coordinates of a cocycle's class, one residue per invariant factor.
 
-        `rep` gives the cocycle per group element; only its values on the
-        generating set are read.
+        `rep` gives the cocycle per group element; only its values on
+        `generators` are read.
         """
-        return self.presentation.coordinates(
-            [x for s in self.group.generating_set() for x in rep[s]])
+        return self.presentation.coordinates([x for s in self.generators for x in rep[s]])
 
 
 def h1(group, module):
     """H^1(G, M) = Z^1/B^1 with representatives lifting the invariant factors.
 
-    Z^1 is the kernel of the Cayley-graph conditions on the generator values
-    (see `_cayley_system`) and B^1 the image of a -> (s.a - a)_s, so the
-    matrices have |S| rank columns instead of |G| rank.  Each generator of
-    the quotient is expanded to a per-element cocycle and checked.  Cached
-    on the (immutable) module, so the Sha kernels can revisit the same H^1
-    without recomputing the kernel.
+    Z^1 is the kernel of the relator conditions on the values at the
+    polycyclic generators (`_fox_system`), or of the Cayley-graph conditions
+    on the generating set if G is not solvable (`_cayley_system`), and B^1
+    the image of a -> (s.a - a)_s, so the matrices have d rank columns
+    instead of |G| rank.  Each generator of the quotient is expanded to a
+    per-element cocycle and checked.  Cached on the (immutable) module, so
+    the Sha kernels can revisit the same H^1 without recomputing the kernel.
     """
     if module.group != group:
         raise ValueError("module is over a different group")
     if module._h1_cache is not None:
         return module._h1_cache
     m = module.modulus
-    d1, tree = _cayley_system(group, module)
+    pc = group.presentation()
+    if pc is None:
+        gens = group.generating_set()
+        d1, tree = _cayley_system(group, module)
+    else:
+        gens, tree = pc.generators, pc.tree
+        d1 = _fox_system(group, module, pc)
     zgens = kernel_mod(d1, m)
-    pres = QuotientPresentation(_differences(module, group.generating_set()), zgens, m)
+    pres = QuotientPresentation(_differences(module, gens), zgens, m)
     reps = []
     for col in pres.generator_columns:
         rep = _expand(group, module, tree, col)
         if rep[group.identity] != module.zero() or not is_cocycle(group, module, rep):
-            raise AssertionError("internal error: lifted representative is not a normalized cocycle")
+            raise AssertionError("lifted representative is not a normalized cocycle")
         reps.append(rep)
     result = H1Result(
         group=group,
@@ -217,6 +276,7 @@ def h1(group, module):
         cocycle_reps=tuple(reps),
         basis_correspondence=pres.structure.invariant_factors,
         presentation=pres,
+        generators=gens,
     )
     module._h1_cache = result
     return result
@@ -227,19 +287,44 @@ def tate_h0(group, module):
     if module.group != group:
         raise ValueError("module is over a different group")
     m = module.modulus
-    n, r = group.order, module.rank
-    if r == 0:
+    if module.rank == 0:
         return AbGroupStructure()
     # M^G is the intersection of ker(s - 1) over the generators s
     fixed = kernel_mod(_differences(module, group.generating_set()), m)
+    return QuotientPresentation(_norm(module, range(group.order)), fixed, m).structure
+
+
+def _norm(module, elements):
+    """The sum of the actions of `elements`, as an r x r matrix."""
+    r = module.rank
     norm = [[0] * r for _ in range(r)]
-    for g in range(n):
-        act = module.act_matrix(g)
-        for i in range(r):
-            for j in range(r):
-                norm[i][j] += act[i][j]
-    norm_image = IntMatrix.from_rows(norm)
-    return QuotientPresentation(norm_image, fixed, m).structure
+    for g in elements:
+        for row, arow in zip(norm, module.action[g]):
+            for j, a in enumerate(arow):
+                if a:
+                    row[j] += a
+    return IntMatrix.from_rows(norm)
+
+
+def _cyclic_h1(module, sub):
+    """(g, H^1(<g>, M) as a QuotientPresentation) for sub = <g> cyclic, else None.
+
+    A cocycle on <g> is fixed by x = z(g), and any x with N_g x = 0 gives
+    one, N_g the sum of the actions of <g>; the coboundaries are the
+    (g - 1)a.  So H^1(<g>, M) = ker N_g / (g - 1)M, and the restriction of
+    a cocycle z of G has coordinates `presentation.coordinates(z(g))`.  g is
+    the lowest-index element of order |sub|.  Cached on the module per
+    element set, with None for a non-cyclic subgroup.
+    """
+    key = sub.elements
+    cache = module._cyclic_cache
+    if key not in cache:
+        order = module.group.element_order
+        g = next((x for x in key if order(x) == len(key)), None)
+        cache[key] = None if g is None else (g, QuotientPresentation(
+            _differences(module, [g]), kernel_mod(_norm(module, key), module.modulus),
+            module.modulus))
+    return cache[key]
 
 
 def _restricted_h1(module, sub):
@@ -301,16 +386,21 @@ def _restriction_kernel(group, module, subgroups):
     for sub in ordered:
         if sub.order == 1:
             continue  # H^1 of the trivial group vanishes
-        h1_h = _restricted_h1(module, sub)
-        target = h1_h.structure.invariant_factors
-        if not target:
-            continue
-        res = res_h1(group, sub, module, h1_g=h1_g, h1_h=h1_h)
-        for i, delta in enumerate(target):
+        cyclic = _cyclic_h1(module, sub)
+        if cyclic is None:
+            h1_h = _restricted_h1(module, sub)
+            target = h1_h.structure.invariant_factors
+            res = res_h1(group, sub, module, h1_g=h1_g, h1_h=h1_h)
+            images = [res.row(i) for i in range(len(target))]
+        else:
+            g, pres = cyclic
+            target = pres.structure.invariant_factors
+            images = list(zip(*(pres.coordinates(rep[g]) for rep in h1_g.cocycle_reps)))
+        for delta, image in zip(target, images):
             if m % delta:
                 raise AssertionError("invariant factor does not divide the modulus")
             scale = m // delta
-            constraint_rows.append([scale * res[i, j] for j in range(k)])
+            constraint_rows.append([scale * x for x in image])
 
     if constraint_rows:
         kernel = kernel_mod(IntMatrix.from_rows(constraint_rows), m)
@@ -360,8 +450,6 @@ def _is_place_token(key):
         value = int(key)
     except ValueError:
         return False
-    from .arithmetic import is_prime
-
     return value >= 2 and is_prime(value)
 
 
@@ -435,8 +523,17 @@ def dimension_shift_check(group, subgroups=None):
     """H^1(H, I|_H) = Z/|H| and H^1(H, (Z/n)[G]|_H) = 0, per subgroup.
 
     Defaults to the cyclic subgroups plus the full group; pass an explicit
-    list (e.g. all_subgroups(G)) to widen the battery.
+    list (e.g. all_subgroups(G)) to widen the battery.  A cyclic H is read
+    from ker N_g / (g - 1)M (see `_cyclic_h1`), any other from the H^1 of
+    the restricted module.
     """
+
+    def structure(module, sub):
+        cyclic = _cyclic_h1(module, sub)
+        if cyclic is None:
+            return _restricted_h1(module, sub).structure
+        return cyclic[1].structure
+
     n = group.order
     ideal, _, _ = augmentation_ideal(group, n)
     ring = group_ring(group, n)
@@ -446,8 +543,8 @@ def dimension_shift_check(group, subgroups=None):
             subgroups.append(full_subgroup(group))
     reports = []
     for sub in sorted(subgroups, key=lambda s: (s.order, s.elements)):
-        ideal_h1 = _restricted_h1(ideal, sub).structure
-        ring_h1 = _restricted_h1(ring, sub).structure
+        ideal_h1 = structure(ideal, sub)
+        ring_h1 = structure(ring, sub)
         expected = AbGroupStructure([sub.order] if sub.order > 1 else [])
         reports.append(ShiftReport(sub, ideal_h1, expected, ring_h1))
     return reports

@@ -11,7 +11,7 @@ from __future__ import annotations
 import weakref
 from math import gcd
 
-from .finite_groups import Subgroup
+from .finite_groups import Subgroup, _int_rows
 from .zmod_linalg import IntMatrix, kernel_mod, quotient_structure
 
 _FULL_SCAN_LIMIT = 64
@@ -51,7 +51,7 @@ class GModule:
     """
 
     __slots__ = ("group", "modulus", "rank", "action", "label",
-                 "_h1_cache", "_restrict_cache")
+                 "_h1_cache", "_restrict_cache", "_cyclic_cache")
 
     def __init__(self, group, modulus, rank, action, label=None):
         m = int(modulus)
@@ -98,6 +98,7 @@ class GModule:
         self.label = label or f"module of rank {rank} over Z/{modulus}"
         self._h1_cache = None
         self._restrict_cache = {}
+        self._cyclic_cache = {}
 
     def act_matrix(self, g):
         return self.action[g]
@@ -316,18 +317,30 @@ def module_from_json(group, obj):
     if not isinstance(obj, dict):
         raise ValueError("module JSON must be an object")
     try:
-        m = int(obj["modulus"])
-        r = int(obj["rank"])
-        action_obj = obj["action"]
+        m, r, action_obj = (obj[key] for key in ("modulus", "rank", "action"))
     except KeyError as missing:
         raise ValueError(f"module JSON is missing key {missing}") from None
+    m, r = _json_int(m, "modulus"), _json_int(r, "rank")
+    if not isinstance(action_obj, dict):
+        raise ValueError("module JSON 'action' must be an object")
     action = []
     for g in range(group.order):
         key = str(g)
-        if key in action_obj:
-            action.append(action_obj[key])
-        elif g in action_obj:
-            action.append(action_obj[g])
-        else:
-            raise ValueError(f"module JSON has no action matrix for element {g}")
+        if key not in action_obj:
+            key = g
+            if key not in action_obj:
+                raise ValueError(f"module JSON has no action matrix for element {g}")
+        action.append(_int_rows(action_obj[key], f"action matrix of element {g}"))
     return GModule(group, m, r, action, label="module from JSON")
+
+
+def _json_int(value, key):
+    """An integer given as a JSON number or a decimal string."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"module JSON '{key}' must be an integer")

@@ -5,10 +5,11 @@ reduces to `kernel_mod` and `QuotientPresentation`, and both run one
 elimination engine over the chain ring Z/p^e (Howell, "Spans in the module
 (Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for linear algebra
 modulo N", 1998).  A composite modulus is split by CRT into its prime-power
-parts.  Over Z/p^e every residue is a unit times a power of p, so a pivot of
-least p-valuation, scaled to exactly p^v, clears its column and its row in
-one operation per entry: there are no remainder loops and no divisibility
-fix-ups, and every entry stays a residue in [0, p^e).  The arithmetic is
+parts, found by `primes.factorize`.  Over Z/p^e every residue is a unit
+times a power of p, so a pivot of least p-valuation, scaled to exactly
+p^v, clears its column and its row in one operation per entry: there are
+no remainder loops and no divisibility fix-ups, and every entry stays a
+residue in [0, p^e).  The arithmetic is
 still exact (residues are Python ints), and the fixed pivot rule (least
 valuation, then lowest (row, col)) keeps every output reproducible.
 
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+
+from .primes import factorize
 
 
 class NotInSpanError(ValueError):
@@ -400,27 +403,6 @@ def snf(mat):
     return dec.u, dec.d, dec.v
 
 
-def _prime_powers(m):
-    """(p, e) for each prime power p^e exactly dividing m >= 2.
-
-    Trial division, whose cost can reach the square root of m: nothing for
-    group orders and the small moduli of modules.
-    """
-    parts = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            parts.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        parts.append((m, 1))
-    return parts
-
-
 def _crt_lift(m, q):
     """The residue mod m that is 1 mod q and 0 mod m/q (q, m/q coprime)."""
     k = m // q
@@ -512,7 +494,7 @@ def kernel_mod(mat, modulus):
     R, C = mat.rows, mat.cols
     cols = []
     if m > 1:
-        for p, e in _prime_powers(m):
+        for p, e in factorize(m).items():
             q = p ** e
             lift = _crt_lift(m, q)
             rows = [[x % q for x in mat.column(j)] + urow
@@ -632,7 +614,7 @@ class QuotientPresentation:
             return
 
         parts = tuple(_PrimePowerQuotient(sub_gens, amb_gens, p, e, m)
-                      for p, e in _prime_powers(m))
+                      for p, e in factorize(m).items())
         k = max(len(part.factors) for part in parts)
         factors = [1] * k
         gens = [[0] * dim for _ in range(k)]

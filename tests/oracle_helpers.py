@@ -5,7 +5,9 @@ code paths: they read only the raw data of their inputs (Cayley tables,
 action matrices, matrix entries) and enumerate.  They are deliberately slow
 and only run at the small sizes the properties quantify over.  The
 exceptions are the earlier, slower formulas kept as references for their
-fast replacements: `full_cochain_h1` for the generator-based H^1,
+fast replacements: `full_cochain_h1` and `cayley_h1` for the H^1 on a
+polycyclic presentation, `cayley_restriction_kernel` for the restriction
+kernels read from ker N_g / (g-1)M on cyclic subgroups,
 `dense_mat_mul_mod` for the sparse module products,
 `dense_quotient_presentation` (the presentation over Z with m*I padding, on
 the reference reduction) for the presentation over Z/p^e and
@@ -15,7 +17,14 @@ transforms as augmented rows and columns.
 
 from itertools import product
 
-from tameapprox.cohomology import coboundary0_matrix, coboundary1_matrix
+from tameapprox.cohomology import (
+    _cayley_system,
+    _differences,
+    _expand,
+    coboundary0_matrix,
+    coboundary1_matrix,
+)
+from tameapprox.g_modules import restrict
 from tameapprox.zmod_linalg import (
     IntMatrix,
     QuotientPresentation,
@@ -208,6 +217,61 @@ def full_cochain_h1(group, module):
     m = module.modulus
     zgens = kernel_mod(coboundary1_matrix(group, module), m)
     return QuotientPresentation(coboundary0_matrix(group, module), zgens, m).structure
+
+
+def cayley_h1(group, module):
+    """(structure, per-element representatives, coordinates function) of H^1
+    from the Cayley-graph system on `group.generating_set()`, the solver
+    `cohomology.h1` keeps only for groups that are not solvable."""
+    m = module.modulus
+    gens = group.generating_set()
+    d1, tree = _cayley_system(group, module)
+    pres = QuotientPresentation(_differences(module, gens), kernel_mod(d1, m), m)
+    reps = [_expand(group, module, tree, col) for col in pres.generator_columns]
+
+    def coordinates(rep):
+        return pres.coordinates([x for s in gens for x in rep[s]])
+
+    return pres.structure, reps, coordinates
+
+
+def cayley_restriction_kernel(group, module, subgroups):
+    """Structure of the joint kernel of H^1(G, M) -> H^1(H, M|_H) over `subgroups`.
+
+    Every H^1 here is `cayley_h1`, on G and on each restricted module, and a
+    class restricts through the coordinates of its representative read on H.
+    """
+    m = module.modulus
+    structure, reps, _ = cayley_h1(group, module)
+    factors = structure.invariant_factors
+    rows = []
+    for sub in subgroups:
+        res = restrict(module, sub)
+        target, _, coordinates = cayley_h1(res.group, res)
+        images = [coordinates([rep[x] for x in sub.elements]) for rep in reps]
+        for i, delta in enumerate(target.invariant_factors):
+            rows.append([m // delta * image[i] for image in images])
+    kernel = (kernel_mod(IntMatrix.from_rows(rows), m) if rows
+              else IntMatrix.identity(len(factors)))
+    return QuotientPresentation(IntMatrix.diagonal(list(factors)), kernel, m).structure
+
+
+def brute_generated(group, gens):
+    """The subgroup generated by `gens`, by multiplying all pairs until nothing is new."""
+    elements = {group.identity} | set(gens)
+    while True:
+        grown = elements | {group.table[a][b] for a in elements for b in elements}
+        if grown == elements:
+            return elements
+        elements = grown
+
+
+def evaluate_word(group, gens, word):
+    """The element that the word (positions into `gens`) multiplies out to."""
+    x = group.identity
+    for i in word:
+        x = group.table[x][gens[i]]
+    return x
 
 
 def dense_mat_mul_mod(a, b, m):

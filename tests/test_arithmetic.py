@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from tameapprox import arithmetic, primes, zmod_linalg
 from tameapprox.arithmetic import (
     KummerPair,
     SearchBoundError,
@@ -18,9 +21,12 @@ from tameapprox.arithmetic import (
     local_square,
     sigma0_biquadratic,
     squarefree_part,
+    _cyclic_over_ell_holds,
+    _disjoint_from_ell_holds,
+    _full_over_p_holds,
 )
 from tameapprox.finite_groups import Group, subgroup_generated
-from tameapprox.zmod_linalg import AbGroupStructure
+from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, kernel_mod
 
 from oracle_helpers import (
     brute_is_square_in_q2,
@@ -431,3 +437,84 @@ class TestCertify:
         a = certify(2, 1, 11).to_json_dict()
         b = certify(2, 1, 11).to_json_dict()
         assert a == b
+
+
+class TestFactorModuli:
+    """Moduli are factored by `primes.factorize`, shared with the arithmetic layer."""
+
+    def test_one_leaf_module(self):
+        for name in ("is_prime", "factorize", "_brent_rho"):
+            assert getattr(arithmetic, name) is getattr(primes, name)
+        assert zmod_linalg.factorize is primes.factorize
+        assert not hasattr(zmod_linalg, "_prime_powers")
+
+    def test_kernel_mod_large_prime_modulus(self):
+        p = 2 ** 61 - 1
+        ker = kernel_mod(IntMatrix(1, 2, [1, 1]), p)
+        assert ker.cols == 1
+        x, y = ker.column(0)
+        assert (x + y) % p == 0 and x % p != 0
+
+    def test_cofactor_beyond_64_bits_raises_value_error(self):
+        assert factorize(2 ** 70 * 3) == {2: 70, 3: 1}
+        with pytest.raises(ValueError, match="exceeds 2\\*\\*64"):
+            factorize((2 ** 61 - 1) * (2 ** 31 - 1) * 53)
+
+
+class TestCheckedWitnesses:
+    """The place-model checks of certify for (ell, n) != (2, 1) follow their witnesses."""
+
+    PARAMS = [(2, 2, 5), (3, 1, 7), (2, 3, 17), (3, 1, 13), (5, 1, 11)]
+
+    def test_corrupted_witness_fails_its_check(self):
+        rng = random.Random(0x5EED)
+        for ell, n, p in self.PARAMS:
+            cert = certify(ell, n, p)
+            q = cert.q
+            checks = {c.name: c for c in cert.checks}
+            mod = ell ** 8  # the default Hensel precision
+
+            def full(w):
+                return _full_over_p_holds(ell, n, p, q, w)
+
+            def cyclic(w):
+                return _cyclic_over_ell_holds(ell, q, 8, w)
+
+            def disjoint(w):
+                return _disjoint_from_ell_holds(ell, w)
+
+            for name, holds in (("decomposition_full_over_p", full),
+                                ("decomposition_cyclic_over_ell", cyclic),
+                                ("sigma0_disjoint_from_ell", disjoint)):
+                assert checks[name].passed and holds(checks[name].witness), (ell, n, p, name)
+
+            w = checks["decomposition_full_over_p"].witness
+            good = w["residue_degree_witness"]
+            for bad in [1] + rng.sample([x for x in range(p) if x != good], min(5, p - 2)):
+                assert not full(dict(w, residue_degree_witness=bad)), (ell, n, p, bad)
+            assert not full(dict(w, places_over_p=w["places_over_p"] + rng.choice((-1, 1))))
+            # a q that is an ell-th power mod p has the witness 1, recorded correctly
+            power = pow(rng.randrange(2, p), ell, p) + p * rng.randrange(1, 9)
+            assert pow(power, (p - 1) // ell, p) == 1
+            assert not _full_over_p_holds(ell, n, p, power, dict(w, residue_degree_witness=1))
+
+            w = checks["decomposition_cyclic_over_ell"].witness
+            assert not cyclic(dict(w, root=None))
+            verdicts = set()
+            for _ in range(20):
+                bad = (w["root"] + rng.randrange(1, mod)) % mod
+                valid = pow(bad, ell, mod) == q % mod
+                assert cyclic(dict(w, root=bad)) == valid, (ell, n, p, bad)
+                verdicts.add(valid)
+            assert False in verdicts
+
+            w = checks["sigma0_disjoint_from_ell"].witness
+            members = list(w["sigma0_known_members"])
+            members.insert(rng.randrange(len(members) + 1), f"over-{ell}")
+            assert not disjoint(dict(w, sigma0_known_members=members))
+
+    def test_wrong_root_refutes_the_certificate(self, monkeypatch):
+        # a root that is no ell-th root of q passes the existence check, not this one
+        monkeypatch.setattr(arithmetic, "ellth_root_in_zell", lambda q, ell, precision=8: 2)
+        cert = certify(3, 1, 7)
+        assert cert.conclusion == "refuted: decomposition_cyclic_over_ell"

@@ -1,4 +1,6 @@
 import json
+import random
+import time
 from pathlib import Path
 
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from tameapprox import cli
 from tameapprox.cli import main
 from tameapprox.zmod_linalg import NotInSpanError
+
+from random_modules import sweep_modules
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "certificate.schema.json"
 
@@ -185,6 +189,14 @@ class TestErrorHandling:
         assert out == ""
         assert err == "internal error: lost a generator\n"
 
+    def test_failed_invariant_is_reported_once(self, capsys, monkeypatch):
+        from tameapprox import cohomology
+
+        monkeypatch.setattr(cohomology, "is_cocycle", lambda group, module, rep: False)
+        status, out, err = run_cli(capsys, "h1", "--group", "builtin:z2", "--module", "trivial:2")
+        assert status == 3 and out == ""
+        assert err == "internal error: lifted representative is not a normalized cocycle\n"
+
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -204,3 +216,132 @@ class TestErrorHandling:
         monkeypatch.setenv("TAMEAPPROX_GROUP_LIMIT", "16")
         status, out, _ = run_cli(capsys, "verify-lemma", "--group", "builtin:q8")
         assert status == 0
+
+
+class TestLargeModuli:
+    def test_large_prime_modulus_is_fast(self, capsys):
+        start = time.perf_counter()
+        status, out, _ = run_cli(capsys, "sha-cyc", "--group", "builtin:z2",
+                                 "--module", "trivial:2305843009213693951")
+        assert time.perf_counter() - start < 1
+        assert status == 0 and json.loads(out)["structure"] == []
+
+    def test_power_of_two_beyond_64_bits(self, capsys):
+        # the small factors are stripped before any primality test
+        status, out, _ = run_cli(capsys, "h1", "--group", "builtin:z2",
+                                 "--module", f"trivial:{2 ** 70}")
+        assert status == 0 and json.loads(out)["structure"] == ["2"]
+
+    def test_cofactor_beyond_64_bits_is_an_input_error(self, capsys):
+        m = (2 ** 61 - 1) * (2 ** 31 - 1)
+        status, out, err = run_cli(capsys, "h1", "--group", "builtin:z2",
+                                   "--module", f"trivial:{m}")
+        assert status == 2 and out == ""
+        assert err.startswith("error: cannot factor") and "2**64" in err
+
+
+def malformed_groups(rng, group):
+    """Seeded group JSON objects that are wrong in type, shape or keys."""
+    table = [list(row) for row in group.table]
+    names = list(group.names)
+    n = len(table)
+    i, j = rng.randrange(n), rng.randrange(n)
+
+    def with_row(row):
+        return {"table": table[:i] + [row] + table[i + 1:], "names": names}
+
+    def with_entry(value):
+        return with_row(table[i][:j] + [value] + table[i][j + 1:])
+
+    cases = [
+        {"table": table, "names": 5},
+        {"table": table, "names": "e"},
+        {"table": table, "names": {"0": "e"}},
+        {"table": table, "names": names[:j] + [rng.randrange(9)] + names[j + 1:]},
+        {"table": table, "names": names + ["extra"]},
+        {"table": rng.choice([5, "table", {"0": [0]}, None, []]), "names": names},
+        with_row(rng.choice([5, "row", None, {"0": 0}])),
+        with_row(table[i][:-1]),
+        with_row(table[i] + [0]),
+        with_entry(rng.choice(["x", 1.5, None, True, [0]])),
+        {"table": table + [table[i]], "names": names},
+        {"names": names},
+        {},
+        [table],
+        {"permutations": rng.choice([5, "p", None, {"0": [0]}])},
+        {"permutations": [[1, 0], rng.choice([5, None, "10"])]},
+        {"permutations": [[1, 0], [0]]},
+        {"permutations": [[1, 0], [rng.choice(["a", 0.5, None, False]), 1]]},
+    ]
+    return cases
+
+
+def malformed_modules(rng, module):
+    """Seeded module JSON objects that are wrong in type, shape or keys."""
+    m, r = module.modulus, module.rank
+    action = {str(g): [list(row) for row in mat] for g, mat in enumerate(module.action)}
+    valid = {"modulus": m, "rank": r, "action": action}
+    g = str(rng.randrange(len(action)))
+    mat = action[g]
+    i = rng.randrange(r)
+
+    def with_matrix(value):
+        return dict(valid, action=dict(action, **{g: value}))
+
+    def with_row(row):
+        return with_matrix(mat[:i] + [row] + mat[i + 1:])
+
+    cases = [{key: value for key, value in valid.items() if key != missing}
+             for missing in ("modulus", "rank", "action")]
+    cases += [
+        dict(valid, modulus=rng.choice(["abc", [m], None, 1.5, True, {"m": m}])),
+        dict(valid, rank=rng.choice(["r", [r], None, 2.0, {"r": r}])),
+        dict(valid, action=rng.choice([5, "action", None, list(action.values())])),
+        {"modulus": m, "rank": r, "action": {k: v for k, v in action.items() if k != g}},
+        with_matrix(rng.choice([5, "matrix", None, {"0": [1]}])),
+        with_matrix(mat + [mat[i]]),
+        with_row(rng.choice([5, "row", None, {"0": 1}])),
+        with_row(mat[i][:-1]),
+        with_row(mat[i] + [0]),
+        with_row(mat[i][:-1] + [rng.choice(["x", 1.5, None, True, [1]])]),
+        [valid],
+    ]
+    return cases
+
+
+class TestMalformedJson:
+    """Malformed group and module JSON exits 2 with an `error:` line, never a traceback."""
+
+    def check(self, capsys, *argv):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2, (argv, err)
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err, err
+
+    def test_group_files(self, capsys, tmp_path):
+        rng = random.Random(0x6A0)
+        path = tmp_path / "group.json"
+        for group, _ in sweep_modules()[::8]:
+            for obj in malformed_groups(rng, group):
+                path.write_text(json.dumps(obj))
+                self.check(capsys, "h1", "--group", str(path), "--module", "trivial:2")
+
+    def test_module_files(self, capsys, tmp_path):
+        rng = random.Random(0x30D)
+        gpath, mpath = tmp_path / "group.json", tmp_path / "module.json"
+        for group, module in sweep_modules()[::3]:
+            gpath.write_text(json.dumps({"table": [list(row) for row in group.table]}))
+            for obj in malformed_modules(rng, module):
+                mpath.write_text(json.dumps(obj))
+                self.check(capsys, "h1", "--group", str(gpath), "--module", str(mpath))
+
+    def test_valid_files_still_load(self, capsys, tmp_path):
+        gpath, mpath = tmp_path / "group.json", tmp_path / "module.json"
+        for group, module in sweep_modules()[::3]:
+            gpath.write_text(json.dumps({"table": [list(row) for row in group.table],
+                                         "names": list(group.names)}))
+            mpath.write_text(json.dumps({
+                "modulus": module.modulus, "rank": str(module.rank),
+                "action": {str(g): [list(row) for row in mat]
+                           for g, mat in enumerate(module.action)}}))
+            status, _, err = run_cli(capsys, "h1", "--group", str(gpath), "--module", str(mpath))
+            assert status == 0, err

@@ -5,7 +5,9 @@ import pytest
 from tameapprox.cohomology import (
     PlaceRecord,
     _cayley_system,
+    _cyclic_h1,
     _differences,
+    _restriction_kernel,
     coboundary0_matrix,
     coboundary1_matrix,
     dimension_shift_check,
@@ -22,6 +24,7 @@ from tameapprox.finite_groups import (
     builtin_group,
     cyclic_group,
     cyclic_subgroups,
+    from_permutations,
     full_subgroup,
     subgroup_generated,
     trivial_subgroup,
@@ -32,10 +35,12 @@ from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresenta
 from oracle_helpers import (
     all_pairs_is_cocycle,
     brute_h1_order,
+    cayley_h1,
+    cayley_restriction_kernel,
     full_cochain_h1,
     is_brute_coboundary,
 )
-from random_modules import sweep_modules
+from random_modules import _coset_permutation, sweep_modules
 
 BATTERY = ["klein4", "z2xz4", "z4", "z3xz3", "s3", "z6", "q8", "z2xz2xz2"]
 
@@ -378,23 +383,41 @@ class TestOracleEquivalence:
                 assert h1(g, mod).order == brute_h1_order(g, mod), (name, mod.label)
 
 
+def battery_modules():
+    """Every builtin group with aug, ring, trivial:|G| and trivial:2."""
+    out = []
+    for name in TestFullCochainOracle.BUILTINS:
+        g = builtin_group(name)
+        n = g.order
+        out += [(g, mod) for mod in (augmentation_ideal(g, n)[0], group_ring(g, n),
+                                     trivial_module(g, n), trivial_module(g, 2))]
+    return out
+
+
+def alternating_group_5():
+    return from_permutations([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
+
+
 class TestFullCochainOracle:
-    """h1 on generator values against Z^1/B^1 over all cochains."""
+    """h1 on a polycyclic presentation against Z^1/B^1 over all cochains and
+    against the Cayley-graph system."""
 
     BUILTINS = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "z2xz4", "z3xz3",
                 "z2xz2xz2", "s3", "q8"]
 
     def test_builtin_groups(self):
-        for name in self.BUILTINS:
-            g = builtin_group(name)
-            n = g.order
-            for mod in (augmentation_ideal(g, n)[0], group_ring(g, n),
-                        trivial_module(g, n), trivial_module(g, 2)):
-                assert h1(g, mod).structure == full_cochain_h1(g, mod), (name, mod.label)
+        for g, mod in battery_modules():
+            res = h1(g, mod)
+            assert res.generators == g.presentation().generators
+            assert res.structure == full_cochain_h1(g, mod) == cayley_h1(g, mod)[0], \
+                (g, mod.label)
 
     def test_random_modules(self):
         for g, mod in sweep_modules():
-            assert h1(g, mod).structure == full_cochain_h1(g, mod), (g, mod.label)
+            res = h1(g, mod)
+            assert res.generators == g.presentation().generators
+            assert res.structure == full_cochain_h1(g, mod) == cayley_h1(g, mod)[0], \
+                (g, mod.label)
 
     def test_degenerate_inputs(self):
         one = cyclic_group(1)
@@ -404,3 +427,69 @@ class TestFullCochainOracle:
             res = h1(g, mod)
             assert res.structure == full_cochain_h1(g, mod) == AbGroupStructure()
             assert res.cocycle_reps == ()
+
+
+class TestCyclicRestriction:
+    """ker N_g / (g - 1)M on cyclic subgroups against the restricted Cayley H^1."""
+
+    def test_structure_per_cyclic_subgroup(self):
+        for g, mod in battery_modules() + sweep_modules():
+            for sub in cyclic_subgroups(g):
+                gen, pres = _cyclic_h1(mod, sub)
+                assert g.element_order(gen) == sub.order and gen in sub.elements
+                res = restrict(mod, sub)
+                assert pres.structure == cayley_h1(res.group, res)[0], (g, mod.label, sub)
+
+    def test_restriction_kernels(self):
+        # the cyclic kernel, and the kernel over every subgroup, which mixes
+        # cyclic subgroups with restricted H^1 on the others
+        for g, mod in battery_modules() + sweep_modules():
+            cyclic = cyclic_subgroups(g)
+            assert sha_cyc(g, mod) == cayley_restriction_kernel(g, mod, cyclic), (g, mod.label)
+            if g.order in (4, 6, 8):
+                subs = all_subgroups(g)
+                assert (_restriction_kernel(g, mod, subs).structure
+                        == cayley_restriction_kernel(g, mod, subs)), (g, mod.label)
+
+    def test_non_cyclic_subgroup_is_not_read_cyclically(self):
+        g = builtin_group("klein4")
+        assert _cyclic_h1(augmentation_ideal(g, 4)[0], full_subgroup(g)) is None
+
+    def test_sha_generators_restrict_to_coboundaries(self):
+        # each generator is a nonzero class of G whose restriction to every
+        # cyclic subgroup has zero coordinates in the restricted Cayley H^1
+        checked = 0
+        for g, mod in battery_modules() + sweep_modules():
+            _, _, coordinates = cayley_h1(g, mod)
+            for rep in sha_sigma(g, mod, places=[]).generators:
+                assert any(coordinates(rep)), (g, mod.label)
+                for sub in cyclic_subgroups(g):
+                    res = restrict(mod, sub)
+                    local = tuple(rep[x] for x in sub.elements)
+                    assert not any(cayley_h1(res.group, res)[2](local)), (g, mod.label, sub)
+                checked += 1
+        assert checked >= 5
+
+
+class TestNotSolvableFallback:
+    """A5 has no polycyclic presentation: h1 solves on the Cayley graph."""
+
+    def test_trivial_modules_match_full_cochains(self):
+        a5 = alternating_group_5()
+        for m in (2, 4):
+            mod = trivial_module(a5, m)
+            res = h1(a5, mod)
+            assert res.generators == a5.generating_set()
+            assert res.structure == full_cochain_h1(a5, mod) == AbGroupStructure()
+
+    def test_point_module_mod_3(self):
+        # Shapiro: H^1(A5, F_3[A5/A4]) = H^1(A4, F_3) = Hom(A4, Z/3) = Z/3
+        a5 = alternating_group_5()
+        a4 = subgroup_generated(a5, [a5.names.index("(0 1 2)"), a5.names.index("(0 1)(2 3)")])
+        assert a4.order == 12
+        mats, dim = _coset_permutation(a5, a4)
+        mod = GModule(a5, 3, dim, mats)
+        res = h1(a5, mod)
+        assert res.structure == AbGroupStructure([3])
+        assert all(all_pairs_is_cocycle(a5, mod, rep) for rep in res.cocycle_reps)
+        assert sha_cyc(a5, mod) == cayley_restriction_kernel(a5, mod, cyclic_subgroups(a5))

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from tameapprox.finite_groups import (
@@ -16,7 +18,8 @@ from tameapprox.finite_groups import (
     trivial_subgroup,
 )
 
-from oracle_helpers import brute_cyclic_subgroup_sets
+from oracle_helpers import brute_cyclic_subgroup_sets, brute_generated, evaluate_word
+from random_modules import sweep_modules
 
 BATTERY = ["klein4", "z2xz4", "z4", "z3xz3", "s3", "z6", "q8", "z2xz2xz2"]
 
@@ -209,3 +212,73 @@ class TestBuiltinsAndJson:
         # the parametrized family is guarded before any table is built
         with pytest.raises(ValueError, match="limit"):
             builtin_group("zlxzln:2:40", limit=512)
+
+
+def presentation_groups():
+    """Every builtin group, the groups of the random-module sweep, and S4."""
+    groups = [builtin_group(name) for name in BATTERY + [
+        "z2", "z3", "z5", "z8", "zlxzln:2:2", "zlxzln:2:3", "zlxzln:3:1", "zlxzln:5:1"]]
+    for g, _ in sweep_modules():
+        if g not in groups:
+            groups.append(g)
+    groups.append(from_permutations([(1, 2, 3, 0), (1, 0, 2, 3)]))
+    return groups
+
+
+class TestPolycyclicPresentation:
+    """Group.presentation against the Cayley table, read without the code under test."""
+
+    def test_against_cayley_table(self):
+        for g in presentation_groups():
+            pc = g.presentation()
+            gens, orders, d = pc.generators, pc.relative_orders, len(pc.generators)
+            assert len(orders) == d and all(r >= 2 for r in orders), g
+            # exactly one normal form g_1^e_1 ... g_d^e_d per element
+            forms = [evaluate_word(g, gens, [i for i, e in enumerate(exps) for _ in range(e)])
+                     for exps in product(*(range(r) for r in orders))]
+            assert sorted(forms) == list(range(g.order)), g
+            # N_i = <g_i, ..., g_d> has order prod_{j >= i} r_j and is normal in N_(i-1)
+            above = set(range(g.order))
+            for i in range(d + 1):
+                sub = brute_generated(g, gens[i:])
+                size = 1
+                for r in orders[i:]:
+                    size *= r
+                assert len(sub) == size, (g, i)
+                assert all(g.table[g.table[g.inverse(x)][y]][x] in sub
+                           for x in above for y in sub), (g, i)
+                above = sub
+            # every relator holds, and its right side is a normal form below it
+            powers = [((i,) * r, i, ()) for i, r in enumerate(orders)]
+            conjugates = [((j, i), i, (i,)) for i in range(d) for j in range(i + 1, d)]
+            assert [lhs for lhs, _ in pc.relators] == [lhs for lhs, _, _ in powers + conjugates]
+            for (lhs, rhs), (_, i, head) in zip(pc.relators, powers + conjugates):
+                assert evaluate_word(g, gens, lhs) == evaluate_word(g, gens, rhs), (g, lhs)
+                assert rhs[:len(head)] == head, (g, lhs)
+                tail = rhs[len(head):]
+                assert list(tail) == sorted(tail) and all(k > i for k in tail), (g, lhs)
+                assert all(tail.count(k) < orders[k] for k in tail), (g, lhs)
+            # the tree reaches every element once, along g -> g g_i
+            reached = {g.identity}
+            for x, i, y in pc.tree:
+                assert x in reached and y not in reached and g.table[x][gens[i]] == y
+                reached.add(y)
+            assert len(reached) == g.order
+
+    def test_layers_follow_the_derived_series(self):
+        # S4 > A4 > V4 > 1: factors 2, 3 and 2 x 2
+        s4 = from_permutations([(1, 2, 3, 0), (1, 0, 2, 3)])
+        assert s4.presentation().relative_orders == (2, 3, 2, 2)
+        # abelian groups take one layer, largest orders first from the bottom
+        assert builtin_group("zlxzln:2:3").presentation().relative_orders == (2, 8)
+        assert builtin_group("z8").presentation().relative_orders == (8,)
+        assert cyclic_group(1).presentation().generators == ()
+
+    def test_cached_on_the_group(self):
+        g = builtin_group("q8")
+        assert g.presentation() is g.presentation()
+
+    def test_not_solvable_has_none(self):
+        a5 = from_permutations([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
+        assert a5.order == 60
+        assert a5.presentation() is None
