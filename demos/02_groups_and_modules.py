@@ -31,6 +31,8 @@ print()
 # ----------------------------------------------------------------------
 ring = group_ring(klein, 4)
 print("(Z/4)[G] has rank", ring.rank, "and every action is a permutation matrix")
+# stored as sparse rows: row i lists the (column, residue) pairs of its nonzeros
+print("rows of the action of element 1:", ring.action_rows[1])
 
 ideal, incl, aug = augmentation_ideal(klein, 4)
 print("augmentation ideal: rank", ideal.rank, "order", ideal.size, "= 2^6")

@@ -53,12 +53,15 @@ __all__ = [
 def _differences(module, elements):
     """a -> (g.a - a for g in elements), stacked as a (len(elements) r x r) matrix."""
     r = module.rank
-    rows = []
+    entries = []
     for g in elements:
-        act = module.action[g]
-        for i in range(r):
-            rows.append([act[i][j] - (i == j) for j in range(r)])
-    return IntMatrix(len(rows), r, [x for row in rows for x in row])
+        for i, arow in enumerate(module.action_rows[g]):
+            row = [0] * r
+            for j, a in arow:
+                row[j] = a
+            row[i] -= 1
+            entries += row
+    return IntMatrix(len(elements) * r, r, entries)
 
 
 def coboundary0_matrix(group, module):
@@ -136,14 +139,14 @@ def _cayley_system(group, module):
     rows = {}  # distinct nonzero constraint rows, in the order found
     queue = [group.identity]
     for g in queue:  # the queue grows while it is walked
-        act = module.action[g]
+        act = module.action_rows[g]
         for i, s in enumerate(gens):
             gs = group.table[g][s]
             base = i * r
             cand = []
             for zrow, arow in zip(zmat[g], act):
                 row = list(zrow)
-                for j, a in enumerate(arow):
+                for j, a in arow:
                     row[base + j] = (row[base + j] + a) % m
                 cand.append(row)
             if zmat[gs] is None:
@@ -169,7 +172,7 @@ def _fox_system(group, module, pres):
     in [0, m); zero and repeated rows are dropped.
     """
     gens = pres.generators
-    t, act = group.table, module.action
+    t, act = group.table, module.action_rows
     r, m = module.rank, module.modulus
     rows = {}  # distinct nonzero constraint rows, in the order found
     for lhs, rhs in pres.relators:
@@ -185,7 +188,8 @@ def _fox_system(group, module, pres):
                 acc = [0] * r
                 for prefix, k in block.items():
                     if k:
-                        acc = [a + k * b for a, b in zip(acc, act[prefix][c])]
+                        for j, b in act[prefix][c]:
+                            acc[j] += k * b
                 row += [a % m for a in acc]
             row = tuple(row)
             if any(row):
@@ -299,10 +303,9 @@ def _norm(module, elements):
     r = module.rank
     norm = [[0] * r for _ in range(r)]
     for g in elements:
-        for row, arow in zip(norm, module.action[g]):
-            for j, a in enumerate(arow):
-                if a:
-                    row[j] += a
+        for row, arow in zip(norm, module.action_rows[g]):
+            for j, a in arow:
+                row[j] += a
     return IntMatrix.from_rows(norm)
 
 

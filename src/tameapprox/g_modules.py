@@ -1,14 +1,25 @@
-"""Finite G-modules over Z/mZ with explicit action matrices.
+"""Finite G-modules over Z/mZ, with the action stored as sparse rows.
 
 The central objects are the group ring (Z/m)[G], its augmentation ideal I
 with basis {g - 1 : g != e}, restrictions to subgroups, and the unit-twisted
 dual.  A module is always free as a Z/m-module, (Z/m)^r; only the G-action
 varies.
+
+Row format: `module.action_rows[g]` is the r x r matrix of g as a tuple of
+r rows, and row i is a tuple of the (column, residue) pairs of its nonzero
+entries, ascending in column, with residues in [1, m).  The form is
+canonical, so two matrices are equal exactly when their rows compare equal
+with ==, and rows are shared between elements where they coincide.  The
+group ring stores one entry per row (a permutation), the augmentation ideal
+at most 2r per element, and the engine reads these rows only, so its work
+per element is the number of nonzeros, not r^2.  Dense matrices are built
+on request: `GModule.act_matrix(g)` and the `GModule.action` view.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from math import gcd
 
 from .finite_groups import Subgroup, _int_rows
@@ -17,95 +28,144 @@ from .zmod_linalg import IntMatrix, kernel_mod, quotient_structure
 _FULL_SCAN_LIMIT = 64
 
 
-def _mat_mul_mod(a, b, m):
-    """a @ b mod m, each row built from the rows of b that a's nonzeros select.
-
-    The cost is the nonzeros of a times the width of b: about r^2 for the
-    0/+-1 actions of the group ring and the augmentation ideal, not r^3.
-    """
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * width
-        for k, x in enumerate(row):
-            if x:
-                acc = [u + x * v for u, v in zip(acc, b[k])]
-        out.append(tuple(u % m for u in acc))
-    return tuple(out)
+def _sparse(mat, m):
+    """The rows of a dense integer matrix in canonical sparse form mod m."""
+    return tuple(tuple((j, v) for j, x in enumerate(row) if (v := int(x) % m))
+                 for row in mat)
 
 
-def _identity_rows(r):
-    return tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+def _row_times(row, mat, m):
+    """The row vector `row` times the matrix `mat`, both sparse, mod m."""
+    if len(row) == 1 and row[0][1] == 1:
+        return mat[row[0][0]]
+    acc = {}
+    for j, a in row:
+        for k, b in mat[j]:
+            acc[k] = acc.get(k, 0) + a * b
+    return tuple((k, v) for k in sorted(acc) if (v := acc[k] % m))
+
+
+def _mul(a, b, m):
+    """a @ b mod m on sparse rows: about the nonzeros of a times those of a
+    row of b, so O(r) for a permutation, not r^3."""
+    return tuple(_row_times(row, b, m) for row in a)
+
+
+def _unit_rows(r):
+    """Row i of the identity, ((i, 1),), for each i < r."""
+    return tuple(((i, 1),) for i in range(r))
+
+
+def _sizes(group, modulus, rank, action):
+    m = int(modulus)
+    if m < 2:
+        raise ValueError("modulus must be >= 2")
+    r = int(rank)
+    if r < 0:
+        raise ValueError("rank must be >= 0")
+    n = group.order
+    if len(action) != n:
+        raise ValueError(f"{len(action)} action matrices for a group of order {n}")
+    return m, r
 
 
 class GModule:
-    """(Z/m)^r with a G-action given per group element by an r x r matrix.
+    """(Z/m)^r with a G-action given per group element as sparse rows.
 
-    Construction verifies that the action is a genuine homomorphism
-    G -> GL_r(Z/m): the identity acts trivially and action(s)action(h) =
-    action(sh) for every generator s and element h.  That suffices: every
-    g is a word s_1...s_k in the generators, and induction on k gives
+    `action_rows[g]` holds the matrix of g in the row format of the module
+    docstring.  Construction verifies that the action is a genuine
+    homomorphism G -> GL_r(Z/m): the identity acts trivially and
+    action(s)action(h) = action(sh) for every generator s and element h,
+    as sparse products compared row by row.  That suffices: every g is a
+    word s_1...s_k in the generators, and induction on k gives
     action(g)action(h) = action(s_1)action(s_2...s_k h) = action(gh).
-    Invertibility follows: action(g) action(g^{-1}) = 1.  `_from_validated`
-    skips the check for an action that is already known to be one.
+    Invertibility follows: action(g) action(g^{-1}) = 1.
+
+    `GModule(group, m, r, matrices)` takes dense matrices and
+    `GModule.from_rows` sparse rows, which must already be in canonical
+    form; both run the same check.  `_from_validated` skips it for rows
+    already known to be a homomorphism (`restrict` only).
     """
 
-    __slots__ = ("group", "modulus", "rank", "action", "label",
+    __slots__ = ("group", "modulus", "rank", "action_rows", "label",
                  "_h1_cache", "_restrict_cache", "_cyclic_cache")
 
     def __init__(self, group, modulus, rank, action, label=None):
-        m = int(modulus)
-        if m < 2:
-            raise ValueError("modulus must be >= 2")
-        r = int(rank)
-        if r < 0:
-            raise ValueError("rank must be >= 0")
-        n = group.order
-        if len(action) != n:
-            raise ValueError(f"{len(action)} action matrices for a group of order {n}")
-        mats = []
+        m, r = _sizes(group, modulus, rank, action)
+        rows = []
         for g, mat in enumerate(action):
-            rows = tuple(tuple(int(x) % m for x in row) for row in mat)
-            if len(rows) != r or any(len(row) != r for row in rows):
+            if len(mat) != r or any(len(row) != r for row in mat):
                 raise ValueError(f"action matrix for element {g} is not {r}x{r}")
-            mats.append(rows)
-        mats = tuple(mats)
-
-        ident = _identity_rows(r)
-        if mats[group.identity] != ident:
-            raise ValueError("identity element must act as the identity matrix")
-        for g in group.generating_set():
-            for h in range(n):
-                if _mat_mul_mod(mats[g], mats[h], m) != mats[group.table[g][h]]:
-                    raise ValueError(
-                        f"action is not a homomorphism: action({g})*action({h}) != action({g}*{h})"
-                    )
-        self._set(group, m, r, mats, label)
+            rows.append(_sparse(mat, m))
+        self._check_and_set(group, m, r, tuple(rows), label)
 
     @classmethod
-    def _from_validated(cls, group, modulus, rank, action, label):
-        """A module over `action`, a tuple of reduced matrices already known
-        to be a homomorphism from `group`; nothing is checked or copied."""
+    def from_rows(cls, group, modulus, rank, rows, label=None):
+        """A module over `rows`, one tuple of r canonical sparse rows per element."""
+        m, r = _sizes(group, modulus, rank, rows)
         module = cls.__new__(cls)
-        module._set(group, modulus, rank, action, label)
+        module._check_and_set(group, m, r, tuple(map(tuple, rows)), label)
         return module
 
-    def _set(self, group, modulus, rank, action, label):
+    @classmethod
+    def _from_validated(cls, group, modulus, rank, rows, label):
+        """A module over `rows`, a tuple of canonical sparse rows already known
+        to be a homomorphism from `group`; nothing is checked or copied."""
+        module = cls.__new__(cls)
+        module._set(group, modulus, rank, rows, label)
+        return module
+
+    def _check_and_set(self, group, m, r, rows, label):
+        """Check that `rows` is canonical and a homomorphism, then set it."""
+        for g, mat in enumerate(rows):
+            if len(mat) != r:
+                raise ValueError(f"action matrix for element {g} is not {r}x{r}")
+            for row in mat:
+                col = -1
+                for j, a in row:
+                    if not (col < j < r and 0 < a < m):
+                        raise ValueError(
+                            f"action row of element {g} is not sorted sparse residues mod {m}")
+                    col = j
+        if rows[group.identity] != _unit_rows(r):
+            raise ValueError("identity element must act as the identity matrix")
+        for s in group.generating_set():
+            act, table = rows[s], group.table[s]
+            for h in range(group.order):
+                if _mul(act, rows[h], m) != rows[table[h]]:
+                    raise ValueError(
+                        f"action is not a homomorphism: action({s})*action({h}) != action({s}*{h})"
+                    )
+        self._set(group, m, r, rows, label)
+
+    def _set(self, group, modulus, rank, rows, label):
         self.group = group
         self.modulus = modulus
         self.rank = rank
-        self.action = action
+        self.action_rows = rows
         self.label = label or f"module of rank {rank} over Z/{modulus}"
         self._h1_cache = None
         self._restrict_cache = {}
         self._cyclic_cache = {}
 
     def act_matrix(self, g):
-        return self.action[g]
+        """The dense r x r matrix of g, with residues in [0, m)."""
+        out = []
+        for row in self.action_rows[g]:
+            dense = [0] * self.rank
+            for j, a in row:
+                dense[j] = a
+            out.append(tuple(dense))
+        return tuple(out)
+
+    @property
+    def action(self):
+        """Dense view: `action[g]` is `act_matrix(g)`, built when read."""
+        return _DenseAction(self)
 
     def act(self, g, vec):
         m = self.modulus
-        return tuple(sum(a * v for a, v in zip(row, vec)) % m for row in self.action[g])
+        return tuple(sum(a * vec[j] for j, a in row) % m for row in self.action_rows[g])
 
     @property
     def size(self):
@@ -123,10 +183,31 @@ class GModule:
         return f"GModule({self.label}, |G|={self.group.order})"
 
 
+class _DenseAction(Sequence):
+    """The dense matrices of a module, one per element, built on each read."""
+
+    __slots__ = ("_module",)
+
+    def __init__(self, module):
+        self._module = module
+
+    def __len__(self):
+        return len(self._module.action_rows)
+
+    def __getitem__(self, g):
+        return self._module.act_matrix(g)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+
 class ModuleMap:
     """A G-equivariant linear map between modules over the same Z/m.
 
-    Commutation is checked on `group.generating_set()` only.  That suffices:
+    Commutation is checked on `group.generating_set()` only, as sparse
+    products of the actions with the map's rows.  That suffices:
     if f commutes with action(s) and action(t), it commutes with
     action(st) = action(s)action(t), hence with every product of generators.
     """
@@ -144,10 +225,9 @@ class ModuleMap:
             )
         m = source.modulus
         mat = matrix.mod(m)
+        f = _sparse(mat._data, m)
         for g in source.group.generating_set():
-            left = _mat_mul_mod(target.act_matrix(g), mat._data, m)
-            right = _mat_mul_mod(mat._data, source.act_matrix(g), m)
-            if left != right:
+            if _mul(target.action_rows[g], f, m) != _mul(f, source.action_rows[g], m):
                 raise ValueError(f"map does not commute with the action of element {g}")
         self.source = source
         self.target = target
@@ -163,29 +243,25 @@ _IDEAL_CACHE = weakref.WeakKeyDictionary()
 
 
 def trivial_module(group, modulus, rank=1):
-    ident = _identity_rows(rank)
-    return GModule(group, modulus, rank,
-                   [ident] * group.order,
-                   label=f"trivial Z/{modulus}" + (f"^{rank}" if rank != 1 else ""))
+    return GModule.from_rows(group, modulus, rank, [_unit_rows(rank)] * group.order,
+                             label=f"trivial Z/{modulus}" + (f"^{rank}" if rank != 1 else ""))
 
 
 def group_ring(group, modulus):
     """(Z/m)[G]: basis indexed by group elements, g acting by left translation.
 
     Cached per (group, modulus): modules are immutable, and reuse lets the
-    cohomology layer share H^1 results across verification passes.
+    cohomology layer share H^1 results across verification passes.  g sends
+    basis vector h to gh, so row k of its matrix is the unit row of
+    g^-1 k: one entry per row, read off the Cayley table.
     """
     cache = _RING_CACHE.setdefault(group, {})
     if modulus in cache:
         return cache[modulus]
-    n = group.order
-    mats = []
-    for g in range(n):
-        mat = [[0] * n for _ in range(n)]
-        for h in range(n):
-            mat[group.table[g][h]][h] = 1  # g sends basis vector h to g*h
-        mats.append(mat)
-    ring = GModule(group, modulus, n, mats, label=f"(Z/{modulus})[G]")
+    unit = _unit_rows(group.order)
+    rows = [tuple(unit[x] for x in group.table[group.inverse(g)])
+            for g in range(group.order)]
+    ring = GModule.from_rows(group, modulus, group.order, rows, label=f"(Z/{modulus})[G]")
     cache[modulus] = ring
     return ring
 
@@ -197,6 +273,10 @@ def augmentation_ideal(group, modulus):
     and aug: (Z/m)[G] -> Z/m is the all-ones augmentation; aug o incl = 0 and
     incl is injective mod m, so the three-term sequence is exact.  Cached per
     (group, modulus) like the group ring.
+
+    From g(h - 1) = (gh - 1) - (g - 1): for g != e, row gh of g's matrix
+    is the unit row of h for each h != g^-1, and row g is -1 in every
+    column, one row shared by all elements; 2r - 1 entries per element.
     """
     cache = _IDEAL_CACHE.setdefault(group, {})
     if modulus in cache:
@@ -207,18 +287,18 @@ def augmentation_ideal(group, modulus):
     pos = {g: i for i, g in enumerate(basis)}
     r = n - 1
 
-    mats = []
+    unit = _unit_rows(r)
+    minus = tuple((i, modulus - 1) for i in range(r))
+    rows = []
     for g in range(n):
-        mat = [[0] * r for _ in range(r)]
+        mat = [minus] * r  # every row but that of g is overwritten (none for g = e)
         for i, h in enumerate(basis):
             gh = group.table[g][h]
-            # g*(h-1) = (gh-1) - (g-1)
             if gh != e:
-                mat[pos[gh]][i] += 1
-            if g != e:
-                mat[pos[g]][i] -= 1
-        mats.append(mat)
-    ideal = GModule(group, modulus, r, mats, label=f"augmentation ideal of (Z/{modulus})[G]")
+                mat[pos[gh]] = unit[i]
+        rows.append(tuple(mat))
+    ideal = GModule.from_rows(group, modulus, r, rows,
+                              label=f"augmentation ideal of (Z/{modulus})[G]")
 
     ring = group_ring(group, modulus)
     incl_rows = [[0] * r for _ in range(n)]
@@ -239,7 +319,7 @@ def _check_augmentation_exactness(incl, aug):
     m = incl.source.modulus
     if kernel_mod(incl.matrix, m).cols != 0:
         raise AssertionError("augmentation ideal inclusion is not injective mod m")
-    if any(any(row) for row in _mat_mul_mod(aug.matrix._data, incl.matrix._data, m)):
+    if any(_mul(_sparse(aug.matrix._data, m), _sparse(incl.matrix._data, m), m)):
         raise AssertionError("aug o incl is nonzero")
     ker = kernel_mod(aug.matrix, m)
     if not quotient_structure(incl.matrix, ker, m).is_trivial:
@@ -249,7 +329,7 @@ def _check_augmentation_exactness(incl, aug):
 def restrict(module, sub):
     """The same (Z/m)^r viewed over a subgroup, re-indexed as a standalone group.
 
-    The restricted action shares the parent's matrices and is not checked
+    The restricted action shares the parent's rows and is not checked
     again: local element i of `sub.as_group()` is `sub.elements[i]`, with
     the parent's multiplication, so the parent's homomorphism property holds
     for it verbatim.  Cached per element set, so the restriction (and its
@@ -266,7 +346,7 @@ def restrict(module, sub):
     cached = module._restrict_cache.get(sub.elements)
     if cached is not None:
         return cached
-    action = tuple(module.action[x] for x in sub.elements)
+    action = tuple(module.action_rows[x] for x in sub.elements)
     res = GModule._from_validated(
         sub.as_group(), module.modulus, module.rank, action,
         f"{module.label} restricted to order-{sub.order} subgroup")
@@ -304,7 +384,7 @@ def dual_module(module, twist=None):
     mats = []
     for x in range(n):
         inv = g.inverse(x)
-        src = module.action[inv]
+        src = module.act_matrix(inv)
         r = module.rank
         mats.append(tuple(
             tuple((tw[x] * src[j][i]) % e for j in range(r)) for i in range(r)

@@ -9,6 +9,8 @@ fast replacements: `full_cochain_h1` and `cayley_h1` for the H^1 on a
 polycyclic presentation, `cayley_restriction_kernel` for the restriction
 kernels read from ker N_g / (g-1)M on cyclic subgroups,
 `dense_mat_mul_mod` for the sparse module products,
+`dense_group_ring_action` and `dense_augmentation_ideal_action` for the
+sparse rows of the group ring and the augmentation ideal,
 `dense_quotient_presentation` (the presentation over Z with m*I padding, on
 the reference reduction) for the presentation over Z/p^e and
 `reference_smith_decomposition` for the Smith reduction that carries its
@@ -272,6 +274,38 @@ def evaluate_word(group, gens, word):
     for i in word:
         x = group.table[x][gens[i]]
     return x
+
+
+def dense_group_ring_action(group, m):
+    """The matrices of (Z/m)[G], built densely: g sends basis vector h to gh."""
+    n = group.order
+    mats = []
+    for g in range(n):
+        mat = [[0] * n for _ in range(n)]
+        for h in range(n):
+            mat[group.table[g][h]][h] = 1
+        mats.append(tuple(tuple(x % m for x in row) for row in mat))
+    return tuple(mats)
+
+
+def dense_augmentation_ideal_action(group, m):
+    """The matrices of the augmentation ideal on the basis (h - 1), h != e,
+    built densely column by column from g(h-1) = (gh-1) - (g-1)."""
+    n, e = group.order, group.identity
+    basis = [g for g in range(n) if g != e]
+    pos = {g: i for i, g in enumerate(basis)}
+    r = n - 1
+    mats = []
+    for g in range(n):
+        mat = [[0] * r for _ in range(r)]
+        for i, h in enumerate(basis):
+            gh = group.table[g][h]
+            if gh != e:
+                mat[pos[gh]][i] += 1
+            if g != e:
+                mat[pos[g]][i] -= 1
+        mats.append(tuple(tuple(x % m for x in row) for row in mat))
+    return tuple(mats)
 
 
 def dense_mat_mul_mod(a, b, m):

@@ -24,6 +24,7 @@ from tameapprox.finite_groups import (
     builtin_group,
     cyclic_group,
     cyclic_subgroups,
+    direct_product,
     from_permutations,
     full_subgroup,
     subgroup_generated,
@@ -284,6 +285,20 @@ class TestShaCyc:
                     continue
                 res_rep = tuple(rep[x] for x in sub.elements)
                 assert is_brute_coboundary(sub.as_group(), restrict(ideal, sub), res_rep)
+
+
+class TestScale:
+    """The lemma's Z/(n/e) on the augmentation ideal at |G| = 64 and 128."""
+
+    def test_order_128(self):
+        g = builtin_group("zlxzln:2:6")
+        ideal, _, _ = augmentation_ideal(g, g.order)
+        assert sha_cyc(g, ideal) == AbGroupStructure([2])
+
+    def test_elementary_abelian_order_64(self):
+        g = direct_product(*[cyclic_group(2)] * 6)
+        ideal, _, _ = augmentation_ideal(g, g.order)
+        assert sha_cyc(g, ideal) == AbGroupStructure([32])
 
 
 class TestShaSigma:

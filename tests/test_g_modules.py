@@ -15,7 +15,8 @@ from tameapprox.finite_groups import (
 from tameapprox.g_modules import (
     GModule,
     ModuleMap,
-    _mat_mul_mod,
+    _mul,
+    _sparse,
     augmentation_ideal,
     dual_module,
     group_ring,
@@ -25,7 +26,12 @@ from tameapprox.g_modules import (
 )
 from tameapprox.zmod_linalg import IntMatrix, kernel_mod, quotient_structure
 
-from oracle_helpers import dense_mat_mul_mod
+from oracle_helpers import (
+    dense_augmentation_ideal_action,
+    dense_group_ring_action,
+    dense_mat_mul_mod,
+)
+from random_modules import sweep_modules
 
 BUILTINS = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "z2xz4", "z3xz3",
             "z2xz2xz2", "s3", "q8"]
@@ -36,7 +42,7 @@ def assert_action_homomorphism(module):
     m = module.modulus
     for a in range(g.order):
         for b in range(g.order):
-            left = _mat_mul_mod(module.action[a], module.action[b], m)
+            left = dense_mat_mul_mod(module.action[a], module.action[b], m)
             assert left == module.action[g.table[a][b]]
 
 
@@ -139,7 +145,7 @@ class TestModuleValidation:
         with pytest.raises(ValueError, match=f"commute with the action of element {second}$"):
             ModuleMap(ring, ring, IntMatrix.from_rows(mat))
 
-    def test_mat_mul_mod_matches_dense_product(self):
+    def test_sparse_mul_matches_dense_product(self):
         rng = random.Random(314)
         for _ in range(200):
             m = rng.choice([2, 3, 4, 8, 9, 25])
@@ -151,25 +157,27 @@ class TestModuleValidation:
 
             a = tuple(tuple(entry() for _ in range(inner)) for _ in range(rows))
             b = tuple(tuple(rng.randint(0, m - 1) for _ in range(cols)) for _ in range(inner))
-            assert _mat_mul_mod(a, b, m) == dense_mat_mul_mod(a, b, m)
+            assert _mul(_sparse(a, m), _sparse(b, m), m) == \
+                _sparse(dense_mat_mul_mod(a, b, m), m)
 
     def test_init_count_for_sha_cyc(self, monkeypatch):
-        # ideal, ring and the trivial target of the augmentation; restrict
-        # builds the 7 cyclic restrictions without GModule.__init__
+        # ideal, ring and the trivial target of the augmentation are checked,
+        # whichever constructor builds them; restrict builds the 7 cyclic
+        # restrictions without a check
         monkeypatch.setattr(g_modules, "_RING_CACHE", weakref.WeakKeyDictionary())
         monkeypatch.setattr(g_modules, "_IDEAL_CACHE", weakref.WeakKeyDictionary())
-        calls = []
-        init = GModule.__init__
+        labels = []
+        check = GModule._check_and_set
 
-        def counting_init(self, *args, **kwargs):
-            calls.append(kwargs.get("label"))
-            init(self, *args, **kwargs)
+        def counting_check(self, group, m, r, rows, label):
+            labels.append(label)
+            check(self, group, m, r, rows, label)
 
-        monkeypatch.setattr(GModule, "__init__", counting_init)
+        monkeypatch.setattr(GModule, "_check_and_set", counting_check)
         g = builtin_group("zlxzln:2:3")
         ideal, _, _ = augmentation_ideal(g, g.order)
         assert str(sha_cyc(g, ideal)) == "Z/2"
-        assert len(calls) == 3, calls
+        assert labels == ["augmentation ideal of (Z/16)[G]", "(Z/16)[G]", "trivial Z/16"]
 
     def test_module_from_json(self):
         g = cyclic_group(2)
@@ -219,7 +227,7 @@ class TestRestrict:
                     res = restrict(module, sub)
                     k = res.group
                     assert k.order == sub.order
-                    assert all(res.action[i] is module.action[x]
+                    assert all(res.action_rows[i] is module.action_rows[x]
                                for i, x in enumerate(sub.elements))
                     ident = tuple(tuple(int(i == j) for j in range(module.rank))
                                   for i in range(module.rank))
@@ -282,8 +290,8 @@ class TestEquivariance:
             m = g.order
             ideal, incl, aug = augmentation_ideal(g, m)
             for x in range(g.order):
-                left = _mat_mul_mod(group_ring(g, m).action[x], incl.matrix._data, m)
-                right = _mat_mul_mod(incl.matrix._data, ideal.action[x], m)
+                left = dense_mat_mul_mod(group_ring(g, m).action[x], incl.matrix._data, m)
+                right = dense_mat_mul_mod(incl.matrix._data, ideal.action[x], m)
                 assert left == right
                 assert aug.apply(incl.matrix.column(0)) == (0,)
 
@@ -295,3 +303,87 @@ class TestEquivariance:
             action = [((1,),)] * 72
             action[3] = ((2,),)
             GModule(g, 5, 1, action)
+
+
+def _sweep_groups():
+    """The 12 builtin groups and the distinct groups of the oracle sweep."""
+    groups = [builtin_group(name) for name in BUILTINS]
+    seen = []
+    for group, _ in sweep_modules():
+        if not any(group is x for x in seen):
+            seen.append(group)
+    return groups + seen
+
+
+def _ideal_and_ring(group, m):
+    return augmentation_ideal(group, m)[0], group_ring(group, m)
+
+
+class TestSparseRows:
+    def test_builders_match_dense_constructions(self):
+        for group in _sweep_groups():
+            for m in sorted({group.order, 2, 6} - {1}):
+                ideal, ring = _ideal_and_ring(group, m)
+                dense_ideal = dense_augmentation_ideal_action(group, m)
+                dense_ring = dense_group_ring_action(group, m)
+                assert tuple(ideal.action) == dense_ideal
+                assert tuple(ring.action) == dense_ring
+                # the dense constructor stores the same canonical rows
+                assert GModule(group, m, ideal.rank, dense_ideal).action_rows == ideal.action_rows
+                assert GModule(group, m, ring.rank, dense_ring).action_rows == ring.action_rows
+
+    def test_rows_are_sparse(self):
+        # the constructors have checked the canonical form; this bounds the size
+        for group in _sweep_groups():
+            ideal, ring = _ideal_and_ring(group, max(group.order, 2))
+            assert all(len(row) == 1 for mat in ring.action_rows for row in mat)
+            assert all(sum(map(len, mat)) <= 2 * ideal.rank for mat in ideal.action_rows)
+
+    def test_nonzeros_at_order_128(self):
+        g = builtin_group("zlxzln:2:6")
+        ideal, _, _ = augmentation_ideal(g, g.order)
+        nnz = sum(len(row) for mat in ideal.action_rows for row in mat)
+        assert nnz <= 2 * g.order * ideal.rank
+
+    def test_rejects_sign_flip_in_ideal_row(self):
+        rng = random.Random(2718)
+        for name in ("z4", "z6", "klein4", "s3", "q8", "z3xz3"):
+            group = builtin_group(name)
+            m = group.order
+            ideal, _, _ = augmentation_ideal(group, m)
+            for _ in range(6):
+                rows = [list(mat) for mat in ideal.action_rows]
+                g = rng.randrange(group.order)
+                i = rng.randrange(ideal.rank)
+                row = rows[g][i]
+                k = rng.choice([k for k, (_, a) in enumerate(row) if 2 * a != m])
+                rows[g][i] = row[:k] + ((row[k][0], m - row[k][1]),) + row[k + 1:]
+                with pytest.raises(ValueError, match="homomorphism|identity"):
+                    GModule.from_rows(group, m, ideal.rank, [tuple(mat) for mat in rows])
+
+    def test_rejects_ring_row_at_wrong_element(self):
+        rng = random.Random(1618)
+        for name in ("z3", "z8", "klein4", "s3", "q8"):
+            group = builtin_group(name)
+            ring = group_ring(group, 6)
+            n = group.order
+            for _ in range(6):
+                rows = [list(mat) for mat in ring.action_rows]
+                g, k = rng.randrange(n), rng.randrange(n)
+                h = rows[g][k][0][0]
+                rows[g][k] = (((h + rng.randrange(1, n)) % n, 1),)
+                with pytest.raises(ValueError, match="homomorphism|identity"):
+                    GModule.from_rows(group, 6, n, [tuple(mat) for mat in rows])
+
+    def test_rejects_rows_not_in_canonical_form(self):
+        g = cyclic_group(2)
+        swap = (((1, 1),), ((0, 1),))
+        ident = (((0, 1),), ((1, 1),))
+        GModule.from_rows(g, 4, 2, [ident, swap])
+        for row in (((1, 1), (0, 3)),   # unsorted
+                    ((0, 1), (0, 3)),   # repeated column
+                    ((0, 1), (1, 0)),   # zero residue
+                    ((0, 5),),          # residue not reduced mod 4
+                    ((2, 1),)):         # column past the rank
+            with pytest.raises(ValueError, match="sorted sparse residues"):
+                GModule.from_rows(g, 4, 2, [ident, (row, ((0, 1),))])
