@@ -1,31 +1,33 @@
 """First group cohomology and Tate-Shafarevich restriction kernels.
 
-H^1(G, M) is computed on the values x_i = z(g_i) of a cocycle at the
-generators of a presentation of G, which determine it.  A solvable G
-(every builtin group, and every group a certificate uses) has a
-polycyclic presentation (`Group.presentation`): a cocycle extends along
+H^1(H, M) is computed the same way for G and for each subgroup H of G, in
+G's element indices: on the values x_i = z(g_i) of a cocycle at the
+generators of a presentation of H, which determine it.  A solvable H
+(every builtin group and every subgroup a certificate uses) has a
+polycyclic presentation (`Subgroup.presentation`): a cocycle extends along
 the normal forms, and it is well defined exactly when z(lhs) = z(rhs) for
 each relator lhs = rhs, where z(s_1 ... s_k) = sum of s_1...s_(j-1).x_(s_j)
 (the Fox derivatives of the relator applied to x; Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, 2005, ch. 7-8).  That is one block
-of rank-many rows per relator.  A group that is not solvable (only a JSON
-input can be one) falls back to its Cayley graph: a BFS over the
-generating set writes every z(g) through the generator values, and each
-Cayley edge off the BFS tree adds a block.  Z^1/B^1 is then a quotient
-inside (Z/m)^(d rank), fed to the elimination mod m.  The full-cochain
-coboundary matrices d0, d1 stay exported for the tests and the tracer, but
-h1 does not build them.
+of rank-many rows per relator.  A cyclic <g> of order k has the single
+relator g^k = e, whose block is N_g = 1 + g + ... + g^(k-1), so its H^1 is
+ker N_g / (g - 1)M (Neukirch, Schmidt and Wingberg, Cohomology of Number
+Fields, Prop. 1.7.1) as a case of the same solver.  A subgroup that is not
+solvable (only a JSON input has one) falls back to its Cayley graph: a BFS
+over its generating set writes every z(h) through the generator values,
+and each Cayley edge off the BFS tree adds a block.  Z^1/B^1 is then a
+quotient inside (Z/m)^(d rank), fed to the elimination mod m.  The
+full-cochain coboundary matrices d0, d1 stay exported for the tests and
+the tracer, but h1 does not build them.
 
 The Sha kernels are computed from a finite model: all cyclic subgroups of
 G stand in for the (infinitely many) unramified places, since every cyclic
 subgroup is a Frobenius of infinitely many of them and conjugate
 decomposition groups give canonically isomorphic H^1; ramified places
-enter through explicit PlaceRecords.  For a cyclic subgroup <g> of order k,
-H^1(<g>, M) = ker N_g / (g - 1)M with N_g = 1 + g + ... + g^(k-1)
-(Neukirch, Schmidt and Wingberg, Cohomology of Number Fields, Prop. 1.7.1),
-and a cocycle restricts to the class of its value z(g), so no restricted
-module or restricted H^1 is built for it.  Other subgroups restrict the
-module and solve H^1 on the subgroup's own presentation.
+enter through explicit PlaceRecords.  A cocycle of G restricts to a
+subgroup H through its values at H's generators, read in H's H^1, so no
+restricted module, standalone group or restricted representatives are
+built.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .finite_groups import Group, Subgroup, cyclic_subgroups, full_subgroup
-from .g_modules import GModule, augmentation_ideal, group_ring, restrict
+from .g_modules import GModule, augmentation_ideal, group_ring
 from .primes import is_prime
 from .zmod_linalg import (
     AbGroupStructure,
@@ -119,18 +121,18 @@ def is_cocycle(group, module, rep):
     return True
 
 
-def _cayley_system(group, module):
-    """Cocycle conditions on the generator values x = (z(s) for s in S).
+def _cayley_system(group, module, gens):
+    """Cocycle conditions on the generator values x = (z(s) for s in gens).
 
-    A BFS over the Cayley graph of S writes each z(g) as an r x (|S| r)
-    matrix via z(gs) = z(g) + g.x_s.  An edge g -> gs reaching a visited
-    vertex gives a second expression for z(gs); their difference gives r
-    rows of d1 in residues [0, m), of which zero and repeated rows are
-    dropped.  Conditions on every edge make z a cocycle: z(gh) = z(g) +
-    g.z(h) then holds for h = s, and passes from h to hs.  Returns (d1, tree)
-    with tree the BFS edges (g, i, gs), s = S[i].
+    A BFS over the Cayley graph of gens, from the identity, writes each
+    z(h) of the subgroup H = <gens> as an r x (|gens| r) matrix via
+    z(hs) = z(h) + h.x_s.  An edge h -> hs reaching a visited vertex gives a
+    second expression for z(hs); their difference gives r rows of d1 in
+    residues [0, m), of which zero and repeated rows are dropped.
+    Conditions on every edge make z a cocycle on H: z(hk) = z(h) + h.z(k)
+    then holds for k = s, and passes from k to ks.  Returns (d1, tree) with
+    tree the BFS edges (h, i, hs), s = gens[i].
     """
-    gens = group.generating_set()
     r, m = module.rank, module.modulus
     dim = len(gens) * r
     zmat = [None] * group.order
@@ -233,40 +235,56 @@ class H1Result:
     def order(self):
         return self.structure.order
 
-    def class_coordinates(self, rep):
-        """Coordinates of a cocycle's class, one residue per invariant factor.
 
-        `rep` gives the cocycle per group element; only its values on
-        `generators` are read.
-        """
-        return self.presentation.coordinates([x for s in self.generators for x in rep[s]])
+def _subgroup_h1(module, sub):
+    """(generators, tree, H^1(H, M) as a QuotientPresentation) for a subgroup H.
+
+    Everything is in the indices of G = module.group: Z^1 is the kernel of
+    the relator conditions on the values at H's polycyclic generators
+    (`_fox_system`), or of the Cayley-graph conditions on its generating
+    set if H is not solvable (`_cayley_system`), and B^1 the image of
+    a -> (s.a - a)_s.  A cocycle z of G restricts to the class with
+    coordinates `presentation.coordinates([z(s) for s in generators])`;
+    `tree` builds the elements of H from the generators.  Cached on the
+    (immutable) module per element set of H.
+    """
+    if not isinstance(sub, Subgroup) or sub.parent != module.group:
+        raise ValueError("subgroup belongs to a different group")
+    cache = module._subgroup_h1_cache
+    if sub.elements not in cache:
+        group, m = module.group, module.modulus
+        pc = sub.presentation()
+        if pc is None:
+            gens = sub.generating_set()
+            d1, tree = _cayley_system(group, module, gens)
+        else:
+            gens, tree = pc.generators, pc.tree
+            d1 = _fox_system(group, module, pc)
+        cache[sub.elements] = (gens, tree, QuotientPresentation(
+            _differences(module, gens), kernel_mod(d1, m), m))
+    return cache[sub.elements]
+
+
+def _restriction_images(module, sub, reps):
+    """(invariant factors of H^1(H, M), coordinates there of each cocycle in `reps`)."""
+    gens, _, pres = _subgroup_h1(module, sub)
+    return (pres.structure.invariant_factors,
+            [pres.coordinates([x for s in gens for x in rep[s]]) for rep in reps])
 
 
 def h1(group, module):
     """H^1(G, M) = Z^1/B^1 with representatives lifting the invariant factors.
 
-    Z^1 is the kernel of the relator conditions on the values at the
-    polycyclic generators (`_fox_system`), or of the Cayley-graph conditions
-    on the generating set if G is not solvable (`_cayley_system`), and B^1
-    the image of a -> (s.a - a)_s, so the matrices have d rank columns
-    instead of |G| rank.  Each generator of the quotient is expanded to a
-    per-element cocycle and checked.  Cached on the (immutable) module, so
-    the Sha kernels can revisit the same H^1 without recomputing the kernel.
+    The presentation is that of `_subgroup_h1` on the full subgroup, so the
+    matrices have d rank columns instead of |G| rank.  Each generator of
+    the quotient is expanded to a per-element cocycle and checked.  Cached
+    on the (immutable) module.
     """
     if module.group != group:
         raise ValueError("module is over a different group")
     if module._h1_cache is not None:
         return module._h1_cache
-    m = module.modulus
-    pc = group.presentation()
-    if pc is None:
-        gens = group.generating_set()
-        d1, tree = _cayley_system(group, module)
-    else:
-        gens, tree = pc.generators, pc.tree
-        d1 = _fox_system(group, module, pc)
-    zgens = kernel_mod(d1, m)
-    pres = QuotientPresentation(_differences(module, gens), zgens, m)
+    gens, tree, pres = _subgroup_h1(module, full_subgroup(group))
     reps = []
     for col in pres.generator_columns:
         rep = _expand(group, module, tree, col)
@@ -295,69 +313,32 @@ def tate_h0(group, module):
         return AbGroupStructure()
     # M^G is the intersection of ker(s - 1) over the generators s
     fixed = kernel_mod(_differences(module, group.generating_set()), m)
-    return QuotientPresentation(_norm(module, range(group.order)), fixed, m).structure
+    return QuotientPresentation(_norm(module), fixed, m).structure
 
 
-def _norm(module, elements):
-    """The sum of the actions of `elements`, as an r x r matrix."""
+def _norm(module):
+    """N_G, the sum of the actions of all elements, as an r x r matrix."""
     r = module.rank
     norm = [[0] * r for _ in range(r)]
-    for g in elements:
-        for row, arow in zip(norm, module.action_rows[g]):
+    for mat in module.action_rows:
+        for row, arow in zip(norm, mat):
             for j, a in arow:
                 row[j] += a
     return IntMatrix.from_rows(norm)
 
 
-def _cyclic_h1(module, sub):
-    """(g, H^1(<g>, M) as a QuotientPresentation) for sub = <g> cyclic, else None.
-
-    A cocycle on <g> is fixed by x = z(g), and any x with N_g x = 0 gives
-    one, N_g the sum of the actions of <g>; the coboundaries are the
-    (g - 1)a.  So H^1(<g>, M) = ker N_g / (g - 1)M, and the restriction of
-    a cocycle z of G has coordinates `presentation.coordinates(z(g))`.  g is
-    the lowest-index element of order |sub|.  Cached on the module per
-    element set, with None for a non-cyclic subgroup.
-    """
-    key = sub.elements
-    cache = module._cyclic_cache
-    if key not in cache:
-        order = module.group.element_order
-        g = next((x for x in key if order(x) == len(key)), None)
-        cache[key] = None if g is None else (g, QuotientPresentation(
-            _differences(module, [g]), kernel_mod(_norm(module, key), module.modulus),
-            module.modulus))
-    return cache[key]
-
-
-def _restricted_h1(module, sub):
-    """H^1(H, M|_H) over the cached restriction's group (no `sub.as_group()` rebuild)."""
-    res = restrict(module, sub)
-    return h1(res.group, res)
-
-
-def res_h1(group, sub, module, *, h1_g=None, h1_h=None):
+def res_h1(group, sub, module, *, h1_g=None):
     """Matrix of H^1(G,M) -> H^1(H, M|_H) on invariant-factor coordinates.
 
     Row i / column j: coordinate i of the restriction of the j-th generator;
-    entries are reduced modulo the target factor of their row.
+    entries are reduced modulo the target factor of their row.  The target
+    is H^1(H, M) as `_subgroup_h1` presents it, in G's indices.
     """
-    if not isinstance(sub, Subgroup) or sub.parent != group:
-        raise ValueError("sub must be a Subgroup of the given group")
     if h1_g is None:
         h1_g = h1(group, module)
-    if h1_h is None:
-        h1_h = _restricted_h1(module, sub)
-    target_factors = h1_h.structure.invariant_factors
-    cols = []
-    for rep in h1_g.cocycle_reps:
-        coords = h1_h.class_coordinates([rep[x] for x in sub.elements])
-        cols.append(list(coords))
-    rows = [
-        [cols[j][i] % target_factors[i] for j in range(len(cols))]
-        for i in range(len(target_factors))
-    ]
-    return IntMatrix(len(target_factors), len(cols), [x for row in rows for x in row])
+    factors, images = _restriction_images(module, sub, h1_g.cocycle_reps)
+    return IntMatrix(len(factors), len(images),
+                     [image[i] % d for i, d in enumerate(factors) for image in images])
 
 
 @dataclass(frozen=True)
@@ -378,32 +359,16 @@ def _restriction_kernel(group, module, subgroups):
     if k == 0:
         return ShaResult(AbGroupStructure(), (), h1_g.structure)
 
-    dedup = {}
-    for sub in subgroups:
-        if sub.parent != group:
-            raise ValueError("subgroup belongs to a different group")
-        dedup.setdefault(sub.elements, sub)
-    ordered = sorted(dedup.values(), key=lambda s: (s.order, s.elements))
-
     constraint_rows = []
-    for sub in ordered:
-        if sub.order == 1:
-            continue  # H^1 of the trivial group vanishes
-        cyclic = _cyclic_h1(module, sub)
-        if cyclic is None:
-            h1_h = _restricted_h1(module, sub)
-            target = h1_h.structure.invariant_factors
-            res = res_h1(group, sub, module, h1_g=h1_g, h1_h=h1_h)
-            images = [res.row(i) for i in range(len(target))]
-        else:
-            g, pres = cyclic
-            target = pres.structure.invariant_factors
-            images = list(zip(*(pres.coordinates(rep[g]) for rep in h1_g.cocycle_reps)))
-        for delta, image in zip(target, images):
+    # Subgroup equality includes the parent, so a foreign subgroup is kept
+    # and rejected by _subgroup_h1
+    for sub in sorted(dict.fromkeys(subgroups), key=lambda s: (s.order, s.elements)):
+        target, images = _restriction_images(module, sub, h1_g.cocycle_reps)
+        for i, delta in enumerate(target):
             if m % delta:
                 raise AssertionError("invariant factor does not divide the modulus")
             scale = m // delta
-            constraint_rows.append([scale * x for x in image])
+            constraint_rows.append([scale * image[i] for image in images])
 
     if constraint_rows:
         kernel = kernel_mod(IntMatrix.from_rows(constraint_rows), m)
@@ -526,17 +491,9 @@ def dimension_shift_check(group, subgroups=None):
     """H^1(H, I|_H) = Z/|H| and H^1(H, (Z/n)[G]|_H) = 0, per subgroup.
 
     Defaults to the cyclic subgroups plus the full group; pass an explicit
-    list (e.g. all_subgroups(G)) to widen the battery.  A cyclic H is read
-    from ker N_g / (g - 1)M (see `_cyclic_h1`), any other from the H^1 of
-    the restricted module.
+    list (e.g. all_subgroups(G)) to widen the battery.  Each H^1 is that of
+    `_subgroup_h1`, whichever kind of subgroup H is.
     """
-
-    def structure(module, sub):
-        cyclic = _cyclic_h1(module, sub)
-        if cyclic is None:
-            return _restricted_h1(module, sub).structure
-        return cyclic[1].structure
-
     n = group.order
     ideal, _, _ = augmentation_ideal(group, n)
     ring = group_ring(group, n)
@@ -546,8 +503,8 @@ def dimension_shift_check(group, subgroups=None):
             subgroups.append(full_subgroup(group))
     reports = []
     for sub in sorted(subgroups, key=lambda s: (s.order, s.elements)):
-        ideal_h1 = structure(ideal, sub)
-        ring_h1 = structure(ring, sub)
+        ideal_h1 = _subgroup_h1(ideal, sub)[2].structure
+        ring_h1 = _subgroup_h1(ring, sub)[2].structure
         expected = AbGroupStructure([sub.order] if sub.order > 1 else [])
         reports.append(ShiftReport(sub, ideal_h1, expected, ring_h1))
     return reports

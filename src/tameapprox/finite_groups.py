@@ -113,15 +113,7 @@ class Group:
     def generating_set(self):
         """A small generating set, found greedily in element order (deterministic)."""
         if self._generators is None:
-            gens = []
-            closed = {self.identity}
-            for x in range(self.order):
-                if x not in closed:
-                    gens.append(x)
-                    closed = self._close(gens)
-                    if len(closed) == self.order:
-                        break
-            self._generators = tuple(gens)
+            self._generators = _greedy_generators(self, range(self.order))
         return self._generators
 
     def _close(self, seed):
@@ -145,7 +137,8 @@ class Group:
         `PcPresentation`.
         """
         if self._presentation is None:
-            self._presentation = _polycyclic_presentation(self) or False
+            self._presentation = _polycyclic_presentation(
+                self, self.generating_set(), range(self.order)) or False
         return self._presentation or None
 
     def _derived(self, gens):
@@ -211,16 +204,33 @@ class PcPresentation:
         self.tree = tree
 
 
-def _polycyclic_presentation(group):
-    """The PcPresentation of `group` from its derived series, or None if not solvable.
+def _greedy_generators(group, elements):
+    """Generators of the subgroup on `elements` (ascending): each element not
+    yet generated is added, until the closure is all of them."""
+    gens, closed, size = [], {group.identity}, len(elements)
+    for x in elements:
+        if x not in closed:
+            gens.append(x)
+            closed = group._close(gens)
+            if len(closed) == size:
+                break
+    return tuple(gens)
 
-    Each abelian factor H / [H, H] of the series is split into cyclic
-    steps: from S = [H, H] up, take the element of largest order modulo S
-    (lowest index on ties) and grow S by it; any S between [H, H] and H is
-    normal in H.  The steps of a layer are listed from the top down.
+
+def _polycyclic_presentation(group, gens, elements):
+    """The PcPresentation of the subgroup H = <gens> on `elements`, in the
+    indices of `group`, from its derived series; None if H is not solvable.
+
+    Each abelian factor K / [K, K] of the series is split into cyclic
+    steps: from S = [K, K] up, take the element of largest order modulo S
+    (lowest index on ties) and grow S by it; any S between [K, K] and K is
+    normal in K.  The steps of a layer are listed from the top down.  Every
+    choice depends only on the order of the indices, so the presentation of
+    a subgroup is that of its standalone `Subgroup.as_group()`, re-indexed.
     """
-    n, t, e = group.order, group.table, group.identity
-    gens, elements = group.generating_set(), set(range(n))
+    t, e = group.table, group.identity
+    elements = set(elements)
+    size = len(elements)
     pcgs, orders = [], []
     while len(elements) > 1:
         dgens, below = group._derived(gens)
@@ -251,9 +261,9 @@ def _polycyclic_presentation(group):
             orders.append(k)
         gens, elements = dgens, below
 
-    # the prod r_i = |G| normal forms, by right multiplication
+    # the prod r_i = |H| normal forms, by right multiplication
     d = len(pcgs)
-    exps = [None] * n
+    exps = [None] * group.order
     exps[e] = (0,) * d
     level, tree = [e], []
     for i, (g, r) in enumerate(zip(pcgs, orders)):
@@ -267,9 +277,9 @@ def _polycyclic_presentation(group):
                 grown.append(nxt)
                 acc = nxt
         level = grown
-    if len(set(level)) != n:
+    if len(set(level)) != size:
         raise AssertionError("the normal forms of the polycyclic presentation"
-                             " are not |G| distinct elements")
+                             " are not |H| distinct elements")
 
     def word(x):
         return tuple(i for i, c in enumerate(exps[x]) for _ in range(c))
@@ -290,7 +300,8 @@ def _polycyclic_presentation(group):
 class Subgroup:
     """A subgroup of a parent Group, stored as a sorted element index set."""
 
-    __slots__ = ("parent", "elements", "_as_group", "_local_index")
+    __slots__ = ("parent", "elements", "_as_group", "_local_index", "_generators",
+                 "_presentation")
 
     def __init__(self, parent, elements):
         elems = tuple(sorted({int(x) for x in elements}))
@@ -310,6 +321,8 @@ class Subgroup:
         self.elements = elems
         self._as_group = None
         self._local_index = None
+        self._generators = None
+        self._presentation = None
 
     @property
     def order(self):
@@ -326,6 +339,28 @@ class Subgroup:
         if self._local_index is None:
             self._local_index = {x: i for i, x in enumerate(self.elements)}
         return self._local_index[parent_idx]
+
+    def generating_set(self):
+        """Generators in the parent's indices, chosen as `Group.generating_set`
+        chooses them among this subgroup's elements."""
+        if self._generators is None:
+            full = self.order == self.parent.order
+            self._generators = (self.parent.generating_set() if full
+                                else _greedy_generators(self.parent, self.elements))
+        return self._generators
+
+    def presentation(self):
+        """The polycyclic presentation of this subgroup in the parent's indices,
+        or None if it is not solvable; the parent's own for the full subgroup.
+
+        It is the image of `as_group().presentation()` under `elements`, but
+        no standalone Group is built for it.  Cached.
+        """
+        if self._presentation is None:
+            full = self.order == self.parent.order
+            self._presentation = (self.parent.presentation() if full else _polycyclic_presentation(
+                self.parent, self.generating_set(), self.elements)) or False
+        return self._presentation or None
 
     def as_group(self):
         """This subgroup re-indexed as a standalone Group.

@@ -88,7 +88,7 @@ class GModule:
     """
 
     __slots__ = ("group", "modulus", "rank", "action_rows", "label",
-                 "_h1_cache", "_restrict_cache", "_cyclic_cache")
+                 "_h1_cache", "_subgroup_h1_cache")
 
     def __init__(self, group, modulus, rank, action, label=None):
         m, r = _sizes(group, modulus, rank, action)
@@ -145,8 +145,7 @@ class GModule:
         self.action_rows = rows
         self.label = label or f"module of rank {rank} over Z/{modulus}"
         self._h1_cache = None
-        self._restrict_cache = {}
-        self._cyclic_cache = {}
+        self._subgroup_h1_cache = {}
 
     def act_matrix(self, g):
         """The dense r x r matrix of g, with residues in [0, m)."""
@@ -332,10 +331,9 @@ def restrict(module, sub):
     The restricted action shares the parent's rows and is not checked
     again: local element i of `sub.as_group()` is `sub.elements[i]`, with
     the parent's multiplication, so the parent's homomorphism property holds
-    for it verbatim.  Cached per element set, so the restriction (and its
-    cached H^1) is shared between the kernel computations that revisit the
-    same subgroup.  The full subgroup gives `module` itself, whose group
-    has the same table, so its cached H^1 is reused too.
+    for it verbatim.  The full subgroup gives `module` itself.  Not cached:
+    the cohomology layer solves a subgroup's H^1 in the parent's indices and
+    does not call this.
     """
     if not isinstance(sub, Subgroup):
         raise TypeError("restrict expects a Subgroup")
@@ -343,15 +341,10 @@ def restrict(module, sub):
         raise ValueError("subgroup belongs to a different group")
     if sub.order == module.group.order:
         return module
-    cached = module._restrict_cache.get(sub.elements)
-    if cached is not None:
-        return cached
     action = tuple(module.action_rows[x] for x in sub.elements)
-    res = GModule._from_validated(
+    return GModule._from_validated(
         sub.as_group(), module.modulus, module.rank, action,
         f"{module.label} restricted to order-{sub.order} subgroup")
-    module._restrict_cache[sub.elements] = res
-    return res
 
 
 def dual_module(module, twist=None):

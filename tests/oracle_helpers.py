@@ -227,7 +227,7 @@ def cayley_h1(group, module):
     `cohomology.h1` keeps only for groups that are not solvable."""
     m = module.modulus
     gens = group.generating_set()
-    d1, tree = _cayley_system(group, module)
+    d1, tree = _cayley_system(group, module, gens)
     pres = QuotientPresentation(_differences(module, gens), kernel_mod(d1, m), m)
     reps = [_expand(group, module, tree, col) for col in pres.generator_columns]
 

@@ -133,8 +133,7 @@ def _cross_check_restrictions(group, module):
             continue
         sub_group = sub.as_group()
         sub_module = restrict(module, sub)
-        h1_h = h1(sub_group, sub_module)
-        mat = res_h1(group, sub, module, h1_g=result, h1_h=h1_h)
+        mat = res_h1(group, sub, module, h1_g=result)
         for j, rep in enumerate(result.cocycle_reps):
             res_rep = tuple(rep[x] for x in sub.elements)
             claims_zero = all(mat[i, j] == 0 for i in range(mat.rows))

@@ -12,6 +12,7 @@ from tameapprox.zmod_linalg import NotInSpanError
 from random_modules import sweep_modules
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "certificate.schema.json"
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,16 @@ class TestCertifyCommand:
         _, first, _ = run_cli(capsys, "certify", "--ell", "2", "--n", "1", "--p", "5")
         _, second, _ = run_cli(capsys, "certify", "--ell", "2", "--n", "1", "--p", "5")
         assert first == second
+
+    def test_golden_certificates(self, capsys):
+        # the canonical JSON is pinned: stdout must equal the committed files
+        goldens = sorted(GOLDEN_DIR.glob("certify_*_*_*.json"))
+        assert len(goldens) == 3
+        for path in goldens:
+            ell, n, p = path.stem.split("_")[1:]
+            status, out, _ = run_cli(capsys, "certify", "--ell", ell, "--n", n, "--p", p)
+            assert status == 0
+            assert out.encode() == path.read_bytes(), path.name
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "cert.json"

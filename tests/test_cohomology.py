@@ -1,13 +1,17 @@
 import random
+import weakref
 
 import pytest
+
+from tameapprox import g_modules
+from tameapprox.arithmetic import certify
 
 from tameapprox.cohomology import (
     PlaceRecord,
     _cayley_system,
-    _cyclic_h1,
     _differences,
     _restriction_kernel,
+    _subgroup_h1,
     coboundary0_matrix,
     coboundary1_matrix,
     dimension_shift_check,
@@ -20,6 +24,7 @@ from tameapprox.cohomology import (
     verify_augmentation_lemma,
 )
 from tameapprox.finite_groups import (
+    Subgroup,
     all_subgroups,
     builtin_group,
     cyclic_group,
@@ -35,6 +40,7 @@ from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresenta
 
 from oracle_helpers import (
     all_pairs_is_cocycle,
+    brute_generated,
     brute_h1_order,
     cayley_h1,
     cayley_restriction_kernel,
@@ -97,7 +103,7 @@ class TestH1:
         def residues(mat):
             return IntMatrix(mat.rows, mat.cols, [x % 25 for x in mat.entries])
 
-        d1, _ = _cayley_system(g, ideal)
+        d1, _ = _cayley_system(g, ideal, g.generating_set())
         d0 = _differences(ideal, g.generating_set())
         pres = QuotientPresentation(residues(d0), kernel_mod(residues(d1), 25), 25)
         assert pres.structure == AbGroupStructure([25])
@@ -413,6 +419,30 @@ def alternating_group_5():
     return from_permutations([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
 
 
+def symmetric_group_5():
+    return from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+
+
+def norm_formula_h1(module, g):
+    """H^1(<g>, M) = ker N_g / (g - 1)M from dense matrices, N_g the sum of
+    the matrices of the powers of g (Neukirch, Schmidt and Wingberg, 1.7.1)."""
+    group, r, m = module.group, module.rank, module.modulus
+    norm, x = [[0] * r for _ in range(r)], group.identity
+    while True:
+        for row, arow in zip(norm, module.act_matrix(x)):
+            for j, a in enumerate(arow):
+                row[j] += a
+        x = group.table[x][g]
+        if x == group.identity:
+            break
+    minus = [[a - (i == j) for j, a in enumerate(row)]
+             for i, row in enumerate(module.act_matrix(g))]
+    if not r:
+        return AbGroupStructure()
+    return QuotientPresentation(IntMatrix.from_rows(minus),
+                                kernel_mod(IntMatrix.from_rows(norm), m), m).structure
+
+
 class TestFullCochainOracle:
     """h1 on a polycyclic presentation against Z^1/B^1 over all cochains and
     against the Cayley-graph system."""
@@ -445,19 +475,27 @@ class TestFullCochainOracle:
 
 
 class TestCyclicRestriction:
-    """ker N_g / (g - 1)M on cyclic subgroups against the restricted Cayley H^1."""
+    """_subgroup_h1 on every kind of subgroup against the Cayley H^1 of the
+    restricted module; a cyclic <g> is its one-relator case, ker N_g / (g - 1)M."""
 
-    def test_structure_per_cyclic_subgroup(self):
+    def test_structure_per_subgroup(self):
         for g, mod in battery_modules() + sweep_modules():
-            for sub in cyclic_subgroups(g):
-                gen, pres = _cyclic_h1(mod, sub)
-                assert g.element_order(gen) == sub.order and gen in sub.elements
+            subs = all_subgroups(g) if g.order in (4, 6, 8) else cyclic_subgroups(g)
+            for sub in subs:
+                gens, tree, pres = _subgroup_h1(mod, sub)
+                assert brute_generated(g, gens) == set(sub.elements)
+                assert {y for _, _, y in tree} | {g.identity} == set(sub.elements)
                 res = restrict(mod, sub)
                 assert pres.structure == cayley_h1(res.group, res)[0], (g, mod.label, sub)
+                if sub.is_cyclic() and sub.order > 1:
+                    # the lowest-index element of order |H|, and its formula
+                    gen = min(x for x in sub.elements if g.element_order(x) == sub.order)
+                    assert gens == (gen,)
+                    assert pres.structure == norm_formula_h1(mod, gen), (g, mod.label, sub)
 
     def test_restriction_kernels(self):
         # the cyclic kernel, and the kernel over every subgroup, which mixes
-        # cyclic subgroups with restricted H^1 on the others
+        # cyclic subgroups with non-cyclic ones
         for g, mod in battery_modules() + sweep_modules():
             cyclic = cyclic_subgroups(g)
             assert sha_cyc(g, mod) == cayley_restriction_kernel(g, mod, cyclic), (g, mod.label)
@@ -467,8 +505,16 @@ class TestCyclicRestriction:
                         == cayley_restriction_kernel(g, mod, subs)), (g, mod.label)
 
     def test_non_cyclic_subgroup_is_not_read_cyclically(self):
+        # klein4 is solved on its own two generators and three relators:
+        # H^1(V4, I) = Z/4, while every ker N_g / (g - 1)I here has order 2
         g = builtin_group("klein4")
-        assert _cyclic_h1(augmentation_ideal(g, 4)[0], full_subgroup(g)) is None
+        ideal = augmentation_ideal(g, 4)[0]
+        full = full_subgroup(g)
+        assert full.presentation() is g.presentation()
+        gens, _, pres = _subgroup_h1(ideal, full)
+        assert len(gens) == 2 and pres.structure == AbGroupStructure([4])
+        assert all(norm_formula_h1(ideal, x) == AbGroupStructure([2])
+                   for x in range(4) if x != g.identity)
 
     def test_sha_generators_restrict_to_coboundaries(self):
         # each generator is a nonzero class of G whose restriction to every
@@ -484,6 +530,69 @@ class TestCyclicRestriction:
                     assert not any(cayley_h1(res.group, res)[2](local)), (g, mod.label, sub)
                 checked += 1
         assert checked >= 5
+
+    def test_not_solvable_proper_subgroup(self):
+        # A5 inside S5 has no polycyclic presentation: its H^1 comes from the
+        # Cayley graph of its own generators, in the indices of S5
+        s5 = symmetric_group_5()
+        a5 = subgroup_generated(s5, [s5.names.index("(0 1 2 3 4)"), s5.names.index("(0 1 2)")])
+        s4 = subgroup_generated(s5, [s5.names.index("(0 1 2 3)"), s5.names.index("(0 1)")])
+        assert (a5.order, s4.order) == (60, 24) and a5.presentation() is None
+        mats, dim = _coset_permutation(s5, s4)
+        expected = [  # H^1(A5, M), and the kernel of H^1(S5, M) -> H^1(A5, M)
+            (trivial_module(s5, 2), [], [2]),  # the sign character dies on A5
+            (trivial_module(s5, 4), [], [2]),
+            # Shapiro: H^1(A5, F_3[A5/A4]) = Hom(A4, Z/3), H^1(S5, .) = Hom(S4, Z/3)
+            (GModule(s5, 3, dim, mats), [3], []),
+        ]
+        for mod, local, kernel in expected:
+            gens, _, pres = _subgroup_h1(mod, a5)
+            assert gens == a5.generating_set()
+            assert brute_generated(s5, gens) == set(a5.elements)
+            res = restrict(mod, a5)
+            assert pres.structure == cayley_h1(res.group, res)[0] == AbGroupStructure(local)
+            assert (_restriction_kernel(s5, mod, [a5]).structure
+                    == cayley_restriction_kernel(s5, mod, [a5]) == AbGroupStructure(kernel))
+            assert res_h1(s5, a5, mod).rows == len(local)
+
+
+class TestSubgroupGuard:
+    """A subgroup of another group is an input error on every path."""
+
+    PAIRS = [("z4", "klein4"), ("z8", "z2xz4"), ("z8", "z2xz2xz2")]
+
+    def test_foreign_cyclic_subgroup_rejected(self):
+        for name, other in self.PAIRS:
+            g = builtin_group(name)
+            ideal = augmentation_ideal(g, g.order)[0]
+            for sub in cyclic_subgroups(builtin_group(other)):
+                with pytest.raises(ValueError, match="different group"):
+                    dimension_shift_check(g, [sub])
+                with pytest.raises(ValueError, match="different group"):
+                    res_h1(g, sub, ideal)
+                with pytest.raises(ValueError, match="different group"):
+                    _restriction_kernel(g, ideal, cyclic_subgroups(g) + [sub])
+
+    def test_no_group_or_module_is_built_for_a_subgroup(self, monkeypatch):
+        # fresh module caches, so nothing is served from an earlier test
+        monkeypatch.setattr(g_modules, "_RING_CACHE", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", weakref.WeakKeyDictionary())
+        g = builtin_group("zlxzln:2:3")
+        klein = subgroup_generated(g, [g.names.index("(4,0)"), g.names.index("(0,1)")])
+        assert klein.order == 4 and not klein.is_cyclic()
+        with monkeypatch.context() as mp:
+            def refuse(*args, **kwargs):
+                raise AssertionError("a standalone group or module was built for a subgroup")
+
+            mp.setattr(Subgroup, "as_group", refuse)
+            mp.setattr(GModule, "_from_validated", refuse)
+            cert = certify(2, 2, 5)  # its place subgroups are cyclic or all of G
+            ideal = augmentation_ideal(g, g.order)[0]
+            kernel = sha_sigma(g, ideal, [PlaceRecord(3, klein, True)]).structure
+            shifts = dimension_shift_check(g, all_subgroups(g))
+        assert cert.conclusion == "certified"
+        assert kernel == cayley_restriction_kernel(g, ideal, cyclic_subgroups(g) + [klein])
+        assert len(shifts) == len(all_subgroups(g)) and all(r.passed for r in shifts)
 
 
 class TestNotSolvableFallback:

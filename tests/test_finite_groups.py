@@ -225,45 +225,51 @@ def presentation_groups():
     return groups
 
 
+def assert_presentation(g, pc, elements):
+    """Brute checks of a polycyclic presentation of the subgroup on `elements`
+    of g, read off the Cayley table without the code under test."""
+    elements = set(elements)
+    gens, orders, d = pc.generators, pc.relative_orders, len(pc.generators)
+    assert len(orders) == d and all(r >= 2 for r in orders), g
+    # exactly one normal form g_1^e_1 ... g_d^e_d per element
+    forms = [evaluate_word(g, gens, [i for i, e in enumerate(exps) for _ in range(e)])
+             for exps in product(*(range(r) for r in orders))]
+    assert sorted(forms) == sorted(elements), g
+    # N_i = <g_i, ..., g_d> has order prod_{j >= i} r_j and is normal in N_(i-1)
+    above = elements
+    for i in range(d + 1):
+        sub = brute_generated(g, gens[i:])
+        size = 1
+        for r in orders[i:]:
+            size *= r
+        assert len(sub) == size, (g, i)
+        assert all(g.table[g.table[g.inverse(x)][y]][x] in sub
+                   for x in above for y in sub), (g, i)
+        above = sub
+    # every relator holds, and its right side is a normal form below it
+    powers = [((i,) * r, i, ()) for i, r in enumerate(orders)]
+    conjugates = [((j, i), i, (i,)) for i in range(d) for j in range(i + 1, d)]
+    assert [lhs for lhs, _ in pc.relators] == [lhs for lhs, _, _ in powers + conjugates]
+    for (lhs, rhs), (_, i, head) in zip(pc.relators, powers + conjugates):
+        assert evaluate_word(g, gens, lhs) == evaluate_word(g, gens, rhs), (g, lhs)
+        assert rhs[:len(head)] == head, (g, lhs)
+        tail = rhs[len(head):]
+        assert list(tail) == sorted(tail) and all(k > i for k in tail), (g, lhs)
+        assert all(tail.count(k) < orders[k] for k in tail), (g, lhs)
+    # the tree reaches every element once, along g -> g g_i
+    reached = {g.identity}
+    for x, i, y in pc.tree:
+        assert x in reached and y not in reached and g.table[x][gens[i]] == y
+        reached.add(y)
+    assert reached == elements
+
+
 class TestPolycyclicPresentation:
     """Group.presentation against the Cayley table, read without the code under test."""
 
     def test_against_cayley_table(self):
         for g in presentation_groups():
-            pc = g.presentation()
-            gens, orders, d = pc.generators, pc.relative_orders, len(pc.generators)
-            assert len(orders) == d and all(r >= 2 for r in orders), g
-            # exactly one normal form g_1^e_1 ... g_d^e_d per element
-            forms = [evaluate_word(g, gens, [i for i, e in enumerate(exps) for _ in range(e)])
-                     for exps in product(*(range(r) for r in orders))]
-            assert sorted(forms) == list(range(g.order)), g
-            # N_i = <g_i, ..., g_d> has order prod_{j >= i} r_j and is normal in N_(i-1)
-            above = set(range(g.order))
-            for i in range(d + 1):
-                sub = brute_generated(g, gens[i:])
-                size = 1
-                for r in orders[i:]:
-                    size *= r
-                assert len(sub) == size, (g, i)
-                assert all(g.table[g.table[g.inverse(x)][y]][x] in sub
-                           for x in above for y in sub), (g, i)
-                above = sub
-            # every relator holds, and its right side is a normal form below it
-            powers = [((i,) * r, i, ()) for i, r in enumerate(orders)]
-            conjugates = [((j, i), i, (i,)) for i in range(d) for j in range(i + 1, d)]
-            assert [lhs for lhs, _ in pc.relators] == [lhs for lhs, _, _ in powers + conjugates]
-            for (lhs, rhs), (_, i, head) in zip(pc.relators, powers + conjugates):
-                assert evaluate_word(g, gens, lhs) == evaluate_word(g, gens, rhs), (g, lhs)
-                assert rhs[:len(head)] == head, (g, lhs)
-                tail = rhs[len(head):]
-                assert list(tail) == sorted(tail) and all(k > i for k in tail), (g, lhs)
-                assert all(tail.count(k) < orders[k] for k in tail), (g, lhs)
-            # the tree reaches every element once, along g -> g g_i
-            reached = {g.identity}
-            for x, i, y in pc.tree:
-                assert x in reached and y not in reached and g.table[x][gens[i]] == y
-                reached.add(y)
-            assert len(reached) == g.order
+            assert_presentation(g, g.presentation(), range(g.order))
 
     def test_layers_follow_the_derived_series(self):
         # S4 > A4 > V4 > 1: factors 2, 3 and 2 x 2
@@ -282,3 +288,40 @@ class TestPolycyclicPresentation:
         a5 = from_permutations([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
         assert a5.order == 60
         assert a5.presentation() is None
+
+
+class TestSubgroupPresentation:
+    """Subgroup.presentation, in the parent's indices, against the presentation
+    of the standalone group and against the Cayley table."""
+
+    def test_every_subgroup(self):
+        groups = [builtin_group(name) for name in
+                  BATTERY + ["z2", "z3", "z5", "z8", "zlxzln:2:3"]]
+        groups.append(from_permutations([(1, 2, 3, 0), (1, 0, 2, 3)]))  # S4
+        checked = 0
+        for g in groups:
+            for sub in all_subgroups(g):
+                pc, local = sub.presentation(), sub.as_group().presentation()
+                image = sub.elements
+                assert pc.generators == tuple(image[x] for x in local.generators), (g, sub)
+                assert pc.relative_orders == local.relative_orders
+                assert pc.relators == local.relators
+                assert pc.tree == tuple((image[x], i, image[y]) for x, i, y in local.tree)
+                assert_presentation(g, pc, sub.elements)
+                assert brute_generated(g, sub.generating_set()) == set(sub.elements)
+                assert sub.presentation() is pc
+                checked += 1
+        assert checked == 54 + 10 + 11 + 30  # battery, cyclic, Z/8 x Z/2, S4
+
+    def test_full_subgroup_shares_the_parent(self):
+        g = builtin_group("q8")
+        full = full_subgroup(g)
+        assert full.presentation() is g.presentation()
+        assert full.generating_set() == g.generating_set()
+
+    def test_not_solvable_has_none(self):
+        s5 = from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+        a5 = subgroup_generated(s5, [s5.names.index("(0 1 2 3 4)"), s5.names.index("(0 1 2)")])
+        assert a5.order == 60
+        assert a5.presentation() is None
+        assert brute_generated(s5, a5.generating_set()) == set(a5.elements)

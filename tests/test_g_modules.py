@@ -162,8 +162,7 @@ class TestModuleValidation:
 
     def test_init_count_for_sha_cyc(self, monkeypatch):
         # ideal, ring and the trivial target of the augmentation are checked,
-        # whichever constructor builds them; restrict builds the 7 cyclic
-        # restrictions without a check
+        # whichever constructor builds them; no module is built for a subgroup
         monkeypatch.setattr(g_modules, "_RING_CACHE", weakref.WeakKeyDictionary())
         monkeypatch.setattr(g_modules, "_IDEAL_CACHE", weakref.WeakKeyDictionary())
         labels = []
