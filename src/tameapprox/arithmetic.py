@@ -519,17 +519,18 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
             f"q^((p-1)/{ell}) != 1 (mod p), so q is not an {ell}-th power mod p",
             {"euler_power": euler}, euler != 1,
         )
-        root = ellth_root_in_zell(q, ell, hensel_precision)
+        precision = _hensel_precision(ell, hensel_precision)
         local_stmt = (
             f"q == 1 (mod 8) makes q a square in Q_2"
             if ell == 2
             else f"q == 1 (mod {ell}^2) makes q an {ell}-th power in Q_{ell}"
         )
+        witness = {"root": ellth_root_in_zell(q, ell, precision),
+                   "precision_exponent": precision}
         ok &= add(
             "q_ellth_power_locally_at_ell",
-            local_stmt + f"; witness root to precision {ell}^{hensel_precision}",
-            {"root": root, "precision_exponent": hensel_precision},
-            root is not None,
+            local_stmt + f"; witness root to precision {ell}^{precision}",
+            witness, _ellth_power_locally_holds(ell, q, witness),
         )
     if not ok:
         return refute()
@@ -685,6 +686,15 @@ def _cyclic_over_ell_holds(ell, q, precision, witness):
     root = witness["root"]
     mod = ell ** _hensel_precision(ell, precision)
     return root is not None and (pow(root, ell, mod) - q) % mod == 0
+
+
+def _ellth_power_locally_holds(ell, q, witness):
+    """`q_ellth_power_locally_at_ell` from its witness: the recorded precision
+    reaches the congruence that makes q an ell-th power in Q_ell (mod 8, or
+    mod ell^2), and root^ell == q modulo ell to that precision."""
+    precision = witness["precision_exponent"]
+    return (precision == _hensel_precision(ell, precision)
+            and _cyclic_over_ell_holds(ell, q, precision, witness))
 
 
 def _disjoint_from_ell_holds(ell, witness):

@@ -13,6 +13,9 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from functools import partial
+from typing import NamedTuple
 
 from .arithmetic import (
     KummerPair,
@@ -56,11 +59,10 @@ def _load_group(source, limit):
 
 
 def _load_module(spec, group, modulus):
+    m = group.order if modulus is None else modulus
     if spec == "aug":
-        m = modulus if modulus else group.order
         return augmentation_ideal(group, m)[0]
     if spec == "ring":
-        m = modulus if modulus else group.order
         return group_ring(group, m)
     if spec.startswith("trivial:"):
         try:
@@ -276,81 +278,100 @@ def _cmd_certify(args, limit):
     return (0 if cert.certified else 1), report, lines
 
 
+def _add_common(p, group=False, module=False, params=False):
+    p.add_argument("--format", choices=("json", "table"), default="json",
+                   help="output format (JSON is canonical)")
+    p.add_argument("--output", default="-", help="output path, '-' for stdout")
+    p.add_argument("--limit", type=int, default=None,
+                   help=f"group order limit (default {DEFAULT_ORDER_LIMIT}; env {LIMIT_ENV_VAR})")
+    if group:
+        p.add_argument("--group", required=True,
+                       help="builtin:<name> or path to a group JSON file")
+    if module:
+        p.add_argument("--module", default="aug",
+                       help="aug | ring | trivial:<m> | path to module JSON")
+        p.add_argument("--modulus", type=int, default=None,
+                       help="modulus for aug/ring (default |G|)")
+    if params:
+        p.add_argument("--ell", type=int, default=None)
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--p", type=int, default=None)
+        p.add_argument("--search-bound", type=int, default=2 ** 32)
+
+
+def _add_dimension_shift(p):
+    _add_common(p, group=True)
+    p.add_argument("--all-subgroups", action="store_true",
+                   help="run over the full subgroup lattice")
+    p.add_argument("--subgroup", action="append", default=None,
+                   metavar="I,J,...", help="extra subgroup generated by these element indices")
+
+
+def _add_sigma0(p):
+    _add_common(p)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+
+
+def _add_find_params(p):
+    _add_common(p, params=True)
+    p.add_argument("--start", type=int, default=2, help="lower bound for the p search")
+
+
+def _add_certify(p):
+    _add_common(p, params=True)
+    p.add_argument("--q", type=int, default=None,
+                   help="companion prime (default: least admissible)")
+    p.add_argument("--hensel-precision", type=int, default=8,
+                   help="ell-adic precision exponent for the local witness")
+
+
+class Command(NamedTuple):
+    help: str
+    add_options: Callable[[argparse.ArgumentParser], None]
+    run: Callable
+
+
+# The one definition of every command: its help line, the function that adds
+# its options to a parser, and the function that runs it.
+_COMMANDS = {
+    "h1": Command("H^1(G, M) with cocycle representatives",
+                  partial(_add_common, group=True, module=True), _cmd_h1),
+    "sha-cyc": Command("kernel of restriction to all cyclic subgroups",
+                       partial(_add_common, group=True, module=True), _cmd_sha_cyc),
+    "verify-lemma": Command("check Sha^1_cyc(G, I) = Z/(n/e) for the augmentation ideal",
+                            partial(_add_common, group=True), _cmd_verify_lemma),
+    "dimension-shift": Command("check H^1(H, I|_H) = Z/|H| and H^1(H, ring|_H) = 0",
+                               _add_dimension_shift, _cmd_dimension_shift),
+    "sigma0": Command("places with non-cyclic decomposition group in Q(sqrt a, sqrt b)",
+                      _add_sigma0, _cmd_sigma0),
+    "find-params": Command("search the (p, q) prime parameters",
+                           _add_find_params, _cmd_find_params),
+    "certify": Command("build and verify a counterexample certificate",
+                       _add_certify, _cmd_certify),
+}
+
+
 def build_parser():
+    """The parser of every command, for `tameapprox -h` and usage errors."""
     parser = argparse.ArgumentParser(
         prog="tameapprox",
         description="Certified counterexamples to tame approximation via"
                     " Tate-Shafarevich restriction kernels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, group=False, module=False, params=False):
-        p.add_argument("--format", choices=("json", "table"), default="json",
-                       help="output format (JSON is canonical)")
-        p.add_argument("--output", default="-", help="output path, '-' for stdout")
-        p.add_argument("--limit", type=int, default=None,
-                       help=f"group order limit (default 512; env {LIMIT_ENV_VAR})")
-        if group:
-            p.add_argument("--group", required=True,
-                           help="builtin:<name> or path to a group JSON file")
-        if module:
-            p.add_argument("--module", default="aug",
-                           help="aug | ring | trivial:<m> | path to module JSON")
-            p.add_argument("--modulus", type=int, default=None,
-                           help="modulus for aug/ring (default |G|)")
-        if params:
-            p.add_argument("--ell", type=int, default=None)
-            p.add_argument("--n", type=int, default=None)
-            p.add_argument("--p", type=int, default=None)
-            p.add_argument("--search-bound", type=int, default=2 ** 32)
-
-    p_h1 = sub.add_parser("h1", help="H^1(G, M) with cocycle representatives")
-    common(p_h1, group=True, module=True)
-
-    p_sha = sub.add_parser("sha-cyc", help="kernel of restriction to all cyclic subgroups")
-    common(p_sha, group=True, module=True)
-
-    p_lem = sub.add_parser("verify-lemma",
-                           help="check Sha^1_cyc(G, I) = Z/(n/e) for the augmentation ideal")
-    common(p_lem, group=True)
-
-    p_dim = sub.add_parser("dimension-shift",
-                           help="check H^1(H, I|_H) = Z/|H| and H^1(H, ring|_H) = 0")
-    common(p_dim, group=True)
-    p_dim.add_argument("--all-subgroups", action="store_true",
-                       help="run over the full subgroup lattice")
-    p_dim.add_argument("--subgroup", action="append", default=None,
-                       metavar="I,J,...", help="extra subgroup generated by these element indices")
-
-    p_s0 = sub.add_parser("sigma0",
-                          help="places with non-cyclic decomposition group in Q(sqrt a, sqrt b)")
-    common(p_s0)
-    p_s0.add_argument("--a", type=int, required=True)
-    p_s0.add_argument("--b", type=int, required=True)
-
-    p_fp = sub.add_parser("find-params", help="search the (p, q) prime parameters")
-    common(p_fp, params=True)
-    p_fp.add_argument("--start", type=int, default=2, help="lower bound for the p search")
-
-    p_cert = sub.add_parser("certify", help="build and verify a counterexample certificate")
-    common(p_cert, params=True)
-    p_cert.add_argument("--q", type=int, default=None,
-                        help="companion prime (default: least admissible)")
-    p_cert.add_argument("--hensel-precision", type=int, default=8,
-                        help="ell-adic precision exponent for the local witness")
-
+    for name, command in _COMMANDS.items():
+        command.add_options(sub.add_parser(name, help=command.help))
     return parser
 
 
-_COMMANDS = {
-    "h1": _cmd_h1,
-    "sha-cyc": _cmd_sha_cyc,
-    "verify-lemma": _cmd_verify_lemma,
-    "dimension-shift": _cmd_dimension_shift,
-    "sigma0": _cmd_sigma0,
-    "find-params": _cmd_find_params,
-    "certify": _cmd_certify,
-}
+def command_parser(name):
+    """The parser of command `name` alone; parses the arguments after the
+    command name to the same Namespace as `build_parser()` parses the whole."""
+    parser = argparse.ArgumentParser(prog=f"tameapprox {name}")
+    _COMMANDS[name].add_options(parser)
+    parser.set_defaults(command=name)
+    return parser
 
 
 def run(args):
@@ -364,14 +385,20 @@ def run(args):
                 raise UsageError(f"{LIMIT_ENV_VAR} must be an integer, got {env!r}") from None
         else:
             limit = DEFAULT_ORDER_LIMIT
-    status, report, lines = _COMMANDS[args.command](args, limit)
+    status, report, lines = _COMMANDS[args.command].run(args, limit)
     _emit(args, report, lines)
     return status
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Building every command's parser costs more than parsing; a known
+    # command name needs only its own.
+    if argv and argv[0] in _COMMANDS:
+        args = command_parser(argv[0]).parse_args(argv[1:])
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return run(args)
     except (NotInSpanError, AssertionError) as exc:

@@ -390,7 +390,16 @@ class Subgroup:
 
 
 def subgroup_generated(group, gens):
-    """Closure of `gens` (plus the identity) under the Cayley table."""
+    """Closure of `gens` (plus the identity) under the Cayley table.
+
+    Every generator must be an int in range(group.order); anything else is
+    a ValueError, so that a bad index never reaches the table.
+    """
+    gens = list(gens)
+    for g in gens:
+        if type(g) is not int or not 0 <= g < group.order:
+            raise ValueError(
+                f"subgroup generator {g!r} is not an element index in 0..{group.order - 1}")
     closed = group._close(set(gens))
     return Subgroup(group, closed)
 
@@ -611,7 +620,11 @@ def builtin_group(name, *, limit=DEFAULT_ORDER_LIMIT):
             ell, n = int(parts[1]), int(parts[2])
         except ValueError:
             raise ValueError(f"non-integer parameters in {name!r}") from None
-        if ell < 2 or n < 1 or ell ** (n + 1) > limit:
+        if ell < 2:
+            raise ValueError(f"ell must be >= 2 in {name!r}, got {ell}")
+        if n < 1:
+            raise ValueError(f"n must be >= 1 in {name!r}, got {n}")
+        if ell ** (n + 1) > limit:
             # guard before building the Cayley table: its size is order^2
             raise ValueError(
                 f"group order {ell}^{n + 1} exceeds the limit {limit}")

@@ -21,11 +21,10 @@ from __future__ import annotations
 import weakref
 from collections.abc import Sequence
 from math import gcd
+from operator import mul
 
 from .finite_groups import Subgroup, _int_rows
-from .zmod_linalg import IntMatrix, kernel_mod, quotient_structure
-
-_FULL_SCAN_LIMIT = 64
+from .zmod_linalg import IntMatrix
 
 
 def _sparse(mat, m):
@@ -308,20 +307,30 @@ def augmentation_ideal(group, modulus):
     aug = ModuleMap(ring, trivial_module(group, modulus),
                     IntMatrix.from_rows([[1] * n]))
 
-    if n <= _FULL_SCAN_LIMIT:
-        _check_augmentation_exactness(incl, aug)
+    _check_augmentation_exactness(incl.matrix, aug.matrix, basis, modulus)
     cache[modulus] = (ideal, incl, aug)
     return ideal, incl, aug
 
 
-def _check_augmentation_exactness(incl, aug):
-    m = incl.source.modulus
-    if kernel_mod(incl.matrix, m).cols != 0:
-        raise AssertionError("augmentation ideal inclusion is not injective mod m")
-    if any(_mul(_sparse(aug.matrix._data, m), _sparse(incl.matrix._data, m), m)):
+def _check_augmentation_exactness(incl, aug, basis, m):
+    """Raise AssertionError unless 0 -> I -> (Z/m)[G] -> Z/m -> 0 is exact.
+
+    `incl` is the n x r inclusion matrix, `aug` the 1 x n augmentation and
+    `basis[i]` the ring coordinate of ideal basis vector i.  In O(n r):
+    the rows of `incl` at `basis` are the identity, so incl is injective
+    over any Z/m and |im incl| = m^r; aug o incl = 0, so im incl lies in
+    ker aug; aug has a unit entry, so it is onto and |ker aug| = m^(n-1),
+    which is m^r when r = n - 1.  The image then is the whole kernel.
+    """
+    n, r = incl.rows, incl.cols
+    rows = incl.mod(m)._data
+    if len(basis) != r or any(row[i] != 1 or any(row[:i]) or any(row[i + 1:])
+                              for i, row in enumerate(rows[h] for h in basis)):
+        raise AssertionError("augmentation ideal inclusion is not the identity on its basis")
+    weights = aug._data[0]
+    if any(sum(map(mul, weights, column)) % m for column in zip(*rows)):
         raise AssertionError("aug o incl is nonzero")
-    ker = kernel_mod(aug.matrix, m)
-    if not quotient_structure(incl.matrix, ker, m).is_trivial:
+    if r != n - 1 or not any(gcd(w, m) == 1 for w in weights):
         raise AssertionError("ker(aug) != im(incl)")
 
 

@@ -9,6 +9,8 @@ fast replacements: `full_cochain_h1` and `cayley_h1` for the H^1 on a
 polycyclic presentation, `cayley_restriction_kernel` for the restriction
 kernels read from ker N_g / (g-1)M on cyclic subgroups,
 `dense_mat_mul_mod` for the sparse module products,
+`dense_augmentation_exactness` for the O(n r) exactness check of the
+augmentation sequence,
 `dense_group_ring_action` and `dense_augmentation_ideal_action` for the
 sparse rows of the group ring and the augmentation ideal,
 `dense_quotient_presentation` (the presentation over Z with m*I padding, on
@@ -31,6 +33,7 @@ from tameapprox.zmod_linalg import (
     IntMatrix,
     QuotientPresentation,
     kernel_mod,
+    quotient_structure,
 )
 
 
@@ -306,6 +309,16 @@ def dense_augmentation_ideal_action(group, m):
                 mat[pos[g]][i] -= 1
         mats.append(tuple(tuple(x % m for x in row) for row in mat))
     return tuple(mats)
+
+
+def dense_augmentation_exactness(incl, aug, m):
+    """Whether 0 -> I -> (Z/m)[G] -> Z/m -> 0 is exact, by elimination:
+    incl has no kernel mod m, aug o incl = 0, and im incl is all of ker aug."""
+    if kernel_mod(incl, m).cols != 0:
+        return False
+    if any(x % m for x in (aug @ incl).entries):
+        return False
+    return quotient_structure(incl, kernel_mod(aug, m), m).is_trivial
 
 
 def dense_mat_mul_mod(a, b, m):

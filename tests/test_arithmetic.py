@@ -23,6 +23,7 @@ from tameapprox.arithmetic import (
     squarefree_part,
     _cyclic_over_ell_holds,
     _disjoint_from_ell_holds,
+    _ellth_power_locally_holds,
     _full_over_p_holds,
 )
 from tameapprox.finite_groups import Group, subgroup_generated
@@ -514,7 +515,44 @@ class TestCheckedWitnesses:
             assert not disjoint(dict(w, sigma0_known_members=members))
 
     def test_wrong_root_refutes_the_certificate(self, monkeypatch):
-        # a root that is no ell-th root of q passes the existence check, not this one
-        monkeypatch.setattr(arithmetic, "ellth_root_in_zell", lambda q, ell, precision=8: 2)
+        # the first root (for the local check) is right, the second one wrong
+        real, calls = arithmetic.ellth_root_in_zell, []
+
+        def second_root_wrong(q, ell, precision=8):
+            calls.append(q)
+            return real(q, ell, precision) if len(calls) == 1 else 2
+
+        monkeypatch.setattr(arithmetic, "ellth_root_in_zell", second_root_wrong)
         cert = certify(3, 1, 7)
         assert cert.conclusion == "refuted: decomposition_cyclic_over_ell"
+
+    @pytest.mark.parametrize("ell, n, p", [(2, 1, 3), (3, 1, 7)])
+    def test_wrong_local_root_refutes_the_certificate(self, monkeypatch, ell, n, p):
+        monkeypatch.setattr(arithmetic, "ellth_root_in_zell", lambda q, ell, precision=8: 2)
+        cert = certify(ell, n, p)
+        assert cert.conclusion == "refuted: q_ellth_power_locally_at_ell"
+
+    def test_local_root_check_follows_its_witness(self):
+        rng = random.Random(0x10CA1)
+        for ell, n, p in [(2, 1, 3), (2, 1, 5)] + self.PARAMS:
+            for requested in (-3, 0, 2, 3, 8, 11):
+                cert = certify(ell, n, p, hensel_precision=requested)
+                q = cert.q
+                check = next(c for c in cert.checks if c.name == "q_ellth_power_locally_at_ell")
+                w = check.witness
+                # the precision recorded is the one the root was lifted to
+                least = 3 if ell == 2 else 2
+                assert w["precision_exponent"] == max(requested, least)
+                assert check.statement.endswith(f"{ell}^{w['precision_exponent']}")
+                assert check.passed and _ellth_power_locally_holds(ell, q, w)
+                mod = ell ** w["precision_exponent"]
+                assert not _ellth_power_locally_holds(ell, q, dict(w, root=None))
+                verdicts = set()
+                for _ in range(10):
+                    bad = (w["root"] + rng.randrange(1, mod)) % mod
+                    valid = pow(bad, ell, mod) == q % mod
+                    assert _ellth_power_locally_holds(ell, q, dict(w, root=bad)) == valid
+                    verdicts.add(valid)
+                assert False in verdicts
+                assert not _ellth_power_locally_holds(
+                    ell, q, dict(w, precision_exponent=least - 1))

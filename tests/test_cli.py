@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -194,7 +195,7 @@ class TestErrorHandling:
         def broken(args, limit):
             raise exc
 
-        monkeypatch.setitem(cli._COMMANDS, "sha-cyc", broken)
+        monkeypatch.setitem(cli._COMMANDS, "sha-cyc", cli._COMMANDS["sha-cyc"]._replace(run=broken))
         status, out, err = run_cli(capsys, "sha-cyc", "--group", "builtin:z2")
         assert status == 3
         assert out == ""
@@ -213,6 +214,30 @@ class TestErrorHandling:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sha-cyc", "--group", "builtin:z8", "--modulus", "0"], "modulus must be >= 2"),
+        (["h1", "--group", "builtin:z4", "--module", "ring", "--modulus", "0"],
+         "modulus must be >= 2"),
+        (["sha-cyc", "--group", "builtin:zlxzln:2:0"], "n must be >= 1"),
+        (["sha-cyc", "--group", "builtin:zlxzln:1:3"], "ell must be >= 2"),
+        (["dimension-shift", "--group", "builtin:z8", "--subgroup", "99"],
+         "subgroup generator 99 is not an element index in 0..7"),
+        (["dimension-shift", "--group", "builtin:z8", "--subgroup", "1,-1"],
+         "subgroup generator -1 is not an element index in 0..7"),
+    ])
+    def test_bad_input_names_its_parameter(self, capsys, argv, message):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and message in err, err
+
+    def test_unknown_option_names_the_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert words(err).startswith("usage: tameapprox certify ")
+        assert err.endswith("tameapprox certify: error: unrecognized arguments: --bogus\n")
+
     def test_group_limit_flag(self, capsys):
         status, _, err = run_cli(capsys, "verify-lemma", "--group", "builtin:z3xz3",
                                  "--limit", "4")
@@ -227,6 +252,105 @@ class TestErrorHandling:
         monkeypatch.setenv("TAMEAPPROX_GROUP_LIMIT", "16")
         status, out, _ = run_cli(capsys, "verify-lemma", "--group", "builtin:q8")
         assert status == 0
+
+
+PARSE_CASES = {
+    "h1": [["--group", "builtin:z2"],
+           ["--group=builtin:q8", "--module", "ring", "--modulus=4", "--format", "table",
+            "--output=-"],
+           ["--limit", "16", "--group", "builtin:z4", "--module", "trivial:3"]],
+    "sha-cyc": [["--group", "builtin:z8"],
+                ["--module=aug", "--group", "builtin:q8", "--limit=9"]],
+    "verify-lemma": [["--group", "builtin:s3"], ["--group=builtin:q8", "--format=table"]],
+    "dimension-shift": [["--group", "builtin:z8"],
+                        ["--group", "builtin:z8", "--all-subgroups"],
+                        ["--group", "builtin:q8", "--subgroup", "1", "--subgroup=2,3",
+                         "--all-subgroups"]],
+    "sigma0": [["--a", "3", "--b", "17"], ["--b=-1", "--a=5", "--format", "table"]],
+    "find-params": [[], ["--ell", "2", "--n", "1", "--start=10", "--search-bound", "100"]],
+    "certify": [["--ell", "2", "--n", "1", "--p", "3"],
+                ["--ell=3", "--n=1", "--p=7", "--q", "13", "--hensel-precision=-3",
+                 "--search-bound=99", "--output", "out.json"]],
+}
+
+
+def words(text):
+    """`text` with its whitespace runs as single spaces: help wraps at the terminal width."""
+    return " ".join(text.split())
+
+
+def exits(capsys, parse):
+    """(exit code, stdout, stderr) of a parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestCommandParsers:
+    """`main` builds the parser of the named command alone, and it parses the
+    arguments after the name as the parser of every command parses the whole."""
+
+    def test_cases_cover_every_command(self):
+        assert list(PARSE_CASES) == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", [[name] + args for name, cases in PARSE_CASES.items()
+                                      for args in cases])
+    def test_same_namespace(self, argv):
+        args = cli.command_parser(argv[0]).parse_args(argv[1:])
+        assert args == cli.build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+    @pytest.mark.parametrize("name", list(PARSE_CASES))
+    def test_same_help(self, capsys, name):
+        one = exits(capsys, lambda: cli.command_parser(name).parse_args(["-h"]))
+        full = exits(capsys, lambda: cli.build_parser().parse_args([name, "-h"]))
+        assert one == full == exits(capsys, lambda: main([name, "--help"]))
+        assert one[0] == 0 and words(one[1]).startswith(f"usage: tameapprox {name} [-h]")
+
+    @pytest.mark.parametrize("argv", [["certify", "--ell", "x"], ["h1"], ["sigma0", "--a", "1"],
+                                      ["h1", "--group", "builtin:z2", "--format", "xml"]])
+    def test_same_usage_errors(self, capsys, argv):
+        status, out, err = exits(capsys, lambda: main(argv))
+        assert (status, out, err) == exits(capsys, lambda: cli.build_parser().parse_args(argv))
+        assert status == 2 and words(err).startswith(f"usage: tameapprox {argv[0]} ")
+
+    def test_known_command_builds_its_parser_only(self, capsys, monkeypatch):
+        argv = ["sha-cyc", "--group", "builtin:z2", "--module", "trivial:2"]
+        monkeypatch.setattr(cli, "build_parser", None)
+        monkeypatch.setattr(sys, "argv", ["tameapprox"] + argv)
+        assert main() == 0  # argv=None reads sys.argv
+        out = capsys.readouterr().out
+        assert json.loads(out)["structure"] == []
+        assert run_cli(capsys, *argv) == (0, out, "")
+
+    def test_top_level_help_lists_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no help line wraps
+        for argv in (["-h"], ["--help"]):
+            status, out, err = exits(capsys, lambda: main(argv))
+            assert (status, err) == (0, "")
+            text = words(out)
+            assert text.startswith("usage: tameapprox [-h]")
+            assert "Certified counterexamples to tame approximation" in text
+            for name, command in cli._COMMANDS.items():
+                assert f" {name} {command.help}" in text
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "tameapprox: error: the following arguments are required: command\n"),
+        (["bogus"], "tameapprox: error: argument command: invalid choice: 'bogus'"),
+        (["--format", "json", "certify"], "tameapprox: error: argument command: invalid choice"),
+    ])
+    def test_top_level_usage_errors(self, capsys, argv, message):
+        status, out, err = exits(capsys, lambda: main(argv))
+        assert (status, out) == (2, "")
+        assert words(err).startswith("usage: tameapprox [-h]") and words(message) in words(err)
+        assert (status, out, err) == exits(capsys, lambda: cli.build_parser().parse_args(argv))
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["tameapprox"])
+        assert exits(capsys, main) == exits(capsys, lambda: main([]))
+        monkeypatch.setattr(sys, "argv", ["tameapprox", "bogus"])
+        assert exits(capsys, main) == exits(capsys, lambda: main(["bogus"]))
 
 
 class TestLargeModuli:

@@ -144,6 +144,12 @@ class TestSubgroups:
         non_identity = [x for x in range(4) if x != g.identity]
         assert subgroup_generated(g, non_identity[:2]).order == 4
 
+    @pytest.mark.parametrize("gens", [[99], [8], [-1], [1, -8], [1.0], ["1"], [True], [None]])
+    def test_generator_outside_the_group_is_rejected(self, gens):
+        g = cyclic_group(8)
+        with pytest.raises(ValueError, match="not an element index in 0..7"):
+            subgroup_generated(g, gens)
+
     def test_closure_validated(self):
         g = cyclic_group(4)
         with pytest.raises(ValueError, match="closed"):
@@ -212,6 +218,17 @@ class TestBuiltinsAndJson:
         # the parametrized family is guarded before any table is built
         with pytest.raises(ValueError, match="limit"):
             builtin_group("zlxzln:2:40", limit=512)
+
+    @pytest.mark.parametrize("name, message", [
+        ("zlxzln:2:0", "n must be >= 1 in 'zlxzln:2:0', got 0"),
+        ("zlxzln:2:-3", "n must be >= 1 in 'zlxzln:2:-3', got -3"),
+        ("zlxzln:1:3", "ell must be >= 2 in 'zlxzln:1:3', got 1"),
+        ("zlxzln:0:0", "ell must be >= 2 in 'zlxzln:0:0', got 0"),
+    ])
+    def test_bad_family_parameter_is_named(self, name, message):
+        with pytest.raises(ValueError) as exc:
+            builtin_group(name)
+        assert str(exc.value) == message
 
 
 def presentation_groups():

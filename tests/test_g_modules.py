@@ -24,9 +24,10 @@ from tameapprox.g_modules import (
     restrict,
     trivial_module,
 )
-from tameapprox.zmod_linalg import IntMatrix, kernel_mod, quotient_structure
+from tameapprox.zmod_linalg import IntMatrix
 
 from oracle_helpers import (
+    dense_augmentation_exactness,
     dense_augmentation_ideal_action,
     dense_group_ring_action,
     dense_mat_mul_mod,
@@ -96,20 +97,58 @@ class TestAugmentationIdeal:
             assert ideal.size == m ** (g.order - 1)
 
     def test_exact_sequence(self):
-        for name in ("klein4", "z4", "s3", "q8"):
+        for name in BUILTINS:
             g = builtin_group(name)
-            m = g.order
-            ideal, incl, aug = augmentation_ideal(g, m)
-            # injective inclusion
-            assert kernel_mod(incl.matrix, m).cols == 0
-            # aug o incl = 0
-            comp = aug.matrix @ incl.matrix
-            assert all(x % m == 0 for x in comp.entries)
-            # exact in the middle: ker(aug) = im(incl)
-            ker = kernel_mod(aug.matrix, m)
-            assert quotient_structure(incl.matrix, ker, m).is_trivial
-            # aug surjective: the identity basis vector maps to 1
-            assert aug.apply([1] + [0] * (g.order - 1)) == (1,)
+            for m in (g.order, 2, 6):
+                ideal, incl, aug = augmentation_ideal(g, m)
+                assert dense_augmentation_exactness(incl.matrix, aug.matrix, m), (name, m)
+                # aug surjective: the identity basis vector maps to 1
+                assert aug.apply([1] + [0] * (g.order - 1)) == (1,)
+
+    def test_fast_exactness_check_rejects_what_the_dense_check_rejects(self):
+        rng = random.Random(0xE8AC7)
+        rejected = 0
+        for name in BUILTINS:
+            g = builtin_group(name)
+            basis = [h for h in range(g.order) if h != g.identity]
+            for m in (g.order, 2, 6):
+                _, incl, aug = augmentation_ideal(g, m)
+                g_modules._check_augmentation_exactness(incl.matrix, aug.matrix, basis, m)
+                # aug times a prime divisor of m still kills im incl, but is not onto
+                mutants = [(incl.matrix, IntMatrix(1, g.order, [d] * g.order))
+                           for d in (2, 3) if m % d == 0]
+                if g.order > 2:
+                    mutants.append((merged_columns(incl.matrix, 0, g.order - 2), aug.matrix))
+                for _ in range(12):
+                    if rng.random() < 0.4:
+                        mutants.append((incl.matrix, mutate(rng, aug.matrix)))
+                    else:
+                        mutants.append((mutate(rng, incl.matrix), aug.matrix))
+                for bad_incl, bad_aug in mutants:
+                    if dense_augmentation_exactness(bad_incl, bad_aug, m):
+                        continue
+                    rejected += 1
+                    with pytest.raises(AssertionError):
+                        g_modules._check_augmentation_exactness(bad_incl, bad_aug, basis, m)
+        assert rejected > 300
+
+
+def merged_columns(mat, i, j):
+    """`mat` with columns i and j both replaced by their sum: the diagonal at
+    the basis rows and aug o incl = 0 survive, injectivity does not."""
+    rows = [list(row) for row in mat._data]
+    for row in rows:
+        row[i] = row[j] = row[i] + row[j]
+    return IntMatrix.from_rows(rows)
+
+
+def mutate(rng, mat):
+    """`mat` with one to three entries changed to other values mod at most 6."""
+    entries = list(mat.entries)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(entries))
+        entries[i] = rng.choice([x for x in range(-1, 6) if x != entries[i]])
+    return IntMatrix(mat.rows, mat.cols, entries)
 
 
 class TestModuleValidation:
