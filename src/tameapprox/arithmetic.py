@@ -4,11 +4,19 @@ certificates.
 
 The certified object is the augmentation ideal I of (Z/ell^(n+1))[G] for
 G = Z/ell^n x Z/ell, realized as the Galois group of L/k with
-k = Q(zeta_{ell^n}) and L = k(p^(1/ell^n), q^(1/ell)).  For ell = 2, n = 1
-(so k = Q, L = Q(sqrt p, sqrt q)) every decomposition subgroup is computed
-exactly from local square classes; for other parameters the certificate
-records the modular facts the construction reduces to and keeps the
-undetermined parts of Sigma_0 explicitly labeled as such.
+k = Q(zeta_{ell^n}) and L = k(p^(1/ell^n), q^(1/ell)).  `certify` checks
+the hypotheses on (ell, n, p, q), the cohomology of I and the Sha kernels;
+the places come from one of two place models:
+
+- `_biquadratic_model`, for ell = 2, n = 1 (k = Q, L = Q(sqrt p, sqrt q)):
+  every decomposition subgroup is computed exactly from local square
+  classes, and it holds the rule Sigma_0 = the places whose decomposition
+  subgroup is all of Z/2 x Z/2, which `sigma0_biquadratic` and the
+  `sigma0` command read from it;
+- `_kummer_model`, for every other (ell, n): it records the modular facts
+  the construction reduces to, with the witnesses of the hypotheses (the
+  Euler power of q mod p and the one Hensel lift of q's ell-th root), and
+  keeps the undetermined parts of Sigma_0 explicitly labeled as such.
 """
 
 from __future__ import annotations
@@ -309,8 +317,7 @@ def sigma0_biquadratic(pair):
     covers 2 and the prime divisors of a*b; the archimedean place never
     qualifies (complex conjugation generates a cyclic local group).
     """
-    records, _ = biquadratic_place_records(pair)
-    return [int(rec.label) for rec in records if rec.subgroup.order == 4]
+    return _biquadratic_model(pair.a, pair.b)[2]
 
 
 def _hensel_precision(ell, precision):
@@ -473,13 +480,16 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     """Build and verify the counterexample certificate for (ell, n, p[, q]).
 
     Checks the prime-search hypotheses, the cohomology of the augmentation
-    ideal over Z/ell^(n+1), and the place model; see the Certificate
-    docstring for the conclusion rule.  A failed hypothesis yields conclusion
-    "refuted: <check>"; an exhausted q-search raises SearchBoundError.
+    ideal over Z/ell^(n+1), and the place model of (ell, n):
+    `_biquadratic_model` for (2, 1), `_kummer_model` otherwise.  See the
+    Certificate docstring for the conclusion rule.  A failed hypothesis
+    yields conclusion "refuted: <check>"; an exhausted q-search raises
+    SearchBoundError.
     """
     ell, n, p = int(ell), int(n), int(p)
+    # k = Q(zeta_(ell^n)), which is Q for ell^n = 2
     cert = Certificate(ell=ell, n=n, p=p, q=None if q is None else int(q),
-                       field_desc="Q" if (ell, n) == (2, 1) else f"Q(zeta_{ell ** n})")
+                       field_desc="Q" if ell ** n == 2 else f"Q(zeta_{ell ** n})")
     checks = cert.checks
 
     def add(name, statement, witness, ok):
@@ -520,13 +530,13 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
             {"euler_power": euler}, euler != 1,
         )
         precision = _hensel_precision(ell, hensel_precision)
+        root = ellth_root_in_zell(q, ell, precision)
         local_stmt = (
             f"q == 1 (mod 8) makes q a square in Q_2"
             if ell == 2
             else f"q == 1 (mod {ell}^2) makes q an {ell}-th power in Q_{ell}"
         )
-        witness = {"root": ellth_root_in_zell(q, ell, precision),
-                   "precision_exponent": precision}
+        witness = {"root": root, "precision_exponent": precision}
         ok &= add(
             "q_ellth_power_locally_at_ell",
             local_stmt + f"; witness root to precision {ell}^{precision}",
@@ -571,63 +581,11 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
          for r in shifts],
         all(r.passed for r in shifts))
 
-    if (ell, n) == (2, 1):
-        pair = KummerPair(p, q)
-        records, witness_rows = biquadratic_place_records(pair, group)
-        cert.places = witness_rows
-        sigma0 = [int(rec.label) for rec in records if rec.subgroup.order == 4]
-        sigma0_keys = [str(v) for v in sigma0]
-        cert.sigma0_labels = sigma0
-        cert.sigma0_exact = True
-        cert.sigma0_statement = (
-            f"Sigma_0(Q, I) = {{{', '.join(sigma0_keys)}}}: the places with full (non-cyclic)"
-            " decomposition group, computed from local square classes at 2 and at the primes"
-            " dividing a*b"
-        )
-        add("sigma0_disjoint_from_ell",
-            "no place in Sigma_0 divides ell = 2 (= the residue characteristic of |I|),"
-            " so Sigma_0 lies in the ramified-but-coprime bad set",
-            {"sigma0": sigma0}, 2 not in sigma0)
-        designated = sigma0_keys
-    else:
-        phi = ell ** n - ell ** (n - 1)
-        full = full_subgroup(group)
-        first_factor = subgroup_generated(group, [ell])  # (1,0), generating Z/ell^n x 0
-        records = [PlaceRecord(f"over-{p}-{i + 1}", full, True) for i in range(phi)]
-        over_p_keys = [rec.key for rec in records]
-        records.append(PlaceRecord(f"over-{ell}", first_factor, True))
-        cert.places = [
-            {"place": rec.key, "ramified": rec.ramified,
-             "decomposition_order": rec.subgroup.order,
-             "cyclic": rec.subgroup.is_cyclic(),
-             "elements": [group.names[x] for x in rec.subgroup.elements]}
-            for rec in records
-        ]
-        cert.sigma0_labels = [rec.key for rec in records[:phi]]
-        cert.sigma0_exact = False
-        cert.sigma0_statement = (
-            f"Sigma_0 contains all {phi} places of {cert.field_desc} over p = {p};"
-            f" it contains no place over ell = {ell}; membership of the remaining ramified"
-            f" places (over q = {q}) is not determined"
-        )
-        witness = {"places_over_p": phi,
-                   "residue_field": f"F_{p}",
-                   "residue_degree_witness": pow(q, (p - 1) // ell, p)}
-        add("decomposition_full_over_p",
-            f"each place over p has full decomposition group: x^{ell}^{n} - p is Eisenstein"
-            f" there (p splits completely in {cert.field_desc}, v(p) = 1), and the residue"
-            f" extension has degree {ell} because q is not an {ell}-th power mod p",
-            witness, _full_over_p_holds(ell, n, p, q, witness))
-        witness = {"root": ellth_root_in_zell(q, ell, hensel_precision)}
-        add("decomposition_cyclic_over_ell",
-            f"q is an {ell}-th power in Q_{ell}, so the decomposition group of the place"
-            f" over {ell} embeds in the cyclic factor Z/{ell}^{n}",
-            witness, _cyclic_over_ell_holds(ell, q, hensel_precision, witness))
-        witness = {"sigma0_known_members": over_p_keys}
-        add("sigma0_disjoint_from_ell",
-            f"places over ell = {ell} have cyclic decomposition groups and are not in Sigma_0",
-            witness, _disjoint_from_ell_holds(ell, witness))
-        designated = over_p_keys
+    model = _biquadratic_model if (ell, n) == (2, 1) else _kummer_model
+    (records, cert.places, cert.sigma0_labels, cert.sigma0_exact,
+     cert.sigma0_statement, designated, model_checks) = model(
+        p, q, group, ell=ell, n=n, euler=euler, root=root, precision=precision)
+    checks.extend(model_checks)
 
     sigma0_excluded = [str(v) for v in cert.sigma0_labels]
     sha_full = sha_sigma(group, ideal, records, excluded=())
@@ -667,6 +625,85 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     else:
         return refute()
     return cert
+
+
+# A place model maps (p, q, group, hypothesis witnesses) to the places of the
+# certificate: (records, place rows, Sigma_0 labels, exact, statement,
+# designated keys, its own CertChecks, each computed from its witness).
+
+def _biquadratic_model(p, q, group=None, **_):
+    """The exact model for (ell, n) = (2, 1): k = Q, L = Q(sqrt p, sqrt q).
+
+    Every decomposition subgroup comes from local square classes, and
+    Sigma_0 is the records whose decomposition subgroup is all of
+    Z/2 x Z/2; `sigma0_biquadratic` and the `sigma0` command read it here.
+    p and q are any KummerPair classes.
+    """
+    records, rows = biquadratic_place_records(KummerPair(p, q), group)
+    sigma0 = [int(rec.label) for rec in records if rec.subgroup.order == 4]
+    keys = [str(v) for v in sigma0]
+    statement = (
+        f"Sigma_0(Q, I) = {{{', '.join(keys)}}}: the places with full (non-cyclic)"
+        " decomposition group, computed from local square classes at 2 and at the primes"
+        " dividing a*b"
+    )
+    check = CertCheck(
+        "sigma0_disjoint_from_ell",
+        "no place in Sigma_0 divides ell = 2 (= the residue characteristic of |I|),"
+        " so Sigma_0 lies in the ramified-but-coprime bad set",
+        {"sigma0": sigma0}, 2 not in sigma0)
+    return records, rows, sigma0, True, statement, keys, [check]
+
+
+def _kummer_model(p, q, group, *, ell, n, euler, root, precision):
+    """The partial model for (ell, n) != (2, 1): k = Q(zeta_(ell^n)).
+
+    Each of the ell^n - ell^(n-1) places over p has decomposition group all
+    of G, the place over ell has the cyclic factor Z/ell^n; the places over
+    q stay undetermined.  `euler` = q^((p-1)/ell) mod p and the Hensel
+    `root` of q to `precision` are the hypothesis witnesses, reused here.
+    """
+    field = f"Q(zeta_{ell ** n})"
+    phi = ell ** n - ell ** (n - 1)
+    full = full_subgroup(group)
+    first_factor = subgroup_generated(group, [ell])  # (1,0), generating Z/ell^n x 0
+    records = [PlaceRecord(f"over-{p}-{i + 1}", full, True) for i in range(phi)]
+    over_p_keys = [rec.key for rec in records]
+    records.append(PlaceRecord(f"over-{ell}", first_factor, True))
+    rows = [
+        {"place": rec.key, "ramified": rec.ramified,
+         "decomposition_order": rec.subgroup.order,
+         "cyclic": rec.subgroup.is_cyclic(),
+         "elements": [group.names[x] for x in rec.subgroup.elements]}
+        for rec in records
+    ]
+    statement = (
+        f"Sigma_0 contains all {phi} places of {field} over p = {p};"
+        f" it contains no place over ell = {ell}; membership of the remaining ramified"
+        f" places (over q = {q}) is not determined"
+    )
+    full_witness = {"places_over_p": phi, "residue_field": f"F_{p}",
+                    "residue_degree_witness": euler}
+    cyclic_witness = {"root": root}
+    disjoint_witness = {"sigma0_known_members": over_p_keys}
+    checks = [
+        CertCheck(
+            "decomposition_full_over_p",
+            f"each place over p has full decomposition group: x^{ell}^{n} - p is Eisenstein"
+            f" there (p splits completely in {field}, v(p) = 1), and the residue"
+            f" extension has degree {ell} because q is not an {ell}-th power mod p",
+            full_witness, _full_over_p_holds(ell, n, p, q, full_witness)),
+        CertCheck(
+            "decomposition_cyclic_over_ell",
+            f"q is an {ell}-th power in Q_{ell}, so the decomposition group of the place"
+            f" over {ell} embeds in the cyclic factor Z/{ell}^{n}",
+            cyclic_witness, _cyclic_over_ell_holds(ell, q, precision, cyclic_witness)),
+        CertCheck(
+            "sigma0_disjoint_from_ell",
+            f"places over ell = {ell} have cyclic decomposition groups and are not in Sigma_0",
+            disjoint_witness, _disjoint_from_ell_holds(ell, disjoint_witness)),
+    ]
+    return records, rows, over_p_keys, False, statement, over_p_keys, checks
 
 
 def _full_over_p_holds(ell, n, p, q, witness):

@@ -17,14 +17,7 @@ from collections.abc import Callable
 from functools import partial
 from typing import NamedTuple
 
-from .arithmetic import (
-    KummerPair,
-    SearchBoundError,
-    biquadratic_place_records,
-    certify,
-    find_p,
-    find_q,
-)
+from .arithmetic import SearchBoundError, _biquadratic_model, _jsonify, certify, find_p, find_q
 from .cohomology import dimension_shift_check, h1, sha_cyc, verify_augmentation_lemma
 from .finite_groups import (
     DEFAULT_ORDER_LIMIT,
@@ -205,30 +198,16 @@ def _cmd_dimension_shift(args, limit):
 
 
 def _cmd_sigma0(args, limit):
-    try:
-        pair = KummerPair(args.a, args.b)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    records, witnesses = biquadratic_place_records(pair)
-    sigma0 = [str(rec.label) for rec in records if rec.subgroup.order == 4]
+    # the designated keys of the biquadratic model are its Sigma_0 as strings
+    _, witnesses, *_, sigma0, _ = _biquadratic_model(args.a, args.b)
     report = {
         "command": "sigma0",
-        "a": str(pair.a),
-        "b": str(pair.b),
+        "a": str(args.a),
+        "b": str(args.b),
         "sigma0": sigma0,
-        "places": [
-            {
-                "place": str(w["place"]),
-                "ramified": w["ramified"],
-                "square_classes": {k: v for k, v in w["square_classes"].items()},
-                "decomposition_order": str(w["decomposition_order"]),
-                "cyclic": w["cyclic"],
-                "elements": w["elements"],
-            }
-            for w in witnesses
-        ],
+        "places": _jsonify(witnesses),
     }
-    lines = [f"Sigma_0(Q, I) for Q(sqrt {pair.a}, sqrt {pair.b}): {{{', '.join(sigma0)}}}"]
+    lines = [f"Sigma_0(Q, I) for Q(sqrt {args.a}, sqrt {args.b}): {{{', '.join(sigma0)}}}"]
     for w in witnesses:
         lines.append(
             f"place {w['place']:>6}: |D| = {w['decomposition_order']}"

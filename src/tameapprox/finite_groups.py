@@ -25,8 +25,7 @@ class Group:
     """
 
     __slots__ = ("order", "table", "names", "identity", "_inverses",
-                 "_orders", "_generators", "_cyclic_subgroups", "_presentation",
-                 "__weakref__")
+                 "_orders", "_generators", "_cyclic_subgroups", "_presentation")
 
     def __init__(self, table, names=None):
         rows = tuple(tuple(int(x) for x in row) for row in table)
@@ -159,10 +158,6 @@ class Group:
                 elements = self._close(dgens)
                 pending += [t[t[inv(s)][x]][s] for s in gens]
         return dgens, elements
-
-    def is_abelian(self):
-        t = self.table
-        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order))
 
     def __eq__(self, other):
         if not isinstance(other, Group):
@@ -300,8 +295,7 @@ def _polycyclic_presentation(group, gens, elements):
 class Subgroup:
     """A subgroup of a parent Group, stored as a sorted element index set."""
 
-    __slots__ = ("parent", "elements", "_as_group", "_local_index", "_generators",
-                 "_presentation")
+    __slots__ = ("parent", "elements", "_as_group", "_generators", "_presentation")
 
     def __init__(self, parent, elements):
         elems = tuple(sorted({int(x) for x in elements}))
@@ -320,7 +314,6 @@ class Subgroup:
         self.parent = parent
         self.elements = elems
         self._as_group = None
-        self._local_index = None
         self._generators = None
         self._presentation = None
 
@@ -334,11 +327,6 @@ class Subgroup:
     def is_cyclic(self):
         g = self.parent
         return any(g.element_order(x) == self.order for x in self.elements)
-
-    def local_index(self, parent_idx):
-        if self._local_index is None:
-            self._local_index = {x: i for i, x in enumerate(self.elements)}
-        return self._local_index[parent_idx]
 
     def generating_set(self):
         """Generators in the parent's indices, chosen as `Group.generating_set`

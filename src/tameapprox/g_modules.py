@@ -18,7 +18,6 @@ on request: `GModule.act_matrix(g)` and the `GModule.action` view.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Sequence
 from math import gcd
 from operator import mul
@@ -236,8 +235,10 @@ class ModuleMap:
         return tuple(x % m for x in self.matrix.mul_vector(vec))
 
 
-_RING_CACHE = weakref.WeakKeyDictionary()
-_IDEAL_CACHE = weakref.WeakKeyDictionary()
+# Keyed by (group, modulus); a Group hashes by its table, so an equal group
+# built later hits.  Entries live for the process.
+_RING_CACHE = {}
+_IDEAL_CACHE = {}
 
 
 def trivial_module(group, modulus, rank=1):
@@ -248,19 +249,20 @@ def trivial_module(group, modulus, rank=1):
 def group_ring(group, modulus):
     """(Z/m)[G]: basis indexed by group elements, g acting by left translation.
 
-    Cached per (group, modulus): modules are immutable, and reuse lets the
-    cohomology layer share H^1 results across verification passes.  g sends
+    Cached per (group, modulus) for the life of the process: modules are
+    immutable, and reuse lets the cohomology layer share H^1 results across
+    verification passes and across equal groups built afresh.  g sends
     basis vector h to gh, so row k of its matrix is the unit row of
     g^-1 k: one entry per row, read off the Cayley table.
     """
-    cache = _RING_CACHE.setdefault(group, {})
-    if modulus in cache:
-        return cache[modulus]
+    key = (group, modulus)
+    if key in _RING_CACHE:
+        return _RING_CACHE[key]
     unit = _unit_rows(group.order)
     rows = [tuple(unit[x] for x in group.table[group.inverse(g)])
             for g in range(group.order)]
     ring = GModule.from_rows(group, modulus, group.order, rows, label=f"(Z/{modulus})[G]")
-    cache[modulus] = ring
+    _RING_CACHE[key] = ring
     return ring
 
 
@@ -270,15 +272,15 @@ def augmentation_ideal(group, modulus):
     Returns (I, incl, aug) where incl: I -> (Z/m)[G] is the basis inclusion
     and aug: (Z/m)[G] -> Z/m is the all-ones augmentation; aug o incl = 0 and
     incl is injective mod m, so the three-term sequence is exact.  Cached per
-    (group, modulus) like the group ring.
+    (group, modulus) for the life of the process, like the group ring.
 
     From g(h - 1) = (gh - 1) - (g - 1): for g != e, row gh of g's matrix
     is the unit row of h for each h != g^-1, and row g is -1 in every
     column, one row shared by all elements; 2r - 1 entries per element.
     """
-    cache = _IDEAL_CACHE.setdefault(group, {})
-    if modulus in cache:
-        return cache[modulus]
+    key = (group, modulus)
+    if key in _IDEAL_CACHE:
+        return _IDEAL_CACHE[key]
     n = group.order
     e = group.identity
     basis = [g for g in range(n) if g != e]  # basis vector i is (basis[i] - 1)
@@ -308,7 +310,7 @@ def augmentation_ideal(group, modulus):
                     IntMatrix.from_rows([[1] * n]))
 
     _check_augmentation_exactness(incl.matrix, aug.matrix, basis, modulus)
-    cache[modulus] = (ideal, incl, aug)
+    _IDEAL_CACHE[key] = (ideal, incl, aug)
     return ideal, incl, aug
 
 

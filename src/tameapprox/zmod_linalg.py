@@ -142,11 +142,6 @@ class IntMatrix:
     def mod(self, m):
         return IntMatrix(self.rows, self.cols, [x % m for row in self._data for x in row])
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ValueError("row counts differ")
-        return IntMatrix.from_rows([list(a) + list(b) for a, b in zip(self._data, other._data)])
-
     def det(self):
         """Exact determinant via fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -193,18 +188,6 @@ class AbGroupStructure:
             if b % a != 0:
                 raise ValueError(f"invariant factors {factors} violate the divisibility chain")
         object.__setattr__(self, "invariant_factors", factors)
-
-    @classmethod
-    def from_diagonal(cls, diag):
-        """Structure from a Smith diagonal; 1s are dropped, 0s are rejected."""
-        factors = []
-        for d in diag:
-            d = abs(int(d))
-            if d == 0:
-                raise ValueError("zero diagonal entry: group is infinite")
-            if d >= 2:
-                factors.append(d)
-        return cls(sorted(factors))
 
     @property
     def order(self):

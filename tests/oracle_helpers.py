@@ -330,6 +330,12 @@ def dense_mat_mul_mod(a, b, m):
     )
 
 
+def hstack(a, b):
+    """[a | b] for matrices with the same number of rows."""
+    assert a.rows == b.rows
+    return IntMatrix.from_rows([a.row(i) + b.row(i) for i in range(a.rows)])
+
+
 def dense_quotient_presentation(sub_gens, amb_gens, m):
     """(factors, generator columns, coordinates function) of span(amb)/span(sub) mod m.
 
@@ -342,9 +348,9 @@ def dense_quotient_presentation(sub_gens, amb_gens, m):
     m_block = IntMatrix.diagonal([m] * dim)
     flags = dict(want_u=True, want_u_inv=True, want_v=False)
     u_amb, u_amb_inv, _, _, diag = reference_smith_decomposition(
-        amb_gens.hstack(m_block), **flags)
+        hstack(amb_gens, m_block), **flags)
     diag = diag[:dim]
-    y = u_amb @ sub_gens.hstack(m_block)
+    y = u_amb @ hstack(sub_gens, m_block)
     coords = [[y[i, j] // diag[i] for j in range(y.cols)] for i in range(dim)]
     u_rel, u_rel_inv, _, _, delta = reference_smith_decomposition(
         IntMatrix.from_rows(coords), **flags)

@@ -514,17 +514,20 @@ class TestCheckedWitnesses:
             members.insert(rng.randrange(len(members) + 1), f"over-{ell}")
             assert not disjoint(dict(w, sigma0_known_members=members))
 
-    def test_wrong_root_refutes_the_certificate(self, monkeypatch):
-        # the first root (for the local check) is right, the second one wrong
+    @pytest.mark.parametrize("ell, n, p", [(2, 1, 3), (2, 2, 5), (3, 1, 7)])
+    def test_one_hensel_lift_per_certificate(self, monkeypatch, ell, n, p):
+        # the root of the local check is the witness of the place over ell too
         real, calls = arithmetic.ellth_root_in_zell, []
 
-        def second_root_wrong(q, ell, precision=8):
-            calls.append(q)
-            return real(q, ell, precision) if len(calls) == 1 else 2
+        def counted(q, ell, precision=8):
+            calls.append((q, ell, precision))
+            return real(q, ell, precision)
 
-        monkeypatch.setattr(arithmetic, "ellth_root_in_zell", second_root_wrong)
-        cert = certify(3, 1, 7)
-        assert cert.conclusion == "refuted: decomposition_cyclic_over_ell"
+        monkeypatch.setattr(arithmetic, "ellth_root_in_zell", counted)
+        cert = certify(ell, n, p)
+        assert cert.certified and len(calls) == 1
+        roots = [c.witness["root"] for c in cert.checks if "root" in c.witness]
+        assert roots == [real(*calls[0])] * (1 if (ell, n) == (2, 1) else 2)
 
     @pytest.mark.parametrize("ell, n, p", [(2, 1, 3), (3, 1, 7)])
     def test_wrong_local_root_refutes_the_certificate(self, monkeypatch, ell, n, p):

@@ -1,5 +1,4 @@
 import random
-import weakref
 
 import pytest
 
@@ -95,6 +94,18 @@ class TestAugmentationIdeal:
             m = g.order
             ideal, _, _ = augmentation_ideal(g, m)
             assert ideal.size == m ** (g.order - 1)
+
+    def test_an_equal_group_built_afresh_hits_the_cache(self, monkeypatch):
+        # warm certify builds its group anew on every call and relies on this
+        monkeypatch.setattr(g_modules, "_RING_CACHE", {})
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+        first = augmentation_ideal(builtin_group("zlxzln:2:2"), 8)
+        again = builtin_group("zlxzln:2:2")
+        assert again is not first[0].group
+        assert augmentation_ideal(again, 8)[0] is first[0]
+        assert group_ring(again, 8) is group_ring(first[0].group, 8)
+        assert augmentation_ideal(again, 4)[0] is not first[0]
+        assert len(g_modules._IDEAL_CACHE) == 2
 
     def test_exact_sequence(self):
         for name in BUILTINS:
@@ -202,8 +213,8 @@ class TestModuleValidation:
     def test_init_count_for_sha_cyc(self, monkeypatch):
         # ideal, ring and the trivial target of the augmentation are checked,
         # whichever constructor builds them; no module is built for a subgroup
-        monkeypatch.setattr(g_modules, "_RING_CACHE", weakref.WeakKeyDictionary())
-        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(g_modules, "_RING_CACHE", {})
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
         labels = []
         check = GModule._check_and_set
 

@@ -313,8 +313,8 @@ class TestAbGroupStructure:
         with pytest.raises(ValueError):
             AbGroupStructure([1, 2])
 
-    def test_from_diagonal_drops_units(self):
-        s = AbGroupStructure.from_diagonal([1, 1, 2, 6])
+    def test_order_and_exponent(self):
+        s = AbGroupStructure([2, 6])
         assert s.invariant_factors == (2, 6)
         assert s.order == 12
         assert s.exponent == 6
