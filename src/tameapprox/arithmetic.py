@@ -21,8 +21,8 @@ the places come from one of two place models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .cohomology import PlaceRecord, dimension_shift_check, sha_sigma, verify_augmentation_lemma
 from .finite_groups import (
@@ -167,8 +167,7 @@ def find_q(ell, p, bound=2 ** 32):
     raise SearchBoundError(f"no admissible q <= {bound} for (ell, p) = ({ell}, {p})")
 
 
-@dataclass(frozen=True)
-class LocalSquareClass:
+class LocalSquareClass(NamedTuple):
     """Whether a squarefree integer is a square in Q_place.
 
     Rules: at an odd prime p, square iff p does not divide d and d is a
@@ -202,21 +201,23 @@ def _local_square_rule(d, place):
     return LocalSquareClass(p, d, d % p != 0 and legendre(d, p) == 1)
 
 
-@dataclass(frozen=True)
-class KummerPair:
+class _KummerPair(NamedTuple):
+    a: int
+    b: int
+
+
+class KummerPair(_KummerPair):
     """Independent square classes a, b defining Q(sqrt a, sqrt b)/Q.
 
     Both must be squarefree, neither 1 (a perfect square), and a != b so the
     classes in Q*/Q*^2 are independent and the Galois group is Z/2 x Z/2.
+    Every construction validates, `_replace` and `_make` included.
     """
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b = int(self.a), int(self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __new__(cls, a, b):
+        a, b = int(a), int(b)
         for name, value in (("a", a), ("b", b)):
             if value == 0 or not is_squarefree(value):
                 raise ValueError(f"{name} = {value} is not a nonzero squarefree integer")
@@ -224,6 +225,11 @@ class KummerPair:
                 raise ValueError(f"{name} = 1 is a perfect square")
         if a == b:
             raise ValueError("a and b must define independent square classes (a != b)")
+        return super().__new__(cls, a, b)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def third_class(self):
@@ -363,8 +369,7 @@ def ellth_root_in_zell(q, ell, precision=8):
     return x % mod
 
 
-@dataclass(frozen=True)
-class CertCheck:
+class CertCheck(NamedTuple):
     """One verified proof obligation with its witness data."""
 
     name: str
@@ -373,37 +378,28 @@ class CertCheck:
     passed: bool
 
 
-@dataclass
 class Certificate:
     """Machine-checkable verdict for one (ell, n, p, q) counterexample.
 
     The conclusion is "certified" only if every check passed, the kernel for
     Sigma_0 differs from the full kernel, and removing any designated place
-    collapses the kernel back to the full one.
+    collapses the kernel back to the full one.  A plain mutable class that
+    `certify` fills in.
     """
 
-    ell: int
-    n: int
-    p: int
-    q: int | None
-    field_desc: str
-    group_order: int = 0
-    group_exponent: int = 0
-    module_rank: int = 0
-    module_modulus: int = 0
-    module_order_exponent: int = 0
-    checks: list = field(default_factory=list)
-    sigma0_labels: list = field(default_factory=list)
-    sigma0_exact: bool = False
-    sigma0_statement: str = ""
-    places: list = field(default_factory=list)
-    sha_cyc: AbGroupStructure | None = None
-    sha_sigma0: AbGroupStructure | None = None
-    sha_sigma0_minus: dict = field(default_factory=dict)
-    sha_full: AbGroupStructure | None = None
-    designated_places: list = field(default_factory=list)
-    conclusion: str = ""
-    conclusion_detail: str = ""
+    group_order = group_exponent = module_rank = 0
+    module_modulus = module_order_exponent = 0
+    sigma0_exact = False
+    sigma0_statement = conclusion = conclusion_detail = ""
+    sha_cyc = sha_sigma0 = sha_full = None  # AbGroupStructures once computed
+
+    def __init__(self, ell, n, p, q, field_desc):
+        self.ell, self.n, self.p, self.q, self.field_desc = ell, n, p, q, field_desc
+        self.checks = []
+        self.sigma0_labels = []
+        self.places = []
+        self.sha_sigma0_minus = {}
+        self.designated_places = []
 
     @property
     def certified(self):
@@ -468,11 +464,12 @@ def _jsonify(value):
         return value
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, (list, tuple)):
+    # exact types: a record is a tuple too, but has no canonical form as a list
+    if type(value) in (list, tuple):
         return [_jsonify(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
-    return str(value)
+    raise AssertionError(f"no canonical JSON form for {type(value).__name__}")
 
 
 def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,

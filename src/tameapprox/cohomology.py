@@ -32,7 +32,7 @@ built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .finite_groups import Group, Subgroup, cyclic_subgroups, full_subgroup
 from .g_modules import GModule, augmentation_ideal, group_ring
@@ -211,8 +211,7 @@ def _expand(group, module, tree, x):
     return tuple(z)
 
 
-@dataclass(frozen=True)
-class H1Result:
+class H1Result(NamedTuple):
     """H^1(G, M) with explicit cocycle representatives.
 
     `cocycle_reps[i]` (a tuple of module vectors, one per group element)
@@ -341,8 +340,7 @@ def res_h1(group, sub, module, *, h1_g=None):
                      [image[i] % d for i, d in enumerate(factors) for image in images])
 
 
-@dataclass(frozen=True)
-class ShaResult:
+class ShaResult(NamedTuple):
     """A restriction kernel inside H^1(G, M), with generating cocycles."""
 
     structure: AbGroupStructure
@@ -394,8 +392,7 @@ def sha_cyc(group, module):
     return _restriction_kernel(group, module, cyclic_subgroups(group)).structure
 
 
-@dataclass(frozen=True)
-class PlaceRecord:
+class PlaceRecord(NamedTuple):
     """A labeled place with its decomposition subgroup in the ambient group.
 
     The label is a rational prime, the token "inf", or a free-form string for
@@ -448,8 +445,7 @@ def sha_sigma(group, module, places, excluded=()):
     return _restriction_kernel(group, module, conditions)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """sha_cyc(G, I) against the predicted Z/(n/e) for I over Z/nZ."""
 
     order: int
@@ -473,8 +469,7 @@ def verify_augmentation_lemma(group):
     return LemmaReport(order=n, exponent=e, expected=expected, computed=computed)
 
 
-@dataclass(frozen=True)
-class ShiftReport:
+class ShiftReport(NamedTuple):
     """Dimension shift at one subgroup H: H^1(H, I|_H) and H^1(H, ring|_H)."""
 
     subgroup: Subgroup
@@ -492,7 +487,8 @@ def dimension_shift_check(group, subgroups=None):
 
     Defaults to the cyclic subgroups plus the full group; pass an explicit
     list (e.g. all_subgroups(G)) to widen the battery.  Each H^1 is that of
-    `_subgroup_h1`, whichever kind of subgroup H is.
+    `_subgroup_h1`, whichever kind of subgroup H is.  A subgroup listed
+    twice is reported once.
     """
     n = group.order
     ideal, _, _ = augmentation_ideal(group, n)
@@ -502,7 +498,7 @@ def dimension_shift_check(group, subgroups=None):
         if not any(s.order == n for s in subgroups):
             subgroups.append(full_subgroup(group))
     reports = []
-    for sub in sorted(subgroups, key=lambda s: (s.order, s.elements)):
+    for sub in sorted(dict.fromkeys(subgroups), key=lambda s: (s.order, s.elements)):
         ideal_h1 = _subgroup_h1(ideal, sub)[2].structure
         ring_h1 = _subgroup_h1(ring, sub)[2].structure
         expected = AbGroupStructure([sub.order] if sub.order > 1 else [])

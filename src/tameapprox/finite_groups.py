@@ -186,8 +186,8 @@ class PcPresentation:
     elements, and the table satisfies them with exactly that many (Holt,
     Eick and O'Brien, Handbook of Computational Group Theory, 2005, ch. 8).
     `tree` lists the edges (g, i, g g_i) that build every normal form from
-    the identity.  (A plain class: a dataclass adds about a millisecond to
-    every cold import.)
+    the identity.  (A plain class: importing `dataclasses` was most of a
+    cold import, so no class of the package uses it.)
     """
 
     __slots__ = ("generators", "relative_orders", "relators", "tree")

@@ -19,8 +19,8 @@ whose entries can outgrow any word size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .primes import factorize
 
@@ -169,17 +169,21 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class AbGroupStructure:
+class _AbGroupStructure(NamedTuple):
+    invariant_factors: tuple
+
+
+class AbGroupStructure(_AbGroupStructure):
     """A finite abelian group as its invariant factor list d1 | d2 | ...
 
     Factors equal to 1 are never stored, so equality of structures is literal
     equality of the factor tuples; the empty tuple is the trivial group.
+    Every construction validates, `_replace` and `_make` included.
     """
 
-    invariant_factors: tuple
+    __slots__ = ()
 
-    def __init__(self, invariant_factors=()):
+    def __new__(cls, invariant_factors=()):
         factors = tuple(int(d) for d in invariant_factors)
         for d in factors:
             if d < 2:
@@ -187,7 +191,11 @@ class AbGroupStructure:
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError(f"invariant factors {factors} violate the divisibility chain")
-        object.__setattr__(self, "invariant_factors", factors)
+        return super().__new__(cls, factors)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def order(self):
@@ -213,8 +221,7 @@ class AbGroupStructure:
 TRIVIAL_STRUCTURE = AbGroupStructure()
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U @ M @ V = D with U, V unimodular and D = diag(diagonal), d_i | d_{i+1}."""
 
     u: IntMatrix | None

@@ -126,6 +126,13 @@ class TestVerificationCommands:
         assert status == 0
         assert json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("flags", [["--subgroup", ","], ["--subgroup", "1"],
+                                       ["--all-subgroups", "--subgroup", "1", "--subgroup", "0,1"]])
+    def test_dimension_shift_reports_each_subgroup_once(self, capsys, flags):
+        status, out, _ = run_cli(capsys, "dimension-shift", "--group", "builtin:z4", *flags)
+        assert status == 0
+        assert [r["order"] for r in json.loads(out)["subgroups"]] == ["1", "2", "4"]
+
     def test_sigma0_command(self, capsys):
         status, out, _ = run_cli(capsys, "sigma0", "--a", "3", "--b", "17")
         assert status == 0

@@ -382,6 +382,7 @@ class TestLemmaAndShift:
         g = builtin_group("z2xz4")
         reports = dimension_shift_check(g, all_subgroups(g))
         assert len(reports) == 8
+        assert dimension_shift_check(g, all_subgroups(g) * 2) == reports
         for r in reports:
             assert r.ideal_h1 == AbGroupStructure(
                 [r.subgroup.order] if r.subgroup.order > 1 else [])
