@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 from .cohomology import PlaceRecord, dimension_shift_check, sha_sigma, verify_augmentation_lemma
 from .finite_groups import (
+    DEFAULT_ORDER_LIMIT,
     Subgroup,
     cyclic_group,
     direct_product,
@@ -407,10 +408,6 @@ class Certificate:
 
     def to_json_dict(self):
         """Canonical JSON form; every integer is a decimal string."""
-
-        def structure(s):
-            return None if s is None else [str(d) for d in s.invariant_factors]
-
         return {
             "parameters": {
                 "ell": str(self.ell),
@@ -446,17 +443,23 @@ class Certificate:
             },
             "places": _jsonify(self.places),
             "sha": {
-                "cyc": structure(self.sha_cyc),
-                "sigma0": structure(self.sha_sigma0),
+                "cyc": _structure_json(self.sha_cyc),
+                "sigma0": _structure_json(self.sha_sigma0),
                 "sigma0_minus": {
-                    str(k): structure(v) for k, v in self.sha_sigma0_minus.items()
+                    str(k): _structure_json(v) for k, v in self.sha_sigma0_minus.items()
                 },
-                "full": structure(self.sha_full),
+                "full": _structure_json(self.sha_full),
             },
             "designated_places": [str(v) for v in self.designated_places],
             "conclusion": self.conclusion,
             "conclusion_detail": self.conclusion_detail,
         }
+
+
+def _structure_json(structure):
+    """The invariant factors of an AbGroupStructure as decimal strings; None
+    for a structure not computed."""
+    return None if structure is None else [str(d) for d in structure.invariant_factors]
 
 
 def _jsonify(value):
@@ -473,7 +476,7 @@ def _jsonify(value):
 
 
 def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
-            group_limit=512):
+            group_limit=DEFAULT_ORDER_LIMIT):
     """Build and verify the counterexample certificate for (ell, n, p[, q]).
 
     Checks the prime-search hypotheses, the cohomology of the augmentation
@@ -499,9 +502,11 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
         cert.conclusion_detail = f"hypothesis check {failed!r} failed; no counterexample is certified"
         return cert
 
-    ok = add("ell_prime", f"ell = {ell} is prime", {"ell": ell}, _safe_prime(ell))
+    # is_prime raises on a value above 2**64 rather than guess; a negative
+    # value is not prime
+    ok = add("ell_prime", f"ell = {ell} is prime", {"ell": ell}, ell >= 0 and is_prime(ell))
     ok &= add("n_positive", f"n = {n} >= 1", {"n": n}, n >= 1)
-    ok &= add("p_prime", f"p = {p} is prime", {"p": p}, _safe_prime(p))
+    ok &= add("p_prime", f"p = {p} is prime", {"p": p}, p >= 0 and is_prime(p))
     if not ok:
         return refute()
     pmod = ell ** n
@@ -514,7 +519,7 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     q = int(q)
     cert.q = q
 
-    ok = add("q_prime", f"q = {q} is prime", {"q": q}, _safe_prime(q))
+    ok = add("q_prime", f"q = {q} is prime", {"q": q}, q >= 0 and is_prime(q))
     ok &= add("q_odd", f"q = {q} is odd", {"q": q}, q % 2 == 1)
     ok &= add("q_distinct_from_p", f"q = {q} differs from p = {p}", {"p": p, "q": q}, q != p)
     qmod = 8 if ell == 2 else ell * ell
@@ -542,11 +547,7 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     if not ok:
         return refute()
 
-    if ell ** (n + 1) > group_limit:
-        # before building the Cayley table: its size is quadratic in the order
-        raise ValueError(
-            f"group order {ell}^{n + 1} exceeds the limit {group_limit}")
-    group = product_of_prime_powers(ell, n)
+    group = product_of_prime_powers(ell, n, limit=group_limit)
     modulus = ell ** (n + 1)
     ideal, _, _ = augmentation_ideal(group, modulus)
     cert.group_order = group.order
@@ -565,16 +566,16 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     add("sha_cyc_value",
         f"Sha^1_cyc(G, I) = Z/{ell} (the f = n/e invariant of the order-{group.order},"
         f" exponent-{group.exponent()} group)",
-        {"computed": [str(d) for d in lemma.computed.invariant_factors],
-         "expected": [str(d) for d in lemma.expected.invariant_factors]},
+        {"computed": _structure_json(lemma.computed),
+         "expected": _structure_json(lemma.expected)},
         lemma.passed and lemma.computed == AbGroupStructure([ell]))
 
     shifts = dimension_shift_check(group)
     add("dimension_shift",
         "H^1(H, I|_H) = Z/|H| and H^1(H, (Z/m)[G]|_H) = 0 for every cyclic subgroup and for G",
         [{"subgroup_order": r.subgroup.order,
-          "ideal_h1": [str(d) for d in r.ideal_h1.invariant_factors],
-          "ring_h1": [str(d) for d in r.ring_h1.invariant_factors]}
+          "ideal_h1": _structure_json(r.ideal_h1),
+          "ring_h1": _structure_json(r.ring_h1)}
          for r in shifts],
         all(r.passed for r in shifts))
 
@@ -597,17 +598,17 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     add("sigma0_kernel_is_cyclic_kernel",
         "the restriction kernel for Sigma_0 equals the cyclic-subgroup kernel"
         " (finite model of the omega identity)",
-        {"sigma0_kernel": [str(d) for d in sha_s0.structure.invariant_factors]},
+        {"sigma0_kernel": _structure_json(sha_s0.structure)},
         sha_s0.structure == lemma.computed)
     add("sha_quotient_nontrivial",
         "Sha^1_{Sigma_0}(k, I) != Sha^1(k, I), so approximation fails in Sigma_0",
-        {"sigma0_kernel": [str(d) for d in sha_s0.structure.invariant_factors],
-         "full_kernel": [str(d) for d in sha_full.structure.invariant_factors]},
+        {"sigma0_kernel": _structure_json(sha_s0.structure),
+         "full_kernel": _structure_json(sha_full.structure)},
         sha_s0.structure != sha_full.structure)
     for key in designated:
         add(f"removal:{key}",
             f"Sha^1 for Sigma_0 minus {{{key}}} equals Sha^1, so approximation holds there",
-            {"kernel": [str(d) for d in cert.sha_sigma0_minus[key].invariant_factors]},
+            {"kernel": _structure_json(cert.sha_sigma0_minus[key])},
             cert.sha_sigma0_minus[key] == sha_full.structure)
 
     if all(c.passed for c in checks):
@@ -735,10 +736,3 @@ def _disjoint_from_ell_holds(ell, witness):
     """`sigma0_disjoint_from_ell` from its witness: no known member of Sigma_0
     is the place over ell."""
     return f"over-{ell}" not in witness["sigma0_known_members"]
-
-
-def _safe_prime(x):
-    try:
-        return is_prime(x)
-    except ValueError:
-        return False

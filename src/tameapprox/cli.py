@@ -17,14 +17,26 @@ from collections.abc import Callable
 from functools import partial
 from typing import NamedTuple
 
-from .arithmetic import SearchBoundError, _biquadratic_model, _jsonify, certify, find_p, find_q
-from .cohomology import dimension_shift_check, h1, sha_cyc, verify_augmentation_lemma
+from .arithmetic import (
+    SearchBoundError,
+    _biquadratic_model,
+    _jsonify,
+    _structure_json,
+    certify,
+    find_p,
+    find_q,
+)
+from .cohomology import (
+    _default_shift_subgroups,
+    dimension_shift_check,
+    h1,
+    sha_cyc,
+    verify_augmentation_lemma,
+)
 from .finite_groups import (
     DEFAULT_ORDER_LIMIT,
     all_subgroups,
     builtin_group,
-    cyclic_subgroups,
-    full_subgroup,
     group_from_json,
     subgroup_generated,
 )
@@ -71,10 +83,6 @@ def _load_module(spec, group, modulus):
     except json.JSONDecodeError as exc:
         raise UsageError(f"module file {spec!r} is not valid JSON: {exc}") from exc
     return module_from_json(group, obj)
-
-
-def _structure_json(structure):
-    return [str(d) for d in structure.invariant_factors]
 
 
 def _cocycle_json(group, rep):
@@ -151,11 +159,7 @@ def _cmd_verify_lemma(args, limit):
 
 
 def _parse_subgroup_flags(group, args):
-    subs = list(cyclic_subgroups(group))
-    if not any(s.order == group.order for s in subs):
-        subs.append(full_subgroup(group))
-    if args.all_subgroups:
-        subs = all_subgroups(group)
+    subs = all_subgroups(group) if args.all_subgroups else _default_shift_subgroups(group)
     for spec in args.subgroup or ():
         try:
             gens = [int(x) for x in spec.split(",") if x.strip() != ""]

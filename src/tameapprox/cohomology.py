@@ -13,12 +13,12 @@ of rank-many rows per relator.  A cyclic <g> of order k has the single
 relator g^k = e, whose block is N_g = 1 + g + ... + g^(k-1), so its H^1 is
 ker N_g / (g - 1)M (Neukirch, Schmidt and Wingberg, Cohomology of Number
 Fields, Prop. 1.7.1) as a case of the same solver.  A subgroup that is not
-solvable (only a JSON input has one) falls back to its Cayley graph: a BFS
-over its generating set writes every z(h) through the generator values,
-and each Cayley edge off the BFS tree adds a block.  Z^1/B^1 is then a
-quotient inside (Z/m)^(d rank), fed to the elimination mod m.  The
-full-cochain coboundary matrices d0, d1 stay exported for the tests and
-the tracer, but h1 does not build them.
+solvable (only a JSON input has one) is solved the same way on the
+presentation read off its Cayley graph (`_cayley_presentation`): the
+generators are its generating set, and each Cayley edge off a BFS tree is
+a relator.  Z^1/B^1 is then a quotient inside (Z/m)^(d rank), fed to the
+elimination mod m.  The full-cochain coboundary matrices d0, d1 stay
+exported for the tests and the tracer, but h1 does not build them.
 
 The Sha kernels are computed from a finite model: all cyclic subgroups of
 G stand in for the (infinitely many) unramified places, since every cyclic
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .finite_groups import Group, Subgroup, cyclic_subgroups, full_subgroup
+from .finite_groups import Group, Subgroup, _cayley_presentation, cyclic_subgroups, full_subgroup
 from .g_modules import GModule, augmentation_ideal, group_ring
 from .primes import is_prime
 from .zmod_linalg import (
@@ -121,49 +121,6 @@ def is_cocycle(group, module, rep):
     return True
 
 
-def _cayley_system(group, module, gens):
-    """Cocycle conditions on the generator values x = (z(s) for s in gens).
-
-    A BFS over the Cayley graph of gens, from the identity, writes each
-    z(h) of the subgroup H = <gens> as an r x (|gens| r) matrix via
-    z(hs) = z(h) + h.x_s.  An edge h -> hs reaching a visited vertex gives a
-    second expression for z(hs); their difference gives r rows of d1 in
-    residues [0, m), of which zero and repeated rows are dropped.
-    Conditions on every edge make z a cocycle on H: z(hk) = z(h) + h.z(k)
-    then holds for k = s, and passes from k to ks.  Returns (d1, tree) with
-    tree the BFS edges (h, i, hs), s = gens[i].
-    """
-    r, m = module.rank, module.modulus
-    dim = len(gens) * r
-    zmat = [None] * group.order
-    zmat[group.identity] = [[0] * dim for _ in range(r)]
-    tree = []
-    rows = {}  # distinct nonzero constraint rows, in the order found
-    queue = [group.identity]
-    for g in queue:  # the queue grows while it is walked
-        act = module.action_rows[g]
-        for i, s in enumerate(gens):
-            gs = group.table[g][s]
-            base = i * r
-            cand = []
-            for zrow, arow in zip(zmat[g], act):
-                row = list(zrow)
-                for j, a in arow:
-                    row[base + j] = (row[base + j] + a) % m
-                cand.append(row)
-            if zmat[gs] is None:
-                zmat[gs] = cand
-                tree.append((g, i, gs))
-                queue.append(gs)
-                continue
-            for crow, zrow in zip(cand, zmat[gs]):
-                diff = tuple((x - y) % m for x, y in zip(crow, zrow))
-                if any(diff):
-                    rows[diff] = None
-    d1 = IntMatrix(len(rows), dim, [x for row in rows for x in row])
-    return d1, tree
-
-
 def _fox_system(group, module, pres):
     """Cocycle conditions on the values x = (z(g_i) for g_i in pres.generators).
 
@@ -219,7 +176,7 @@ class H1Result(NamedTuple):
     `basis_correspondence` tuple repeats those orders for convenience.
     `presentation` works on generator values: a vector lists z(s) for each
     s in `generators` (the polycyclic generators of the group, or its
-    generating set for the Cayley fallback), in that order.
+    generating set if it is not solvable), in that order.
     """
 
     group: Group
@@ -239,11 +196,11 @@ def _subgroup_h1(module, sub):
     """(generators, tree, H^1(H, M) as a QuotientPresentation) for a subgroup H.
 
     Everything is in the indices of G = module.group: Z^1 is the kernel of
-    the relator conditions on the values at H's polycyclic generators
-    (`_fox_system`), or of the Cayley-graph conditions on its generating
-    set if H is not solvable (`_cayley_system`), and B^1 the image of
-    a -> (s.a - a)_s.  A cocycle z of G restricts to the class with
-    coordinates `presentation.coordinates([z(s) for s in generators])`;
+    the relator conditions (`_fox_system`) on the values at the generators
+    of H's polycyclic presentation, or, if H is not solvable, of the
+    presentation read off its Cayley graph on its generating set; B^1 is
+    the image of a -> (s.a - a)_s.  A cocycle z of G restricts to the class
+    with coordinates `presentation.coordinates([z(s) for s in generators])`;
     `tree` builds the elements of H from the generators.  Cached on the
     (immutable) module per element set of H.
     """
@@ -252,15 +209,10 @@ def _subgroup_h1(module, sub):
     cache = module._subgroup_h1_cache
     if sub.elements not in cache:
         group, m = module.group, module.modulus
-        pc = sub.presentation()
-        if pc is None:
-            gens = sub.generating_set()
-            d1, tree = _cayley_system(group, module, gens)
-        else:
-            gens, tree = pc.generators, pc.tree
-            d1 = _fox_system(group, module, pc)
-        cache[sub.elements] = (gens, tree, QuotientPresentation(
-            _differences(module, gens), kernel_mod(d1, m), m))
+        pres = sub.presentation() or _cayley_presentation(group, sub.generating_set())
+        d1 = _fox_system(group, module, pres)
+        cache[sub.elements] = (pres.generators, pres.tree, QuotientPresentation(
+            _differences(module, pres.generators), kernel_mod(d1, m), m))
     return cache[sub.elements]
 
 
@@ -482,6 +434,15 @@ class ShiftReport(NamedTuple):
         return self.ideal_h1 == self.ideal_expected and self.ring_h1.is_trivial
 
 
+def _default_shift_subgroups(group):
+    """The default family of `dimension_shift_check`: the cyclic subgroups,
+    and G itself if it is not cyclic."""
+    subgroups = cyclic_subgroups(group)
+    if not any(s.order == group.order for s in subgroups):
+        subgroups.append(full_subgroup(group))
+    return subgroups
+
+
 def dimension_shift_check(group, subgroups=None):
     """H^1(H, I|_H) = Z/|H| and H^1(H, (Z/n)[G]|_H) = 0, per subgroup.
 
@@ -494,9 +455,7 @@ def dimension_shift_check(group, subgroups=None):
     ideal, _, _ = augmentation_ideal(group, n)
     ring = group_ring(group, n)
     if subgroups is None:
-        subgroups = list(cyclic_subgroups(group))
-        if not any(s.order == n for s in subgroups):
-            subgroups.append(full_subgroup(group))
+        subgroups = _default_shift_subgroups(group)
     reports = []
     for sub in sorted(dict.fromkeys(subgroups), key=lambda s: (s.order, s.elements)):
         ideal_h1 = _subgroup_h1(ideal, sub)[2].structure

@@ -5,7 +5,8 @@ multiplication table is the ground truth; it makes restriction maps and
 module actions index-level exact, and element ordering deterministic so that
 printed cocycles and JSON reports are reproducible.  A solvable group also
 carries a polycyclic presentation read off the table (`Group.presentation`),
-which the cohomology layer solves on instead of the Cayley graph.
+which the cohomology layer solves on; a group that is not solvable is solved
+on the presentation read off its Cayley graph (`_cayley_presentation`).
 """
 
 from __future__ import annotations
@@ -186,8 +187,10 @@ class PcPresentation:
     elements, and the table satisfies them with exactly that many (Holt,
     Eick and O'Brien, Handbook of Computational Group Theory, 2005, ch. 8).
     `tree` lists the edges (g, i, g g_i) that build every normal form from
-    the identity.  (A plain class: importing `dataclasses` was most of a
-    cold import, so no class of the package uses it.)
+    the identity.  `_cayley_presentation` fills the same fields for a group
+    that is not solvable, with `relative_orders` None.  (A plain class:
+    importing `dataclasses` was most of a cold import, so no class of the
+    package uses it.)
     """
 
     __slots__ = ("generators", "relative_orders", "relators", "tree")
@@ -290,6 +293,33 @@ def _polycyclic_presentation(group, gens, elements):
             conj = t[t[group.inverse(g)][pcgs[j]]][g]
             relators.append(((j, i), (i,) + word(conj)))
     return PcPresentation(tuple(pcgs), tuple(orders), tuple(relators), tuple(tree))
+
+
+def _cayley_presentation(group, gens):
+    """A presentation of H = <gens> from its Cayley graph, for any H.
+
+    A BFS from the identity, by right multiplication with `gens`, writes
+    each element of H as the word of its tree path; each edge (g, i, g s_i)
+    that reaches an element already seen gives the relator
+    word(g) s_i = word(g s_i).  The tree and these relators present H (Holt,
+    Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+    Returned as a PcPresentation whose `relative_orders` is None: the words
+    are tree paths, not normal forms of a polycyclic series.
+    """
+    t = group.table
+    word = {group.identity: ()}
+    relators, tree = [], []
+    queue = [group.identity]
+    for g in queue:  # the queue grows while it is walked
+        for i, s in enumerate(gens):
+            gs = t[g][s]
+            if gs in word:
+                relators.append((word[g] + (i,), word[gs]))
+            else:
+                word[gs] = word[g] + (i,)
+                tree.append((g, i, gs))
+                queue.append(gs)
+    return PcPresentation(tuple(gens), None, tuple(relators), tuple(tree))
 
 
 class Subgroup:
@@ -569,11 +599,17 @@ def quaternion_group():
     return Group(table, names)
 
 
-def product_of_prime_powers(ell, n):
-    """Z/ell^n x Z/ell, the Galois group of the certified extensions."""
+def product_of_prime_powers(ell, n, *, limit=DEFAULT_ORDER_LIMIT):
+    """Z/ell^n x Z/ell, the Galois group of the certified extensions.
+
+    Its order ell^(n+1) is checked against `limit` before the Cayley table,
+    whose size is quadratic in the order, is built.
+    """
     ell, n = int(ell), int(n)
     if ell < 2 or n < 1:
         raise ValueError("need ell >= 2 and n >= 1")
+    if ell ** (n + 1) > limit:
+        raise ValueError(f"group order {ell}^{n + 1} exceeds the limit {limit}")
     return direct_product(cyclic_group(ell ** n), cyclic_group(ell))
 
 
@@ -612,11 +648,7 @@ def builtin_group(name, *, limit=DEFAULT_ORDER_LIMIT):
             raise ValueError(f"ell must be >= 2 in {name!r}, got {ell}")
         if n < 1:
             raise ValueError(f"n must be >= 1 in {name!r}, got {n}")
-        if ell ** (n + 1) > limit:
-            # guard before building the Cayley table: its size is order^2
-            raise ValueError(
-                f"group order {ell}^{n + 1} exceeds the limit {limit}")
-        g = product_of_prime_powers(ell, n)
+        g = product_of_prime_powers(ell, n, limit=limit)
     else:
         raise ValueError(f"unknown builtin group {name!r}")
     if g.order > limit:

@@ -6,8 +6,10 @@ action matrices, matrix entries) and enumerate.  They are deliberately slow
 and only run at the small sizes the properties quantify over.  The
 exceptions are the earlier, slower formulas kept as references for their
 fast replacements: `full_cochain_h1` and `cayley_h1` for the H^1 on a
-polycyclic presentation, `cayley_restriction_kernel` for the restriction
-kernels read from ker N_g / (g-1)M on cyclic subgroups,
+presentation, `_cayley_system` (the Cayley-graph conditions, built edge
+by edge) for `_fox_system` on `_cayley_presentation`,
+`cayley_restriction_kernel` for the restriction kernels read from
+ker N_g / (g-1)M on cyclic subgroups,
 `dense_mat_mul_mod` for the sparse module products,
 `dense_augmentation_exactness` for the O(n r) exactness check of the
 augmentation sequence,
@@ -22,7 +24,6 @@ transforms as augmented rows and columns.
 from itertools import product
 
 from tameapprox.cohomology import (
-    _cayley_system,
     _differences,
     _expand,
     coboundary0_matrix,
@@ -224,10 +225,52 @@ def full_cochain_h1(group, module):
     return QuotientPresentation(coboundary0_matrix(group, module), zgens, m).structure
 
 
+def _cayley_system(group, module, gens):
+    """Cocycle conditions on the generator values x = (z(s) for s in gens).
+
+    A BFS over the Cayley graph of gens, from the identity, writes each
+    z(h) of the subgroup H = <gens> as an r x (|gens| r) matrix via
+    z(hs) = z(h) + h.x_s.  An edge h -> hs reaching a visited vertex gives a
+    second expression for z(hs); their difference gives r rows of d1 in
+    residues [0, m), of which zero and repeated rows are dropped.
+    Conditions on every edge make z a cocycle on H: z(hk) = z(h) + h.z(k)
+    then holds for k = s, and passes from k to ks.  Returns (d1, tree) with
+    tree the BFS edges (h, i, hs), s = gens[i].
+    """
+    r, m = module.rank, module.modulus
+    dim = len(gens) * r
+    zmat = [None] * group.order
+    zmat[group.identity] = [[0] * dim for _ in range(r)]
+    tree = []
+    rows = {}  # distinct nonzero constraint rows, in the order found
+    queue = [group.identity]
+    for g in queue:  # the queue grows while it is walked
+        act = module.action_rows[g]
+        for i, s in enumerate(gens):
+            gs = group.table[g][s]
+            base = i * r
+            cand = []
+            for zrow, arow in zip(zmat[g], act):
+                row = list(zrow)
+                for j, a in arow:
+                    row[base + j] = (row[base + j] + a) % m
+                cand.append(row)
+            if zmat[gs] is None:
+                zmat[gs] = cand
+                tree.append((g, i, gs))
+                queue.append(gs)
+                continue
+            for crow, zrow in zip(cand, zmat[gs]):
+                diff = tuple((x - y) % m for x, y in zip(crow, zrow))
+                if any(diff):
+                    rows[diff] = None
+    d1 = IntMatrix(len(rows), dim, [x for row in rows for x in row])
+    return d1, tree
+
+
 def cayley_h1(group, module):
     """(structure, per-element representatives, coordinates function) of H^1
-    from the Cayley-graph system on `group.generating_set()`, the solver
-    `cohomology.h1` keeps only for groups that are not solvable."""
+    from the Cayley-graph system `_cayley_system` on `group.generating_set()`."""
     m = module.modulus
     gens = group.generating_set()
     d1, tree = _cayley_system(group, module, gens)

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -26,7 +27,7 @@ from tameapprox.arithmetic import (
     _ellth_power_locally_holds,
     _full_over_p_holds,
 )
-from tameapprox.finite_groups import Group, subgroup_generated
+from tameapprox.finite_groups import DEFAULT_ORDER_LIMIT, Group, subgroup_generated
 from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, kernel_mod
 
 from oracle_helpers import (
@@ -380,6 +381,22 @@ class TestCertify:
         cert = certify(2, 1, 3, 15)
         assert cert.conclusion == "refuted: q_prime"
         assert not cert.certified
+
+    def test_prime_above_64_bits_is_not_called_composite(self):
+        # 2**64 + 13 is the least prime above 2**64, where is_prime is no
+        # longer deterministic: certify raises instead of refuting
+        big = 2 ** 64 + 13
+        for args in ((2, 1, big), (2, 1, 3, big), (big, 1, 3)):
+            with pytest.raises(ValueError, match=r"deterministic up to 2\*\*64"):
+                certify(*args)
+
+    def test_negative_parameters_are_refuted(self):
+        assert certify(-3, 1, 7).conclusion == "refuted: ell_prime"
+        assert certify(2, 1, -3).conclusion == "refuted: p_prime"
+        assert certify(2, 1, 3, -17).conclusion == "refuted: q_prime"
+
+    def test_default_group_limit(self):
+        assert inspect.signature(certify).parameters["group_limit"].default == DEFAULT_ORDER_LIMIT
 
     def test_refuted_bad_congruence(self):
         cert = certify(2, 2, 7)  # 7 != 1 (mod 4)

@@ -57,6 +57,21 @@ class TestCertifyCommand:
         assert status == 1
         assert json.loads(out)["conclusion"] == "refuted: q_prime"
 
+    def test_prime_above_64_bits_is_an_input_error(self, capsys):
+        big = str(2 ** 64 + 13)  # the least prime above 2**64
+        for argv in (["certify", "--ell", "2", "--n", "1", "--p", big],
+                     ["certify", "--ell", "2", "--n", "1", "--p", "3", "--q", big],
+                     ["certify", "--ell", big, "--n", "1", "--p", "3"],
+                     ["find-params", "--ell", "2", "--n", "1", "--p", big]):
+            status, out, err = run_cli(capsys, *argv)
+            assert (status, out) == (2, ""), argv
+            assert err == "error: is_prime is only deterministic up to 2**64\n", argv
+
+    def test_negative_ell_is_refuted(self, capsys):
+        status, out, _ = run_cli(capsys, "certify", "--ell", "-3", "--n", "1", "--p", "7")
+        assert status == 1
+        assert json.loads(out)["conclusion"] == "refuted: ell_prime"
+
     def test_byte_identical_reruns(self, capsys):
         _, first, _ = run_cli(capsys, "certify", "--ell", "2", "--n", "1", "--p", "5")
         _, second, _ = run_cli(capsys, "certify", "--ell", "2", "--n", "1", "--p", "5")
@@ -119,6 +134,14 @@ class TestVerificationCommands:
         report = json.loads(out)
         assert report["pass"] is True
         assert len(report["subgroups"]) == 8
+
+    def test_dimension_shift_default_family(self, capsys):
+        # the cyclic subgroups plus G, as dimension_shift_check chooses them
+        for name, orders in (("z2xz4", ["1", "2", "2", "2", "4", "4", "8"]),
+                             ("z8", ["1", "2", "4", "8"])):
+            status, out, _ = run_cli(capsys, "dimension-shift", "--group", f"builtin:{name}")
+            assert status == 0
+            assert [r["order"] for r in json.loads(out)["subgroups"]] == orders
 
     def test_dimension_shift_extra_subgroup(self, capsys):
         status, out, _ = run_cli(capsys, "dimension-shift", "--group", "builtin:q8",

@@ -7,8 +7,8 @@ from tameapprox.arithmetic import certify
 
 from tameapprox.cohomology import (
     PlaceRecord,
-    _cayley_system,
     _differences,
+    _fox_system,
     _restriction_kernel,
     _subgroup_h1,
     coboundary0_matrix,
@@ -24,6 +24,7 @@ from tameapprox.cohomology import (
 )
 from tameapprox.finite_groups import (
     Subgroup,
+    _cayley_presentation,
     all_subgroups,
     builtin_group,
     cyclic_group,
@@ -38,6 +39,7 @@ from tameapprox.g_modules import GModule, augmentation_ideal, group_ring, restri
 from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresentation, kernel_mod
 
 from oracle_helpers import (
+    _cayley_system,
     all_pairs_is_cocycle,
     brute_generated,
     brute_h1_order,
@@ -595,8 +597,58 @@ class TestSubgroupGuard:
         assert len(shifts) == len(all_subgroups(g)) and all(r.passed for r in shifts)
 
 
+def cayley_pairs():
+    """(group, module, generators of a subgroup) for the Cayley-presentation
+    check: every subgroup of each builtin group with four modules, every
+    subgroup of each sweep module's group, A5 with five modules, and A5
+    inside S5 with two."""
+    out = []
+    names = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "z2xz4", "z3xz3", "z2xz2xz2",
+             "s3", "q8", "zlxzln:2:3", "zlxzln:3:1"]
+    for name in names:
+        g = builtin_group(name)
+        n = g.order
+        mods = (augmentation_ideal(g, n)[0], group_ring(g, n),
+                trivial_module(g, 4), trivial_module(g, 6))
+        out += [(g, mod, sub.generating_set()) for sub in all_subgroups(g) for mod in mods]
+    for g, mod in sweep_modules():
+        out += [(g, mod, sub.generating_set()) for sub in all_subgroups(g)]
+    a5 = alternating_group_5()
+    out += [(a5, mod, a5.generating_set()) for mod in [augmentation_ideal(a5, 60)[0]]
+            + [trivial_module(a5, m) for m in (2, 3, 4, 6)]]
+    s5 = symmetric_group_5()
+    a5_in_s5 = subgroup_generated(s5, [s5.names.index("(0 1 2 3 4)"), s5.names.index("(0 1 2)")])
+    out += [(s5, mod, a5_in_s5.generating_set())
+            for mod in (augmentation_ideal(s5, 120)[0], group_ring(s5, 120))]
+    return out
+
+
+class TestCayleyPresentation:
+    """`_fox_system` on `_cayley_presentation` writes the conditions of the
+    edge-by-edge oracle `_cayley_system`, row for row, on the same tree."""
+
+    def test_matches_the_cayley_system(self):
+        pairs = cayley_pairs()
+        for group, mod, gens in pairs:
+            pres = _cayley_presentation(group, gens)
+            d1, tree = _cayley_system(group, mod, gens)
+            assert pres.generators == tuple(gens)
+            assert pres.tree == tuple(tree), (group, mod.label, gens)
+            assert _fox_system(group, mod, pres) == d1, (group, mod.label, gens)
+        assert len(pairs) == 324 + 200 + 5 + 2  # builtins, sweep, A5, A5 in S5
+
+    def test_not_solvable_subgroup_solves_on_it(self):
+        s5 = symmetric_group_5()
+        a5 = subgroup_generated(s5, [s5.names.index("(0 1 2 3 4)"), s5.names.index("(0 1 2)")])
+        gens, tree, pres = _subgroup_h1(trivial_module(s5, 2), a5)
+        expected = _cayley_presentation(s5, a5.generating_set())
+        assert (gens, tree) == (expected.generators, expected.tree)
+        assert pres.structure == AbGroupStructure()  # A5 is perfect
+
+
 class TestNotSolvableFallback:
-    """A5 has no polycyclic presentation: h1 solves on the Cayley graph."""
+    """A5 has no polycyclic presentation: h1 solves on its Cayley-graph
+    presentation."""
 
     def test_trivial_modules_match_full_cochains(self):
         a5 = alternating_group_5()

@@ -5,6 +5,7 @@ import pytest
 from tameapprox.finite_groups import (
     Group,
     Subgroup,
+    _cayley_presentation,
     all_subgroups,
     builtin_group,
     cyclic_group,
@@ -13,6 +14,7 @@ from tameapprox.finite_groups import (
     from_permutations,
     full_subgroup,
     group_from_json,
+    product_of_prime_powers,
     quaternion_group,
     subgroup_generated,
     trivial_subgroup,
@@ -220,6 +222,15 @@ class TestBuiltinsAndJson:
         with pytest.raises(ValueError, match="limit"):
             builtin_group("zlxzln:2:40", limit=512)
 
+    def test_product_of_prime_powers_guards_its_order(self):
+        with pytest.raises(ValueError, match=r"^group order 2\^10 exceeds the limit 512$"):
+            product_of_prime_powers(2, 9)
+        with pytest.raises(ValueError, match=r"^group order 3\^2 exceeds the limit 8$"):
+            product_of_prime_powers(3, 1, limit=8)
+        with pytest.raises(ValueError, match=r"^group order 2\^41 exceeds the limit 512$"):
+            product_of_prime_powers(2, 40)  # before any table is built
+        assert product_of_prime_powers(3, 1, limit=9).order == 9
+
     @pytest.mark.parametrize("name, message", [
         ("zlxzln:2:0", "n must be >= 1 in 'zlxzln:2:0', got 0"),
         ("zlxzln:2:-3", "n must be >= 1 in 'zlxzln:2:-3', got -3"),
@@ -343,3 +354,34 @@ class TestSubgroupPresentation:
         assert a5.order == 60
         assert a5.presentation() is None
         assert brute_generated(s5, a5.generating_set()) == set(a5.elements)
+
+
+class TestCayleyPresentation:
+    """_cayley_presentation against the Cayley table, read without the code
+    under test, on every subgroup of the presentation groups, on A5 and on
+    A5 inside S5."""
+
+    def test_against_cayley_table(self):
+        cases = [(g, sub) for g in presentation_groups() for sub in all_subgroups(g)]
+        a5 = from_permutations([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
+        s5 = from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+        cases += [(a5, full_subgroup(a5)), (s5, subgroup_generated(
+            s5, [s5.names.index("(0 1 2 3 4)"), s5.names.index("(0 1 2)")]))]
+        for g, sub in cases:
+            gens = sub.generating_set()
+            pres = _cayley_presentation(g, gens)
+            assert pres.generators == gens and pres.relative_orders is None
+            # the tree reaches every element of H exactly once, along x -> x s_i
+            words = {g.identity: ()}
+            for x, i, y in pres.tree:
+                assert x in words and y not in words and g.table[x][gens[i]] == y, (g, sub)
+                words[y] = words[x] + (i,)
+            assert set(words) == set(sub.elements), (g, sub)
+            # one relator per Cayley edge off the tree, between tree paths,
+            # and each holds in the table
+            n = sub.order
+            assert len(pres.relators) == n * len(gens) - (n - 1), (g, sub)
+            for lhs, rhs in pres.relators:
+                x = evaluate_word(g, gens, lhs)
+                assert x == evaluate_word(g, gens, rhs), (g, sub, lhs)
+                assert words[x] == rhs and words[evaluate_word(g, gens, lhs[:-1])] == lhs[:-1]
