@@ -27,7 +27,11 @@ decomposition groups give canonically isomorphic H^1; ramified places
 enter through explicit PlaceRecords.  A cocycle of G restricts to a
 subgroup H through its values at H's generators, read in H's H^1, so no
 restricted module, standalone group or restricted representatives are
-built.
+built.  Only the members of a family that are maximal under inclusion are
+solved: for H <= K, res_H = res^K_H o res_K (Neukirch, Schmidt and
+Wingberg, Cohomology of Number Fields, ch. I §5), so a class that dies
+on K dies on H, and the joint kernel over the family is the one over its
+maximal members.
 """
 
 from __future__ import annotations
@@ -301,7 +305,14 @@ class ShaResult(NamedTuple):
 
 
 def _restriction_kernel(group, module, subgroups):
-    """Joint kernel in H^1(G,M) of restriction to each listed subgroup."""
+    """Joint kernel in H^1(G,M) of restriction to each listed subgroup.
+
+    A member whose elements are a proper subset of another member's is
+    dropped before any H^1 is solved: it adds no condition, as
+    res_H = res^K_H o res_K for H <= K.  Only subgroups of the same group
+    are compared, so a subgroup of another group is never dropped and
+    `_subgroup_h1` rejects it.
+    """
     h1_g = h1(group, module)
     factors = h1_g.structure.invariant_factors
     k = len(factors)
@@ -309,10 +320,12 @@ def _restriction_kernel(group, module, subgroups):
     if k == 0:
         return ShaResult(AbGroupStructure(), (), h1_g.structure)
 
+    family = sorted(dict.fromkeys(subgroups), key=lambda s: (s.order, s.elements))
+    sets = [(s.parent, frozenset(s.elements)) for s in family]
+    family = [s for s, (parent, elems) in zip(family, sets)
+              if not any(elems < other and parent == owner for owner, other in sets)]
     constraint_rows = []
-    # Subgroup equality includes the parent, so a foreign subgroup is kept
-    # and rejected by _subgroup_h1
-    for sub in sorted(dict.fromkeys(subgroups), key=lambda s: (s.order, s.elements)):
+    for sub in family:
         target, images = _restriction_images(module, sub, h1_g.cocycle_reps)
         for i, delta in enumerate(target):
             if m % delta:
@@ -377,7 +390,9 @@ def sha_sigma(group, module, places, excluded=()):
     over the decomposition subgroup of each place record whose label is not
     excluded.  With nothing excluded this is Sha^1(L/k, M); excluding every
     non-cyclic record gives Sha^1_cyc.  The `places` list must contain every
-    ramified place of the extension being modeled.
+    ramified place of the extension being modeled.  Only the maximal
+    members of that family are solved (`_restriction_kernel`): a kept
+    record whose decomposition subgroup is all of G leaves G alone.
     """
     if module.group != group:
         raise ValueError("module is over a different group")

@@ -399,7 +399,7 @@ def _crt_lift(m, q):
     return k * pow(k, -1, q) % m
 
 
-def _reduce(rows, width, p, e, *, u_inv=False):
+def _reduce(rows, width, p, e, *, log=None):
     """Smith reduction over Z/p^e of the first `width` columns of `rows`, in place.
 
     The rows hold residues in [0, p^e); entries past `width` only ride
@@ -413,13 +413,14 @@ def _reduce(rows, width, p, e, *, u_inv=False):
     are left out, as no caller needs V.  Rows past the last step are zero
     in A.
 
-    Returns (vals, uit): U A V has p^vals[t] in row t for t < len(vals),
-    and zeros elsewhere.  uit lists the columns of U^-1 when asked for
-    (undoing row_i -= f row_t adds f times column i to column t).
+    Returns vals: U A V has p^vals[t] in row t for t < len(vals), and zeros
+    elsewhere.  When `log` is a list, step t appends its row operations as
+    (t, bi, unit, ops): swap rows t and bi, scale row t by unit^-1, then
+    row_i -= f row_t for each (i, f) in ops; `_undo` replays them backwards
+    to apply U^-1 to one vector.
     """
     q = p ** e
     R = len(rows)
-    uit = _identity_rows(R) if u_inv else None
     vals = []
     for t in range(R):
         best, bi, bc = e, -1, -1
@@ -443,17 +444,14 @@ def _reduce(rows, width, p, e, *, u_inv=False):
         if bi < 0:
             break
         rows[t], rows[bi] = rows[bi], rows[t]
-        if uit is not None:
-            uit[t], uit[bi] = uit[bi], uit[t]
         prow = rows[t]
         pv = p ** best
         unit = prow[bc] // pv
         if unit != 1:
             inv = pow(unit, -1, q)
             prow = rows[t] = [x * inv % q for x in prow]
-            if uit is not None:
-                uit[t] = [x * unit % q for x in uit[t]]
         nz = [(j, y) for j, y in enumerate(prow) if y]
+        ops = []
         for i in range(t + 1, R):
             row = rows[i]
             x = row[bc]
@@ -461,10 +459,27 @@ def _reduce(rows, width, p, e, *, u_inv=False):
                 f = x // pv
                 for j, y in nz:
                     row[j] = (row[j] - f * y) % q
-                if uit is not None:
-                    uit[t] = [(a + f * b) % q for a, b in zip(uit[t], uit[i])]
+                ops.append((i, f))
+        if log is not None:
+            log.append((t, bi, unit, ops))
         vals.append(best)
-    return vals, uit
+    return vals
+
+
+def _undo(log, vec, q):
+    """U^-1 vec mod q, in place, for the U whose steps `_reduce` logged.
+
+    Each step is undone in reverse: row_i -= f row_t by vec_i += f vec_t,
+    the scale by unit^-1 by multiplying vec_t by unit, then the swap.
+    """
+    for t, bi, unit, ops in reversed(log):
+        y = vec[t]
+        if y:
+            for i, f in ops:
+                vec[i] = (vec[i] + f * y) % q
+            vec[t] = y * unit % q
+        vec[t], vec[bi] = vec[bi], vec[t]
+    return vec
 
 
 def kernel_mod(mat, modulus):
@@ -489,7 +504,7 @@ def kernel_mod(mat, modulus):
             lift = _crt_lift(m, q)
             rows = [[x % q for x in mat.column(j)] + urow
                     for j, urow in enumerate(_identity_rows(C))]
-            vals, _ = _reduce(rows, R, p, e)
+            vals = _reduce(rows, R, p, e)
             for t, row in enumerate(rows):
                 s = p ** (e - vals[t]) if t < len(vals) else 1
                 col = [x * s % q * lift % m for x in row[R:]]
@@ -508,9 +523,12 @@ class _PrimePowerQuotient:
     The relation step reduces, in those coordinates, the sub generators
     next to p^(e - v_t) e_t for each pivot with v_t > 0 (the others relate
     nothing mod q): U_rel R V_rel has pivots p^w_j, so the quotient is the
-    sum of Z/p^w_j plus a Z/q for each row without pivot, and its j-th
-    generator is U^-1 D U_rel^-1 e_j, D = diag(p^v_t).  `factors`, `gens`
-    and the rows of `_u_rel` cover the summands of order >= 2, ascending.
+    sum of Z/p^w_j plus a Z/q for each row without pivot.  U and U_rel ride
+    along as identity blocks, for `coordinates`; their inverses are never
+    formed.  The j-th generator is U^-1 D U_rel^-1 e_j, D = diag(p^v_t),
+    built by replaying the two steps' logs backwards on e_j (`_undo`), and
+    only for the summands of order >= 2, which `factors`, `gens` and the
+    rows of `_u_rel` cover, ascending.
     """
 
     __slots__ = ("q", "lift", "factors", "gens", "_u", "_scales", "_u_rel")
@@ -521,7 +539,8 @@ class _PrimePowerQuotient:
         # [A | S | I] becomes [UA | US | U]
         rows = [[x % q for x in row + srow] + urow for row, srow, urow
                 in zip(amb_gens._data, sub_gens._data, _identity_rows(dim))]
-        vals, uit = _reduce(rows, width, p, e, u_inv=True)
+        log, rel_log = [], []
+        vals = _reduce(rows, width, p, e, log=log)
         r = len(vals)
         # y lies in U span(A) iff scales[t] | y_t for every t (q | y_t means y_t = 0)
         scales = [p ** val for val in vals] + [q] * (dim - r)
@@ -537,20 +556,16 @@ class _PrimePowerQuotient:
             s = scales[t]
             rel.append([y // s for y in rows[t][width:width + n_sub]]
                        + [q // s if t == k else 0 for k in pad] + urow)
-        rel_vals, rel_uit = _reduce(rel, rel_width, p, e, u_inv=True)
+        rel_vals = _reduce(rel, rel_width, p, e, log=rel_log)
 
         factors, gens, u_rel = [], [], []
         for j in range(r):
             d = p ** rel_vals[j] if j < len(rel_vals) else q
             if d < 2:
                 continue
-            acc = [0] * dim
-            for t, x in enumerate(rel_uit[j]):
-                if x:
-                    w = x * scales[t]
-                    acc = [a + w * b for a, b in zip(acc, uit[t])]
+            w = _undo(rel_log, [int(t == j) for t in range(r)], q)
             factors.append(d)
-            gens.append([a % q for a in acc])
+            gens.append(_undo(log, [x * s % q for x, s in zip(w, scales)] + [0] * (dim - r), q))
             u_rel.append(rel[j][rel_width:])
         self.q = q
         self.lift = _crt_lift(m, q)

@@ -9,19 +9,23 @@ fast replacements: `full_cochain_h1` and `cayley_h1` for the H^1 on a
 presentation, `_cayley_system` (the Cayley-graph conditions, built edge
 by edge) for `_fox_system` on `_cayley_presentation`,
 `cayley_restriction_kernel` for the restriction kernels read from
-ker N_g / (g-1)M on cyclic subgroups,
+ker N_g / (g-1)M on cyclic subgroups and solved on the maximal members of
+a family only,
 `dense_mat_mul_mod` for the sparse module products,
 `dense_augmentation_exactness` for the O(n r) exactness check of the
 augmentation sequence,
 `dense_group_ring_action` and `dense_augmentation_ideal_action` for the
 sparse rows of the group ring and the augmentation ideal,
 `dense_quotient_presentation` (the presentation over Z with m*I padding, on
-the reference reduction) for the presentation over Z/p^e and
+the reference reduction) for the presentation over Z/p^e,
+`uit_reduce` and `UitPrimePowerQuotient` (a dense U^-1 updated on every
+row operation) for the generators replayed from the operation log, and
 `reference_smith_decomposition` for the Smith reduction that carries its
 transforms as augmented rows and columns.
 """
 
 from itertools import product
+from unittest import mock
 
 from tameapprox.cohomology import (
     _differences,
@@ -29,10 +33,15 @@ from tameapprox.cohomology import (
     coboundary0_matrix,
     coboundary1_matrix,
 )
+from tameapprox import zmod_linalg
 from tameapprox.g_modules import restrict
 from tameapprox.zmod_linalg import (
     IntMatrix,
+    NotInSpanError,
     QuotientPresentation,
+    _crt_lift,
+    _identity_rows,
+    _PrimePowerQuotient,
     kernel_mod,
     quotient_structure,
 )
@@ -409,6 +418,142 @@ def dense_quotient_presentation(sub_gens, amb_gens, m):
         return tuple(full[i] % d for i, d in enumerate(delta) if d >= 2)
 
     return factors, gens, coordinates
+
+
+def uit_reduce(rows, width, p, e, *, u_inv=False):
+    """Smith reduction over Z/p^e of the first `width` columns of `rows`, in place.
+
+    The rows hold residues in [0, p^e); entries past `width` only ride
+    along with the row operations, so a block [A | I] there ends as U.
+    Step t takes the entry of least p-valuation v in rows t.., lowest
+    (row, col) on ties, swaps its row to t and scales it by a unit inverse
+    so the pivot is exactly p^v; then each later row with x in the pivot
+    column drops (x / p^v) times it.  Every remaining entry keeps
+    valuation >= v, so the pivot also divides the rest of its own row, and
+    the column operations that would clear it touch no other row: they
+    are left out, as no caller needs V.  Rows past the last step are zero
+    in A.
+
+    Returns (vals, uit): U A V has p^vals[t] in row t for t < len(vals),
+    and zeros elsewhere.  uit lists the columns of U^-1 when asked for
+    (undoing row_i -= f row_t adds f times column i to column t).
+    """
+    q = p ** e
+    R = len(rows)
+    uit = _identity_rows(R) if u_inv else None
+    vals = []
+    for t in range(R):
+        best, bi, bc = e, -1, -1
+        for i in range(t, R):
+            row = rows[i]
+            if not any(row[:width]):
+                continue
+            for j in range(width):
+                x = row[j]
+                if x:
+                    val = 0
+                    while x % p == 0 and val < best:
+                        x //= p
+                        val += 1
+                    if val < best:
+                        best, bi, bc = val, i, j
+                        if not val:
+                            break
+            if not best:
+                break
+        if bi < 0:
+            break
+        rows[t], rows[bi] = rows[bi], rows[t]
+        if uit is not None:
+            uit[t], uit[bi] = uit[bi], uit[t]
+        prow = rows[t]
+        pv = p ** best
+        unit = prow[bc] // pv
+        if unit != 1:
+            inv = pow(unit, -1, q)
+            prow = rows[t] = [x * inv % q for x in prow]
+            if uit is not None:
+                uit[t] = [x * unit % q for x in uit[t]]
+        nz = [(j, y) for j, y in enumerate(prow) if y]
+        for i in range(t + 1, R):
+            row = rows[i]
+            x = row[bc]
+            if x:
+                f = x // pv
+                for j, y in nz:
+                    row[j] = (row[j] - f * y) % q
+                if uit is not None:
+                    uit[t] = [(a + f * b) % q for a, b in zip(uit[t], uit[i])]
+        vals.append(best)
+    return vals, uit
+
+
+class UitPrimePowerQuotient(_PrimePowerQuotient):
+    """`_PrimePowerQuotient` whose generators come from the dense U^-1 of
+    `uit_reduce`; `coordinates` is inherited, so both read the same U."""
+
+    __slots__ = ()
+
+    def __init__(self, sub_gens, amb_gens, p, e, m):
+        q = p ** e
+        dim, width, n_sub = amb_gens.rows, amb_gens.cols, sub_gens.cols
+        # [A | S | I] becomes [UA | US | U]
+        rows = [[x % q for x in row + srow] + urow for row, srow, urow
+                in zip(amb_gens._data, sub_gens._data, _identity_rows(dim))]
+        vals, uit = uit_reduce(rows, width, p, e, u_inv=True)
+        r = len(vals)
+        # y lies in U span(A) iff scales[t] | y_t for every t (q | y_t means y_t = 0)
+        scales = [p ** val for val in vals] + [q] * (dim - r)
+        for j in range(width, width + n_sub):
+            if any(row[j] % s for row, s in zip(rows, scales)):
+                raise NotInSpanError(
+                    f"sub generator {j - width} is not in the ambient span mod {m}")
+
+        pad = [t for t in range(r) if scales[t] > 1]
+        rel_width = n_sub + len(pad)
+        rel = []
+        for t, urow in enumerate(_identity_rows(r)):
+            s = scales[t]
+            rel.append([y // s for y in rows[t][width:width + n_sub]]
+                       + [q // s if t == k else 0 for k in pad] + urow)
+        rel_vals, rel_uit = uit_reduce(rel, rel_width, p, e, u_inv=True)
+
+        factors, gens, u_rel = [], [], []
+        for j in range(r):
+            d = p ** rel_vals[j] if j < len(rel_vals) else q
+            if d < 2:
+                continue
+            acc = [0] * dim
+            for t, x in enumerate(rel_uit[j]):
+                if x:
+                    w = x * scales[t]
+                    acc = [a + w * b for a, b in zip(acc, uit[t])]
+            factors.append(d)
+            gens.append([a % q for a in acc])
+            u_rel.append(rel[j][rel_width:])
+        self.q = q
+        self.lift = _crt_lift(m, q)
+        self.factors = factors
+        self.gens = gens
+        self._u = [row[width + n_sub:] for row in rows]
+        self._scales = scales
+        self._u_rel = u_rel
+
+
+def uit_quotient_presentation(sub_gens, amb_gens, m):
+    """`QuotientPresentation` with every prime-power part built by
+    `UitPrimePowerQuotient`."""
+    with mock.patch.object(zmod_linalg, "_PrimePowerQuotient", UitPrimePowerQuotient):
+        return QuotientPresentation(sub_gens, amb_gens, m)
+
+
+def both_quotient_paths(sub_gens, amb_gens, m, vectors):
+    """(structure, generator columns, coordinates of each vector) of
+    span(amb)/span(sub) mod m, from `QuotientPresentation` and from
+    `uit_quotient_presentation`."""
+    return [(pres.structure, pres.generator_columns, [pres.coordinates(v) for v in vectors])
+            for pres in (QuotientPresentation(sub_gens, amb_gens, m),
+                         uit_quotient_presentation(sub_gens, amb_gens, m))]
 
 
 def nearest_quotient(a, d):

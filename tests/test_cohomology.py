@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tameapprox import g_modules
-from tameapprox.arithmetic import certify
+from tameapprox.arithmetic import _biquadratic_model, certify
 
 from tameapprox.cohomology import (
     PlaceRecord,
@@ -41,6 +41,7 @@ from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresenta
 from oracle_helpers import (
     _cayley_system,
     all_pairs_is_cocycle,
+    both_quotient_paths,
     brute_generated,
     brute_h1_order,
     cayley_h1,
@@ -556,6 +557,75 @@ class TestCyclicRestriction:
             assert (_restriction_kernel(s5, mod, [a5]).structure
                     == cayley_restriction_kernel(s5, mod, [a5]) == AbGroupStructure(kernel))
             assert res_h1(s5, a5, mod).rows == len(local)
+
+
+class TestOperationLogSystems:
+    """The `_subgroup_h1` system of every subgroup of every builtin group,
+    with the quotient generators replayed from the operation log and from
+    the dense U^-1 (`both_quotient_paths`)."""
+
+    def test_subgroup_systems_match_dense_path(self):
+        checked = 0
+        for name in TestFullCochainOracle.BUILTINS:
+            g = builtin_group(name)
+            n = g.order
+            for mod in (augmentation_ideal(g, n)[0], group_ring(g, n), trivial_module(g, 6)):
+                m = mod.modulus
+                for sub in all_subgroups(g):
+                    pres = sub.presentation() or _cayley_presentation(g, sub.generating_set())
+                    cocycles = kernel_mod(_fox_system(g, mod, pres), m)
+                    vectors = [cocycles.column(j) for j in range(cocycles.cols)]
+                    logged, dense = both_quotient_paths(
+                        _differences(mod, pres.generators), cocycles, m, vectors)
+                    assert logged == dense, (name, mod.label, sub)
+                    assert logged[0] == _subgroup_h1(mod, sub)[2].structure
+                    checked += 1
+        assert checked == 3 * sum(len(all_subgroups(builtin_group(name)))
+                                  for name in TestFullCochainOracle.BUILTINS)
+
+
+class TestMaximalMembers:
+    """A restriction kernel is solved on the members of its family that no
+    other member contains: res_H = res^K_H o res_K for H <= K."""
+
+    @pytest.mark.parametrize("name, solved", [("z8", 1), ("zlxzln:2:3", 6)])
+    def test_sha_cyc_solves_only_the_maximal_cyclic_subgroups(self, monkeypatch, name, solved):
+        # a fresh ideal: G, then each maximal cyclic subgroup once; z8 is
+        # its own maximal cyclic subgroup, and Z/8 x Z/2 has 5 of its 8
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+        g = builtin_group(name)
+        ideal = augmentation_ideal(g, g.order)[0]
+        assert not ideal._subgroup_h1_cache
+        assert sha_cyc(g, ideal).order == g.order // g.exponent()
+        assert len(ideal._subgroup_h1_cache) == solved
+
+    def test_foreign_subgroup_inside_a_member_rejected(self):
+        # every index of a subgroup of z2xz4 lies inside z8 itself
+        g = builtin_group("z8")
+        ideal = augmentation_ideal(g, 8)[0]
+        for sub in cyclic_subgroups(builtin_group("z2xz4")):
+            assert set(sub.elements) < set(full_subgroup(g).elements)
+            with pytest.raises(ValueError, match="different group"):
+                _restriction_kernel(g, ideal, [full_subgroup(g), sub])
+
+    def test_biquadratic_records_match_the_full_family(self):
+        # Q(sqrt p, sqrt q): every set of excluded records, on the Cayley
+        # kernel over every cyclic subgroup and every kept record
+        checked = 0
+        for p, q in ((3, 7), (5, 13), (7, 17), (13, 17), (-1, 2), (3, 17)):
+            records = _biquadratic_model(p, q)[0]
+            g = records[0].subgroup.parent
+            keys = [rec.key for rec in records]
+            for mod in (augmentation_ideal(g, 4)[0], group_ring(g, 4),
+                        trivial_module(g, 2), trivial_module(g, 4)):
+                for mask in range(2 ** len(keys)):
+                    excluded = [k for i, k in enumerate(keys) if mask >> i & 1]
+                    family = cyclic_subgroups(g) + [
+                        rec.subgroup for rec in records if rec.key not in excluded]
+                    assert (sha_sigma(g, mod, records, excluded).structure
+                            == cayley_restriction_kernel(g, mod, family)), (p, q, excluded)
+                    checked += 1
+        assert checked == 4 * (8 + 8 + 8 + 8 + 2 + 8)
 
 
 class TestSubgroupGuard:

@@ -9,18 +9,22 @@ from tameapprox.zmod_linalg import (
     NotInSpanError,
     QuotientPresentation,
     kernel_mod,
+    _reduce,
+    _undo,
     quotient_structure,
     smith_decomposition,
     snf,
 )
 
 from oracle_helpers import (
+    both_quotient_paths,
     brute_kernel_set,
     coset_order_counts,
     dense_quotient_presentation,
     predicted_order_counts,
     reference_smith_decomposition,
     span_mod,
+    uit_reduce,
 )
 
 
@@ -303,6 +307,52 @@ class TestQuotientStructure:
             assert list(coords).count(1) == 1
             scaled = [order * x for x in col]
             assert all(c == 0 for c in pres.coordinates(scaled))
+
+
+class TestOperationLog:
+    """The generators replayed from `_reduce`'s log against the dense U^-1
+    of `uit_reduce`, the path they replaced."""
+
+    def test_undo_of_u_is_the_identity(self):
+        # [A | I] ends as [UA | U]: undoing the log on column j of U gives
+        # e_j, and on e_j gives column j of U^-1
+        rng = random.Random(13)
+        for trial in range(60):
+            p, e = rng.choice([(2, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1)])
+            q = p ** e
+            n, width = rng.randint(1, 7), rng.randint(1, 6)
+            a = [[rng.choice((0, 0, 1, p, rng.randrange(q))) for _ in range(width)]
+                 for _ in range(n)]
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            rows = [row + urow for row, urow in zip(a, identity)]
+            dense = [list(row) for row in rows]
+            log = []
+            vals = _reduce(rows, width, p, e, log=log)
+            dense_vals, uit = uit_reduce(dense, width, p, e, u_inv=True)
+            assert (vals, rows) == (dense_vals, dense)
+            u = [row[width:] for row in rows]
+            for j in range(n):
+                assert _undo(log, [row[j] for row in u], q) == identity[j], (trial, j)
+                assert _undo(log, list(identity[j]), q) == uit[j], (trial, j)
+
+    def test_quotients_match_dense_path(self):
+        rng = random.Random(313)
+        for trial in range(120):
+            m = (4, 8, 9, 12, 25, 27, 36, 60)[trial % 8]
+            dim = rng.randint(1, 9)
+            k = rng.randint(1, dim + 2)
+            amb = IntMatrix.from_columns(
+                [[rng.choice((0, 0, 1, -1, rng.randint(0, m - 1))) for _ in range(dim)]
+                 for _ in range(k)])
+
+            def member():
+                return amb.mul_vector([rng.randint(0, m - 1) for _ in range(k)])
+
+            sub = IntMatrix.from_columns([member() for _ in range(rng.randint(0, 4))], dim=dim)
+            vectors = ([amb.column(j) for j in range(k)] + [sub.column(j) for j in range(sub.cols)]
+                       + [member() for _ in range(5)])
+            logged, dense = both_quotient_paths(sub, amb, m, vectors)
+            assert logged == dense, (trial, m)
 
 
 class TestAbGroupStructure:
