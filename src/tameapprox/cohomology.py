@@ -24,10 +24,11 @@ The Sha kernels are computed from a finite model: all cyclic subgroups of
 G stand in for the (infinitely many) unramified places, since every cyclic
 subgroup is a Frobenius of infinitely many of them and conjugate
 decomposition groups give canonically isomorphic H^1; ramified places
-enter through explicit PlaceRecords.  A cocycle of G restricts to a
-subgroup H through its values at H's generators, read in H's H^1, so no
-restricted module, standalone group or restricted representatives are
-built.  Only the members of a family that are maximal under inclusion are
+enter through explicit PlaceRecords.  `res_h1`, the one restriction
+routine, maps a cocycle of G to the class in H's H^1 of its values at H's
+generators, so no restricted module, standalone group or restricted
+representatives are built; the kernels take their conditions from its
+rows.  Only the members of a family that are maximal under inclusion are
 solved: for H <= K, res_H = res^K_H o res_K (Neukirch, Schmidt and
 Wingberg, Cohomology of Number Fields, ch. I §5), so a class that dies
 on K dies on H, and the joint kernel over the family is the one over its
@@ -220,13 +221,6 @@ def _subgroup_h1(module, sub):
     return cache[sub.elements]
 
 
-def _restriction_images(module, sub, reps):
-    """(invariant factors of H^1(H, M), coordinates there of each cocycle in `reps`)."""
-    gens, _, pres = _subgroup_h1(module, sub)
-    return (pres.structure.invariant_factors,
-            [pres.coordinates([x for s in gens for x in rep[s]]) for rep in reps])
-
-
 def h1(group, module):
     """H^1(G, M) = Z^1/B^1 with representatives lifting the invariant factors.
 
@@ -243,7 +237,7 @@ def h1(group, module):
     reps = []
     for col in pres.generator_columns:
         rep = _expand(group, module, tree, col)
-        if rep[group.identity] != module.zero() or not is_cocycle(group, module, rep):
+        if not is_cocycle(group, module, rep):
             raise AssertionError("lifted representative is not a normalized cocycle")
         reps.append(rep)
     result = H1Result(
@@ -282,16 +276,18 @@ def _norm(module):
     return IntMatrix.from_rows(norm)
 
 
-def res_h1(group, sub, module, *, h1_g=None):
+def res_h1(group, sub, module):
     """Matrix of H^1(G,M) -> H^1(H, M|_H) on invariant-factor coordinates.
 
-    Row i / column j: coordinate i of the restriction of the j-th generator;
-    entries are reduced modulo the target factor of their row.  The target
-    is H^1(H, M) as `_subgroup_h1` presents it, in G's indices.
+    Row i / column j: coordinate i of the restriction of the j-th generator
+    of `h1(group, module)`, reduced modulo the target factor of row i.  The
+    target is H^1(H, M) as `_subgroup_h1` presents it, in G's indices; a
+    cocycle z restricts to the class of its values z(s) at H's generators.
     """
-    if h1_g is None:
-        h1_g = h1(group, module)
-    factors, images = _restriction_images(module, sub, h1_g.cocycle_reps)
+    reps = h1(group, module).cocycle_reps
+    gens, _, pres = _subgroup_h1(module, sub)
+    factors = pres.structure.invariant_factors
+    images = [pres.coordinates([x for s in gens for x in rep[s]]) for rep in reps]
     return IntMatrix(len(factors), len(images),
                      [image[i] % d for i, d in enumerate(factors) for image in images])
 
@@ -307,31 +303,36 @@ class ShaResult(NamedTuple):
 def _restriction_kernel(group, module, subgroups):
     """Joint kernel in H^1(G,M) of restriction to each listed subgroup.
 
-    A member whose elements are a proper subset of another member's is
-    dropped before any H^1 is solved: it adds no condition, as
-    res_H = res^K_H o res_K for H <= K.  Only subgroups of the same group
-    are compared, so a subgroup of another group is never dropped and
-    `_subgroup_h1` rejects it.
+    Every member is checked to be a subgroup of G before anything is
+    solved, even when H^1(G, M) = 0.  A member whose elements are a proper
+    subset of another member's is dropped: it adds no condition, as
+    res_H = res^K_H o res_K for H <= K.  Row i of `res_h1` on a kept member
+    lives in Z/delta_i, delta_i the i-th factor of H^1(H, M); scaled by
+    m / delta_i it is a condition mod m.
     """
-    h1_g = h1(group, module)
-    factors = h1_g.structure.invariant_factors
+    family = dict.fromkeys(subgroups)
+    if any(sub.parent != group for sub in family):
+        raise ValueError("subgroup belongs to a different group")
+    h1_full = h1(group, module)
+    factors = h1_full.structure.invariant_factors
     k = len(factors)
     m = module.modulus
     if k == 0:
-        return ShaResult(AbGroupStructure(), (), h1_g.structure)
+        return ShaResult(AbGroupStructure(), (), h1_full.structure)
 
-    family = sorted(dict.fromkeys(subgroups), key=lambda s: (s.order, s.elements))
-    sets = [(s.parent, frozenset(s.elements)) for s in family]
-    family = [s for s, (parent, elems) in zip(family, sets)
-              if not any(elems < other and parent == owner for owner, other in sets)]
+    family = sorted(family, key=lambda s: (s.order, s.elements))
+    sets = [frozenset(s.elements) for s in family]
+    family = [s for s, elems in zip(family, sets) if not any(elems < other for other in sets)]
     constraint_rows = []
     for sub in family:
-        target, images = _restriction_images(module, sub, h1_g.cocycle_reps)
-        for i, delta in enumerate(target):
+        rows = res_h1(group, sub, module).row_lists()
+        # the target factors, from the presentation res_h1 has just cached
+        deltas = _subgroup_h1(module, sub)[2].structure.invariant_factors
+        for row, delta in zip(rows, deltas):
             if m % delta:
                 raise AssertionError("invariant factor does not divide the modulus")
             scale = m // delta
-            constraint_rows.append([scale * image[i] for image in images])
+            constraint_rows.append([scale * x for x in row])
 
     if constraint_rows:
         kernel = kernel_mod(IntMatrix.from_rows(constraint_rows), m)
@@ -341,20 +342,18 @@ def _restriction_kernel(group, module, subgroups):
     pres = QuotientPresentation(relations, kernel, m)
 
     gens = []
-    reps = h1_g.cocycle_reps
+    reps = h1_full.cocycle_reps
     for col in pres.generator_columns:
         gens.append(tuple(
             tuple(sum(coeff * rep[g][c] for coeff, rep in zip(col, reps)) % m
                   for c in range(module.rank))
             for g in range(group.order)))
-    return ShaResult(pres.structure, tuple(gens), h1_g.structure)
+    return ShaResult(pres.structure, tuple(gens), h1_full.structure)
 
 
 def sha_cyc(group, module):
-    """Kernel of H^1(G,M) -> prod over cyclic subgroups <g>."""
-    if module.group != group:
-        raise ValueError("module is over a different group")
-    return _restriction_kernel(group, module, cyclic_subgroups(group)).structure
+    """Kernel of H^1(G,M) -> prod over cyclic subgroups <g>: `sha_sigma`, no places."""
+    return sha_sigma(group, module, ()).structure
 
 
 class PlaceRecord(NamedTuple):

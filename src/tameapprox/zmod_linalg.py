@@ -224,8 +224,8 @@ TRIVIAL_STRUCTURE = AbGroupStructure()
 class SmithDecomposition(NamedTuple):
     """U @ M @ V = D with U, V unimodular and D = diag(diagonal), d_i | d_{i+1}."""
 
-    u: IntMatrix | None
-    v: IntMatrix | None
+    u: IntMatrix
+    v: IntMatrix
     diagonal: tuple
     rows: int
     cols: int
@@ -258,8 +258,8 @@ def _identity_rows(n):
     return rows
 
 
-def smith_decomposition(mat, *, want_u=True, want_v=True):
-    """Smith normal form with selectable transform tracking.
+def smith_decomposition(mat):
+    """Smith normal form with both transforms.
 
     Pivot choice is the smallest nonzero absolute value, ties broken by lowest
     (row, col), so outputs are reproducible across runs and platforms.
@@ -273,11 +273,9 @@ def smith_decomposition(mat, *, want_u=True, want_v=True):
     """
     R, C = mat.rows, mat.cols
     a = mat.row_lists()
-    if want_u:
-        for row, urow in zip(a, _identity_rows(R)):
-            row += urow
-    if want_v:
-        a += _identity_rows(C)
+    for row, urow in zip(a, _identity_rows(R)):
+        row += urow
+    a += _identity_rows(C)
 
     def row_sub(i, k, q):
         # row_i -= q * row_k, in place and over the nonzeros of row_k
@@ -377,8 +375,8 @@ def smith_decomposition(mat, *, want_u=True, want_v=True):
 
     diag = tuple(a[i][i] for i in range(limit))
     return SmithDecomposition(
-        u=IntMatrix.from_rows([row[C:] for row in a[:R]]) if want_u else None,
-        v=IntMatrix.from_rows(a[R:]) if want_v else None,
+        u=IntMatrix.from_rows([row[C:] for row in a[:R]]),
+        v=IntMatrix.from_rows(a[R:]),
         diagonal=diag, rows=R, cols=C,
     )
 
@@ -389,7 +387,7 @@ def snf(mat):
     D is diagonal with nonnegative entries in a divisibility chain; U and V
     are invertible over the integers (determinant +-1).
     """
-    dec = smith_decomposition(mat, want_u=True, want_v=True)
+    dec = smith_decomposition(mat)
     return dec.u, dec.d, dec.v
 
 
@@ -499,11 +497,12 @@ def kernel_mod(mat, modulus):
     R, C = mat.rows, mat.cols
     cols = []
     if m > 1:
+        transposed = list(zip(*mat._data)) if R else [()] * C
         for p, e in factorize(m).items():
             q = p ** e
             lift = _crt_lift(m, q)
-            rows = [[x % q for x in mat.column(j)] + urow
-                    for j, urow in enumerate(_identity_rows(C))]
+            rows = [[x % q for x in col] + urow
+                    for col, urow in zip(transposed, _identity_rows(C))]
             vals = _reduce(rows, R, p, e)
             for t, row in enumerate(rows):
                 s = p ** (e - vals[t]) if t < len(vals) else 1

@@ -133,7 +133,7 @@ def _cross_check_restrictions(group, module):
             continue
         sub_group = sub.as_group()
         sub_module = restrict(module, sub)
-        mat = res_h1(group, sub, module, h1_g=result)
+        mat = res_h1(group, sub, module)
         for j, rep in enumerate(result.cocycle_reps):
             res_rep = tuple(rep[x] for x in sub.elements)
             claims_zero = all(mat[i, j] == 0 for i in range(mat.rows))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tameapprox import g_modules
+from tameapprox import cohomology, g_modules
 from tameapprox.arithmetic import _biquadratic_model, certify
 
 from tameapprox.cohomology import (
@@ -591,13 +591,23 @@ class TestMaximalMembers:
     @pytest.mark.parametrize("name, solved", [("z8", 1), ("zlxzln:2:3", 6)])
     def test_sha_cyc_solves_only_the_maximal_cyclic_subgroups(self, monkeypatch, name, solved):
         # a fresh ideal: G, then each maximal cyclic subgroup once; z8 is
-        # its own maximal cyclic subgroup, and Z/8 x Z/2 has 5 of its 8
+        # its own maximal cyclic subgroup, and Z/8 x Z/2 has 5 of its 8.
+        # res_h1, the one restriction routine, runs once per maximal one
         monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+        calls = []
+        res_h1 = cohomology.res_h1
+
+        def counted(group, sub, module):
+            calls.append(sub)
+            return res_h1(group, sub, module)
+
+        monkeypatch.setattr(cohomology, "res_h1", counted)
         g = builtin_group(name)
         ideal = augmentation_ideal(g, g.order)[0]
         assert not ideal._subgroup_h1_cache
         assert sha_cyc(g, ideal).order == g.order // g.exponent()
         assert len(ideal._subgroup_h1_cache) == solved
+        assert len(calls) == {"z8": 1, "zlxzln:2:3": 5}[name]
 
     def test_foreign_subgroup_inside_a_member_rejected(self):
         # every index of a subgroup of z2xz4 lies inside z8 itself
@@ -644,6 +654,9 @@ class TestSubgroupGuard:
                     res_h1(g, sub, ideal)
                 with pytest.raises(ValueError, match="different group"):
                     _restriction_kernel(g, ideal, cyclic_subgroups(g) + [sub])
+                # H^1(G, (Z/n)[G]) = 0: the family is still checked
+                with pytest.raises(ValueError, match="different group"):
+                    _restriction_kernel(g, group_ring(g, g.order), [sub])
 
     def test_no_group_or_module_is_built_for_a_subgroup(self, monkeypatch):
         # fresh module caches, so nothing is served from an earlier test
