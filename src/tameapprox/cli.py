@@ -5,16 +5,31 @@ all integers are decimal strings so 64-bit consumers never overflow) or a
 human-readable table derived from it.  Exit status: 0 = success/certified,
 1 = a verification or certification failed, 2 = input or usage error,
 3 = internal error (a failed invariant of the engine, not of the input).
+
+Arguments are parsed on one of two paths, both from the same declarations
+(each command's `add_options`).  When the first argument names a command,
+`_fast_parse` reads the rest straight from that command's declarations, in a
+strict grammar: exact long flags given as `--flag value` or `--flag=value`,
+`type`, `choices`, `required`, `store_true`, `append` and defaults (a string
+default passes through `type`, as in argparse).  Anything else -- `-h`, an
+abbreviated or unknown flag, a missing value or one that starts with `-`, a
+value that fails its type or choices, a missing required option, `--` --
+goes to argparse (`command_parser`, or `build_parser` when no command is
+named), so help, usage errors and exit codes are argparse's own.  The
+invariant: for every argv the fast parse accepts, its namespace equals
+`command_parser(name).parse_args(argv)` (`vars` compared).  argparse is
+imported only on the second path: its first use in a process (it imports
+`gettext` and then `locale`) costs more than most commands' cohomology.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from collections.abc import Callable
 from functools import partial
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .arithmetic import (
@@ -249,7 +264,8 @@ def _cmd_certify(args, limit):
         f"certificate for (ell, n, p, q) = ({cert.ell}, {cert.n}, {cert.p}, {cert.q})",
         f"field: {cert.field_desc}",
         f"Sigma_0: {{{', '.join(str(v) for v in cert.sigma0_labels)}}}"
-        + ("" if cert.sigma0_exact else "  (partial: " + cert.sigma0_statement + ")"),
+        + ("" if cert.sigma0_exact or not cert.sigma0_statement
+           else "  (partial: " + cert.sigma0_statement + ")"),
     ]
     for c in cert.checks:
         lines.append(f"  [{'ok' if c.passed else 'FAIL'}] {c.name}")
@@ -311,12 +327,13 @@ def _add_certify(p):
 
 class Command(NamedTuple):
     help: str
-    add_options: Callable[[argparse.ArgumentParser], None]
+    add_options: Callable[[object], None]
     run: Callable
 
 
-# The one definition of every command: its help line, the function that adds
-# its options to a parser, and the function that runs it.
+# The one definition of every command: its help line, the function that
+# declares its options (to an argparse parser, or to `_Declared` for the fast
+# parse), and the function that runs it.
 _COMMANDS = {
     "h1": Command("H^1(G, M) with cocycle representatives",
                   partial(_add_common, group=True, module=True), _cmd_h1),
@@ -335,8 +352,66 @@ _COMMANDS = {
 }
 
 
+class _Declared(dict):
+    """A command's options keyed by flag, each the keywords of its one
+    `add_argument` declaration."""
+
+    def add_argument(self, flag, **spec):
+        self[flag] = spec
+
+
+def _fast_parse(name, argv):
+    """`command_parser(name).parse_args(argv)` as a namespace with the same
+    `vars`, read straight from the command's declarations; None when `argv`
+    leaves the strict grammar of the module docstring or would fail to parse."""
+    declared = _Declared()
+    _COMMANDS[name].add_options(declared)
+    dest = {flag: flag[2:].replace("-", "_") for flag in declared}
+    values = {"command": name}
+    for flag, spec in declared.items():
+        store_true = spec.get("action") == "store_true"
+        values[dest[flag]] = spec.get("default", False if store_true else None)
+    unseen = dict(declared)
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            spec = declared.get(flag)
+            if spec is None:
+                return None  # -h, --, an abbreviation, an unknown flag or a positional
+            unseen.pop(flag, None)
+            action = spec.get("action")
+            if action == "store_true":
+                if eq:
+                    return None
+                values[dest[flag]] = True
+                continue
+            if not eq:
+                value = next(tokens, "-")
+                if value.startswith("-"):
+                    return None  # missing, or argparse may read it as a flag
+            elif value == "--":
+                return None  # argparse drops a "--" value, differently by version
+            value = spec.get("type", str)(value)
+            if value not in spec.get("choices", (value,)):
+                return None
+            if action == "append":
+                value = (values[dest[flag]] or []) + [value]
+            values[dest[flag]] = value
+        for flag, spec in unseen.items():
+            if spec.get("required"):
+                return None
+            if isinstance(spec.get("default"), str):
+                values[dest[flag]] = spec.get("type", str)(spec["default"])
+    except (TypeError, ValueError):
+        return None
+    return SimpleNamespace(**values)
+
+
 def build_parser():
     """The parser of every command, for `tameapprox -h` and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tameapprox",
         description="Certified counterexamples to tame approximation via"
@@ -351,6 +426,8 @@ def build_parser():
 def command_parser(name):
     """The parser of command `name` alone; parses the arguments after the
     command name to the same Namespace as `build_parser()` parses the whole."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog=f"tameapprox {name}")
     _COMMANDS[name].add_options(parser)
     parser.set_defaults(command=name)
@@ -377,9 +454,10 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     # Building every command's parser costs more than parsing; a known
-    # command name needs only its own.
+    # command name needs only its own, and argparse only when the fast parse
+    # declines.
     if argv and argv[0] in _COMMANDS:
-        args = command_parser(argv[0]).parse_args(argv[1:])
+        args = _fast_parse(argv[0], argv[1:]) or command_parser(argv[0]).parse_args(argv[1:])
     else:
         args = build_parser().parse_args(argv)
     try:

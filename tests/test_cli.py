@@ -1,5 +1,6 @@
 import json
 import random
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -86,6 +87,17 @@ class TestCertifyCommand:
             status, out, _ = run_cli(capsys, "certify", "--ell", ell, "--n", n, "--p", p)
             assert status == 0
             assert out.encode() == path.read_bytes(), path.name
+
+    def test_table_marks_a_partial_sigma0_only_with_its_statement(self, capsys):
+        # ell = 4 is refuted before the place model runs, so there is no statement
+        status, out, _ = run_cli(capsys, "certify", "--ell", "4", "--n", "1", "--p", "5",
+                                 "--format", "table")
+        assert status == 1
+        assert "\nSigma_0: {}\n" in out and "partial" not in out
+        status, out, _ = run_cli(capsys, "certify", "--ell", "3", "--n", "1", "--p", "7",
+                                 "--format", "table")
+        assert status == 0
+        assert "\nSigma_0: {over-7-1, over-7-2}  (partial: Sigma_0 contains all 2 places" in out
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "cert.json"
@@ -348,6 +360,7 @@ class TestCommandParsers:
     def test_known_command_builds_its_parser_only(self, capsys, monkeypatch):
         argv = ["sha-cyc", "--group", "builtin:z2", "--module", "trivial:2"]
         monkeypatch.setattr(cli, "build_parser", None)
+        monkeypatch.setattr(cli, "command_parser", None)
         monkeypatch.setattr(sys, "argv", ["tameapprox"] + argv)
         assert main() == 0  # argv=None reads sys.argv
         out = capsys.readouterr().out
@@ -381,6 +394,138 @@ class TestCommandParsers:
         assert exits(capsys, main) == exits(capsys, lambda: main([]))
         monkeypatch.setattr(sys, "argv", ["tameapprox", "bogus"])
         assert exits(capsys, main) == exits(capsys, lambda: main(["bogus"]))
+
+
+# Argvs at the edge of the fast parse's grammar, each after a command's first
+# PARSE_CASES argv (so its required options are there) and alone.
+EDGE_CASES = [
+    ["--format", "table", "--format", "json"], ["--limit", "9", "--limit=16"],
+    ["--subgroup", "1", "--subgroup", "2,3"], ["--all-subgroups", "--all-subgroups"],
+    ["--output", "-"], ["--b", "-1"], ["--b=-1"], ["--group="], ["--group=a=b"],
+    ["--group", ""], ["--output", "a b"], ["--output=--"], ["--group=--"],
+    ["--search", "99"], ["--hensel", "8"], ["--all-subgroups=1"], ["--all-subgroups="],
+    ["--limit"], ["--"], ["-h"], ["--help"], ["--limit", "x"], ["--format", "xml"],
+    ["--b", "1"], ["--limit", " 7 "], ["--n", "1_0"], ["stray"],
+]
+
+# Outside the grammar: the fast parse must leave these to argparse.
+DECLINED = [
+    ["certify", "--ell", "2", "--n", "1", "--p", "3", "--search", "99"],
+    ["certify", "--ell", "2", "--n", "1", "--p", "3", "--hensel", "8"],
+    ["certify", "--ell", "x"], ["certify", "--ell"], ["certify", "--ell", "-2"],
+    ["certify", "--", "--ell", "2"], ["certify", "-h"], ["certify", "--help"],
+    ["sigma0", "--b", "1"], ["sigma0", "--a", "1", "--b", "-1"],
+    ["h1", "--group", "builtin:z2", "--format", "xml"], ["h1", "--group", "builtin:z2", "x"],
+    ["dimension-shift", "--group", "builtin:z2", "--all-subgroups=1"],
+    ["sha-cyc"], ["sha-cyc", "--group", "-"],
+]
+
+
+def declared_flags(name):
+    declared = cli._Declared()
+    cli._COMMANDS[name].add_options(declared)
+    return declared
+
+
+def declared_argvs():
+    """Every command with the PARSE_CASES argvs, the EDGE_CASES argvs, and
+    seeded random argvs: mostly its exact flags, some prefixes and strays, and
+    values that are good, odd or flag-like."""
+    rng = random.Random(0xA59)
+    values = ["1", "7", "json", "table", "builtin:z2", "2,3", "-1", "x", "", "-", "a=b", "=",
+              "--", "-x", "--a", " 2"]
+    for name, cases in PARSE_CASES.items():
+        flags = list(declared_flags(name))
+        noise = [f[:-1] for f in flags if len(f) > 3] + ["-h", "--", "--x", "x"]
+        argvs = cases + [cases[0] + edge for edge in EDGE_CASES] + EDGE_CASES
+        for _ in range(300):
+            argv = list(cases[0]) if rng.random() < 0.5 else []
+            for _ in range(rng.randrange(1, 4)):
+                flag = rng.choice(flags) if rng.random() < 0.9 else rng.choice(noise)
+                value = rng.choice(values[:6] if rng.random() < 0.5 else values)
+                if rng.random() < 0.3:
+                    argv.append(f"{flag}={value}")
+                else:
+                    argv += [flag] + ([value] if rng.random() < 0.9 else [])
+            argvs.append(argv)
+        for argv in argvs:
+            yield name, argv
+
+
+def load_reference():
+    """perfbench/reference.py, loaded from its path."""
+    import importlib.util
+
+    path = GOLDEN_DIR.parent / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFastParse:
+    """`main` reads a known command's arguments from its declarations; for
+    every argv it accepts, the namespace is the one argparse gives."""
+
+    def test_same_vars_as_argparse_or_declined(self):
+        accepted = declined = 0
+        for name, argv in declared_argvs():
+            fast = cli._fast_parse(name, argv)
+            if fast is None:
+                declined += 1
+                continue
+            accepted += 1
+            assert vars(fast) == vars(cli.command_parser(name).parse_args(argv)), (name, argv)
+        assert accepted > 100 and declined > 100
+
+    @pytest.mark.parametrize("argv", DECLINED)
+    def test_declines_outside_its_grammar(self, argv):
+        assert cli._fast_parse(argv[0], argv[1:]) is None
+
+    def test_parse_cases_and_benchmark_argvs_take_the_fast_path(self):
+        reference = load_reference()
+        argvs = [[name] + args for name, cases in PARSE_CASES.items() for args in cases]
+        argvs += [reference.certify_argv(ell, n, p)
+                  for ell, n, p in ((2, 1, 3), (2, 2, 5), (3, 1, 7))]
+        argvs += [["sha-cyc", "--group", f"builtin:{g}", "--module", "aug"]
+                  for g in ("z8", "q8", "z3xz3", "z2xz2xz2", "zlxzln:2:3")]
+        for argv in argvs:
+            assert cli._fast_parse(argv[0], argv[1:]) is not None, argv
+
+    def test_string_default_passes_through_type(self, monkeypatch):
+        def add_options(parser):
+            parser.add_argument("--width", type=int, default="7")
+            parser.add_argument("--depth", type=int, default="x")
+
+        monkeypatch.setitem(cli._COMMANDS, "probe", cli.Command("", add_options, None))
+        args = cli._fast_parse("probe", ["--depth", "3"])
+        assert vars(args) == vars(cli.command_parser("probe").parse_args(["--depth", "3"]))
+        assert args.width == 7
+        assert cli._fast_parse("probe", []) is None  # argparse rejects the default "x"
+
+    def test_declarations_use_only_what_the_fast_parse_reads(self):
+        for name in cli._COMMANDS:
+            for flag, spec in declared_flags(name).items():
+                assert flag.startswith("--") and "=" not in flag, (name, flag)
+                assert set(spec) <= {"action", "type", "choices", "default", "required",
+                                     "help", "metavar"}, (name, flag)
+                assert spec.get("action") in (None, "store_true", "append"), (name, flag)
+
+    def test_commands_load_no_argparse(self):
+        # -I -S: no site-packages and no user site, so nothing imports argparse for us
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import io, sys, contextlib\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from tameapprox.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['sha-cyc', '--group', 'builtin:z8']) == 0\n"
+            "    assert main(['certify', '--ell', '2', '--n', '1', '--p', '3']) == 0\n"
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[]\n"
 
 
 class TestLargeModuli:
