@@ -1,8 +1,11 @@
 """Exact linear algebra: Smith normal form, kernels, and quotient structure.
 
 snf is the Smith normal form over Python's arbitrary-precision integers;
-kernel_mod and quotient_structure, which everything else in this package
-reduces to, run an elimination over Z/p^e.  This script walks the three.
+kernel_mod and quotient_structure run an elimination over Z/p^e.  Every
+cohomology group in this package is a quotient ker A / im B presented by
+one such elimination of A, which kernel_mod shows on its own, and
+quotient_structure presents a quotient of spans the same way.  This script
+walks the three.
 """
 
 from tameapprox import IntMatrix, kernel_mod, quotient_structure, snf

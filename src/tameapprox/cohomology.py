@@ -16,9 +16,12 @@ Fields, Prop. 1.7.1) as a case of the same solver.  A subgroup that is not
 solvable (only a JSON input has one) is solved the same way on the
 presentation read off its Cayley graph (`_cayley_presentation`): the
 generators are its generating set, and each Cayley edge off a BFS tree is
-a relator.  Z^1/B^1 is then a quotient inside (Z/m)^(d rank), fed to the
-elimination mod m.  The full-cochain coboundary matrices d0, d1 stay
-exported for the tests and the tracer, but h1 does not build them.
+a relator.  Z^1/B^1 is then ker A / im B inside (Z/m)^(d rank), A the
+relator conditions and B the coboundaries of the generator values, and
+`zmod_linalg._kernel_quotient` presents it from one elimination of A; Tate
+H^0 and the Sha kernels are quotients of the same form.  The full-cochain
+coboundary matrices d0, d1 stay exported for the tests and the tracer,
+but h1 does not build them.
 
 The Sha kernels are computed from a finite model: all cyclic subgroups of
 G stand in for the (infinitely many) unramified places, since every cyclic
@@ -42,12 +45,7 @@ from typing import NamedTuple
 from .finite_groups import Group, Subgroup, _cayley_presentation, cyclic_subgroups, full_subgroup
 from .g_modules import GModule, augmentation_ideal, group_ring
 from .primes import is_prime
-from .zmod_linalg import (
-    AbGroupStructure,
-    IntMatrix,
-    QuotientPresentation,
-    kernel_mod,
-)
+from .zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresentation, _kernel_quotient
 
 __all__ = [
     "H1Result", "PlaceRecord", "ShaResult", "LemmaReport", "ShiftReport",
@@ -58,22 +56,23 @@ __all__ = [
 
 
 def _differences(module, elements):
-    """a -> (g.a - a for g in elements), stacked as a (len(elements) r x r) matrix."""
+    """a -> (g.a - a for g in elements), as the rows of a (len(elements) r x r) matrix."""
     r = module.rank
-    entries = []
+    rows = []
     for g in elements:
         for i, arow in enumerate(module.action_rows[g]):
             row = [0] * r
             for j, a in arow:
                 row[j] = a
             row[i] -= 1
-            entries += row
-    return IntMatrix(len(elements) * r, r, entries)
+            rows.append(row)
+    return rows
 
 
 def coboundary0_matrix(group, module):
     """d0: M -> C^1, (d0 a)(g) = g.a - a, as an (nr x r) integer matrix."""
-    return _differences(module, range(group.order))
+    rows = _differences(module, range(group.order))
+    return IntMatrix(len(rows), module.rank, [x for row in rows for x in row])
 
 
 def coboundary1_matrix(group, module):
@@ -132,8 +131,9 @@ def _fox_system(group, module, pres):
     A relator lhs = rhs of positive words holds for z exactly when
     z(lhs) - z(rhs) = 0, with z(s_1 ... s_k) = sum over j of
     (s_1 ... s_(j-1)).x_(s_j): per relator, r rows whose block for g_i sums
-    the actions of the prefixes in front of each letter g_i.  Residues are
-    in [0, m); zero and repeated rows are dropped.
+    the actions of the prefixes in front of each letter g_i.  Returns the
+    rows, as tuples of residues in [0, m); zero and repeated rows are
+    dropped.
     """
     gens = pres.generators
     t, act = group.table, module.action_rows
@@ -158,7 +158,7 @@ def _fox_system(group, module, pres):
             row = tuple(row)
             if any(row):
                 rows[row] = None
-    return IntMatrix(len(rows), len(gens) * r, [x for row in rows for x in row])
+    return list(rows)
 
 
 def _expand(group, module, tree, x):
@@ -200,24 +200,25 @@ class H1Result(NamedTuple):
 def _subgroup_h1(module, sub):
     """(generators, tree, H^1(H, M) as a QuotientPresentation) for a subgroup H.
 
-    Everything is in the indices of G = module.group: Z^1 is the kernel of
-    the relator conditions (`_fox_system`) on the values at the generators
-    of H's polycyclic presentation, or, if H is not solvable, of the
-    presentation read off its Cayley graph on its generating set; B^1 is
-    the image of a -> (s.a - a)_s.  A cocycle z of G restricts to the class
-    with coordinates `presentation.coordinates([z(s) for s in generators])`;
-    `tree` builds the elements of H from the generators.  Cached on the
-    (immutable) module per element set of H.
+    Everything is in the indices of G = module.group.  H^1 = Z^1/B^1 is
+    ker A / im B (`_kernel_quotient`, one elimination): A is the relator
+    conditions (`_fox_system`) on the values at the generators of H's
+    polycyclic presentation, or, if H is not solvable, of the presentation
+    read off its Cayley graph on its generating set; B is a -> (s.a - a)_s.
+    A cocycle z of G restricts to the class with coordinates
+    `presentation.coordinates([z(s) for s in generators])`; `tree` builds
+    the elements of H from the generators.  Cached on the (immutable)
+    module per element set of H.
     """
     if not isinstance(sub, Subgroup) or sub.parent != module.group:
         raise ValueError("subgroup belongs to a different group")
     cache = module._subgroup_h1_cache
     if sub.elements not in cache:
-        group, m = module.group, module.modulus
+        group = module.group
         pres = sub.presentation() or _cayley_presentation(group, sub.generating_set())
-        d1 = _fox_system(group, module, pres)
-        cache[sub.elements] = (pres.generators, pres.tree, QuotientPresentation(
-            _differences(module, pres.generators), kernel_mod(d1, m), m))
+        cache[sub.elements] = (pres.generators, pres.tree, _kernel_quotient(
+            _fox_system(group, module, pres), _differences(module, pres.generators),
+            module.modulus))
     return cache[sub.elements]
 
 
@@ -254,26 +255,26 @@ def h1(group, module):
 
 
 def tate_h0(group, module):
-    """Tate H^0: fixed points M^G modulo the image of the norm N_G."""
+    """Tate H^0: fixed points M^G modulo the image of the norm N_G.
+
+    M^G is the intersection of ker(s - 1) over the generators s, so this is
+    ker A / im N_G with A the stacked s - 1 (`_kernel_quotient`).
+    """
     if module.group != group:
         raise ValueError("module is over a different group")
-    m = module.modulus
-    if module.rank == 0:
-        return AbGroupStructure()
-    # M^G is the intersection of ker(s - 1) over the generators s
-    fixed = kernel_mod(_differences(module, group.generating_set()), m)
-    return QuotientPresentation(_norm(module), fixed, m).structure
+    return _kernel_quotient(_differences(module, group.generating_set()), _norm(module),
+                            module.modulus).structure
 
 
 def _norm(module):
-    """N_G, the sum of the actions of all elements, as an r x r matrix."""
+    """N_G, the sum of the actions of all elements, as the rows of an r x r matrix."""
     r = module.rank
     norm = [[0] * r for _ in range(r)]
     for mat in module.action_rows:
         for row, arow in zip(norm, mat):
             for j, a in arow:
                 row[j] += a
-    return IntMatrix.from_rows(norm)
+    return norm
 
 
 def res_h1(group, sub, module):
@@ -284,12 +285,18 @@ def res_h1(group, sub, module):
     target is H^1(H, M) as `_subgroup_h1` presents it, in G's indices; a
     cocycle z restricts to the class of its values z(s) at H's generators.
     """
+    rows, _ = _restriction_rows(group, sub, module)
+    cols = len(h1(group, module).cocycle_reps)
+    return IntMatrix(len(rows), cols, [x for row in rows for x in row])
+
+
+def _restriction_rows(group, sub, module):
+    """(rows, target factors) of `res_h1`, from one read of `_subgroup_h1`."""
     reps = h1(group, module).cocycle_reps
     gens, _, pres = _subgroup_h1(module, sub)
-    factors = pres.structure.invariant_factors
     images = [pres.coordinates([x for s in gens for x in rep[s]]) for rep in reps]
-    return IntMatrix(len(factors), len(images),
-                     [image[i] % d for i, d in enumerate(factors) for image in images])
+    factors = pres.structure.invariant_factors
+    return [[image[i] for image in images] for i in range(len(factors))], factors
 
 
 class ShaResult(NamedTuple):
@@ -308,7 +315,9 @@ def _restriction_kernel(group, module, subgroups):
     subset of another member's is dropped: it adds no condition, as
     res_H = res^K_H o res_K for H <= K.  Row i of `res_h1` on a kept member
     lives in Z/delta_i, delta_i the i-th factor of H^1(H, M); scaled by
-    m / delta_i it is a condition mod m.
+    m / delta_i it is a row of A, a condition mod m.  The kernel is
+    ker A / im B in the coordinates of H^1(G, M), B the diagonal of its
+    factors (`_kernel_quotient`).
     """
     family = dict.fromkeys(subgroups)
     if any(sub.parent != group for sub in family):
@@ -325,21 +334,14 @@ def _restriction_kernel(group, module, subgroups):
     family = [s for s, elems in zip(family, sets) if not any(elems < other for other in sets)]
     constraint_rows = []
     for sub in family:
-        rows = res_h1(group, sub, module).row_lists()
-        # the target factors, from the presentation res_h1 has just cached
-        deltas = _subgroup_h1(module, sub)[2].structure.invariant_factors
+        rows, deltas = _restriction_rows(group, sub, module)
         for row, delta in zip(rows, deltas):
             if m % delta:
                 raise AssertionError("invariant factor does not divide the modulus")
             scale = m // delta
             constraint_rows.append([scale * x for x in row])
-
-    if constraint_rows:
-        kernel = kernel_mod(IntMatrix.from_rows(constraint_rows), m)
-    else:
-        kernel = IntMatrix.identity(k)
-    relations = IntMatrix.diagonal(list(factors))
-    pres = QuotientPresentation(relations, kernel, m)
+    relations = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(factors)]
+    pres = _kernel_quotient(constraint_rows, relations, m)
 
     gens = []
     reps = h1_full.cocycle_reps

@@ -1,17 +1,25 @@
 """Exact linear algebra over Z and Z/mZ.
 
-Everything downstream (cochain kernels, cohomology quotients, Tate groups)
-reduces to `kernel_mod` and `QuotientPresentation`, and both run one
-elimination engine over the chain ring Z/p^e (Howell, "Spans in the module
-(Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for linear algebra
-modulo N", 1998).  A composite modulus is split by CRT into its prime-power
-parts, found by `primes.factorize`.  Over Z/p^e every residue is a unit
-times a power of p, so a pivot of least p-valuation, scaled to exactly
-p^v, clears its column and its row in one operation per entry: there are
-no remainder loops and no divisibility fix-ups, and every entry stays a
-residue in [0, p^e).  The arithmetic is
-still exact (residues are Python ints), and the fixed pivot rule (least
-valuation, then lowest (row, col)) keeps every output reproducible.
+Every quotient downstream (cohomology groups, Tate groups, restriction
+kernels) has the form ker A / im B with im B inside ker A, and comes from
+`_kernel_quotient`: one reduction of A^T with a log of its row operations
+U, in whose coordinates y = U^-T x the kernel is diagonal, and from which
+B's coordinates are read off (Kaczynski, Mischaikow and Mrozek,
+Computational Homology, 2004, ch. 3: one reduction per boundary map,
+carried with its change of basis).  `kernel_mod` runs the same reduction
+with U riding along, as it returns every generator, and
+`QuotientPresentation` presents a quotient of spans as a kernel quotient.
+
+The elimination works over the chain ring Z/p^e (Howell, "Spans in the
+module (Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for linear
+algebra modulo N", 1998).  A composite modulus is split by CRT into its
+prime-power parts, found by `primes.factorize`.  Over Z/p^e every residue
+is a unit times a power of p, so a pivot of least p-valuation, scaled to
+exactly p^v, clears its column and its row in one operation per entry:
+there are no remainder loops and no divisibility fix-ups, and every entry
+stays a residue in [0, p^e).  The arithmetic is still exact (residues are
+Python ints), and the fixed pivot rule (least valuation, then lowest
+(row, col)) keeps every output reproducible.
 
 `smith_decomposition` and `snf` remain as the Smith normal form over Z,
 whose entries can outgrow any word size.
@@ -19,6 +27,7 @@ whose entries can outgrow any word size.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import mul
 from typing import NamedTuple
 
@@ -26,7 +35,7 @@ from .primes import factorize
 
 
 class NotInSpanError(ValueError):
-    """A vector claimed to lie in an ambient span does not.
+    """A vector claimed to lie in a kernel (or an ambient span) does not.
 
     When raised from the quotient machinery this signals an internal bug in a
     caller (e.g. a "coboundary" that is not a cocycle), not bad user input.
@@ -414,8 +423,9 @@ def _reduce(rows, width, p, e, *, log=None):
     Returns vals: U A V has p^vals[t] in row t for t < len(vals), and zeros
     elsewhere.  When `log` is a list, step t appends its row operations as
     (t, bi, unit, ops): swap rows t and bi, scale row t by unit^-1, then
-    row_i -= f row_t for each (i, f) in ops; `_undo` replays them backwards
-    to apply U^-1 to one vector.
+    row_i -= f row_t for each (i, f) in ops.  `_undo` replays them backwards
+    to apply U^-1 to one vector, `_apply_ut` backwards and transposed to
+    apply U^T, and `_kernel_summands` reads U^-T off them forwards.
     """
     q = p ** e
     R = len(rows)
@@ -480,127 +490,174 @@ def _undo(log, vec, q):
     return vec
 
 
-def kernel_mod(mat, modulus):
-    """Generators of { x mod modulus : mat @ x == 0 (mod modulus) } as columns.
+def _apply_ut(log, vec, q):
+    """U^T vec mod q, in place, for the U whose steps `_reduce` logged.
 
-    Per prime power q = p^e of the modulus, the transpose is reduced as
-    [A^T | I] over Z/q, which tracks a transform on C x C entries only,
-    however many rows A has: U A^T V = D.  Writing x = U^T w, A x = 0 iff
-    p^v_t w_t = 0 for each pivot row t, so the kernel mod q is spanned by
-    the rows of U, a pivot row scaled by p^(e - v_t), and each is lifted
-    to Z/m by CRT.  Zero columns are dropped; an injective map yields a
-    0-column matrix.
+    U^T applies each step transposed, the last first: row_i -= f row_t
+    becomes vec_t -= f vec_i, the scale of row t by unit^-1 scales vec_t
+    by it, and the swap stays a swap.
     """
-    m = int(modulus)
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    R, C = mat.rows, mat.cols
-    cols = []
+    for t, bi, unit, ops in reversed(log):
+        y = vec[t] - sum(f * vec[i] for i, f in ops)
+        vec[t] = y * pow(unit, -1, q) % q if unit != 1 else y % q
+        vec[t], vec[bi] = vec[bi], vec[t]
+    return vec
+
+
+def _kernel_summands(at_rows, p, e):
+    """ker A over Z/p^e from one logged reduction of A^T: (log, summands).
+
+    `at_rows` are the columns of A.  With U A^T V = D and x = U^T y,
+    A x = V^-T D^T y, so x lies in ker A exactly when p^v_t y_t = 0 for
+    each pivot row t: ker A is the sum of the cyclic groups generated by
+    U^T (s_t e_t), s_t = p^(e - v_t) for a pivot row and 1 past the pivots.
+    Each summand with s_t < p^e is listed as (t, s_t, y_t), t ascending,
+    with y_t = (U^-T x)_t as a sparse functional [(index, coefficient)].
+
+    U^-T x replays the log forward, transposed: step t swaps x_t and x_bi,
+    multiplies x_t by unit, then adds f x_i for each (i, f) in ops.
+    Position t is final after step t, and the steps before it changed only
+    positions below t, so y_t reads the original entries under the swaps
+    made so far; past the last step, y_t is the entry of x that the swaps
+    moved there.  So only the summands of a pivot row need a functional of
+    more than one entry.
+    """
+    q = p ** e
+    rows = [[x % q for x in col] for col in at_rows]
+    log = []
+    vals = _reduce(rows, len(rows[0]), p, e, log=log)
+    perm = list(range(len(rows)))
+    kept = []
+    for (t, bi, unit, ops), v in zip(log, vals):
+        perm[t], perm[bi] = perm[bi], perm[t]
+        if v:
+            kept.append((t, p ** (e - v), [(perm[t], unit)] + [(perm[i], f) for i, f in ops]))
+    kept += [(t, 1, [(perm[t], 1)]) for t in range(len(vals), len(rows))]
+    return log, kept
+
+
+def _kernel_vectors(at_rows, width, m):
+    """Generators of ker A mod m, A given by its columns `at_rows` and
+    `width` rows.  Per prime power q of m this is the reduction of
+    `_kernel_summands` with U riding along as an identity block, since
+    every generator is returned: the rows u_t of U scaled by s_t < q, each
+    lifted to Z/m by CRT."""
+    vecs = []
     if m > 1:
-        transposed = list(zip(*mat._data)) if R else [()] * C
         for p, e in factorize(m).items():
             q = p ** e
             lift = _crt_lift(m, q)
             rows = [[x % q for x in col] + urow
-                    for col, urow in zip(transposed, _identity_rows(C))]
-            vals = _reduce(rows, R, p, e)
+                    for col, urow in zip(at_rows, _identity_rows(len(at_rows)))]
+            vals = _reduce(rows, width, p, e)
             for t, row in enumerate(rows):
                 s = p ** (e - vals[t]) if t < len(vals) else 1
-                col = [x * s % q * lift % m for x in row[R:]]
-                if any(col):
-                    cols.append(col)
-    return IntMatrix.from_columns(cols, dim=C)
+                if s < q:
+                    vecs.append([x * s % q * lift % m for x in row[width:]])
+    return vecs
+
+
+def kernel_mod(mat, modulus):
+    """Generators of { x mod modulus : mat @ x == 0 (mod modulus) } as columns.
+
+    One reduction of the transpose per prime power of the modulus
+    (`_kernel_vectors`).  Zero columns are dropped; an injective map yields
+    a 0-column matrix.
+    """
+    m = int(modulus)
+    if m < 1:
+        raise ValueError("modulus must be >= 1")
+    at_rows = list(zip(*mat._data)) if mat.rows else [()] * mat.cols
+    return IntMatrix.from_columns(_kernel_vectors(at_rows, mat.rows, m), dim=mat.cols)
 
 
 class _PrimePowerQuotient:
-    """The p-primary part of span(amb)/span(sub), computed over Z/q, q = p^e.
+    """The p-primary part of ker A / im B, computed over Z/q, q = p^e.
 
-    The ambient step reduces A with no padding: U A V has pivots p^v_t in
-    rows t < r, so x lies in span(A) iff y = Ux has p^v_t | y_t for t < r
-    and y_t = 0 for t >= r (a row whose pivot is p^e = 0).  c_t = y_t / p^v_t
-    is then the coordinate of x in the ambient group, sum of Z/p^(e - v_t).
-    The relation step reduces, in those coordinates, the sub generators
-    next to p^(e - v_t) e_t for each pivot with v_t > 0 (the others relate
-    nothing mod q): U_rel R V_rel has pivots p^w_j, so the quotient is the
-    sum of Z/p^w_j plus a Z/q for each row without pivot.  U and U_rel ride
-    along as identity blocks, for `coordinates`; their inverses are never
-    formed.  The j-th generator is U^-1 D U_rel^-1 e_j, D = diag(p^v_t),
-    built by replaying the two steps' logs backwards on e_j (`_undo`), and
-    only for the summands of order >= 2, which `factors`, `gens` and the
-    rows of `_u_rel` cover, ascending.
+    In the coordinates y = U^-T x of `_kernel_summands`, ker A is the sum
+    of Z/(q / s_t) over the kept summands t, and c_t = y_t / s_t is the
+    coordinate of x in summand t.  The relation step (`_relate`) reduces, in
+    those coordinates, the columns of B next to (q / s_t) e_t for each
+    summand of order below q: U_rel R V_rel has pivots p^w_j, so the
+    quotient is the sum of Z/p^w_j plus a Z/q for each row without pivot.
+    The j-th generator is U^T (s * w), w = U_rel^-1 e_j, both replayed from
+    the logs; so is row j of U_rel, which `coordinates` applies to c.  Only
+    the summands of order >= 2 are kept, in `factors`, `gens` and the rows
+    of `_u_rel`, ascending.  The logs are dropped once `gens` is built.
     """
 
-    __slots__ = ("q", "lift", "factors", "gens", "_u", "_scales", "_u_rel")
+    __slots__ = ("q", "lift", "factors", "gens", "_funcs", "_u_rel")
 
-    def __init__(self, sub_gens, amb_gens, p, e, m):
+    def __init__(self, at_rows, b_rows, p, e, m):
+        log, kept = _kernel_summands(at_rows, p, e)
+        self.gens = [_apply_ut(log, y, p ** e) for y in self._relate(b_rows, kept, p, e, m)]
+
+    def _relate(self, b_rows, kept, p, e, m):
+        """The relation step over the kept summands (t, s_t, y_t) of ker A.
+
+        Sets everything but `gens`, and returns each generator's
+        coordinates y, s_t w_t at position t, for the caller to lift.
+        """
         q = p ** e
-        dim, width, n_sub = amb_gens.rows, amb_gens.cols, sub_gens.cols
-        # [A | S | I] becomes [UA | US | U]
-        rows = [[x % q for x in row + srow] + urow for row, srow, urow
-                in zip(amb_gens._data, sub_gens._data, _identity_rows(dim))]
-        log, rel_log = [], []
-        vals = _reduce(rows, width, p, e, log=log)
-        r = len(vals)
-        # y lies in U span(A) iff scales[t] | y_t for every t (q | y_t means y_t = 0)
-        scales = [p ** val for val in vals] + [q] * (dim - r)
-        for j in range(width, width + n_sub):
-            if any(row[j] % s for row, s in zip(rows, scales)):
-                raise NotInSpanError(
-                    f"sub generator {j - width} is not in the ambient span mod {m}")
-
-        pad = [t for t in range(r) if scales[t] > 1]
-        rel_width = n_sub + len(pad)
+        n = len(kept)
+        pad = [k for k, (_, s, _) in enumerate(kept) if s > 1]
         rel = []
-        for t, urow in enumerate(_identity_rows(r)):
-            s = scales[t]
-            rel.append([y // s for y in rows[t][width:width + n_sub]]
-                       + [q // s if t == k else 0 for k in pad] + urow)
-        rel_vals = _reduce(rel, rel_width, p, e, log=rel_log)
+        for k, (_, s, func) in enumerate(kept):
+            (i, c), *rest = func
+            y = [c * b for b in b_rows[i]]
+            for i, c in rest:
+                y = [a + c * b for a, b in zip(y, b_rows[i])]
+            rel.append([a % q // s for a in y] + [q // s if k == j else 0 for j in pad])
+        rel_log = []
+        rel_vals = _reduce(rel, len(b_rows[0]) + len(pad), p, e, log=rel_log)
 
         factors, gens, u_rel = [], [], []
-        for j in range(r):
+        for j in range(n):
             d = p ** rel_vals[j] if j < len(rel_vals) else q
             if d < 2:
                 continue
-            w = _undo(rel_log, [int(t == j) for t in range(r)], q)
+            y = [0] * len(b_rows)
+            for (t, s, _), w in zip(kept, _undo(rel_log, [int(k == j) for k in range(n)], q)):
+                y[t] = s * w % q
             factors.append(d)
-            gens.append(_undo(log, [x * s % q for x, s in zip(w, scales)] + [0] * (dim - r), q))
-            u_rel.append(rel[j][rel_width:])
+            gens.append(y)
+            u_rel.append(_apply_ut(rel_log, [int(k == j) for k in range(n)], q))
         self.q = q
         self.lift = _crt_lift(m, q)
         self.factors = factors
-        self.gens = gens
-        self._u = [row[width + n_sub:] for row in rows]
-        self._scales = scales
+        self._funcs = [(s, func) for _, s, func in kept]
         self._u_rel = u_rel
+        return gens
 
     def coordinates(self, vec):
-        """Integers that reduce mod `factors` to the class of `vec` (ambient span mod q)."""
+        """Integers that reduce mod `factors` to the class of `vec` (in ker A mod q)."""
         q = self.q
-        c = []
-        for urow, s in zip(self._u, self._scales):
-            y = sum(map(mul, urow, vec)) % q
-            if y % s:
-                raise NotInSpanError("vector is not in the ambient span mod m")
-            c.append(y // s)
+        c = [sum(f * vec[i] for i, f in func) % q // s for s, func in self._funcs]
         return [sum(map(mul, urow, c)) for urow in self._u_rel]
 
 
 class QuotientPresentation:
-    """The finite abelian group (span of ambient columns mod m)/(span of sub columns mod m).
+    """The finite abelian group ker A / im B mod m, with im B inside ker A.
 
     Carries explicit generators: `generator_columns[i]` has exact order
     `structure.invariant_factors[i]` in the quotient, and `coordinates(x)`
-    expresses any ambient-span vector in those generators.
+    expresses any vector of ker A in those generators.
+
+    The public constructor takes the span form (span of ambient columns mod
+    m)/(span of sub columns mod m): over Z/m, which is self-injective, the
+    span of the ambient columns is the kernel of their annihilator, the
+    rows a with a . amb_j = 0 for every column (`_kernel_vectors` of the
+    transpose).  `_kernel_quotient` takes A and B directly.
 
     Each prime power q of m gives the p-primary part (`_PrimePowerQuotient`),
     with its factors ascending.  Aligned at their largest factor, the parts'
     factors multiply to the invariant factors, and the CRT lifts of their
     generators add up to generators of the product orders; a coordinate is
-    the CRT combination of the parts' coordinates.
+    the CRT combination of the parts' coordinates.  im B inside ker A is
+    checked as A B = 0 mod m, over the nonzeros of A's columns.
     """
 
-    __slots__ = ("structure", "generator_columns", "modulus", "dim", "_parts")
+    __slots__ = ("structure", "generator_columns", "modulus", "dim", "_parts", "_a_cols")
 
     def __init__(self, sub_gens, amb_gens, modulus):
         m = int(modulus)
@@ -608,16 +665,24 @@ class QuotientPresentation:
             raise ValueError("modulus must be >= 1")
         if sub_gens.rows != amb_gens.rows:
             raise ValueError("sub and ambient generators live in different dimensions")
-        dim = amb_gens.rows
+        self._solve(_kernel_vectors(amb_gens._data, amb_gens.cols, m), sub_gens._data, m)
+
+    def _solve(self, a_rows, b_rows, m):
+        """ker A / im B mod m from row lists (`_kernel_quotient`)."""
+        dim = len(b_rows)
+        at_rows = list(zip(*a_rows)) if a_rows else [()] * dim
         self.modulus = m
         self.dim = dim
+        self._a_cols = [[(i, x) for i, x in enumerate(col) if x % m] for col in at_rows]
         self._parts = ()
         if m == 1 or dim == 0:
             self.structure = TRIVIAL_STRUCTURE
             self.generator_columns = ()
             return
+        if not self._image_in_kernel(b_rows):
+            raise NotInSpanError(f"a column of B is not in ker A mod {m}")
 
-        parts = tuple(_PrimePowerQuotient(sub_gens, amb_gens, p, e, m)
+        parts = tuple(_PrimePowerQuotient(at_rows, b_rows, p, e, m)
                       for p, e in factorize(m).items())
         k = max(len(part.factors) for part in parts)
         factors = [1] * k
@@ -631,14 +696,41 @@ class QuotientPresentation:
         self.generator_columns = tuple(tuple(gen) for gen in gens)
         self._parts = parts
 
+    def _image_in_kernel(self, b_rows):
+        """A B = 0 mod m: column k of A times row k of B, over their nonzeros,
+        summed into the rows of A B that some nonzero reaches."""
+        prod = {}
+        for col, brow in zip(self._a_cols, b_rows):
+            if col:
+                bnz = [(j, brow[j]) for j in compress(range(len(brow)), brow)]
+                for i, a in col:
+                    row = prod.get(i)
+                    if row is None:
+                        row = prod[i] = [0] * len(brow)
+                    for j, b in bnz:
+                        row[j] += a * b
+        rmod = self.modulus.__rmod__
+        return not any(any(map(rmod, row)) for row in prod.values())
+
+    def _in_kernel(self, vec):
+        """A vec = 0 mod m, over the nonzeros of vec and of A's columns."""
+        acc = {}
+        for k in compress(range(len(vec)), vec):
+            for i, a in self._a_cols[k]:
+                acc[i] = acc.get(i, 0) + a * vec[k]
+        m = self.modulus
+        return not any(y % m for y in acc.values())
+
     def coordinates(self, vector):
         """Class of `vector` in generator coordinates (one residue per factor).
 
-        Raises NotInSpanError if the vector is outside the ambient span mod m.
+        Raises NotInSpanError if the vector is outside ker A mod m.
         """
         vec = list(vector)
         if len(vec) != self.dim:
             raise ValueError(f"vector length {len(vec)} != ambient dimension {self.dim}")
+        if not self._in_kernel(vec):
+            raise NotInSpanError(f"vector is not in ker A mod {self.modulus}")
         factors = self.structure.invariant_factors
         c = [0] * len(factors)
         for part in self._parts:
@@ -647,6 +739,19 @@ class QuotientPresentation:
             for i, x in enumerate(coords, offset):
                 c[i] += part.lift * x
         return tuple(x % d for x, d in zip(c, factors))
+
+
+def _kernel_quotient(a_rows, b_rows, modulus):
+    """ker A / im B mod m as a QuotientPresentation, from row lists.
+
+    A has len(b_rows) columns (`a_rows` may be empty), and B is
+    len(b_rows) x n.  Each prime power of m reduces A^T once, with a log,
+    and reads B's coordinates off it; a column of B outside ker A raises
+    NotInSpanError, a bug in the caller.
+    """
+    pres = QuotientPresentation.__new__(QuotientPresentation)
+    pres._solve(a_rows, b_rows, int(modulus))
+    return pres
 
 
 def quotient_structure(sub_gens, amb_gens, modulus):

@@ -18,10 +18,14 @@ augmentation sequence,
 sparse rows of the group ring and the augmentation ideal,
 `dense_quotient_presentation` (the presentation over Z with m*I padding, on
 the reference reduction) for the presentation over Z/p^e,
+`old_pair_quotient` (`kernel_mod`, then the span quotient
+`SpanQuotientPresentation` with its own ambient reduction) for
+`_kernel_quotient`, which reads ker A / im B off one reduction,
 `uit_reduce` and `UitPrimePowerQuotient` (a dense U^-1 updated on every
-row operation) for the generators replayed from the operation log, and
-`reference_smith_decomposition` for the Smith reduction that carries its
-transforms as augmented rows and columns.
+row operation, and U from an identity block) for the coordinate
+functionals and the generators replayed from the operation log,
+and `reference_smith_decomposition` for the Smith reduction that carries
+its transforms as augmented rows and columns.
 """
 
 from itertools import product
@@ -36,12 +40,16 @@ from tameapprox.cohomology import (
 from tameapprox import zmod_linalg
 from tameapprox.g_modules import restrict
 from tameapprox.zmod_linalg import (
+    AbGroupStructure,
     IntMatrix,
     NotInSpanError,
     QuotientPresentation,
     _crt_lift,
     _identity_rows,
+    _kernel_quotient,
     _PrimePowerQuotient,
+    _reduce,
+    _undo,
     kernel_mod,
     quotient_structure,
 )
@@ -231,7 +239,7 @@ def full_cochain_h1(group, module):
     """
     m = module.modulus
     zgens = kernel_mod(coboundary1_matrix(group, module), m)
-    return QuotientPresentation(coboundary0_matrix(group, module), zgens, m).structure
+    return SpanQuotientPresentation(coboundary0_matrix(group, module), zgens, m).structure
 
 
 def _cayley_system(group, module, gens):
@@ -283,7 +291,7 @@ def cayley_h1(group, module):
     m = module.modulus
     gens = group.generating_set()
     d1, tree = _cayley_system(group, module, gens)
-    pres = QuotientPresentation(_differences(module, gens), kernel_mod(d1, m), m)
+    pres = old_pair_quotient(d1.row_lists(), _differences(module, gens), m)
     reps = [_expand(group, module, tree, col) for col in pres.generator_columns]
 
     def coordinates(rep):
@@ -308,9 +316,9 @@ def cayley_restriction_kernel(group, module, subgroups):
         images = [coordinates([rep[x] for x in sub.elements]) for rep in reps]
         for i, delta in enumerate(target.invariant_factors):
             rows.append([m // delta * image[i] for image in images])
-    kernel = (kernel_mod(IntMatrix.from_rows(rows), m) if rows
-              else IntMatrix.identity(len(factors)))
-    return QuotientPresentation(IntMatrix.diagonal(list(factors)), kernel, m).structure
+    relations = [[d if i == j else 0 for j in range(len(factors))]
+                 for i, d in enumerate(factors)]
+    return old_pair_quotient(rows, relations, m).structure
 
 
 def brute_generated(group, gens):
@@ -488,11 +496,21 @@ def uit_reduce(rows, width, p, e, *, u_inv=False):
     return vals, uit
 
 
-class UitPrimePowerQuotient(_PrimePowerQuotient):
-    """`_PrimePowerQuotient` whose generators come from the dense U^-1 of
-    `uit_reduce`; `coordinates` is inherited, so both read the same U."""
+class SpanPrimePowerQuotient:
+    """The p-primary part of span(amb)/span(sub), over Z/q, q = p^e, as
+    `zmod_linalg` computed every quotient before its kernel routine.
 
-    __slots__ = ()
+    The ambient step reduces A with no padding: U A V has pivots p^v_t in
+    rows t < r, so x lies in span(A) iff y = Ux has p^v_t | y_t for t < r
+    and y_t = 0 for t >= r (a row whose pivot is p^e = 0).  c_t = y_t / p^v_t
+    is then the coordinate of x in the ambient group, sum of Z/p^(e - v_t).
+    The relation step reduces, in those coordinates, the sub generators
+    next to p^(e - v_t) e_t for each pivot with v_t > 0 (the others relate
+    nothing mod q): U_rel R V_rel has pivots p^w_j, so the quotient is the
+    sum of Z/p^w_j plus a Z/q for each row without pivot.  The j-th
+    generator is U^-1 D U_rel^-1 e_j, D = diag(p^v_t), replayed from the
+    two steps' logs (`_undo`), for the summands of order >= 2, ascending.
+    """
 
     def __init__(self, sub_gens, amb_gens, p, e, m):
         q = p ** e
@@ -500,7 +518,8 @@ class UitPrimePowerQuotient(_PrimePowerQuotient):
         # [A | S | I] becomes [UA | US | U]
         rows = [[x % q for x in row + srow] + urow for row, srow, urow
                 in zip(amb_gens._data, sub_gens._data, _identity_rows(dim))]
-        vals, uit = uit_reduce(rows, width, p, e, u_inv=True)
+        log, rel_log = [], []
+        vals = _reduce(rows, width, p, e, log=log)
         r = len(vals)
         # y lies in U span(A) iff scales[t] | y_t for every t (q | y_t means y_t = 0)
         scales = [p ** val for val in vals] + [q] * (dim - r)
@@ -516,20 +535,16 @@ class UitPrimePowerQuotient(_PrimePowerQuotient):
             s = scales[t]
             rel.append([y // s for y in rows[t][width:width + n_sub]]
                        + [q // s if t == k else 0 for k in pad] + urow)
-        rel_vals, rel_uit = uit_reduce(rel, rel_width, p, e, u_inv=True)
+        rel_vals = _reduce(rel, rel_width, p, e, log=rel_log)
 
         factors, gens, u_rel = [], [], []
         for j in range(r):
             d = p ** rel_vals[j] if j < len(rel_vals) else q
             if d < 2:
                 continue
-            acc = [0] * dim
-            for t, x in enumerate(rel_uit[j]):
-                if x:
-                    w = x * scales[t]
-                    acc = [a + w * b for a, b in zip(acc, uit[t])]
+            w = _undo(rel_log, [int(t == j) for t in range(r)], q)
             factors.append(d)
-            gens.append([a % q for a in acc])
+            gens.append(_undo(log, [x * s % q for x, s in zip(w, scales)] + [0] * (dim - r), q))
             u_rel.append(rel[j][rel_width:])
         self.q = q
         self.lift = _crt_lift(m, q)
@@ -538,6 +553,91 @@ class UitPrimePowerQuotient(_PrimePowerQuotient):
         self._u = [row[width + n_sub:] for row in rows]
         self._scales = scales
         self._u_rel = u_rel
+
+    def coordinates(self, vec):
+        q = self.q
+        c = []
+        for urow, s in zip(self._u, self._scales):
+            y = sum(a * b for a, b in zip(urow, vec)) % q
+            if y % s:
+                raise NotInSpanError("vector is not in the ambient span mod m")
+            c.append(y // s)
+        return [sum(a * b for a, b in zip(urow, c)) for urow in self._u_rel]
+
+
+class SpanQuotientPresentation:
+    """(span of amb columns mod m)/(span of sub columns mod m) from one
+    `SpanPrimePowerQuotient` per prime power of m, combined by CRT: the
+    quotient presentation that `kernel_mod` fed before the kernel routine."""
+
+    def __init__(self, sub_gens, amb_gens, m):
+        assert sub_gens.rows == amb_gens.rows
+        dim = amb_gens.rows
+        self.dim = dim
+        self.parts = ()
+        if m == 1 or dim == 0:
+            self.structure = AbGroupStructure()
+            self.generator_columns = ()
+            return
+        self.parts = tuple(SpanPrimePowerQuotient(sub_gens, amb_gens, p, e, m)
+                           for p, e in trial_division_factor(m).items())
+        k = max(len(part.factors) for part in self.parts)
+        factors = [1] * k
+        gens = [[0] * dim for _ in range(k)]
+        for part in self.parts:
+            offset = k - len(part.factors)
+            for i, (d, gen) in enumerate(zip(part.factors, part.gens), offset):
+                factors[i] *= d
+                gens[i] = [(a + part.lift * b) % m for a, b in zip(gens[i], gen)]
+        self.structure = AbGroupStructure(factors)
+        self.generator_columns = tuple(tuple(gen) for gen in gens)
+
+    def coordinates(self, vector):
+        factors = self.structure.invariant_factors
+        c = [0] * len(factors)
+        for part in self.parts:
+            coords = part.coordinates(list(vector))
+            for i, x in enumerate(coords, len(factors) - len(coords)):
+                c[i] += part.lift * x
+        return tuple(x % d for x, d in zip(c, factors))
+
+
+def as_matrix(rows, cols):
+    """The IntMatrix with these rows, `cols` wide (which a 0-row list needs)."""
+    return IntMatrix(len(rows), cols, [x for row in rows for x in row])
+
+
+def old_pair_quotient(a_rows, b_rows, m):
+    """ker A / im B mod m from the earlier pair: `kernel_mod(A)`, then the
+    span quotient (`SpanQuotientPresentation`) of B inside it; the oracle
+    for `zmod_linalg._kernel_quotient`, which takes the same row lists."""
+    dim = len(b_rows)
+    b = as_matrix(b_rows, len(b_rows[0]) if dim else 0)
+    return SpanQuotientPresentation(b, kernel_mod(as_matrix(a_rows, dim), m), m)
+
+
+class UitPrimePowerQuotient(_PrimePowerQuotient):
+    """`_PrimePowerQuotient` from the dense transforms of `uit_reduce`
+    instead of the log: y_t = (U^-T x)_t is column t of U^-1 applied to x,
+    and a generator U^T y is summed from the rows of U, which [A^T | I]
+    ends with."""
+
+    __slots__ = ()
+
+    def __init__(self, at_rows, b_rows, p, e, m):
+        q = p ** e
+        width = len(at_rows[0])
+        rows = [[x % q for x in col] + urow
+                for col, urow in zip(at_rows, _identity_rows(len(at_rows)))]
+        vals, uit = uit_reduce(rows, width, p, e, u_inv=True)
+        kept = []
+        for t in range(len(rows)):
+            s = p ** (e - vals[t]) if t < len(vals) else 1
+            if s < q:
+                kept.append((t, s, [(i, x) for i, x in enumerate(uit[t]) if x]))
+        u = [row[width:] for row in rows]
+        self.gens = [[sum(yt * urow[i] for yt, urow in zip(y, u)) % q for i in range(len(u))]
+                     for y in self._relate(b_rows, kept, p, e, m)]
 
 
 def uit_quotient_presentation(sub_gens, amb_gens, m):
@@ -554,6 +654,16 @@ def both_quotient_paths(sub_gens, amb_gens, m, vectors):
     return [(pres.structure, pres.generator_columns, [pres.coordinates(v) for v in vectors])
             for pres in (QuotientPresentation(sub_gens, amb_gens, m),
                          uit_quotient_presentation(sub_gens, amb_gens, m))]
+
+
+def both_kernel_paths(a_rows, b_rows, m, vectors):
+    """`both_quotient_paths` for ker A / im B from row lists (`_kernel_quotient`)."""
+    def read(pres):
+        return pres.structure, pres.generator_columns, [pres.coordinates(v) for v in vectors]
+
+    logged = read(_kernel_quotient(a_rows, b_rows, m))
+    with mock.patch.object(zmod_linalg, "_PrimePowerQuotient", UitPrimePowerQuotient):
+        return [logged, read(_kernel_quotient(a_rows, b_rows, m))]
 
 
 def nearest_quotient(a, d):

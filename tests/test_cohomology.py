@@ -9,6 +9,7 @@ from tameapprox.cohomology import (
     PlaceRecord,
     _differences,
     _fox_system,
+    _norm,
     _restriction_kernel,
     _subgroup_h1,
     coboundary0_matrix,
@@ -41,13 +42,15 @@ from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresenta
 from oracle_helpers import (
     _cayley_system,
     all_pairs_is_cocycle,
-    both_quotient_paths,
+    as_matrix,
+    both_kernel_paths,
     brute_generated,
     brute_h1_order,
     cayley_h1,
     cayley_restriction_kernel,
     full_cochain_h1,
     is_brute_coboundary,
+    old_pair_quotient,
 )
 from random_modules import _coset_permutation, sweep_modules
 
@@ -106,7 +109,7 @@ class TestH1:
             return IntMatrix(mat.rows, mat.cols, [x % 25 for x in mat.entries])
 
         d1, _ = _cayley_system(g, ideal, g.generating_set())
-        d0 = _differences(ideal, g.generating_set())
+        d0 = IntMatrix.from_rows(_differences(ideal, g.generating_set()))
         pres = QuotientPresentation(residues(d0), kernel_mod(residues(d1), 25), 25)
         assert pres.structure == AbGroupStructure([25])
 
@@ -561,8 +564,8 @@ class TestCyclicRestriction:
 
 class TestOperationLogSystems:
     """The `_subgroup_h1` system of every subgroup of every builtin group,
-    with the quotient generators replayed from the operation log and from
-    the dense U^-1 (`both_quotient_paths`)."""
+    with the coordinate functionals read off the operation log and taken
+    from the dense U^-1 (`both_kernel_paths`)."""
 
     def test_subgroup_systems_match_dense_path(self):
         checked = 0
@@ -573,15 +576,67 @@ class TestOperationLogSystems:
                 m = mod.modulus
                 for sub in all_subgroups(g):
                     pres = sub.presentation() or _cayley_presentation(g, sub.generating_set())
-                    cocycles = kernel_mod(_fox_system(g, mod, pres), m)
+                    a_rows = _fox_system(g, mod, pres)
+                    b_rows = _differences(mod, pres.generators)
+                    cocycles = kernel_mod(as_matrix(a_rows, len(b_rows)), m)
                     vectors = [cocycles.column(j) for j in range(cocycles.cols)]
-                    logged, dense = both_quotient_paths(
-                        _differences(mod, pres.generators), cocycles, m, vectors)
+                    logged, dense = both_kernel_paths(a_rows, b_rows, m, vectors)
                     assert logged == dense, (name, mod.label, sub)
                     assert logged[0] == _subgroup_h1(mod, sub)[2].structure
                     checked += 1
         assert checked == 3 * sum(len(all_subgroups(builtin_group(name)))
                                   for name in TestFullCochainOracle.BUILTINS)
+
+
+def old_pair_subgroup_h1(mod, sub):
+    """H^1(H, M) from the `_subgroup_h1` system and the old pair."""
+    g, m = mod.group, mod.modulus
+    pres = sub.presentation() or _cayley_presentation(g, sub.generating_set())
+    return old_pair_quotient(_fox_system(g, mod, pres), _differences(mod, pres.generators), m)
+
+
+def old_pair_restriction_kernel(g, mod, subgroups):
+    """The kernel over every listed member, maximal or not, from `res_h1`'s
+    rows scaled into conditions mod m and the old pair."""
+    m = mod.modulus
+    factors = h1(g, mod).structure.invariant_factors
+    rows = []
+    for sub in subgroups:
+        res = res_h1(g, sub, mod)
+        deltas = _subgroup_h1(mod, sub)[2].structure.invariant_factors
+        rows += [[m // d * x for x in res.row(i)] for i, d in enumerate(deltas)]
+    relations = [[d if i == j else 0 for j in range(len(factors))] for i, d in enumerate(factors)]
+    return old_pair_quotient(rows, relations, m).structure
+
+
+class TestKernelRoutineAgainstOldPair:
+    """Each quotient the engine reads off one elimination (`_kernel_quotient`)
+    against `kernel_mod` followed by the span quotient (the old pair): H^1 of
+    every subgroup, Tate H^0, and the restriction kernel of every subgroup."""
+
+    def modules(self):
+        out = []
+        for name in TestFullCochainOracle.BUILTINS:
+            g = builtin_group(name)
+            out += [(g, augmentation_ideal(g, g.order)[0]), (g, group_ring(g, g.order))]
+        return out + sweep_modules()
+
+    def test_structures(self):
+        checked = 0
+        for g, mod in self.modules():
+            assert tate_h0(g, mod) == old_pair_quotient(
+                _differences(mod, g.generating_set()), _norm(mod), mod.modulus).structure, \
+                (g, mod.label)
+            subs = all_subgroups(g)
+            for sub in subs:
+                assert (_subgroup_h1(mod, sub)[2].structure
+                        == old_pair_subgroup_h1(mod, sub).structure), (g, mod.label, sub)
+                assert (_restriction_kernel(g, mod, [sub]).structure
+                        == old_pair_restriction_kernel(g, mod, [sub])), (g, mod.label, sub)
+                checked += 1
+            assert (_restriction_kernel(g, mod, subs).structure
+                    == old_pair_restriction_kernel(g, mod, subs)), (g, mod.label)
+        assert checked == sum(len(all_subgroups(g)) for g, _ in self.modules())
 
 
 class TestMaximalMembers:
@@ -592,16 +647,17 @@ class TestMaximalMembers:
     def test_sha_cyc_solves_only_the_maximal_cyclic_subgroups(self, monkeypatch, name, solved):
         # a fresh ideal: G, then each maximal cyclic subgroup once; z8 is
         # its own maximal cyclic subgroup, and Z/8 x Z/2 has 5 of its 8.
-        # res_h1, the one restriction routine, runs once per maximal one
+        # The rows of res_h1, the one restriction routine, are read once per
+        # maximal one
         monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
         calls = []
-        res_h1 = cohomology.res_h1
+        restriction_rows = cohomology._restriction_rows
 
         def counted(group, sub, module):
             calls.append(sub)
-            return res_h1(group, sub, module)
+            return restriction_rows(group, sub, module)
 
-        monkeypatch.setattr(cohomology, "res_h1", counted)
+        monkeypatch.setattr(cohomology, "_restriction_rows", counted)
         g = builtin_group(name)
         ideal = augmentation_ideal(g, g.order)[0]
         assert not ideal._subgroup_h1_cache
@@ -717,7 +773,8 @@ class TestCayleyPresentation:
             d1, tree = _cayley_system(group, mod, gens)
             assert pres.generators == tuple(gens)
             assert pres.tree == tuple(tree), (group, mod.label, gens)
-            assert _fox_system(group, mod, pres) == d1, (group, mod.label, gens)
+            assert _fox_system(group, mod, pres) == [d1.row(i) for i in range(d1.rows)], \
+                (group, mod.label, gens)
         assert len(pairs) == 324 + 200 + 5 + 2  # builtins, sweep, A5, A5 in S5
 
     def test_not_solvable_subgroup_solves_on_it(self):

@@ -8,6 +8,8 @@ from tameapprox.zmod_linalg import (
     NotInSpanError,
     QuotientPresentation,
     kernel_mod,
+    _apply_ut,
+    _kernel_quotient,
     _reduce,
     _undo,
     quotient_structure,
@@ -16,10 +18,13 @@ from tameapprox.zmod_linalg import (
 )
 
 from oracle_helpers import (
+    as_matrix,
+    both_kernel_paths,
     both_quotient_paths,
     brute_kernel_set,
     coset_order_counts,
     dense_quotient_presentation,
+    old_pair_quotient,
     predicted_order_counts,
     reference_smith_decomposition,
     span_mod,
@@ -333,6 +338,25 @@ class TestOperationLog:
                 assert _undo(log, [row[j] for row in u], q) == identity[j], (trial, j)
                 assert _undo(log, list(identity[j]), q) == uit[j], (trial, j)
 
+    def test_apply_ut_gives_the_rows_of_u(self):
+        # [A | I] ends as [UA | U]: replaying the log backwards and
+        # transposed on e_j gives row j of U, and on any y gives U^T y
+        rng = random.Random(14)
+        for trial in range(60):
+            p, e = rng.choice([(2, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1)])
+            q = p ** e
+            n, width = rng.randint(1, 7), rng.randint(1, 6)
+            rows = [[rng.choice((0, 0, 1, p, rng.randrange(q))) for _ in range(width)]
+                    + [int(i == j) for j in range(n)] for i in range(n)]
+            log = []
+            _reduce(rows, width, p, e, log=log)
+            u = [row[width:] for row in rows]
+            for j in range(n):
+                assert _apply_ut(log, [int(i == j) for i in range(n)], q) == u[j], (trial, j)
+            y = [rng.randrange(q) for _ in range(n)]
+            assert _apply_ut(log, list(y), q) == [
+                sum(yt * urow[i] for yt, urow in zip(y, u)) % q for i in range(n)]
+
     def test_quotients_match_dense_path(self):
         rng = random.Random(313)
         for trial in range(120):
@@ -351,6 +375,138 @@ class TestOperationLog:
                        + [member() for _ in range(5)])
             logged, dense = both_quotient_paths(sub, amb, m, vectors)
             assert logged == dense, (trial, m)
+
+
+KERNEL_MODULI = (2, 4, 8, 9, 12, 36, 72, 101)
+
+
+def kernel_columns(a_rows, dim, m):
+    ker = kernel_mod(as_matrix(a_rows, dim), m)
+    return [ker.column(j) for j in range(ker.cols)]
+
+
+def combination(columns, coeffs, dim, m):
+    return tuple(sum(c * col[i] for c, col in zip(coeffs, columns)) % m for i in range(dim))
+
+
+def random_kernel_inputs():
+    """Seeded (m, dim, A rows, B rows, kernel generators): A random, with
+    some columns repeated or zero, and B = K R, K the generators of ker A
+    from `kernel_mod` and R random, so im B lies inside ker A."""
+    rng = random.Random(1606)
+    for trial in range(160):
+        m = KERNEL_MODULI[trial % len(KERNEL_MODULI)]
+        dim = rng.randint(1, 7)
+        a_rows = [[rng.choice((0, 0, 1, -1, m // 2, rng.randrange(m))) for _ in range(dim)]
+                  for _ in range(rng.randint(1, 6))]
+        ker = kernel_columns(a_rows, dim, m)
+        n_b = rng.randint(0, 4)
+        b_cols = [combination(ker, [rng.randrange(m) for _ in ker], dim, m) for _ in range(n_b)]
+        b_rows = [[col[i] for col in b_cols] for i in range(dim)]
+        yield m, dim, a_rows, b_rows, ker
+
+
+def kernel_edge_inputs():
+    """(m, dim, A rows, B rows, kernel generators) at the edges: a zero-row A,
+    a zero-column B, an injective A, m = 1 and dim = 0."""
+    out = []
+    for m in KERNEL_MODULI:
+        out.append((m, 3, [], [[2, 0], [0, 0], [0, m - 1]], kernel_columns([], 3, m)))
+        a_rows = [[1, 1, 0], [0, 2, 2]]
+        out.append((m, 3, a_rows, [[], [], []], kernel_columns(a_rows, 3, m)))
+        out.append((m, 2, [[1, 0], [0, 1], [1, 1]], [[0], [0]], []))
+    out.append((1, 2, [[1, 0]], [[1], [0]], []))
+    out.append((6, 0, [[], []], [], []))
+    return out
+
+
+def assert_kernel_presentation(m, dim, a_rows, b_rows, ker, rng):
+    """`_kernel_quotient` against the old pair: equal invariant factors,
+    generator j has coordinates e_j, every column of B has coordinates 0,
+    and coordinates add modulo the factors."""
+    pres = _kernel_quotient(a_rows, b_rows, m)
+    factors = pres.structure.invariant_factors
+    assert factors == old_pair_quotient(a_rows, b_rows, m).structure.invariant_factors
+    assert (pres.modulus, pres.dim) == (m, dim)
+    k = len(factors)
+    for j, gen in enumerate(pres.generator_columns):
+        assert pres.coordinates(gen) == tuple(int(i == j) for i in range(k))
+    for col in zip(*b_rows):
+        assert pres.coordinates(col) == (0,) * k
+    for _ in range(3):
+        x = combination(ker, [rng.randrange(m) for _ in ker], dim, m)
+        y = combination(ker, [rng.randrange(m) for _ in ker], dim, m)
+        total = pres.coordinates([a + b for a, b in zip(x, y)])
+        assert total == tuple((a + b) % d for a, b, d in
+                              zip(pres.coordinates(x), pres.coordinates(y), factors))
+    return pres
+
+
+def outside_kernel(a_rows, dim, m, rng):
+    """A vector x with A x != 0 mod m, or None when ker A is everything."""
+    if not any(x % m for row in a_rows for x in row):
+        return None
+    while True:
+        x = [rng.randrange(m) for _ in range(dim)]
+        if any(sum(a * b for a, b in zip(row, x)) % m for row in a_rows):
+            return x
+
+
+class TestKernelQuotient:
+    """ker A / im B from one elimination, against `kernel_mod` followed by
+    the span quotient with its own ambient reduction (`old_pair_quotient`)."""
+
+    def test_random_against_old_pair(self):
+        rng = random.Random(7)
+        nontrivial = 0
+        for m, dim, a_rows, b_rows, ker in random_kernel_inputs():
+            pres = assert_kernel_presentation(m, dim, a_rows, b_rows, ker, rng)
+            nontrivial += not pres.structure.is_trivial
+        assert nontrivial >= 80
+
+    def test_edge_cases_against_old_pair(self):
+        rng = random.Random(8)
+        for m, dim, a_rows, b_rows, ker in kernel_edge_inputs():
+            assert_kernel_presentation(m, dim, a_rows, b_rows, ker, rng)
+        # an injective A leaves nothing; a zero-row A and a zero-column B leave ker A
+        assert _kernel_quotient([[1, 0], [0, 1]], [[0], [0]], 12).structure.is_trivial
+        assert _kernel_quotient([], [[], []], 12).structure == AbGroupStructure([12, 12])
+        assert _kernel_quotient([[2, 0]], [[], []], 4).structure == AbGroupStructure([2, 4])
+
+    def test_column_of_b_outside_the_kernel_raises(self):
+        rng = random.Random(9)
+        checked = 0
+        for m, dim, a_rows, b_rows, ker in random_kernel_inputs():
+            x = outside_kernel(a_rows, dim, m, rng)
+            if x is None:
+                continue
+            with pytest.raises(NotInSpanError):
+                _kernel_quotient(a_rows, [row + [a] for row, a in zip(b_rows, x)], m)
+            checked += 1
+        assert checked >= 100
+
+    def test_vector_outside_the_kernel_raises(self):
+        rng = random.Random(10)
+        checked = 0
+        for m, dim, a_rows, b_rows, ker in random_kernel_inputs():
+            x = outside_kernel(a_rows, dim, m, rng)
+            if x is None:
+                continue
+            pres = _kernel_quotient(a_rows, b_rows, m)
+            with pytest.raises(NotInSpanError):
+                pres.coordinates(x)
+            checked += 1
+        assert checked >= 100
+
+    def test_functionals_match_dense_path(self):
+        # the coordinate functionals read off the log against the columns
+        # of the dense U^-1 of `uit_reduce`: the same presentation
+        rng = random.Random(11)
+        for m, dim, a_rows, b_rows, ker in random_kernel_inputs():
+            vectors = [combination(ker, [rng.randrange(m) for _ in ker], dim, m)
+                       for _ in range(4)]
+            logged, dense = both_kernel_paths(a_rows, b_rows, m, vectors)
+            assert logged == dense, (m, a_rows, b_rows)
 
 
 class TestAbGroupStructure:
