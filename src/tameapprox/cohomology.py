@@ -20,8 +20,8 @@ a relator.  Z^1/B^1 is then ker A / im B inside (Z/m)^(d rank), A the
 relator conditions and B the coboundaries of the generator values, and
 `zmod_linalg._kernel_quotient` presents it from one elimination of A; Tate
 H^0 and the Sha kernels are quotients of the same form.  The full-cochain
-coboundary matrices d0, d1 stay exported for the tests and the tracer,
-but h1 does not build them.
+coboundary matrices d0, d1 and the per-element check `is_cocycle` stay
+exported for the tests and the tracer, but h1 does not use them.
 
 The Sha kernels are computed from a finite model: all cyclic subgroups of
 G stand in for the (infinitely many) unramified places, since every cyclic
@@ -227,7 +227,8 @@ def h1(group, module):
 
     The presentation is that of `_subgroup_h1` on the full subgroup, so the
     matrices have d rank columns instead of |G| rank.  Each generator of
-    the quotient is expanded to a per-element cocycle and checked.  Cached
+    the quotient is checked on the relator rows (A x = 0, which proves the
+    class well defined), then expanded to a per-element cocycle.  Cached
     on the (immutable) module.
     """
     if module.group != group:
@@ -237,10 +238,9 @@ def h1(group, module):
     gens, tree, pres = _subgroup_h1(module, full_subgroup(group))
     reps = []
     for col in pres.generator_columns:
-        rep = _expand(group, module, tree, col)
-        if not is_cocycle(group, module, rep):
+        if not pres._in_kernel(col):
             raise AssertionError("lifted representative is not a normalized cocycle")
-        reps.append(rep)
+        reps.append(_expand(group, module, tree, col))
     result = H1Result(
         group=group,
         module=module,

@@ -54,16 +54,14 @@ def _unit_rows(r):
     return tuple(((i, 1),) for i in range(r))
 
 
-def _sizes(group, modulus, rank, action):
+def _sizes(modulus, rank):
+    """(m, r) as ints, checked: every builder runs this on user input."""
     m = int(modulus)
     if m < 2:
         raise ValueError("modulus must be >= 2")
     r = int(rank)
     if r < 0:
         raise ValueError("rank must be >= 0")
-    n = group.order
-    if len(action) != n:
-        raise ValueError(f"{len(action)} action matrices for a group of order {n}")
     return m, r
 
 
@@ -79,17 +77,19 @@ class GModule:
     action(g)action(h) = action(s_1)action(s_2...s_k h) = action(gh).
     Invertibility follows: action(g) action(g^{-1}) = 1.
 
-    `GModule(group, m, r, matrices)` takes dense matrices and
-    `GModule.from_rows` sparse rows, which must already be in canonical
-    form; both run the same check.  `_from_validated` skips it for rows
-    already known to be a homomorphism (`restrict` only).
+    `GModule(group, m, r, matrices)` takes dense matrices and runs the
+    check: the one constructor for outside input.  `_from_validated` skips
+    it for rows whose construction proves them a homomorphism
+    (`trivial_module`, `group_ring`, `augmentation_ideal`, `restrict`).
     """
 
     __slots__ = ("group", "modulus", "rank", "action_rows", "label",
                  "_h1_cache", "_subgroup_h1_cache")
 
     def __init__(self, group, modulus, rank, action, label=None):
-        m, r = _sizes(group, modulus, rank, action)
+        m, r = _sizes(modulus, rank)
+        if len(action) != group.order:
+            raise ValueError(f"{len(action)} action matrices for a group of order {group.order}")
         rows = []
         for g, mat in enumerate(action):
             if len(mat) != r or any(len(row) != r for row in mat):
@@ -98,33 +98,15 @@ class GModule:
         self._check_and_set(group, m, r, tuple(rows), label)
 
     @classmethod
-    def from_rows(cls, group, modulus, rank, rows, label=None):
-        """A module over `rows`, one tuple of r canonical sparse rows per element."""
-        m, r = _sizes(group, modulus, rank, rows)
-        module = cls.__new__(cls)
-        module._check_and_set(group, m, r, tuple(map(tuple, rows)), label)
-        return module
-
-    @classmethod
     def _from_validated(cls, group, modulus, rank, rows, label):
-        """A module over `rows`, a tuple of canonical sparse rows already known
-        to be a homomorphism from `group`; nothing is checked or copied."""
+        """A module over `rows`, a tuple of canonical sparse rows that its
+        builder proves a homomorphism from `group`; nothing is checked or copied."""
         module = cls.__new__(cls)
         module._set(group, modulus, rank, rows, label)
         return module
 
     def _check_and_set(self, group, m, r, rows, label):
-        """Check that `rows` is canonical and a homomorphism, then set it."""
-        for g, mat in enumerate(rows):
-            if len(mat) != r:
-                raise ValueError(f"action matrix for element {g} is not {r}x{r}")
-            for row in mat:
-                col = -1
-                for j, a in row:
-                    if not (col < j < r and 0 < a < m):
-                        raise ValueError(
-                            f"action row of element {g} is not sorted sparse residues mod {m}")
-                    col = j
+        """Check that `rows` (canonical: `_sparse`'s output) is a homomorphism, then set it."""
         if rows[group.identity] != _unit_rows(r):
             raise ValueError("identity element must act as the identity matrix")
         for s in group.generating_set():
@@ -242,8 +224,11 @@ _IDEAL_CACHE = {}
 
 
 def trivial_module(group, modulus, rank=1):
-    return GModule.from_rows(group, modulus, rank, [_unit_rows(rank)] * group.order,
-                             label=f"trivial Z/{modulus}" + (f"^{rank}" if rank != 1 else ""))
+    """(Z/m)^r, every element acting by the unit rows: a homomorphism by
+    construction, so not checked again."""
+    m, r = _sizes(modulus, rank)
+    return GModule._from_validated(group, m, r, (_unit_rows(r),) * group.order,
+                                   f"trivial Z/{modulus}" + (f"^{rank}" if rank != 1 else ""))
 
 
 def group_ring(group, modulus):
@@ -253,15 +238,17 @@ def group_ring(group, modulus):
     immutable, and reuse lets the cohomology layer share H^1 results across
     verification passes and across equal groups built afresh.  g sends
     basis vector h to gh, so row k of its matrix is the unit row of
-    g^-1 k: one entry per row, read off the Cayley table.
+    g^-1 k: one entry per row, read off the Cayley table.  Not checked
+    again: g.(h.e_k) = e_((gh)k) = (gh).e_k is associativity, which `Group`
+    has proved.
     """
     key = (group, modulus)
     if key in _RING_CACHE:
         return _RING_CACHE[key]
-    unit = _unit_rows(group.order)
-    rows = [tuple(unit[x] for x in group.table[group.inverse(g)])
-            for g in range(group.order)]
-    ring = GModule.from_rows(group, modulus, group.order, rows, label=f"(Z/{modulus})[G]")
+    m, n = _sizes(modulus, group.order)
+    unit = _unit_rows(n)
+    rows = tuple(tuple(unit[x] for x in group.table[group.inverse(g)]) for g in range(n))
+    ring = GModule._from_validated(group, m, n, rows, f"(Z/{modulus})[G]")
     _RING_CACHE[key] = ring
     return ring
 
@@ -277,18 +264,21 @@ def augmentation_ideal(group, modulus):
     From g(h - 1) = (gh - 1) - (g - 1): for g != e, row gh of g's matrix
     is the unit row of h for each h != g^-1, and row g is -1 in every
     column, one row shared by all elements; 2r - 1 entries per element.
+    Not checked again: this is the ring's action on I = ker aug, a
+    G-invariant submodule, in the basis g - 1.  The module maps and the
+    exactness check cross-check these rows against the ring's.
     """
     key = (group, modulus)
     if key in _IDEAL_CACHE:
         return _IDEAL_CACHE[key]
     n = group.order
+    m, r = _sizes(modulus, n - 1)
     e = group.identity
     basis = [g for g in range(n) if g != e]  # basis vector i is (basis[i] - 1)
     pos = {g: i for i, g in enumerate(basis)}
-    r = n - 1
 
     unit = _unit_rows(r)
-    minus = tuple((i, modulus - 1) for i in range(r))
+    minus = tuple((i, m - 1) for i in range(r))
     rows = []
     for g in range(n):
         mat = [minus] * r  # every row but that of g is overwritten (none for g = e)
@@ -297,8 +287,8 @@ def augmentation_ideal(group, modulus):
             if gh != e:
                 mat[pos[gh]] = unit[i]
         rows.append(tuple(mat))
-    ideal = GModule.from_rows(group, modulus, r, rows,
-                              label=f"augmentation ideal of (Z/{modulus})[G]")
+    ideal = GModule._from_validated(group, m, r, tuple(rows),
+                                    f"augmentation ideal of (Z/{modulus})[G]")
 
     ring = group_ring(group, modulus)
     incl_rows = [[0] * r for _ in range(n)]
@@ -309,7 +299,7 @@ def augmentation_ideal(group, modulus):
     aug = ModuleMap(ring, trivial_module(group, modulus),
                     IntMatrix.from_rows([[1] * n]))
 
-    _check_augmentation_exactness(incl.matrix, aug.matrix, basis, modulus)
+    _check_augmentation_exactness(incl.matrix, aug.matrix, basis, m)
     _IDEAL_CACHE[key] = (ideal, incl, aug)
     return ideal, incl, aug
 
@@ -359,30 +349,32 @@ def restrict(module, sub):
 
 
 def dual_module(module, twist=None):
-    """Unit-twisted dual: action(g) = twist(g) * action(g^{-1})^T over Z/e.
+    """Unit-twisted dual: action(g) = twist(g) * action(g^{-1})^T over Z/m.
 
-    The dual modulus is the additive exponent e of the module (equal to m for
-    positive rank).  `twist` maps element indices to units mod e and must be
-    multiplicative; omitted it is identically 1, giving the plain dual whose
-    double dual has the original action tables mod e.
+    The dual keeps the module's modulus m, also at rank 0.  `twist` maps
+    element indices to units mod m and must be multiplicative, checked at
+    (generator s, any b): the a with tw(a)tw(b) = tw(ab) for all b are
+    closed under products, as tw(ac)tw(b) = tw(a)tw(c)tw(b) = tw(a(cb)).
+    Omitted it is identically 1, giving the plain dual whose double dual
+    has the original action tables.
     """
     g = module.group
-    e = module.exponent
+    m = module.modulus
     n = g.order
     if twist is None:
         tw = [1] * n
     elif callable(twist):
-        tw = [int(twist(x)) % e for x in range(n)]
+        tw = [int(twist(x)) % m for x in range(n)]
     else:
-        tw = [int(twist[x]) % e for x in range(n)]
+        tw = [int(twist[x]) % m for x in range(n)]
     for x in range(n):
-        if gcd(tw[x], e) != 1:
-            raise ValueError(f"twist({x}) = {tw[x]} is not a unit mod {e}")
-    if tw[g.identity] % e != 1 % e:
+        if gcd(tw[x], m) != 1:
+            raise ValueError(f"twist({x}) = {tw[x]} is not a unit mod {m}")
+    if tw[g.identity] % m != 1 % m:
         raise ValueError("twist must send the identity to 1")
-    for a in range(n):
+    for a in g.generating_set():
         for b in range(n):
-            if (tw[a] * tw[b]) % e != tw[g.table[a][b]] % e:
+            if (tw[a] * tw[b]) % m != tw[g.table[a][b]] % m:
                 raise ValueError(f"twist is not multiplicative at ({a}, {b})")
 
     mats = []
@@ -391,9 +383,9 @@ def dual_module(module, twist=None):
         src = module.act_matrix(inv)
         r = module.rank
         mats.append(tuple(
-            tuple((tw[x] * src[j][i]) % e for j in range(r)) for i in range(r)
+            tuple((tw[x] * src[j][i]) % m for j in range(r)) for i in range(r)
         ))
-    return GModule(g, e, module.rank, mats, label=f"dual of {module.label}")
+    return GModule(g, m, module.rank, mats, label=f"dual of {module.label}")
 
 
 def module_from_json(group, obj):

@@ -12,6 +12,10 @@ by edge) for `_fox_system` on `_cayley_presentation`,
 ker N_g / (g-1)M on cyclic subgroups and solved on the maximal members of
 a family only,
 `dense_mat_mul_mod` for the sparse module products,
+`triple_scan_is_associative` (every triple of the table) for Light's test
+in `Group`,
+`all_pairs_twist_is_multiplicative` (every pair of elements) for the
+twist check of `dual_module` on (generator, element) pairs,
 `dense_augmentation_exactness` for the O(n r) exactness check of the
 augmentation sequence,
 `dense_group_ring_action` and `dense_augmentation_ideal_action` for the
@@ -201,6 +205,25 @@ def all_pairs_is_cocycle(group, module, rep):
         == vec_add(rep[g], mat_vec(module.action[g], rep[h], m), m)
         for g in range(n) for h in range(n)
     )
+
+
+def triple_scan_is_associative(table):
+    """(xy)z == x(yz) for every triple of a Cayley table."""
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            xy = table[x][y]
+            for z in range(n):
+                if table[xy][z] != table[x][table[y][z]]:
+                    return False
+    return True
+
+
+def all_pairs_twist_is_multiplicative(group, twist, m):
+    """twist(a) twist(b) == twist(ab) mod m for every pair of elements."""
+    n = group.order
+    return all((twist[a] * twist[b] - twist[group.table[a][b]]) % m == 0
+               for a in range(n) for b in range(n))
 
 
 def brute_coboundaries(group, module):

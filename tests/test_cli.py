@@ -9,7 +9,7 @@ import pytest
 
 from tameapprox import cli
 from tameapprox.cli import main
-from tameapprox.zmod_linalg import NotInSpanError
+from tameapprox.zmod_linalg import NotInSpanError, QuotientPresentation
 
 from random_modules import sweep_modules
 
@@ -244,9 +244,8 @@ class TestErrorHandling:
         assert err == "internal error: lost a generator\n"
 
     def test_failed_invariant_is_reported_once(self, capsys, monkeypatch):
-        from tameapprox import cohomology
-
-        monkeypatch.setattr(cohomology, "is_cocycle", lambda group, module, rep: False)
+        # h1 checks each class on the relator rows of its presentation
+        monkeypatch.setattr(QuotientPresentation, "_in_kernel", lambda self, vec: False)
         status, out, err = run_cli(capsys, "h1", "--group", "builtin:z2", "--module", "trivial:2")
         assert status == 3 and out == ""
         assert err == "internal error: lifted representative is not a normalized cocycle\n"
@@ -266,6 +265,8 @@ class TestErrorHandling:
          "subgroup generator 99 is not an element index in 0..7"),
         (["dimension-shift", "--group", "builtin:z8", "--subgroup", "1,-1"],
          "subgroup generator -1 is not an element index in 0..7"),
+        (["h1", "--group", "builtin:z4", "--module", "trivial:1"], "modulus must be >= 2"),
+        (["h1", "--group", "builtin:z4", "--module", "trivial:0"], "modulus must be >= 2"),
     ])
     def test_bad_input_names_its_parameter(self, capsys, argv, message):
         status, out, err = run_cli(capsys, *argv)

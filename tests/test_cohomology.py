@@ -721,12 +721,21 @@ class TestSubgroupGuard:
         g = builtin_group("zlxzln:2:3")
         klein = subgroup_generated(g, [g.names.index("(4,0)"), g.names.index("(0,1)")])
         assert klein.order == 4 and not klein.is_cyclic()
+        # the ring, the ideal and the trivial module are built over the whole
+        # groups named here, G and the group of certify(2, 2, 5)
+        whole = (g, builtin_group("zlxzln:2:2"))
+        build = GModule._from_validated
         with monkeypatch.context() as mp:
             def refuse(*args, **kwargs):
                 raise AssertionError("a standalone group or module was built for a subgroup")
 
+            def whole_groups_only(group, *args):
+                if group not in whole:
+                    refuse()
+                return build(group, *args)
+
             mp.setattr(Subgroup, "as_group", refuse)
-            mp.setattr(GModule, "_from_validated", refuse)
+            mp.setattr(GModule, "_from_validated", staticmethod(whole_groups_only))
             cert = certify(2, 2, 5)  # its place subgroups are cyclic or all of G
             ideal = augmentation_ideal(g, g.order)[0]
             kernel = sha_sigma(g, ideal, [PlaceRecord(3, klein, True)]).structure

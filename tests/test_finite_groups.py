@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -20,7 +21,12 @@ from tameapprox.finite_groups import (
     trivial_subgroup,
 )
 
-from oracle_helpers import brute_cyclic_subgroup_sets, brute_generated, evaluate_word
+from oracle_helpers import (
+    brute_cyclic_subgroup_sets,
+    brute_generated,
+    evaluate_word,
+    triple_scan_is_associative,
+)
 from random_modules import sweep_modules
 
 BATTERY = ["klein4", "z2xz4", "z4", "z3xz3", "s3", "z6", "q8", "z2xz2xz2"]
@@ -77,6 +83,60 @@ class TestConstruction:
         # a Latin square with a left identity that is not a right identity
         with pytest.raises(ValueError, match="identity"):
             Group([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+
+    def test_light_test_matches_triple_scan(self):
+        # seeded loops with identity 0 at orders 4-10 and above 64 (no size
+        # cliff), from cyclic tables and from groups that need more than one
+        # generator; odd cyclic squares have no intercalate, so the order-5
+        # loop below stands in for the odd non-associative ones
+        rng = random.Random(6174)
+        tables = [[[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                   [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]]
+        bases = [cyclic_group(n) for n in range(4, 11)]
+        bases += [builtin_group(name) for name in ("klein4", "z2xz4", "z2xz2xz2", "s3", "q8")]
+        for base in bases:
+            tables += [_intercalate_loop(rng, base, rng.randint(0, 3)) for _ in range(25)]
+        for base in (cyclic_group(66), direct_product(cyclic_group(2), cyclic_group(34))):
+            tables += [_intercalate_loop(rng, base, swaps) for swaps in (0, 1, 2)]
+        verdicts = []
+        for table in tables:
+            try:
+                Group(table)
+                accepted = True
+            except ValueError as exc:
+                assert "associativity fails" in str(exc)
+                accepted = False
+            assert accepted == triple_scan_is_associative(table), table
+            verdicts.append((len(table), accepted))
+        assert {(66, False), (66, True), (68, False), (68, True)} <= set(verdicts)
+        assert sum(not ok for _, ok in verdicts) > 50
+
+
+def _intercalate_loop(rng, group, swaps):
+    """The Cayley table of `group` (identity 0) after `swaps` random
+    intercalate swaps.
+
+    An intercalate is a 2 x 2 subsquare a b / b a; swapping it to b a / a b
+    keeps a Latin square.  Row and column 0 are left alone, so 0 stays a
+    two-sided identity and the result is a loop, associative or not.
+    """
+    n = group.order
+    table = [list(row) for row in group.table]
+    for _ in range(swaps):
+        found = []
+        for i in range(1, n):
+            for k in range(i + 1, n):
+                column_of = {v: j for j, v in enumerate(table[k])}
+                for j in range(1, n):
+                    col = column_of[table[i][j]]
+                    if col > j and table[i][col] == table[k][j]:
+                        found.append((i, k, j, col))
+        if not found:
+            break
+        i, k, j, col = rng.choice(found)
+        for row in (table[i], table[k]):
+            row[j], row[col] = row[col], row[j]
+    return table
 
 
 class TestExponent:

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -26,12 +27,13 @@ from tameapprox.g_modules import (
 from tameapprox.zmod_linalg import IntMatrix
 
 from oracle_helpers import (
+    all_pairs_twist_is_multiplicative,
     dense_augmentation_exactness,
     dense_augmentation_ideal_action,
     dense_group_ring_action,
     dense_mat_mul_mod,
 )
-from random_modules import sweep_modules
+from random_modules import characters, sweep_modules
 
 BUILTINS = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "z2xz4", "z3xz3",
             "z2xz2xz2", "s3", "q8"]
@@ -211,8 +213,10 @@ class TestModuleValidation:
                 _sparse(dense_mat_mul_mod(a, b, m), m)
 
     def test_init_count_for_sha_cyc(self, monkeypatch):
-        # ideal, ring and the trivial target of the augmentation are checked,
-        # whichever constructor builds them; no module is built for a subgroup
+        # ideal, ring and the trivial target of the augmentation are built by
+        # formula and not scanned (TestSparseRows runs the scan on them); a
+        # module read from JSON is scanned once; no module is built for a
+        # subgroup
         monkeypatch.setattr(g_modules, "_RING_CACHE", {})
         monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
         labels = []
@@ -226,7 +230,11 @@ class TestModuleValidation:
         g = builtin_group("zlxzln:2:3")
         ideal, _, _ = augmentation_ideal(g, g.order)
         assert str(sha_cyc(g, ideal)) == "Z/2"
-        assert labels == ["augmentation ideal of (Z/16)[G]", "(Z/16)[G]", "trivial Z/16"]
+        assert labels == []
+        action = {str(x): [list(row) for row in ideal.act_matrix(x)] for x in range(g.order)}
+        from_json = module_from_json(g, {"modulus": 16, "rank": ideal.rank, "action": action})
+        assert str(sha_cyc(g, from_json)) == "Z/2"
+        assert labels == ["module from JSON"]
 
     def test_module_from_json(self):
         g = cyclic_group(2)
@@ -331,6 +339,46 @@ class TestDual:
         assert twisted.action[1] == ((3,),)
         assert_action_homomorphism(twisted)
 
+    def test_dual_of_rank_zero_module(self):
+        for name in ("z2", "klein4", "s3"):
+            g = builtin_group(name)
+            zero = trivial_module(g, 4, 0)
+            dual = dual_module(zero)
+            assert (dual.modulus, dual.rank) == (4, 0)
+            assert dual.action_rows == zero.action_rows
+
+    def test_twist_verdict_matches_all_pairs(self):
+        # characters, one-value perturbations of them and unit-valued maps
+        # with twist(e) = 1, over every builtin group at moduli 2..12
+        rng = random.Random(4242)
+        verdicts = []
+        for name in BUILTINS:
+            g = builtin_group(name)
+            others = [x for x in range(g.order) if x != g.identity]
+            for m in range(2, 13):
+                units = [u for u in range(1, m) if gcd(u, m) == 1]
+                chars = characters(g, m)
+                twists = [list(chi) for chi in rng.sample(chars, min(4, len(chars)))]
+                for _ in range(12):
+                    tw = list(rng.choice(chars))
+                    tw[rng.choice(others)] = rng.choice(units)
+                    twists.append(tw)
+                for _ in range(8):
+                    tw = [rng.choice(units) for _ in range(g.order)]
+                    tw[g.identity] = 1
+                    twists.append(tw)
+                module = trivial_module(g, m)
+                for tw in twists:
+                    try:
+                        dual_module(module, tw)
+                        accepted = True
+                    except ValueError as exc:
+                        assert "not multiplicative" in str(exc)
+                        accepted = False
+                    assert accepted == all_pairs_twist_is_multiplicative(g, tw, m), (name, m, tw)
+                    verdicts.append(accepted)
+        assert verdicts.count(False) > 1000 and verdicts.count(True) > 500, len(verdicts)
+
 
 class TestEquivariance:
     def test_inclusion_and_augmentation_equivariant(self):
@@ -368,6 +416,11 @@ def _ideal_and_ring(group, m):
     return augmentation_ideal(group, m)[0], group_ring(group, m)
 
 
+def _dense(rows, r):
+    """Sparse action rows, one list per element, as dense r x r matrices."""
+    return [[[dict(row).get(j, 0) for j in range(r)] for row in mat] for mat in rows]
+
+
 class TestSparseRows:
     def test_builders_match_dense_constructions(self):
         for group in _sweep_groups():
@@ -380,6 +433,18 @@ class TestSparseRows:
                 # the dense constructor stores the same canonical rows
                 assert GModule(group, m, ideal.rank, dense_ideal).action_rows == ideal.action_rows
                 assert GModule(group, m, ring.rank, dense_ring).action_rows == ring.action_rows
+
+    def test_builders_pass_the_homomorphism_scan(self):
+        # the ring, the ideal and the trivial module are built by formula and
+        # not scanned; the scan and the canonical form must still hold
+        for group in _sweep_groups():
+            for m in sorted({group.order, 2, 6} - {1}):
+                for module in (*_ideal_and_ring(group, m), trivial_module(group, m)):
+                    probe = GModule.__new__(GModule)
+                    probe._check_and_set(group, module.modulus, module.rank,
+                                         module.action_rows, module.label)
+                    assert probe.action_rows is module.action_rows
+                    assert module.action_rows == tuple(_sparse(mat, m) for mat in module.action)
 
     def test_rows_are_sparse(self):
         # the constructors have checked the canonical form; this bounds the size
@@ -408,7 +473,7 @@ class TestSparseRows:
                 k = rng.choice([k for k, (_, a) in enumerate(row) if 2 * a != m])
                 rows[g][i] = row[:k] + ((row[k][0], m - row[k][1]),) + row[k + 1:]
                 with pytest.raises(ValueError, match="homomorphism|identity"):
-                    GModule.from_rows(group, m, ideal.rank, [tuple(mat) for mat in rows])
+                    GModule(group, m, ideal.rank, _dense(rows, ideal.rank))
 
     def test_rejects_ring_row_at_wrong_element(self):
         rng = random.Random(1618)
@@ -422,17 +487,4 @@ class TestSparseRows:
                 h = rows[g][k][0][0]
                 rows[g][k] = (((h + rng.randrange(1, n)) % n, 1),)
                 with pytest.raises(ValueError, match="homomorphism|identity"):
-                    GModule.from_rows(group, 6, n, [tuple(mat) for mat in rows])
-
-    def test_rejects_rows_not_in_canonical_form(self):
-        g = cyclic_group(2)
-        swap = (((1, 1),), ((0, 1),))
-        ident = (((0, 1),), ((1, 1),))
-        GModule.from_rows(g, 4, 2, [ident, swap])
-        for row in (((1, 1), (0, 3)),   # unsorted
-                    ((0, 1), (0, 3)),   # repeated column
-                    ((0, 1), (1, 0)),   # zero residue
-                    ((0, 5),),          # residue not reduced mod 4
-                    ((2, 1),)):         # column past the rank
-            with pytest.raises(ValueError, match="sorted sparse residues"):
-                GModule.from_rows(g, 4, 2, [ident, (row, ((0, 1),))])
+                    GModule(group, 6, n, _dense(rows, n))
