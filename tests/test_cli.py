@@ -15,6 +15,18 @@ from random_modules import sweep_modules
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "certificate.schema.json"
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+REPO_DIR = Path(__file__).resolve().parent.parent
+# h1 printouts pinned byte for byte: file under tests/golden -> argv after "h1";
+# the A5 group file is named relative to the repository root, as in CI
+H1_GOLDENS = {
+    "h1_klein4_aug.json": ["--group", "builtin:klein4", "--module", "aug"],
+    "h1_q8_aug.json": ["--group", "builtin:q8", "--module", "aug"],
+    "h1_zlxzln_2_3_ring.json": ["--group", "builtin:zlxzln:2:3", "--module", "ring"],
+    "h1_s3_trivial_6.json": ["--group", "builtin:s3", "--module", "trivial:6"],
+    "h1_a5_aug.json": ["--group", "tests/golden/a5.json", "--module", "aug"],
+    "h1_klein4_aug.txt": ["--group", "builtin:klein4", "--module", "aug",
+                          "--format", "table"],
+}
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +99,15 @@ class TestCertifyCommand:
             status, out, _ = run_cli(capsys, "certify", "--ell", ell, "--n", n, "--p", p)
             assert status == 0
             assert out.encode() == path.read_bytes(), path.name
+
+    def test_golden_h1_outputs(self, capsys, monkeypatch):
+        monkeypatch.chdir(REPO_DIR)
+        assert sorted(p.name for p in (REPO_DIR / "tests" / "golden").glob("h1_*")) == \
+            sorted(H1_GOLDENS)
+        for name, argv in H1_GOLDENS.items():
+            status, out, err = run_cli(capsys, "h1", *argv)
+            assert (status, err) == (0, ""), name
+            assert out.encode() == (REPO_DIR / "tests" / "golden" / name).read_bytes(), name
 
     def test_table_marks_a_partial_sigma0_only_with_its_statement(self, capsys):
         # ell = 4 is refuted before the place model runs, so there is no statement
