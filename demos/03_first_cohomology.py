@@ -31,8 +31,9 @@ ideal, _, _ = augmentation_ideal(klein, 4)
 result = h1(klein, ideal)
 print("H^1(G, I) =", result.structure)
 print("a generating cocycle (values in the {g-1} basis):")
+cocycle = result.cocycle(result.presentation.generator_columns[0])
 for g in range(klein.order):
-    print(f"  z({klein.names[g]}) = {list(result.cocycle_reps[0][g])}")
+    print(f"  z({klein.names[g]}) = {list(cocycle[g])}")
 print()
 
 # ----------------------------------------------------------------------

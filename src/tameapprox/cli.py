@@ -120,19 +120,19 @@ def _cmd_h1(args, limit):
     group = _load_group(args.group, limit)
     module = _load_module(args.module, group, args.modulus)
     result = h1(group, module)
+    classes = [(order, result.cocycle(col)) for order, col in
+               zip(result.structure.invariant_factors, result.presentation.generator_columns)]
     report = {
         "command": "h1",
         "group": {"source": args.group, "order": str(group.order)},
         "module": {"label": module.label, "modulus": str(module.modulus),
                    "rank": str(module.rank)},
         "structure": _structure_json(result.structure),
-        "cocycles": [
-            {"order": str(order), "values": _cocycle_json(group, rep)}
-            for order, rep in zip(result.basis_correspondence, result.cocycle_reps)
-        ],
+        "cocycles": [{"order": str(order), "values": _cocycle_json(group, rep)}
+                     for order, rep in classes],
     }
     lines = [f"H^1 structure: {result.structure}"]
-    for order, rep in zip(result.basis_correspondence, result.cocycle_reps):
+    for order, rep in classes:
         lines.append(f"generator of order {order}:")
         for g in range(group.order):
             lines.append(f"  z({group.names[g]}) = {list(rep[g])}")

@@ -19,27 +19,29 @@ generators are its generating set, and each Cayley edge off a BFS tree is
 a relator.  Z^1/B^1 is then ker A / im B inside (Z/m)^(d rank), A the
 relator conditions and B the coboundaries of the generator values, and
 `zmod_linalg._kernel_quotient` presents it from one elimination of A; Tate
-H^0 and the Sha kernels are quotients of the same form.  The full-cochain
-coboundary matrices d0, d1 and the per-element check `is_cocycle` stay
-exported for the tests and the tracer, but h1 does not use them.
+H^0 and the Sha kernels are quotients of the same form.  A class stays its
+generator values; only the h1 printout and the tests expand one to all |G|
+elements (`H1Result.cocycle`), and check it with `is_cocycle` or the
+full-cochain d0, d1, which stay exported for them and the tracer.
 
 The Sha kernels are computed from a finite model: all cyclic subgroups of
 G stand in for the (infinitely many) unramified places, since every cyclic
 subgroup is a Frobenius of infinitely many of them and conjugate
 decomposition groups give canonically isomorphic H^1; ramified places
 enter through explicit PlaceRecords.  `res_h1`, the one restriction
-routine, maps a cocycle of G to the class in H's H^1 of its values at H's
-generators, so no restricted module, standalone group or restricted
-representatives are built; the kernels take their conditions from its
-rows.  Only the members of a family that are maximal under inclusion are
-solved: for H <= K, res_H = res^K_H o res_K (Neukirch, Schmidt and
-Wingberg, Cohomology of Number Fields, ch. I §5), so a class that dies
-on K dies on H, and the joint kernel over the family is the one over its
-maximal members.
+routine, maps a class of G to the class in H's H^1 of its values at H's
+generators, read by walking G's tree from each back to the identity, so no
+restricted module, standalone group or per-element table is built; the
+kernels take their conditions from its rows.  Only the members of a family
+that are maximal under inclusion are solved: for H <= K, res_H = res^K_H o
+res_K (Neukirch, Schmidt and Wingberg, Cohomology of Number Fields, ch. I
+§5), so a class that dies on K dies on H, and the joint kernel over the
+family is the one over its maximal members.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import NamedTuple
 
 from .finite_groups import Group, Subgroup, _cayley_presentation, cyclic_subgroups, full_subgroup
@@ -161,40 +163,41 @@ def _fox_system(group, module, pres):
     return list(rows)
 
 
-def _expand(group, module, tree, x):
-    """The cocycle with generator values x, per element, along the tree edges
-    (g, i, g s_i): z(g s_i) = z(g) + g.x_i."""
-    r, m = module.rank, module.modulus
-    z = [None] * group.order
-    z[group.identity] = (0,) * r
-    for g, i, gs in tree:
-        gx = module.act(g, x[i * r : (i + 1) * r])
-        z[gs] = tuple((a + b) % m for a, b in zip(z[g], gx))
-    return tuple(z)
-
-
 class H1Result(NamedTuple):
-    """H^1(G, M) with explicit cocycle representatives.
+    """H^1(G, M), its classes given by their values at the generators.
 
-    `cocycle_reps[i]` (a tuple of module vectors, one per group element)
-    generates the invariant factor `structure.invariant_factors[i]`; the
-    `basis_correspondence` tuple repeats those orders for convenience.
-    `presentation` works on generator values: a vector lists z(s) for each
-    s in `generators` (the polycyclic generators of the group, or its
-    generating set if it is not solvable), in that order.
+    `presentation` works on generator values: a vector lists z(s) for each s
+    in `generators` (the polycyclic generators of the group, or its
+    generating set if it is not solvable), in that order.  Its
+    `generator_columns` generate the invariant factors
+    `structure.invariant_factors`, in order.  `tree` lists the edges
+    (g, i, g s_i) that build G's elements from the identity; `cocycle`
+    expands a class along it, and `res_h1` walks it back from H's generators.
     """
 
     group: Group
     module: GModule
     structure: AbGroupStructure
-    cocycle_reps: tuple
-    basis_correspondence: tuple
     presentation: QuotientPresentation
     generators: tuple
+    tree: tuple
 
     @property
     def order(self):
         return self.structure.order
+
+    def cocycle(self, values):
+        """The cocycle with generator values `values`, one module vector per
+        element of G, along the tree: z(g s_i) = z(g) + g.x_i (for printing
+        and the tests; the engine never expands a class)."""
+        module = self.module
+        r, m = module.rank, module.modulus
+        z = [None] * self.group.order
+        z[self.group.identity] = (0,) * r
+        for g, i, gs in self.tree:
+            gx = module.act(g, values[i * r : (i + 1) * r])
+            z[gs] = tuple((a + b) % m for a, b in zip(z[g], gx))
+        return tuple(z)
 
 
 def _subgroup_h1(module, sub):
@@ -223,12 +226,12 @@ def _subgroup_h1(module, sub):
 
 
 def h1(group, module):
-    """H^1(G, M) = Z^1/B^1 with representatives lifting the invariant factors.
+    """H^1(G, M) = Z^1/B^1, its classes given by their generator values.
 
     The presentation is that of `_subgroup_h1` on the full subgroup, so the
     matrices have d rank columns instead of |G| rank.  Each generator of
     the quotient is checked on the relator rows (A x = 0, which proves the
-    class well defined), then expanded to a per-element cocycle.  Cached
+    class well defined); no class is expanded to the elements of G.  Cached
     on the (immutable) module.
     """
     if module.group != group:
@@ -236,22 +239,10 @@ def h1(group, module):
     if module._h1_cache is not None:
         return module._h1_cache
     gens, tree, pres = _subgroup_h1(module, full_subgroup(group))
-    reps = []
-    for col in pres.generator_columns:
-        if not pres._in_kernel(col):
-            raise AssertionError("lifted representative is not a normalized cocycle")
-        reps.append(_expand(group, module, tree, col))
-    result = H1Result(
-        group=group,
-        module=module,
-        structure=pres.structure,
-        cocycle_reps=tuple(reps),
-        basis_correspondence=pres.structure.invariant_factors,
-        presentation=pres,
-        generators=gens,
-    )
-    module._h1_cache = result
-    return result
+    if not all(pres._in_kernel(col) for col in pres.generator_columns):
+        raise AssertionError("lifted representative is not a normalized cocycle")
+    module._h1_cache = H1Result(group, module, pres.structure, pres, gens, tree)
+    return module._h1_cache
 
 
 def tate_h0(group, module):
@@ -283,27 +274,47 @@ def res_h1(group, sub, module):
     Row i / column j: coordinate i of the restriction of the j-th generator
     of `h1(group, module)`, reduced modulo the target factor of row i.  The
     target is H^1(H, M) as `_subgroup_h1` presents it, in G's indices; a
-    cocycle z restricts to the class of its values z(s) at H's generators.
+    class restricts to the class of its values z(s) at H's generators.
     """
     rows, _ = _restriction_rows(group, sub, module)
-    cols = len(h1(group, module).cocycle_reps)
+    cols = len(h1(group, module).structure.invariant_factors)
     return IntMatrix(len(rows), cols, [x for row in rows for x in row])
 
 
 def _restriction_rows(group, sub, module):
-    """(rows, target factors) of `res_h1`, from one read of `_subgroup_h1`."""
-    reps = h1(group, module).cocycle_reps
+    """(rows, target factors) of `res_h1`, from one read of `_subgroup_h1`.
+
+    Each class x of G is read at each generator s of H as the sum of g.x_i
+    over the tree edges (g, i, g s_i) on the path from s back to the
+    identity.  Each edge is listed after the one that builds its g, so one
+    backward pass over the tree meets the path.
+    """
+    full = h1(group, module)
+    cols = full.presentation.generator_columns
+    act, r, m = module.action_rows, module.rank, module.modulus
     gens, _, pres = _subgroup_h1(module, sub)
-    images = [pres.coordinates([x for s in gens for x in rep[s]]) for rep in reps]
+    values = [[] for _ in cols]
+    for s in gens:
+        sums = [[0] * r for _ in cols]
+        for g, i, gs in reversed(full.tree):
+            if gs == s:
+                base, s = i * r, g
+                for acc, x in zip(sums, cols):
+                    for c, row in enumerate(act[g]):
+                        for j, a in row:
+                            acc[c] += a * x[base + j]
+        for vals, acc in zip(values, sums):
+            vals += [v % m for v in acc]
+    images = [pres.coordinates(vals) for vals in values]
     factors = pres.structure.invariant_factors
     return [[image[i] for image in images] for i in range(len(factors))], factors
 
 
 class ShaResult(NamedTuple):
-    """A restriction kernel inside H^1(G, M), with generating cocycles."""
+    """A restriction kernel inside H^1(G, M), with generating classes."""
 
     structure: AbGroupStructure
-    generators: tuple  # cocycle representatives, one per invariant factor
+    generators: tuple  # per invariant factor, its values at h1(G, M).generators
     h1_structure: AbGroupStructure
 
 
@@ -343,14 +354,10 @@ def _restriction_kernel(group, module, subgroups):
     relations = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(factors)]
     pres = _kernel_quotient(constraint_rows, relations, m)
 
-    gens = []
-    reps = h1_full.cocycle_reps
-    for col in pres.generator_columns:
-        gens.append(tuple(
-            tuple(sum(coeff * rep[g][c] for coeff, rep in zip(col, reps)) % m
-                  for c in range(module.rank))
-            for g in range(group.order)))
-    return ShaResult(pres.structure, tuple(gens), h1_full.structure)
+    entries = list(zip(*h1_full.presentation.generator_columns))  # per entry, over the classes
+    gens = tuple(tuple(sum(map(mul, col, xs)) % m for xs in entries)
+                 for col in pres.generator_columns)
+    return ShaResult(pres.structure, gens, h1_full.structure)
 
 
 def sha_cyc(group, module):

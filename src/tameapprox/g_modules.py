@@ -150,14 +150,6 @@ class GModule:
     def size(self):
         return self.modulus ** self.rank
 
-    @property
-    def exponent(self):
-        """Additive exponent of the underlying group (Z/m)^r."""
-        return self.modulus if self.rank else 1
-
-    def zero(self):
-        return (0,) * self.rank
-
     def __repr__(self):
         return f"GModule({self.label}, |G|={self.group.order})"
 

@@ -11,6 +11,9 @@ by edge) for `_fox_system` on `_cayley_presentation`,
 `cayley_restriction_kernel` for the restriction kernels read from
 ker N_g / (g-1)M on cyclic subgroups and solved on the maximal members of
 a family only,
+`expand_along_tree` (each class expanded to all of G, edge by edge) for
+`H1Result.cocycle`, and `expanded_res_h1` (each class of G expanded, then
+read at H's generators) for `res_h1`, which walks G's tree from them,
 `dense_mat_mul_mod` for the sparse module products,
 `triple_scan_is_associative` (every triple of the table) for Light's test
 in `Group`,
@@ -37,10 +40,12 @@ from unittest import mock
 
 from tameapprox.cohomology import (
     _differences,
-    _expand,
+    _subgroup_h1,
     coboundary0_matrix,
     coboundary1_matrix,
+    h1,
 )
+from tameapprox.finite_groups import full_subgroup
 from tameapprox import zmod_linalg
 from tameapprox.g_modules import restrict
 from tameapprox.zmod_linalg import (
@@ -265,6 +270,30 @@ def full_cochain_h1(group, module):
     return SpanQuotientPresentation(coboundary0_matrix(group, module), zgens, m).structure
 
 
+def expand_along_tree(group, module, tree, x):
+    """The cocycle with generator values x, per element, along the tree edges
+    (g, i, g s_i) in the order listed: z(g s_i) = z(g) + g.x_i."""
+    r, m = module.rank, module.modulus
+    z = [None] * group.order
+    z[group.identity] = (0,) * r
+    for g, i, gs in tree:
+        gx = module.act(g, x[i * r : (i + 1) * r])
+        z[gs] = tuple((a + b) % m for a, b in zip(z[g], gx))
+    return tuple(z)
+
+
+def expanded_res_h1(group, sub, module):
+    """`res_h1` read through full expansions: each generator of h1(G, M)
+    expanded to all |G| elements, read at the generators of H, and put in
+    the coordinates of H^1(H, M); a list of rows."""
+    _, tree, _ = _subgroup_h1(module, full_subgroup(group))
+    reps = [expand_along_tree(group, module, tree, col)
+            for col in h1(group, module).presentation.generator_columns]
+    gens, _, pres = _subgroup_h1(module, sub)
+    images = [pres.coordinates([x for s in gens for x in rep[s]]) for rep in reps]
+    return [[image[i] for image in images] for i in range(len(pres.structure.invariant_factors))]
+
+
 def _cayley_system(group, module, gens):
     """Cocycle conditions on the generator values x = (z(s) for s in gens).
 
@@ -315,7 +344,7 @@ def cayley_h1(group, module):
     gens = group.generating_set()
     d1, tree = _cayley_system(group, module, gens)
     pres = old_pair_quotient(d1.row_lists(), _differences(module, gens), m)
-    reps = [_expand(group, module, tree, col) for col in pres.generator_columns]
+    reps = [expand_along_tree(group, module, tree, col) for col in pres.generator_columns]
 
     def coordinates(rep):
         return pres.coordinates([x for s in gens for x in rep[s]])

@@ -134,12 +134,14 @@ def _cross_check_restrictions(group, module):
         sub_group = sub.as_group()
         sub_module = restrict(module, sub)
         mat = res_h1(group, sub, module)
-        for j, rep in enumerate(result.cocycle_reps):
+        for j, col in enumerate(result.presentation.generator_columns):
+            rep = result.cocycle(col)
             res_rep = tuple(rep[x] for x in sub.elements)
             claims_zero = all(mat[i, j] == 0 for i in range(mat.rows))
             ok = ok and claims_zero == is_brute_coboundary(sub_group, sub_module, res_rep)
     sha = sha_sigma(group, module, places=[], excluded=())
-    for rep in sha.generators:
+    for values in sha.generators:
+        rep = result.cocycle(values)
         for sub in cyclic_subgroups(group):
             if sub.order == 1:
                 continue

@@ -1,11 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from tameapprox import cohomology, g_modules
 from tameapprox.arithmetic import _biquadratic_model, certify
+from tameapprox.cli import main
 
 from tameapprox.cohomology import (
+    H1Result,
     PlaceRecord,
     _differences,
     _fox_system,
@@ -48,12 +51,14 @@ from oracle_helpers import (
     brute_h1_order,
     cayley_h1,
     cayley_restriction_kernel,
+    expanded_res_h1,
     full_cochain_h1,
     is_brute_coboundary,
     old_pair_quotient,
 )
 from random_modules import _coset_permutation, sweep_modules
 
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 BATTERY = ["klein4", "z2xz4", "z4", "z3xz3", "s3", "z6", "q8", "z2xz2xz2"]
 
 
@@ -81,8 +86,9 @@ class TestH1:
             g = builtin_group(name)
             ideal, _, _ = augmentation_ideal(g, g.order)
             res = h1(g, ideal)
-            assert len(res.cocycle_reps) == len(res.structure.invariant_factors)
-            for rep in res.cocycle_reps:
+            columns = res.presentation.generator_columns
+            assert len(columns) == len(res.structure.invariant_factors)
+            for rep in map(res.cocycle, columns):
                 assert rep[g.identity] == (0,) * ideal.rank
                 assert is_cocycle(g, ideal, rep)
 
@@ -91,7 +97,7 @@ class TestH1:
         ideal, _, _ = augmentation_ideal(g, 4)
         res = h1(g, ideal)
         assert res.structure == AbGroupStructure([4])
-        rep = res.cocycle_reps[0]
+        rep = res.cocycle(res.presentation.generator_columns[0])
         m = ideal.modulus
         # 2*rep is not a coboundary, 4*rep is
         twice = tuple(tuple(2 * x % m for x in vec) for vec in rep)
@@ -145,7 +151,8 @@ class TestIsCocycle:
             n = g.order
             for module in (augmentation_ideal(g, n)[0], trivial_module(g, n)):
                 m, r = module.modulus, module.rank
-                for rep in h1(g, module).cocycle_reps:
+                res = h1(g, module)
+                for rep in map(res.cocycle, res.presentation.generator_columns):
                     a = [rng.randrange(m) for _ in range(r)]
                     shifted = tuple(
                         tuple((z + ga - b) % m for z, ga, b in zip(rep[x], module.act(x, a), a))
@@ -239,7 +246,8 @@ class TestResH1:
             assert mat[0, 0] % 2 == 1
             # brute cross-check: the restricted cocycle is not a coboundary,
             # its double is
-            rep = h1(g, ideal).cocycle_reps[0]
+            res = h1(g, ideal)
+            rep = res.cocycle(res.presentation.generator_columns[0])
             res_module = restrict(ideal, sub)
             res_rep = tuple(rep[x] for x in sub.elements)
             assert not is_brute_coboundary(sub.as_group(), res_module, res_rep)
@@ -288,7 +296,8 @@ class TestShaCyc:
         ideal, _, _ = augmentation_ideal(g, 4)
         result = sha_sigma(g, ideal, places=[], excluded=())
         assert result.structure == AbGroupStructure([2])
-        for rep in result.generators:
+        for values in result.generators:
+            rep = h1(g, ideal).cocycle(values)
             assert is_cocycle(g, ideal, rep)
             assert not is_brute_coboundary(g, ideal, rep)
             for sub in cyclic_subgroups(g):
@@ -477,7 +486,7 @@ class TestFullCochainOracle:
                        (klein, GModule(klein, 4, 0, [()] * 4))):
             res = h1(g, mod)
             assert res.structure == full_cochain_h1(g, mod) == AbGroupStructure()
-            assert res.cocycle_reps == ()
+            assert res.presentation.generator_columns == ()
 
 
 class TestCyclicRestriction:
@@ -523,12 +532,22 @@ class TestCyclicRestriction:
                    for x in range(4) if x != g.identity)
 
     def test_sha_generators_restrict_to_coboundaries(self):
-        # each generator is a nonzero class of G whose restriction to every
-        # cyclic subgroup has zero coordinates in the restricted Cayley H^1
+        # each generator is a vector of values at G's generators that meets
+        # G's relator rows (A x = 0) and is a nonzero class of G; expanded,
+        # it is a cocycle whose restriction to every cyclic subgroup has
+        # zero coordinates in the restricted Cayley H^1
         checked = 0
         for g, mod in battery_modules() + sweep_modules():
             _, _, coordinates = cayley_h1(g, mod)
-            for rep in sha_sigma(g, mod, places=[]).generators:
+            full = h1(g, mod)
+            relators = _fox_system(g, mod, g.presentation())
+            m = mod.modulus
+            for values in sha_sigma(g, mod, places=[]).generators:
+                assert len(values) == len(full.generators) * mod.rank
+                assert all(sum(a * x for a, x in zip(row, values)) % m == 0 for row in relators)
+                assert any(full.presentation.coordinates(values)), (g, mod.label)
+                rep = full.cocycle(values)
+                assert is_cocycle(g, mod, rep)
                 assert any(coordinates(rep)), (g, mod.label)
                 for sub in cyclic_subgroups(g):
                     res = restrict(mod, sub)
@@ -816,5 +835,84 @@ class TestNotSolvableFallback:
         mod = GModule(a5, 3, dim, mats)
         res = h1(a5, mod)
         assert res.structure == AbGroupStructure([3])
-        assert all(all_pairs_is_cocycle(a5, mod, rep) for rep in res.cocycle_reps)
+        assert all(all_pairs_is_cocycle(a5, mod, res.cocycle(col))
+                   for col in res.presentation.generator_columns)
         assert sha_cyc(a5, mod) == cayley_restriction_kernel(a5, mod, cyclic_subgroups(a5))
+
+
+def point_module(group, sub, m):
+    """The permutation module on the cosets G/H, over Z/m."""
+    mats, dim = _coset_permutation(group, sub)
+    return GModule(group, m, dim, mats)
+
+
+class TestGeneratorValues:
+    """A class is its vector of values at the generators: the engine reads
+    it at a subgroup's generators by walking G's tree, and only
+    `H1Result.cocycle` expands it to all of G."""
+
+    def test_res_h1_matches_the_expanded_read(self):
+        # every subgroup of each group up to order 16, then the cyclic
+        # subgroups of A5, and A5 inside S5 with its cyclic subgroups there
+        pairs = [(g, mod, all_subgroups(g)) for g, mod in battery_modules() + sweep_modules()]
+        g = builtin_group("zlxzln:2:3")
+        pairs += [(g, mod, all_subgroups(g)) for mod in (
+            augmentation_ideal(g, 16)[0], group_ring(g, 16), trivial_module(g, 4))]
+        a5 = alternating_group_5()
+        a4 = subgroup_generated(a5, [a5.names.index("(0 1 2)"), a5.names.index("(0 1)(2 3)")])
+        pairs += [(a5, mod, cyclic_subgroups(a5)) for mod in (
+            augmentation_ideal(a5, 60)[0], trivial_module(a5, 6), point_module(a5, a4, 3))]
+        s5 = symmetric_group_5()
+        a5_in_s5 = subgroup_generated(
+            s5, [s5.names.index("(0 1 2 3 4)"), s5.names.index("(0 1 2)")])
+        s4 = subgroup_generated(s5, [s5.names.index("(0 1 2 3)"), s5.names.index("(0 1)")])
+        inside = [a5_in_s5] + [c for c in cyclic_subgroups(s5)
+                               if set(c.elements) <= set(a5_in_s5.elements)]
+        pairs += [(s5, mod, inside) for mod in (
+            trivial_module(s5, 2), trivial_module(s5, 4), point_module(s5, s4, 3))]
+        checked = nonzero = 0
+        for g, mod, subs in pairs:
+            for sub in subs:
+                mat = res_h1(g, sub, mod)
+                rows = [list(mat.row(i)) for i in range(mat.rows)]
+                assert rows == expanded_res_h1(g, sub, mod), (g, mod.label, sub)
+                nonzero += any(map(any, rows))
+                checked += 1
+        assert (checked, nonzero) == (684, 224)
+
+    def test_the_engine_never_expands(self, monkeypatch, capsys):
+        # fresh module caches, so every H^1 is solved while expansion raises
+        monkeypatch.setattr(g_modules, "_RING_CACHE", {})
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+        with monkeypatch.context() as mp:
+            def refuse(self, values):
+                raise AssertionError("a class was expanded to all of G")
+
+            mp.setattr(H1Result, "cocycle", refuse)
+            g = builtin_group("zlxzln:2:3")
+            ideal = augmentation_ideal(g, 16)[0]
+            cyc = sha_cyc(g, ideal)
+            records = _biquadratic_model(3, 17)[0]
+            klein = records[0].subgroup.parent
+            klein_ideal = augmentation_ideal(klein, 4)[0]
+            kernels = [sha_sigma(klein, klein_ideal, records, excluded).structure
+                       for excluded in ([], ["3"], ["3", "17"])]
+            restrictions = [res_h1(g, sub, ideal) for sub in all_subgroups(g)]
+            h0 = tate_h0(g, trivial_module(g, 16))
+            shifts = dimension_shift_check(g, all_subgroups(g))
+            printed = []
+            for ell, n, p in ((2, 2, 5), (3, 1, 7)):
+                assert main(["certify", "--ell", str(ell), "--n", str(n), "--p", str(p)]) == 0
+                printed.append((capsys.readouterr().out, GOLDEN_DIR / f"certify_{ell}_{n}_{p}.json"))
+        assert cyc == AbGroupStructure([2])
+        family = cyclic_subgroups(klein)
+        assert kernels == [cayley_restriction_kernel(klein, klein_ideal, family + [
+            rec.subgroup for rec in records if rec.key not in excluded])
+            for excluded in ([], ["3"], ["3", "17"])]
+        assert kernels[-1] == AbGroupStructure([2])
+        assert [[list(m.row(i)) for i in range(m.rows)] for m in restrictions] == [
+            expanded_res_h1(g, sub, ideal) for sub in all_subgroups(g)]
+        assert h0 == AbGroupStructure([16])
+        assert len(shifts) == len(all_subgroups(g)) and all(r.passed for r in shifts)
+        for out, path in printed:
+            assert out.encode() == path.read_bytes(), path.name

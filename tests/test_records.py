@@ -30,8 +30,8 @@ def records():
     ideal, _, _ = augmentation_ideal(g, 4)
     place = PlaceRecord(3, full_subgroup(g), True)
     return [
-        (h1(g, ideal), ("group", "module", "structure", "cocycle_reps",
-                        "basis_correspondence", "presentation", "generators")),
+        (h1(g, ideal), ("group", "module", "structure", "presentation", "generators",
+                        "tree")),
         (sha_sigma(g, ideal, [place]), ("structure", "generators", "h1_structure")),
         (place, ("label", "subgroup", "ramified")),
         (verify_augmentation_lemma(g), ("order", "exponent", "expected", "computed")),
