@@ -25,6 +25,9 @@ augmentation sequence,
 sparse rows of the group ring and the augmentation ideal,
 `dense_quotient_presentation` (the presentation over Z with m*I padding, on
 the reference reduction) for the presentation over Z/p^e,
+`ride_along_kernel_vectors` (U riding along [A^T | I]) for the kernel
+generators of `kernel_mod` and of the span form's annihilator, which
+replay the operation log,
 `old_pair_quotient` (`kernel_mod`, then the span quotient
 `SpanQuotientPresentation` with its own ambient reduction) for
 `_kernel_quotient`, which reads ker A / im B off one reduction,
@@ -546,6 +549,28 @@ def uit_reduce(rows, width, p, e, *, u_inv=False):
                     uit[t] = [(a + f * b) % q for a, b in zip(uit[t], uit[i])]
         vals.append(best)
     return vals, uit
+
+
+def ride_along_kernel_vectors(at_rows, width, m):
+    """Generators of ker A mod m as `kernel_mod` built them with U riding
+    along: A has `width` rows and its columns are `at_rows`; per prime power
+    q of m, `uit_reduce` on [A^T | I] ends the identity block as U, and
+    each row u_t of U scaled by s_t < q (s_t = p^(e - v_t) for a pivot row,
+    1 past the pivots) is lifted to Z/m by CRT.  The oracle for
+    `zmod_linalg._kernel_vectors`."""
+    vecs = []
+    if m > 1:
+        for p, e in trial_division_factor(m).items():
+            q = p ** e
+            lift = _crt_lift(m, q)
+            rows = [[x % q for x in col] + urow
+                    for col, urow in zip(at_rows, _identity_rows(len(at_rows)))]
+            vals, _ = uit_reduce(rows, width, p, e)
+            for t, row in enumerate(rows):
+                s = p ** (e - vals[t]) if t < len(vals) else 1
+                if s < q:
+                    vecs.append([x * s % q * lift % m for x in row[width:]])
+    return vecs
 
 
 class SpanPrimePowerQuotient:

@@ -1,4 +1,5 @@
-"""Each demo script must run clean; they double as executable documentation."""
+"""Each demo script must run clean and print exactly its pinned output;
+they double as executable documentation."""
 
 import subprocess
 import sys
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMO_DIR = ROOT / "demos"
+GOLDEN_DIR = ROOT / "tests" / "golden"
 DEMOS = sorted(DEMO_DIR.glob("0*.py"))
 
 
@@ -14,11 +17,14 @@ DEMOS = sorted(DEMO_DIR.glob("0*.py"))
 def test_demo_runs(script):
     proc = subprocess.run(
         [sys.executable, str(script)],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    assert proc.returncode == 0, proc.stderr.decode()
+    golden = GOLDEN_DIR / f"demo_{script.name[:2]}.txt"
+    assert proc.stdout == golden.read_bytes(), f"{script.name} output differs from {golden.name}"
 
 
 def test_all_demos_present():
     assert len(DEMOS) == 5
+    assert sorted(GOLDEN_DIR.glob("demo_*.txt")) == [
+        GOLDEN_DIR / f"demo_{script.name[:2]}.txt" for script in DEMOS]

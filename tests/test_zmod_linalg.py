@@ -10,6 +10,7 @@ from tameapprox.zmod_linalg import (
     kernel_mod,
     _apply_ut,
     _kernel_quotient,
+    _kernel_vectors,
     _reduce,
     _undo,
     quotient_structure,
@@ -27,6 +28,7 @@ from oracle_helpers import (
     old_pair_quotient,
     predicted_order_counts,
     reference_smith_decomposition,
+    ride_along_kernel_vectors,
     span_mod,
     uit_reduce,
 )
@@ -184,6 +186,52 @@ class TestKernelMod:
             spanned = span_mod([gens.column(j) for j in range(gens.cols)], m, cols)
             brute = brute_kernel_set(mat.row_lists(), m, cols)
             assert spanned == brute
+
+    def test_generators_match_ride_along(self):
+        # the exact generator columns, in order, against U riding along
+        # [A^T | I]: `old_pair_quotient`, the oracle for `_kernel_quotient`,
+        # calls `kernel_mod`, so it must not rest on the code under test
+        checked = 0
+        for m, mat in ride_along_shapes():
+            at_rows = list(zip(*mat._data)) if mat.rows else [()] * mat.cols
+            ker = kernel_mod(mat, m)
+            assert ker.rows == mat.cols
+            assert [list(ker.column(j)) for j in range(ker.cols)] == \
+                ride_along_kernel_vectors(at_rows, mat.rows, m), (m, mat)
+            checked += ker.cols > 0
+        assert checked >= 120
+
+    def test_injective_shapes_have_no_generators(self):
+        for m in RIDE_ALONG_MODULI:
+            for mat in (IntMatrix.identity(3), IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])):
+                assert kernel_mod(mat, m).cols == 0
+
+    def test_annihilator_matches_ride_along(self):
+        # the span form's annihilator: ker of the ambient generators' transpose
+        for m, mat in ride_along_shapes():
+            assert _kernel_vectors(mat._data, mat.cols, m) == \
+                ride_along_kernel_vectors(mat._data, mat.cols, m), (m, mat)
+
+
+RIDE_ALONG_MODULI = (1, 4, 6, 12, 27, 36, 60)
+
+
+def ride_along_shapes():
+    """Seeded (m, A) for the kernel generator oracle: 30 random matrices per
+    modulus, with repeated, zero and half-modulus entries, then the 0-row,
+    0-column, 0 x 0 and injective shapes."""
+    rng = random.Random(1919)
+    out = []
+    for m in RIDE_ALONG_MODULI:
+        for _ in range(30):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            out.append((m, IntMatrix(rows, cols, [
+                rng.choice((0, 0, 1, -1, m // 2, rng.randrange(m), rng.randint(-9, 9)))
+                for _ in range(rows * cols)])))
+        out += [(m, IntMatrix(0, 3, [])), (m, IntMatrix(3, 0, [])), (m, IntMatrix(0, 0, [])),
+                (m, IntMatrix.identity(3)), (m, IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])),
+                (m, IntMatrix.from_rows([[1, 2, 3]]))]
+    return out
 
 
 def assert_presentation_agrees(sub, amb, m, members):
