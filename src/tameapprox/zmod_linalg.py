@@ -6,9 +6,9 @@ kernels) has the form ker A / im B with im B inside ker A, and comes from
 U, in whose coordinates y = U^-T x the kernel is diagonal, and from which
 B's coordinates are read off (Kaczynski, Mischaikow and Mrozek,
 Computational Homology, 2004, ch. 3: one reduction per boundary map,
-carried with its change of basis).  `kernel_mod` runs the same reduction
-with U riding along, as it returns every generator, and
-`QuotientPresentation` presents a quotient of spans as a kernel quotient.
+carried with its change of basis).  `kernel_mod` replays the same log
+once per generator it returns, and `QuotientPresentation` presents a
+quotient of spans as a kernel quotient.
 
 The elimination works over the chain ring Z/p^e (Howell, "Spans in the
 module (Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for linear
@@ -406,38 +406,35 @@ def _crt_lift(m, q):
     return k * pow(k, -1, q) % m
 
 
-def _reduce(rows, width, p, e, *, log=None):
-    """Smith reduction over Z/p^e of the first `width` columns of `rows`, in place.
+def _reduce(rows, p, e):
+    """Smith reduction over Z/p^e of the matrix A with rows `rows`, in place.
 
-    The rows hold residues in [0, p^e); entries past `width` only ride
-    along with the row operations, so a block [A | I] there ends as U.
-    Step t takes the entry of least p-valuation v in rows t.., lowest
-    (row, col) on ties, swaps its row to t and scales it by a unit inverse
-    so the pivot is exactly p^v; then each later row with x in the pivot
-    column drops (x / p^v) times it.  Every remaining entry keeps
-    valuation >= v, so the pivot also divides the rest of its own row, and
-    the column operations that would clear it touch no other row: they
-    are left out, as no caller needs V.  Rows past the last step are zero
-    in A.
+    The rows hold residues in [0, p^e).  Step t takes the entry of least
+    p-valuation v in rows t.., lowest (row, col) on ties, swaps its row to
+    t and scales it by a unit inverse so the pivot is exactly p^v; then
+    each later row with x in the pivot column drops (x / p^v) times it.
+    Every remaining entry keeps valuation >= v, so the pivot also divides
+    the rest of its own row, and the column operations that would clear it
+    touch no other row: they are left out, as no caller needs V.  Rows past
+    the last step are zero.
 
-    Returns vals: U A V has p^vals[t] in row t for t < len(vals), and zeros
-    elsewhere.  When `log` is a list, step t appends its row operations as
-    (t, bi, unit, ops): swap rows t and bi, scale row t by unit^-1, then
-    row_i -= f row_t for each (i, f) in ops.  `_undo` replays them backwards
-    to apply U^-1 to one vector, `_apply_ut` backwards and transposed to
-    apply U^T, and `_kernel_summands` reads U^-T off them forwards.
+    Returns (vals, log): U A V has p^vals[t] in row t for t < len(vals),
+    and zeros elsewhere.  Step t is logged as (t, bi, unit, ops): swap rows
+    t and bi, scale row t by unit^-1, then row_i -= f row_t for each (i, f)
+    in ops.  U itself is never formed: `_undo` replays the log backwards to
+    apply U^-1 to one vector, `_apply_ut` backwards and transposed to apply
+    U^T, and `_kernel_summands` reads U^-T off it forwards.
     """
     q = p ** e
     R = len(rows)
-    vals = []
+    vals, log = [], []
     for t in range(R):
         best, bi, bc = e, -1, -1
         for i in range(t, R):
             row = rows[i]
-            if not any(row[:width]):
+            if not any(row):
                 continue
-            for j in range(width):
-                x = row[j]
+            for j, x in enumerate(row):
                 if x:
                     val = 0
                     while x % p == 0 and val < best:
@@ -468,10 +465,9 @@ def _reduce(rows, width, p, e, *, log=None):
                 for j, y in nz:
                     row[j] = (row[j] - f * y) % q
                 ops.append((i, f))
-        if log is not None:
-            log.append((t, bi, unit, ops))
+        log.append((t, bi, unit, ops))
         vals.append(best)
-    return vals
+    return vals, log
 
 
 def _undo(log, vec, q):
@@ -523,37 +519,35 @@ def _kernel_summands(at_rows, p, e):
     more than one entry.
     """
     q = p ** e
-    rows = [[x % q for x in col] for col in at_rows]
-    log = []
-    vals = _reduce(rows, len(rows[0]), p, e, log=log)
-    perm = list(range(len(rows)))
+    vals, log = _reduce([[x % q for x in col] for col in at_rows], p, e)
+    perm = list(range(len(at_rows)))
     kept = []
     for (t, bi, unit, ops), v in zip(log, vals):
         perm[t], perm[bi] = perm[bi], perm[t]
         if v:
             kept.append((t, p ** (e - v), [(perm[t], unit)] + [(perm[i], f) for i, f in ops]))
-    kept += [(t, 1, [(perm[t], 1)]) for t in range(len(vals), len(rows))]
+    kept += [(t, 1, [(perm[t], 1)]) for t in range(len(vals), len(at_rows))]
     return log, kept
 
 
-def _kernel_vectors(at_rows, width, m):
-    """Generators of ker A mod m, A given by its columns `at_rows` and
-    `width` rows.  Per prime power q of m this is the reduction of
-    `_kernel_summands` with U riding along as an identity block, since
-    every generator is returned: the rows u_t of U scaled by s_t < q, each
-    lifted to Z/m by CRT."""
+def _kernel_vectors(at_rows, m):
+    """Generators of ker A mod m, A given by its columns `at_rows`.
+
+    Per prime power q of m, each summand (t, s_t) that `_kernel_summands`
+    keeps gives the generator U^T (s_t e_t), s_t times row t of U, replayed
+    from the log (`_apply_ut`) and lifted to Z/m by CRT; t ascending, one
+    prime after another.
+    """
     vecs = []
     if m > 1:
         for p, e in factorize(m).items():
             q = p ** e
             lift = _crt_lift(m, q)
-            rows = [[x % q for x in col] + urow
-                    for col, urow in zip(at_rows, _identity_rows(len(at_rows)))]
-            vals = _reduce(rows, width, p, e)
-            for t, row in enumerate(rows):
-                s = p ** (e - vals[t]) if t < len(vals) else 1
-                if s < q:
-                    vecs.append([x * s % q * lift % m for x in row[width:]])
+            log, kept = _kernel_summands(at_rows, p, e)
+            for t, s, _ in kept:
+                y = [0] * len(at_rows)
+                y[t] = s
+                vecs.append([x * lift % m for x in _apply_ut(log, y, q)])
     return vecs
 
 
@@ -568,7 +562,7 @@ def kernel_mod(mat, modulus):
     if m < 1:
         raise ValueError("modulus must be >= 1")
     at_rows = list(zip(*mat._data)) if mat.rows else [()] * mat.cols
-    return IntMatrix.from_columns(_kernel_vectors(at_rows, mat.rows, m), dim=mat.cols)
+    return IntMatrix.from_columns(_kernel_vectors(at_rows, m), dim=mat.cols)
 
 
 class _PrimePowerQuotient:
@@ -608,8 +602,7 @@ class _PrimePowerQuotient:
             for i, c in rest:
                 y = [a + c * b for a, b in zip(y, b_rows[i])]
             rel.append([a % q // s for a in y] + [q // s if k == j else 0 for j in pad])
-        rel_log = []
-        rel_vals = _reduce(rel, len(b_rows[0]) + len(pad), p, e, log=rel_log)
+        rel_vals, rel_log = _reduce(rel, p, e)
 
         factors, gens, u_rel = [], [], []
         for j in range(n):
@@ -665,7 +658,7 @@ class QuotientPresentation:
             raise ValueError("modulus must be >= 1")
         if sub_gens.rows != amb_gens.rows:
             raise ValueError("sub and ambient generators live in different dimensions")
-        self._solve(_kernel_vectors(amb_gens._data, amb_gens.cols, m), sub_gens._data, m)
+        self._solve(_kernel_vectors(amb_gens._data, m), sub_gens._data, m)
 
     def _solve(self, a_rows, b_rows, m):
         """ker A / im B mod m from row lists (`_kernel_quotient`)."""

@@ -60,7 +60,6 @@ from tameapprox.zmod_linalg import (
     _identity_rows,
     _kernel_quotient,
     _PrimePowerQuotient,
-    _reduce,
     _undo,
     kernel_mod,
     quotient_structure,
@@ -483,7 +482,7 @@ def dense_quotient_presentation(sub_gens, amb_gens, m):
     return factors, gens, coordinates
 
 
-def uit_reduce(rows, width, p, e, *, u_inv=False):
+def uit_reduce(rows, width, p, e, *, u_inv=False, log=None):
     """Smith reduction over Z/p^e of the first `width` columns of `rows`, in place.
 
     The rows hold residues in [0, p^e); entries past `width` only ride
@@ -499,7 +498,10 @@ def uit_reduce(rows, width, p, e, *, u_inv=False):
 
     Returns (vals, uit): U A V has p^vals[t] in row t for t < len(vals),
     and zeros elsewhere.  uit lists the columns of U^-1 when asked for
-    (undoing row_i -= f row_t adds f times column i to column t).
+    (undoing row_i -= f row_t adds f times column i to column t).  When
+    `log` is a list, step t appends its row operations to it as
+    `zmod_linalg._reduce` logs them: (t, bi, unit, ops), swap rows t and
+    bi, scale row t by unit^-1, then row_i -= f row_t for each (i, f) in ops.
     """
     q = p ** e
     R = len(rows)
@@ -538,6 +540,7 @@ def uit_reduce(rows, width, p, e, *, u_inv=False):
             if uit is not None:
                 uit[t] = [x * unit % q for x in uit[t]]
         nz = [(j, y) for j, y in enumerate(prow) if y]
+        ops = []
         for i in range(t + 1, R):
             row = rows[i]
             x = row[bc]
@@ -547,6 +550,9 @@ def uit_reduce(rows, width, p, e, *, u_inv=False):
                     row[j] = (row[j] - f * y) % q
                 if uit is not None:
                     uit[t] = [(a + f * b) % q for a, b in zip(uit[t], uit[i])]
+                ops.append((i, f))
+        if log is not None:
+            log.append((t, bi, unit, ops))
         vals.append(best)
     return vals, uit
 
@@ -587,6 +593,8 @@ class SpanPrimePowerQuotient:
     sum of Z/p^w_j plus a Z/q for each row without pivot.  The j-th
     generator is U^-1 D U_rel^-1 e_j, D = diag(p^v_t), replayed from the
     two steps' logs (`_undo`), for the summands of order >= 2, ascending.
+    Both steps run `uit_reduce` with a log and U riding along as an
+    identity block, as they were written.
     """
 
     def __init__(self, sub_gens, amb_gens, p, e, m):
@@ -596,7 +604,7 @@ class SpanPrimePowerQuotient:
         rows = [[x % q for x in row + srow] + urow for row, srow, urow
                 in zip(amb_gens._data, sub_gens._data, _identity_rows(dim))]
         log, rel_log = [], []
-        vals = _reduce(rows, width, p, e, log=log)
+        vals, _ = uit_reduce(rows, width, p, e, log=log)
         r = len(vals)
         # y lies in U span(A) iff scales[t] | y_t for every t (q | y_t means y_t = 0)
         scales = [p ** val for val in vals] + [q] * (dim - r)
@@ -612,7 +620,7 @@ class SpanPrimePowerQuotient:
             s = scales[t]
             rel.append([y // s for y in rows[t][width:width + n_sub]]
                        + [q // s if t == k else 0 for k in pad] + urow)
-        rel_vals = _reduce(rel, rel_width, p, e, log=rel_log)
+        rel_vals, _ = uit_reduce(rel, rel_width, p, e, log=rel_log)
 
         factors, gens, u_rel = [], [], []
         for j in range(r):

@@ -173,6 +173,9 @@ class TestKernelMod:
     def test_injective_map_empty(self):
         gens = kernel_mod(IntMatrix.identity(3), 5)
         assert gens.cols == 0
+        for m in RIDE_ALONG_MODULI:
+            for mat in (IntMatrix.identity(3), IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])):
+                assert kernel_mod(mat, m).cols == 0
 
     def test_against_brute_force(self):
         rng = random.Random(42)
@@ -201,15 +204,10 @@ class TestKernelMod:
             checked += ker.cols > 0
         assert checked >= 120
 
-    def test_injective_shapes_have_no_generators(self):
-        for m in RIDE_ALONG_MODULI:
-            for mat in (IntMatrix.identity(3), IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])):
-                assert kernel_mod(mat, m).cols == 0
-
     def test_annihilator_matches_ride_along(self):
         # the span form's annihilator: ker of the ambient generators' transpose
         for m, mat in ride_along_shapes():
-            assert _kernel_vectors(mat._data, mat.cols, m) == \
+            assert _kernel_vectors(mat._data, m) == \
                 ride_along_kernel_vectors(mat._data, mat.cols, m), (m, mat)
 
 
@@ -360,47 +358,49 @@ class TestQuotientStructure:
             assert all(c == 0 for c in pres.coordinates(scaled))
 
 
+def logged_and_ride_along(seed):
+    """60 seeded reductions of a random A over Z/p^e, by `_reduce` on A
+    alone and by `uit_reduce` on [A | I] with U^-1 and a log.  Asserts
+    that both give the same pivots, the same reduced A and the same log,
+    then yields (rng, q, log, U, columns of U^-1) from them."""
+    rng = random.Random(seed)
+    for trial in range(60):
+        p, e = rng.choice([(2, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1)])
+        q = p ** e
+        n, width = rng.randint(1, 7), rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 1, p, rng.randrange(q))) for _ in range(width)]
+             for _ in range(n)]
+        ride = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+        vals, log = _reduce(a, p, e)
+        dense_log = []
+        dense_vals, uit = uit_reduce(ride, width, p, e, u_inv=True, log=dense_log)
+        assert (vals, log) == (dense_vals, dense_log), trial
+        assert a == [row[:width] for row in ride], trial
+        yield rng, q, log, [row[width:] for row in ride], uit
+
+
 class TestOperationLog:
-    """The generators replayed from `_reduce`'s log against the dense U^-1
-    of `uit_reduce`, the path they replaced."""
+    """`_reduce` on A alone against `uit_reduce` on [A | I], which carries
+    U as an identity block and U^-1 densely: the log it returns must
+    replay to that U and U^-1."""
 
     def test_undo_of_u_is_the_identity(self):
-        # [A | I] ends as [UA | U]: undoing the log on column j of U gives
-        # e_j, and on e_j gives column j of U^-1
-        rng = random.Random(13)
-        for trial in range(60):
-            p, e = rng.choice([(2, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1)])
-            q = p ** e
-            n, width = rng.randint(1, 7), rng.randint(1, 6)
-            a = [[rng.choice((0, 0, 1, p, rng.randrange(q))) for _ in range(width)]
-                 for _ in range(n)]
-            identity = [[int(i == j) for j in range(n)] for i in range(n)]
-            rows = [row + urow for row, urow in zip(a, identity)]
-            dense = [list(row) for row in rows]
-            log = []
-            vals = _reduce(rows, width, p, e, log=log)
-            dense_vals, uit = uit_reduce(dense, width, p, e, u_inv=True)
-            assert (vals, rows) == (dense_vals, dense)
-            u = [row[width:] for row in rows]
+        # undoing the log on column j of U gives e_j, and on e_j gives
+        # column j of U^-1
+        for rng, q, log, u, uit in logged_and_ride_along(13):
+            n = len(u)
             for j in range(n):
-                assert _undo(log, [row[j] for row in u], q) == identity[j], (trial, j)
-                assert _undo(log, list(identity[j]), q) == uit[j], (trial, j)
+                e_j = [int(i == j) for i in range(n)]
+                assert _undo(log, [row[j] for row in u], q) == e_j, j
+                assert _undo(log, list(e_j), q) == uit[j], j
 
     def test_apply_ut_gives_the_rows_of_u(self):
-        # [A | I] ends as [UA | U]: replaying the log backwards and
-        # transposed on e_j gives row j of U, and on any y gives U^T y
-        rng = random.Random(14)
-        for trial in range(60):
-            p, e = rng.choice([(2, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 1)])
-            q = p ** e
-            n, width = rng.randint(1, 7), rng.randint(1, 6)
-            rows = [[rng.choice((0, 0, 1, p, rng.randrange(q))) for _ in range(width)]
-                    + [int(i == j) for j in range(n)] for i in range(n)]
-            log = []
-            _reduce(rows, width, p, e, log=log)
-            u = [row[width:] for row in rows]
+        # replaying the log backwards and transposed on e_j gives row j of
+        # U, and on any y gives U^T y
+        for rng, q, log, u, uit in logged_and_ride_along(14):
+            n = len(u)
             for j in range(n):
-                assert _apply_ut(log, [int(i == j) for i in range(n)], q) == u[j], (trial, j)
+                assert _apply_ut(log, [int(i == j) for i in range(n)], q) == u[j], j
             y = [rng.randrange(q) for _ in range(n)]
             assert _apply_ut(log, list(y), q) == [
                 sum(yt * urow[i] for yt, urow in zip(y, u)) % q for i in range(n)]
