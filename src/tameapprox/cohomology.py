@@ -18,7 +18,7 @@ presentation read off its Cayley graph (`_cayley_presentation`): the
 generators are its generating set, and each Cayley edge off a BFS tree is
 a relator.  Z^1/B^1 is then ker A / im B inside (Z/m)^(d rank), A the
 relator conditions and B the coboundaries of the generator values, and
-`zmod_linalg._kernel_quotient` presents it from one elimination of A; Tate
+`zmod_linalg.QuotientPresentation` presents it from one elimination of A; Tate
 H^0 and the Sha kernels are quotients of the same form.  A class stays its
 generator values; only the h1 printout and the tests expand one to all |G|
 elements (`H1Result.cocycle`), and check it with `is_cocycle` or the
@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .finite_groups import Group, Subgroup, _cayley_presentation, cyclic_subgroups, full_subgroup
 from .g_modules import GModule, augmentation_ideal, group_ring
 from .primes import is_prime
-from .zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresentation, _kernel_quotient
+from .zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresentation
 
 __all__ = [
     "H1Result", "PlaceRecord", "ShaResult", "LemmaReport", "ShiftReport",
@@ -204,7 +204,7 @@ def _subgroup_h1(module, sub):
     """(generators, tree, H^1(H, M) as a QuotientPresentation) for a subgroup H.
 
     Everything is in the indices of G = module.group.  H^1 = Z^1/B^1 is
-    ker A / im B (`_kernel_quotient`, one elimination): A is the relator
+    ker A / im B (`QuotientPresentation`, one elimination): A is the relator
     conditions (`_fox_system`) on the values at the generators of H's
     polycyclic presentation, or, if H is not solvable, of the presentation
     read off its Cayley graph on its generating set; B is a -> (s.a - a)_s.
@@ -219,7 +219,7 @@ def _subgroup_h1(module, sub):
     if sub.elements not in cache:
         group = module.group
         pres = sub.presentation() or _cayley_presentation(group, sub.generating_set())
-        cache[sub.elements] = (pres.generators, pres.tree, _kernel_quotient(
+        cache[sub.elements] = (pres.generators, pres.tree, QuotientPresentation(
             _fox_system(group, module, pres), _differences(module, pres.generators),
             module.modulus))
     return cache[sub.elements]
@@ -249,12 +249,12 @@ def tate_h0(group, module):
     """Tate H^0: fixed points M^G modulo the image of the norm N_G.
 
     M^G is the intersection of ker(s - 1) over the generators s, so this is
-    ker A / im N_G with A the stacked s - 1 (`_kernel_quotient`).
+    ker A / im N_G with A the stacked s - 1 (`QuotientPresentation`).
     """
     if module.group != group:
         raise ValueError("module is over a different group")
-    return _kernel_quotient(_differences(module, group.generating_set()), _norm(module),
-                            module.modulus).structure
+    return QuotientPresentation(_differences(module, group.generating_set()), _norm(module),
+                                module.modulus).structure
 
 
 def _norm(module):
@@ -328,7 +328,7 @@ def _restriction_kernel(group, module, subgroups):
     lives in Z/delta_i, delta_i the i-th factor of H^1(H, M); scaled by
     m / delta_i it is a row of A, a condition mod m.  The kernel is
     ker A / im B in the coordinates of H^1(G, M), B the diagonal of its
-    factors (`_kernel_quotient`).
+    factors (`QuotientPresentation`).
     """
     family = dict.fromkeys(subgroups)
     if any(sub.parent != group for sub in family):
@@ -352,7 +352,7 @@ def _restriction_kernel(group, module, subgroups):
             scale = m // delta
             constraint_rows.append([scale * x for x in row])
     relations = [[d if i == j else 0 for j in range(k)] for i, d in enumerate(factors)]
-    pres = _kernel_quotient(constraint_rows, relations, m)
+    pres = QuotientPresentation(constraint_rows, relations, m)
 
     entries = list(zip(*h1_full.presentation.generator_columns))  # per entry, over the classes
     gens = tuple(tuple(sum(map(mul, col, xs)) % m for xs in entries)

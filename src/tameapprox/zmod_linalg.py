@@ -2,13 +2,13 @@
 
 Every quotient downstream (cohomology groups, Tate groups, restriction
 kernels) has the form ker A / im B with im B inside ker A, and comes from
-`_kernel_quotient`: one reduction of A^T with a log of its row operations
-U, in whose coordinates y = U^-T x the kernel is diagonal, and from which
-B's coordinates are read off (Kaczynski, Mischaikow and Mrozek,
-Computational Homology, 2004, ch. 3: one reduction per boundary map,
-carried with its change of basis).  `kernel_mod` replays the same log
-once per generator it returns, and `QuotientPresentation` presents a
-quotient of spans as a kernel quotient.
+one constructor, `QuotientPresentation(a_rows, b_rows, m)`: one reduction
+of A^T with a log of its row operations U, in whose coordinates
+y = U^-T x the kernel is diagonal, and from which B's coordinates are read
+off (Kaczynski, Mischaikow and Mrozek, Computational Homology, 2004, ch. 3:
+one reduction per boundary map, carried with its change of basis).
+`kernel_mod` replays the same log once per generator it returns, and
+`quotient_structure` presents a quotient of spans as a kernel quotient.
 
 The elimination works over the chain ring Z/p^e (Howell, "Spans in the
 module (Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for linear
@@ -632,37 +632,33 @@ class _PrimePowerQuotient:
 class QuotientPresentation:
     """The finite abelian group ker A / im B mod m, with im B inside ker A.
 
-    Carries explicit generators: `generator_columns[i]` has exact order
+    A and B are given by their rows: A has one column per row of B
+    (`a_rows` may be empty), and B is len(b_rows) x n.  Carries explicit
+    generators: `generator_columns[i]` has exact order
     `structure.invariant_factors[i]` in the quotient, and `coordinates(x)`
     expresses any vector of ker A in those generators.
 
-    The public constructor takes the span form (span of ambient columns mod
-    m)/(span of sub columns mod m): over Z/m, which is self-injective, the
-    span of the ambient columns is the kernel of their annihilator, the
-    rows a with a . amb_j = 0 for every column (`_kernel_vectors` of the
-    transpose).  `_kernel_quotient` takes A and B directly.
-
     Each prime power q of m gives the p-primary part (`_PrimePowerQuotient`),
-    with its factors ascending.  Aligned at their largest factor, the parts'
+    with its factors ascending: one logged reduction of A^T, off which B's
+    coordinates are read.  Aligned at their largest factor, the parts'
     factors multiply to the invariant factors, and the CRT lifts of their
     generators add up to generators of the product orders; a coordinate is
     the CRT combination of the parts' coordinates.  im B inside ker A is
-    checked as A B = 0 mod m, over the nonzeros of A's columns.
+    checked column by column with the test `coordinates` applies; a column
+    of B outside ker A raises NotInSpanError, a bug in the caller.
     """
 
     __slots__ = ("structure", "generator_columns", "modulus", "dim", "_parts", "_a_cols")
 
-    def __init__(self, sub_gens, amb_gens, modulus):
+    def __init__(self, a_rows, b_rows, modulus):
         m = int(modulus)
         if m < 1:
             raise ValueError("modulus must be >= 1")
-        if sub_gens.rows != amb_gens.rows:
-            raise ValueError("sub and ambient generators live in different dimensions")
-        self._solve(_kernel_vectors(amb_gens._data, m), sub_gens._data, m)
-
-    def _solve(self, a_rows, b_rows, m):
-        """ker A / im B mod m from row lists (`_kernel_quotient`)."""
         dim = len(b_rows)
+        if any(len(row) != dim for row in a_rows):
+            raise ValueError(f"a row of A does not have {dim} entries, one per row of B")
+        if len({len(row) for row in b_rows}) > 1:
+            raise ValueError("the rows of B differ in length")
         at_rows = list(zip(*a_rows)) if a_rows else [()] * dim
         self.modulus = m
         self.dim = dim
@@ -672,7 +668,7 @@ class QuotientPresentation:
             self.structure = TRIVIAL_STRUCTURE
             self.generator_columns = ()
             return
-        if not self._image_in_kernel(b_rows):
+        if not all(map(self._in_kernel, zip(*b_rows))):
             raise NotInSpanError(f"a column of B is not in ker A mod {m}")
 
         parts = tuple(_PrimePowerQuotient(at_rows, b_rows, p, e, m)
@@ -688,22 +684,6 @@ class QuotientPresentation:
         self.structure = AbGroupStructure(factors)
         self.generator_columns = tuple(tuple(gen) for gen in gens)
         self._parts = parts
-
-    def _image_in_kernel(self, b_rows):
-        """A B = 0 mod m: column k of A times row k of B, over their nonzeros,
-        summed into the rows of A B that some nonzero reaches."""
-        prod = {}
-        for col, brow in zip(self._a_cols, b_rows):
-            if col:
-                bnz = [(j, brow[j]) for j in compress(range(len(brow)), brow)]
-                for i, a in col:
-                    row = prod.get(i)
-                    if row is None:
-                        row = prod[i] = [0] * len(brow)
-                    for j, b in bnz:
-                        row[j] += a * b
-        rmod = self.modulus.__rmod__
-        return not any(any(map(rmod, row)) for row in prod.values())
 
     def _in_kernel(self, vec):
         """A vec = 0 mod m, over the nonzeros of vec and of A's columns."""
@@ -734,23 +714,18 @@ class QuotientPresentation:
         return tuple(x % d for x, d in zip(c, factors))
 
 
-def _kernel_quotient(a_rows, b_rows, modulus):
-    """ker A / im B mod m as a QuotientPresentation, from row lists.
-
-    A has len(b_rows) columns (`a_rows` may be empty), and B is
-    len(b_rows) x n.  Each prime power of m reduces A^T once, with a log,
-    and reads B's coordinates off it; a column of B outside ker A raises
-    NotInSpanError, a bug in the caller.
-    """
-    pres = QuotientPresentation.__new__(QuotientPresentation)
-    pres._solve(a_rows, b_rows, int(modulus))
-    return pres
-
-
 def quotient_structure(sub_gens, amb_gens, modulus):
     """Invariant factors of (ambient span mod m)/(sub span mod m).
 
-    Requires every sub generator to lie in the ambient span mod m; a
-    violation raises NotInSpanError since it signals a bug in the caller.
+    Over Z/m, which is self-injective, the span of the ambient columns is
+    the kernel of their annihilator, the rows a with a . amb_j = 0 for
+    every column (`_kernel_vectors` of the transpose); so this is
+    QuotientPresentation(annihilator rows, rows of sub_gens, m), which
+    also rejects a modulus below 1.  Requires every sub generator to lie in
+    the ambient span mod m; a violation raises NotInSpanError since it
+    signals a bug in the caller.
     """
-    return QuotientPresentation(sub_gens, amb_gens, modulus).structure
+    m = int(modulus)
+    if sub_gens.rows != amb_gens.rows:
+        raise ValueError("sub and ambient generators live in different dimensions")
+    return QuotientPresentation(_kernel_vectors(amb_gens._data, m), sub_gens._data, m).structure

@@ -30,7 +30,9 @@ generators of `kernel_mod` and of the span form's annihilator, which
 replay the operation log,
 `old_pair_quotient` (`kernel_mod`, then the span quotient
 `SpanQuotientPresentation` with its own ambient reduction) for
-`_kernel_quotient`, which reads ker A / im B off one reduction,
+`QuotientPresentation`, which reads ker A / im B off one reduction,
+`image_in_kernel` (A B = 0 as one sparse matrix product) for its check of
+B column by column,
 `uit_reduce` and `UitPrimePowerQuotient` (a dense U^-1 updated on every
 row operation, and U from an identity block) for the coordinate
 functionals and the generators replayed from the operation log,
@@ -58,7 +60,7 @@ from tameapprox.zmod_linalg import (
     QuotientPresentation,
     _crt_lift,
     _identity_rows,
-    _kernel_quotient,
+    _kernel_vectors,
     _PrimePowerQuotient,
     _undo,
     kernel_mod,
@@ -695,7 +697,7 @@ def as_matrix(rows, cols):
 def old_pair_quotient(a_rows, b_rows, m):
     """ker A / im B mod m from the earlier pair: `kernel_mod(A)`, then the
     span quotient (`SpanQuotientPresentation`) of B inside it; the oracle
-    for `zmod_linalg._kernel_quotient`, which takes the same row lists."""
+    for `zmod_linalg.QuotientPresentation`, which takes the same row lists."""
     dim = len(b_rows)
     b = as_matrix(b_rows, len(b_rows[0]) if dim else 0)
     return SpanQuotientPresentation(b, kernel_mod(as_matrix(a_rows, dim), m), m)
@@ -725,30 +727,56 @@ class UitPrimePowerQuotient(_PrimePowerQuotient):
                      for y in self._relate(b_rows, kept, p, e, m)]
 
 
+def span_presentation(sub_gens, amb_gens, m):
+    """(span of amb columns)/(span of sub columns) mod m as a
+    `QuotientPresentation`, the way `quotient_structure` builds it: ker A
+    for A the annihilator of the ambient columns, over B = sub_gens."""
+    return QuotientPresentation(_kernel_vectors(amb_gens._data, m), sub_gens._data, m)
+
+
 def uit_quotient_presentation(sub_gens, amb_gens, m):
-    """`QuotientPresentation` with every prime-power part built by
+    """`span_presentation` with every prime-power part built by
     `UitPrimePowerQuotient`."""
     with mock.patch.object(zmod_linalg, "_PrimePowerQuotient", UitPrimePowerQuotient):
-        return QuotientPresentation(sub_gens, amb_gens, m)
+        return span_presentation(sub_gens, amb_gens, m)
 
 
 def both_quotient_paths(sub_gens, amb_gens, m, vectors):
     """(structure, generator columns, coordinates of each vector) of
-    span(amb)/span(sub) mod m, from `QuotientPresentation` and from
+    span(amb)/span(sub) mod m, from `span_presentation` and from
     `uit_quotient_presentation`."""
     return [(pres.structure, pres.generator_columns, [pres.coordinates(v) for v in vectors])
-            for pres in (QuotientPresentation(sub_gens, amb_gens, m),
+            for pres in (span_presentation(sub_gens, amb_gens, m),
                          uit_quotient_presentation(sub_gens, amb_gens, m))]
 
 
 def both_kernel_paths(a_rows, b_rows, m, vectors):
-    """`both_quotient_paths` for ker A / im B from row lists (`_kernel_quotient`)."""
+    """`both_quotient_paths` for ker A / im B from row lists."""
     def read(pres):
         return pres.structure, pres.generator_columns, [pres.coordinates(v) for v in vectors]
 
-    logged = read(_kernel_quotient(a_rows, b_rows, m))
+    logged = read(QuotientPresentation(a_rows, b_rows, m))
     with mock.patch.object(zmod_linalg, "_PrimePowerQuotient", UitPrimePowerQuotient):
-        return [logged, read(_kernel_quotient(a_rows, b_rows, m))]
+        return [logged, read(QuotientPresentation(a_rows, b_rows, m))]
+
+
+def image_in_kernel(a_rows, b_rows, m):
+    """A B = 0 mod m, A and B given by their rows: column k of A times row
+    k of B, over their nonzeros, summed into the rows of A B that some
+    nonzero reaches.  The matrix form of the check that
+    `QuotientPresentation` makes on B column by column."""
+    at_rows = list(zip(*a_rows)) if a_rows else [()] * len(b_rows)
+    prod = {}
+    for col, brow in zip(at_rows, b_rows):
+        bnz = [(j, b) for j, b in enumerate(brow) if b]
+        for i, a in enumerate(col):
+            if a % m:
+                row = prod.get(i)
+                if row is None:
+                    row = prod[i] = [0] * len(brow)
+                for j, b in bnz:
+                    row[j] += a * b
+    return not any(x % m for row in prod.values() for x in row)
 
 
 def nearest_quotient(a, d):

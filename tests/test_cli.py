@@ -265,11 +265,25 @@ class TestErrorHandling:
         assert err == "internal error: lost a generator\n"
 
     def test_failed_invariant_is_reported_once(self, capsys, monkeypatch):
-        # h1 checks each class on the relator rows of its presentation
-        monkeypatch.setattr(QuotientPresentation, "_in_kernel", lambda self, vec: False)
+        # h1 checks each class on the relator rows of its presentation; only
+        # the generator columns fail, so the check of B inside ker A passes
+        in_kernel = QuotientPresentation._in_kernel
+
+        def generators_fail(self, vec):
+            return vec not in getattr(self, "generator_columns", ()) and in_kernel(self, vec)
+
+        monkeypatch.setattr(QuotientPresentation, "_in_kernel", generators_fail)
         status, out, err = run_cli(capsys, "h1", "--group", "builtin:z2", "--module", "trivial:2")
         assert status == 3 and out == ""
         assert err == "internal error: lifted representative is not a normalized cocycle\n"
+
+    def test_failed_kernel_check_is_reported_once(self, capsys, monkeypatch):
+        # every vector fails, so the constructor's check of B inside ker A
+        # stops the presentation before h1 sees it
+        monkeypatch.setattr(QuotientPresentation, "_in_kernel", lambda self, vec: False)
+        status, out, err = run_cli(capsys, "h1", "--group", "builtin:z2", "--module", "trivial:2")
+        assert status == 3 and out == ""
+        assert err == "internal error: a column of B is not in ker A mod 2\n"
 
     def test_missing_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -40,7 +40,13 @@ from tameapprox.finite_groups import (
     trivial_subgroup,
 )
 from tameapprox.g_modules import GModule, augmentation_ideal, group_ring, restrict, trivial_module
-from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresentation, kernel_mod
+from tameapprox.zmod_linalg import (
+    AbGroupStructure,
+    IntMatrix,
+    QuotientPresentation,
+    kernel_mod,
+    quotient_structure,
+)
 
 from oracle_helpers import (
     _cayley_system,
@@ -55,6 +61,7 @@ from oracle_helpers import (
     full_cochain_h1,
     is_brute_coboundary,
     old_pair_quotient,
+    span_presentation,
 )
 from random_modules import _coset_permutation, sweep_modules
 
@@ -116,7 +123,7 @@ class TestH1:
 
         d1, _ = _cayley_system(g, ideal, g.generating_set())
         d0 = IntMatrix.from_rows(_differences(ideal, g.generating_set()))
-        pres = QuotientPresentation(residues(d0), kernel_mod(residues(d1), 25), 25)
+        pres = span_presentation(residues(d0), kernel_mod(residues(d1), 25), 25)
         assert pres.structure == AbGroupStructure([25])
 
     def test_mismatched_group_rejected(self):
@@ -454,8 +461,8 @@ def norm_formula_h1(module, g):
              for i, row in enumerate(module.act_matrix(g))]
     if not r:
         return AbGroupStructure()
-    return QuotientPresentation(IntMatrix.from_rows(minus),
-                                kernel_mod(IntMatrix.from_rows(norm), m), m).structure
+    return span_presentation(IntMatrix.from_rows(minus),
+                             kernel_mod(IntMatrix.from_rows(norm), m), m).structure
 
 
 class TestFullCochainOracle:
@@ -629,7 +636,7 @@ def old_pair_restriction_kernel(g, mod, subgroups):
 
 
 class TestKernelRoutineAgainstOldPair:
-    """Each quotient the engine reads off one elimination (`_kernel_quotient`)
+    """Each quotient the engine reads off one elimination (`QuotientPresentation`)
     against `kernel_mod` followed by the span quotient (the old pair): H^1 of
     every subgroup, Tate H^0, and the restriction kernel of every subgroup."""
 
@@ -656,6 +663,46 @@ class TestKernelRoutineAgainstOldPair:
             assert (_restriction_kernel(g, mod, subs).structure
                     == old_pair_restriction_kernel(g, mod, subs)), (g, mod.label)
         assert checked == sum(len(all_subgroups(g)) for g, _ in self.modules())
+
+
+class TestOneConstructor:
+    """Every quotient the engine returns is built by
+    `QuotientPresentation.__init__`, the span the benchmark tracer wraps."""
+
+    def test_every_presentation_comes_from_the_constructor(self, monkeypatch):
+        monkeypatch.setattr(g_modules, "_RING_CACHE", {})
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+        made = []
+        init = QuotientPresentation.__init__
+
+        def recorded(self, a_rows, b_rows, modulus):
+            init(self, a_rows, b_rows, modulus)
+            made.append(self)
+
+        monkeypatch.setattr(QuotientPresentation, "__init__", recorded)
+
+        def among_made(pres):
+            return any(pres is other for other in made)
+
+        def built(structure):
+            return any(structure is pres.structure for pres in made)
+
+        g = builtin_group("zlxzln:2:3")
+        ideal = augmentation_ideal(g, g.order)[0]
+        assert not ideal._subgroup_h1_cache
+        assert among_made(h1(g, ideal).presentation)
+        for sub in all_subgroups(g):
+            assert among_made(_subgroup_h1(ideal, sub)[2]), sub
+        assert built(tate_h0(g, ideal))
+        assert built(sha_cyc(g, ideal))
+        records = _biquadratic_model(3, 7)[0]
+        klein = records[0].subgroup.parent
+        for excluded in ((), [rec.key for rec in records if rec.subgroup.order == 4]):
+            assert built(sha_sigma(klein, augmentation_ideal(klein, 4)[0], records,
+                                   excluded).structure), excluded
+        for report in dimension_shift_check(g):
+            assert built(report.ideal_h1) and built(report.ring_h1), report.subgroup
+        assert built(quotient_structure(IntMatrix.from_rows([[2], [0]]), IntMatrix.identity(2), 4))
 
 
 class TestMaximalMembers:

@@ -9,7 +9,6 @@ from tameapprox.zmod_linalg import (
     QuotientPresentation,
     kernel_mod,
     _apply_ut,
-    _kernel_quotient,
     _kernel_vectors,
     _reduce,
     _undo,
@@ -25,11 +24,13 @@ from oracle_helpers import (
     brute_kernel_set,
     coset_order_counts,
     dense_quotient_presentation,
+    image_in_kernel,
     old_pair_quotient,
     predicted_order_counts,
     reference_smith_decomposition,
     ride_along_kernel_vectors,
     span_mod,
+    span_presentation,
     uit_reduce,
 )
 
@@ -192,7 +193,7 @@ class TestKernelMod:
 
     def test_generators_match_ride_along(self):
         # the exact generator columns, in order, against U riding along
-        # [A^T | I]: `old_pair_quotient`, the oracle for `_kernel_quotient`,
+        # [A^T | I]: `old_pair_quotient`, the oracle for `QuotientPresentation`,
         # calls `kernel_mod`, so it must not rest on the code under test
         checked = 0
         for m, mat in ride_along_shapes():
@@ -242,7 +243,7 @@ def assert_presentation_agrees(sub, amb, m, members):
     coordinates(gen_i) = e_i, the sub generators have coordinates 0, and
     sum c_i gen_i - v is in the sub span for each member v with coordinates c.
     """
-    pres = QuotientPresentation(sub, amb, m)
+    pres = span_presentation(sub, amb, m)
     factors, _, oracle = dense_quotient_presentation(sub, amb, m)
     assert pres.structure.invariant_factors == factors
     gens = pres.generator_columns
@@ -288,6 +289,16 @@ class TestQuotientStructure:
         s = quotient_structure(amb, amb, 6)
         assert s.invariant_factors == ()
 
+    def test_rejects_modulus_below_one(self):
+        with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+            quotient_structure(IntMatrix(1, 0, []), IntMatrix.identity(1), 0)
+
+    def test_rejects_generators_of_different_dimensions(self):
+        # without the check, the annihilator of an injective ambient is empty
+        # and the two rows of sub would present (Z/4)^2
+        with pytest.raises(ValueError, match="^sub and ambient generators live in different dimensions$"):
+            quotient_structure(IntMatrix(2, 0, []), IntMatrix.identity(1), 4)
+
     def test_rejects_generator_outside_span(self):
         amb = IntMatrix.from_rows([[2], [0]])
         sub = IntMatrix.from_rows([[1], [0]])
@@ -301,7 +312,7 @@ class TestQuotientStructure:
         amb = IntMatrix.from_rows([[2], [0]])
         for m, outside in ((4, [(1, 0), (0, 1), (3, 0)]),
                            (12, [(1, 0), (0, 1), (3, 0), (0, 4)])):
-            pres = QuotientPresentation(IntMatrix(2, 0, []), amb, m)
+            pres = span_presentation(IntMatrix(2, 0, []), amb, m)
             pres.coordinates((2, 0))  # inside the span: no error
             for vec in outside:
                 with pytest.raises(NotInSpanError):
@@ -347,7 +358,7 @@ class TestQuotientStructure:
     def test_presentation_generators_and_coordinates(self):
         amb = IntMatrix.identity(2)
         sub = IntMatrix.from_rows([[2], [0]])
-        pres = QuotientPresentation(sub, amb, 4)
+        pres = span_presentation(sub, amb, 4)
         assert pres.structure.invariant_factors == (2, 4)
         assert len(pres.generator_columns) == 2
         for col, order in zip(pres.generator_columns, (2, 4)):
@@ -469,10 +480,10 @@ def kernel_edge_inputs():
 
 
 def assert_kernel_presentation(m, dim, a_rows, b_rows, ker, rng):
-    """`_kernel_quotient` against the old pair: equal invariant factors,
+    """`QuotientPresentation` against the old pair: equal invariant factors,
     generator j has coordinates e_j, every column of B has coordinates 0,
     and coordinates add modulo the factors."""
-    pres = _kernel_quotient(a_rows, b_rows, m)
+    pres = QuotientPresentation(a_rows, b_rows, m)
     factors = pres.structure.invariant_factors
     assert factors == old_pair_quotient(a_rows, b_rows, m).structure.invariant_factors
     assert (pres.modulus, pres.dim) == (m, dim)
@@ -517,9 +528,9 @@ class TestKernelQuotient:
         for m, dim, a_rows, b_rows, ker in kernel_edge_inputs():
             assert_kernel_presentation(m, dim, a_rows, b_rows, ker, rng)
         # an injective A leaves nothing; a zero-row A and a zero-column B leave ker A
-        assert _kernel_quotient([[1, 0], [0, 1]], [[0], [0]], 12).structure.is_trivial
-        assert _kernel_quotient([], [[], []], 12).structure == AbGroupStructure([12, 12])
-        assert _kernel_quotient([[2, 0]], [[], []], 4).structure == AbGroupStructure([2, 4])
+        assert QuotientPresentation([[1, 0], [0, 1]], [[0], [0]], 12).structure.is_trivial
+        assert QuotientPresentation([], [[], []], 12).structure == AbGroupStructure([12, 12])
+        assert QuotientPresentation([[2, 0]], [[], []], 4).structure == AbGroupStructure([2, 4])
 
     def test_column_of_b_outside_the_kernel_raises(self):
         rng = random.Random(9)
@@ -529,7 +540,7 @@ class TestKernelQuotient:
             if x is None:
                 continue
             with pytest.raises(NotInSpanError):
-                _kernel_quotient(a_rows, [row + [a] for row, a in zip(b_rows, x)], m)
+                QuotientPresentation(a_rows, [row + [a] for row, a in zip(b_rows, x)], m)
             checked += 1
         assert checked >= 100
 
@@ -540,7 +551,7 @@ class TestKernelQuotient:
             x = outside_kernel(a_rows, dim, m, rng)
             if x is None:
                 continue
-            pres = _kernel_quotient(a_rows, b_rows, m)
+            pres = QuotientPresentation(a_rows, b_rows, m)
             with pytest.raises(NotInSpanError):
                 pres.coordinates(x)
             checked += 1
@@ -555,6 +566,63 @@ class TestKernelQuotient:
                        for _ in range(4)]
             logged, dense = both_kernel_paths(a_rows, b_rows, m, vectors)
             assert logged == dense, (m, a_rows, b_rows)
+
+
+B_CHECK_MODULI = (1, 2, 4, 6, 12, 27, 36, 60)
+
+
+def b_check_inputs():
+    """Seeded (m, A rows, B rows) per modulus: 40 random A, every other one
+    with a column of B drawn at random (mostly outside ker A), the rest
+    with B = K R inside ker A; then a 0-row A, a 0-column B and dim = 0."""
+    rng = random.Random(2020)
+    for m in B_CHECK_MODULI:
+        for trial in range(40):
+            dim = rng.randint(1, 6)
+            a_rows = [[rng.choice((0, 0, 1, -1, m // 2, rng.randrange(m))) for _ in range(dim)]
+                      for _ in range(rng.randint(0, 5))]
+            ker = kernel_columns(a_rows, dim, m)
+            b_cols = [combination(ker, [rng.randrange(m) for _ in ker], dim, m)
+                      for _ in range(rng.randint(0, 3))]
+            if trial % 2:
+                b_cols.insert(rng.randint(0, len(b_cols)), [rng.randrange(m) for _ in range(dim)])
+            yield m, a_rows, [[col[i] for col in b_cols] for i in range(dim)]
+        yield m, [], [[1, 0], [0, m - 1]]
+        yield m, [[1, 2, 0]], [[], [], []]
+        yield m, [[], []], []
+
+
+class TestConstructorChecks:
+    """The one constructor rejects malformed shapes, and checks im B inside
+    ker A column by column exactly when the matrix check A B = 0 fails."""
+
+    def test_row_of_a_with_the_wrong_length(self):
+        # each once answered silently (trivial group, Z/4) or raised IndexError
+        for a_rows, b_rows, m in (([[1]], [[0], [0]], 4), ([[1]], [[0], [0]], 1),
+                                  ([[1, 2, 3]], [[0], [0]], 4), ([[0, 0], [1]], [[0], [0]], 4)):
+            with pytest.raises(ValueError, match="^a row of A does not have 2 entries"):
+                QuotientPresentation(a_rows, b_rows, m)
+
+    def test_rows_of_b_differ_in_length(self):
+        with pytest.raises(ValueError, match="^the rows of B differ in length$"):
+            QuotientPresentation([[0, 0]], [[1], [0, 0]], 4)
+
+    def test_modulus_below_one(self):
+        for m in (0, -4):
+            with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+                QuotientPresentation([[1]], [[0]], m)
+
+    def test_b_check_agrees_with_the_matrix_product(self):
+        raised = kept = 0
+        for m, a_rows, b_rows in b_check_inputs():
+            if image_in_kernel(a_rows, b_rows, m):
+                QuotientPresentation(a_rows, b_rows, m)
+                kept += 1
+            else:
+                with pytest.raises(NotInSpanError, match=f"^a column of B is not in ker A mod {m}$"):
+                    QuotientPresentation(a_rows, b_rows, m)
+                raised += 1
+        assert raised >= 100 and kept >= 150, (raised, kept)
 
 
 class TestAbGroupStructure:
