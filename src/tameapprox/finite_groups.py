@@ -61,6 +61,8 @@ class Group:
             names = tuple(str(s) for s in names)
             if len(names) != n:
                 raise ValueError(f"{len(names)} names for {n} elements")
+            if len(set(names)) != n:
+                raise ValueError("element names are not distinct")
 
         self.order = n
         self.table = rows

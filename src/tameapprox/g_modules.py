@@ -12,8 +12,9 @@ canonical, so two matrices are equal exactly when their rows compare equal
 with ==, and rows are shared between elements where they coincide.  The
 group ring stores one entry per row (a permutation), the augmentation ideal
 at most 2r per element, and the engine reads these rows only, so its work
-per element is the number of nonzeros, not r^2.  Dense matrices are built
-on request: `GModule.act_matrix(g)` and the `GModule.action` view.
+per element is the number of nonzeros, not r^2.  `GModule._matrix` is the
+one place dense rows are built, for a group-ring element sum k g acting on
+M; `GModule.act_matrix(g)` and the `GModule.action` view read through it.
 """
 
 from __future__ import annotations
@@ -127,15 +128,20 @@ class GModule:
         self._h1_cache = None
         self._subgroup_h1_cache = {}
 
+    def _matrix(self, terms):
+        """The group-ring element sum k g over the pairs (g, k) of `terms`,
+        acting on M, as the dense rows of an r x r integer matrix, not
+        reduced mod m."""
+        out = [[0] * self.rank for _ in range(self.rank)]
+        for g, k in terms:
+            for row, arow in zip(out, self.action_rows[g]):
+                for j, a in arow:
+                    row[j] += k * a
+        return out
+
     def act_matrix(self, g):
         """The dense r x r matrix of g, with residues in [0, m)."""
-        out = []
-        for row in self.action_rows[g]:
-            dense = [0] * self.rank
-            for j, a in row:
-                dense[j] = a
-            out.append(tuple(dense))
-        return tuple(out)
+        return tuple(map(tuple, self._matrix(((g, 1),))))
 
     @property
     def action(self):
@@ -369,14 +375,7 @@ def dual_module(module, twist=None):
             if (tw[a] * tw[b]) % m != tw[g.table[a][b]] % m:
                 raise ValueError(f"twist is not multiplicative at ({a}, {b})")
 
-    mats = []
-    for x in range(n):
-        inv = g.inverse(x)
-        src = module.act_matrix(inv)
-        r = module.rank
-        mats.append(tuple(
-            tuple((tw[x] * src[j][i]) % m for j in range(r)) for i in range(r)
-        ))
+    mats = [tuple(zip(*module._matrix(((g.inverse(x), tw[x]),)))) for x in range(n)]
     return GModule(g, m, module.rank, mats, label=f"dual of {module.label}")
 
 
@@ -391,6 +390,10 @@ def module_from_json(group, obj):
     m, r = _json_int(m, "modulus"), _json_int(r, "rank")
     if not isinstance(action_obj, dict):
         raise ValueError("module JSON 'action' must be an object")
+    keys = {*range(group.order), *map(str, range(group.order))}
+    for key in action_obj:
+        if key not in keys:
+            raise ValueError(f"module JSON 'action' key {key!r} names no element")
     action = []
     for g in range(group.order):
         key = str(g)

@@ -680,6 +680,21 @@ class TestMalformedJson:
                 mpath.write_text(json.dumps(obj))
                 self.check(capsys, "h1", "--group", str(gpath), "--module", str(mpath))
 
+    def test_duplicate_element_names(self, capsys, tmp_path):
+        # names key the printed cocycle values, so z(e) = 0 would be lost
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"table": [[0, 1], [1, 0]], "names": ["a", "a"]}))
+        status, out, err = run_cli(capsys, "h1", "--group", str(path), "--module", "aug")
+        assert (status, out, err) == (2, "", "error: element names are not distinct\n")
+
+    def test_action_key_that_names_no_element(self, capsys, tmp_path):
+        path = tmp_path / "module.json"
+        path.write_text(json.dumps({"modulus": 4, "rank": 1,
+                                    "action": {"0": [[1]], "1": [[3]], "7": [[1]]}}))
+        status, out, err = run_cli(capsys, "h1", "--group", "builtin:z2", "--module", str(path))
+        assert (status, out) == (2, "")
+        assert err == "error: module JSON 'action' key '7' names no element\n"
+
     def test_valid_files_still_load(self, capsys, tmp_path):
         gpath, mpath = tmp_path / "group.json", tmp_path / "module.json"
         for group, module in sweep_modules()[::3]:

@@ -261,6 +261,13 @@ class TestBuiltinsAndJson:
         assert g.order == 2
         assert g.names == ("e", "s")
 
+    def test_json_names_must_be_distinct(self):
+        with pytest.raises(ValueError, match="element names are not distinct"):
+            group_from_json({"table": [[0, 1], [1, 0]], "names": ["a", "a"]})
+        with pytest.raises(ValueError, match="element names are not distinct"):
+            group_from_json({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                             "names": ["e", "a", "e"]})
+
     def test_json_permutations(self):
         g = group_from_json({"permutations": [[1, 2, 0]]})
         assert g.order == 3

@@ -245,6 +245,19 @@ class TestModuleValidation:
         with pytest.raises(ValueError, match="element 1"):
             module_from_json(g, {"modulus": 5, "rank": 1, "action": {"0": [[1]]}})
 
+    @pytest.mark.parametrize("key", ["7", "-1", "01", 2, -1])
+    def test_module_from_json_rejects_a_key_naming_no_element(self, key):
+        action = {"0": [[1]], "1": [[3]], key: [[1]]}
+        with pytest.raises(ValueError, match=f"'action' key {key!r} names no element"):
+            module_from_json(cyclic_group(2), {"modulus": 4, "rank": 1, "action": action})
+
+    def test_module_from_json_takes_integer_keys(self):
+        # Python callers may key the action by the element index itself
+        g = cyclic_group(2)
+        for action in ({0: [[1]], 1: [[3]]}, {0: [[1]], "1": [[3]]}):
+            mod = module_from_json(g, {"modulus": 4, "rank": 1, "action": action})
+            assert tuple(mod.action) == (((1,),), ((3,),))
+
 
 class TestRestrict:
     def test_trivial_subgroup_acts_trivially(self):
@@ -419,6 +432,41 @@ def _ideal_and_ring(group, m):
 def _dense(rows, r):
     """Sparse action rows, one list per element, as dense r x r matrices."""
     return [[[dict(row).get(j, 0) for j in range(r)] for row in mat] for mat in rows]
+
+
+class TestDenseBlocks:
+    """`GModule._matrix`, the one place sparse rows become dense, against
+    dense matrices built without it: the ring's and the ideal's by formula,
+    a sweep module's straight from its sparse rows."""
+
+    def cases(self):
+        for group in _sweep_groups():
+            for m in sorted({group.order, 2, 6} - {1}):
+                ideal, ring = _ideal_and_ring(group, m)
+                yield ideal, dense_augmentation_ideal_action(group, m)
+                yield ring, dense_group_ring_action(group, m)
+            yield trivial_module(group, 2, rank=0), [()] * group.order
+        for _, module in sweep_modules():
+            yield module, _dense(module.action_rows, module.rank)
+
+    def test_matrix_is_the_group_ring_sum(self):
+        rng = random.Random(0xD3)
+        for module, dense in self.cases():
+            n, r = module.group.order, module.rank
+            fixed = [(n - 1, 2), (0, -1), (n - 1, 0), (n - 1, -3), (0, 5)]
+            seeded = [(rng.randrange(n), rng.randint(-3, 3)) for _ in range(2 * n)]
+            for terms in ([], [(0, 1)], fixed, seeded):
+                expected = [[sum(k * dense[g][i][j] for g, k in terms) for j in range(r)]
+                            for i in range(r)]
+                assert module._matrix(terms) == expected, (module.label, terms)
+                assert module._matrix(iter(terms)) == expected, (module.label, terms)
+
+    def test_act_matrix_is_the_dense_matrix_mod_m(self):
+        for module, dense in self.cases():
+            m = module.modulus
+            for g in range(module.group.order):
+                assert module.act_matrix(g) == tuple(tuple(x % m for x in row)
+                                                     for row in dense[g]), (module.label, g)
 
 
 class TestSparseRows:
