@@ -341,30 +341,22 @@ def ellth_root_in_zell(q, ell, precision=8):
     """
     q, ell = int(q), int(ell)
     precision = _hensel_precision(ell, precision)
-    if ell == 2:
-        if q % 8 != 1:
+    if q % (8 if ell == 2 else ell * ell) != 1:
+        return None
+    x = 1
+    for j in range(2, precision):
+        # lift x^ell == q (mod ell^j) to mod ell^(j+1) by the least digit c
+        # of x + c ell^(j-1); for ell = 2 (x odd, j >= 3), c = 1 exactly when
+        # x^2 != q mod 2^(j+1), as (x + 2^(j-1))^2 == x^2 + 2^j there
+        target = ell ** (j + 1)
+        step = ell ** (j - 1)
+        for c in range(ell):
+            if (pow(x + c * step, ell, target) - q) % target == 0:
+                x += c * step
+                break
+        else:
             return None
-        x = 1
-        for k in range(3, precision):
-            # lift x*x == q (mod 2^k) to mod 2^(k+1); x odd, so adding
-            # 2^(k-1) flips the residue by exactly 2^k
-            if (x * x - q) % (1 << (k + 1)):
-                x += 1 << (k - 1)
-        mod = 1 << precision
-    else:
-        if q % (ell * ell) != 1:
-            return None
-        x = 1
-        for j in range(2, precision):
-            target = ell ** (j + 1)
-            step = ell ** (j - 1)
-            for c in range(ell):
-                if (pow(x + c * step, ell, target) - q) % target == 0:
-                    x += c * step
-                    break
-            else:
-                return None
-        mod = ell ** precision
+    mod = ell ** precision
     if (pow(x, ell, mod) - q) % mod:
         raise AssertionError("Hensel lift produced a bad witness")
     return x % mod

@@ -65,17 +65,21 @@ class UsageError(ValueError):
     pass
 
 
+def _read_json(path, what):
+    """The JSON value in the `what` file at `path`; a UsageError if it cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {what} file {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"{what} file {path!r} is not valid JSON: {exc}") from exc
+
+
 def _load_group(source, limit):
     if source.startswith("builtin:"):
         return builtin_group(source[len("builtin:"):], limit=limit)
-    try:
-        with open(source, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read group file {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"group file {source!r} is not valid JSON: {exc}") from exc
-    return group_from_json(obj, limit=limit)
+    return group_from_json(_read_json(source, "group"), limit=limit)
 
 
 def _load_module(spec, group, modulus):
@@ -90,14 +94,7 @@ def _load_module(spec, group, modulus):
         except ValueError:
             raise UsageError(f"bad trivial module spec {spec!r}; expected trivial:<m>") from None
         return trivial_module(group, m)
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read module file {spec!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"module file {spec!r} is not valid JSON: {exc}") from exc
-    return module_from_json(group, obj)
+    return module_from_json(group, _read_json(spec, "module"))
 
 
 def _cocycle_json(group, rep):

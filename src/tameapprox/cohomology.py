@@ -1,23 +1,23 @@
 """First group cohomology and Tate-Shafarevich restriction kernels.
 
-H^1(H, M) is computed the same way for G and for each subgroup H of G, in
-G's element indices: on the values x_i = z(g_i) of a cocycle at the
-generators of a presentation of H, which determine it.  A solvable H
-(every builtin group and every subgroup a certificate uses) has a
-polycyclic presentation (`Subgroup.presentation`): a cocycle extends along
-the normal forms, and it is well defined exactly when z(lhs) = z(rhs) for
-each relator lhs = rhs, where z(s_1 ... s_k) = sum of s_1...s_(j-1).x_(s_j)
-(the Fox derivatives of the relator applied to x; Holt, Eick and O'Brien,
-Handbook of Computational Group Theory, 2005, ch. 7-8).  That is one block
-of rank-many rows per relator.  A cyclic <g> of order k has the single
-relator g^k = e, whose block is N_g = 1 + g + ... + g^(k-1), so its H^1 is
-ker N_g / (g - 1)M (Neukirch, Schmidt and Wingberg, Cohomology of Number
-Fields, Prop. 1.7.1) as a case of the same solver.  A subgroup that is not
-solvable (only a JSON input has one) is solved the same way on the
-presentation read off its Cayley graph (`_cayley_presentation`): the
-generators are its generating set, and each Cayley edge off a BFS tree is
-a relator.  Z^1/B^1 is then ker A / im B inside (Z/m)^(d rank), A the
-relator conditions and B the coboundaries of the generator values, and
+H^1(H, M) is computed by one solver, `_subgroup_h1`, for each subgroup H
+of G, G itself included (`h1` solves `full_subgroup(G)`), in G's element
+indices: on the values x_i = z(g_i) of a cocycle at the generators of
+`H.presentation()`, which determine it.  A solvable H (every builtin group
+and every subgroup a certificate uses) is presented polycyclically: a
+cocycle extends along the normal forms, and it is well defined exactly
+when z(lhs) = z(rhs) for each relator lhs = rhs, where z(s_1 ... s_k) =
+sum of s_1...s_(j-1).x_(s_j) (the Fox derivatives of the relator applied
+to x; Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+2005, ch. 7-8).  That is one block of rank-many rows per relator.  A
+cyclic <g> of order k has the single relator g^k = e, whose block is
+N_g = 1 + g + ... + g^(k-1), so its H^1 is ker N_g / (g - 1)M (Neukirch,
+Schmidt and Wingberg, Cohomology of Number Fields, Prop. 1.7.1) as a case
+of the same solver.  A subgroup that is not solvable (only a JSON input
+has one) is presented by its Cayley graph: the generators are its
+generating set, and each Cayley edge off a BFS tree is a relator.
+Z^1/B^1 is then ker A / im B inside (Z/m)^(d rank), A the relator
+conditions and B the coboundaries of the generator values, and
 `zmod_linalg.QuotientPresentation` presents it from one elimination of A; Tate
 H^0 and the Sha kernels are quotients of the same form.  A class stays its
 generator values; only the h1 printout and the tests expand one to all |G|
@@ -44,7 +44,7 @@ from __future__ import annotations
 from operator import mul
 from typing import NamedTuple
 
-from .finite_groups import Group, Subgroup, _cayley_presentation, cyclic_subgroups, full_subgroup
+from .finite_groups import Group, Subgroup, cyclic_subgroups, full_subgroup
 from .g_modules import GModule, augmentation_ideal, group_ring
 from .primes import is_prime
 from .zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresentation
@@ -148,15 +148,17 @@ def _fox_system(group, module, pres):
 
 
 class H1Result(NamedTuple):
-    """H^1(G, M), its classes given by their values at the generators.
+    """H^1(H, M) for a subgroup H of G = module.group, its classes given by
+    their values at H's generators, in G's indices.
 
     `presentation` works on generator values: a vector lists z(s) for each s
-    in `generators` (the polycyclic generators of the group, or its
-    generating set if it is not solvable), in that order.  Its
+    in `generators` (those of `H.presentation()`: the polycyclic generators
+    of H, or its generating set if it is not solvable), in that order.  Its
     `generator_columns` generate the invariant factors
     `structure.invariant_factors`, in order.  `tree` lists the edges
-    (g, i, g s_i) that build G's elements from the identity; `cocycle`
-    expands a class along it, and `res_h1` walks it back from H's generators.
+    (g, i, g s_i) that build H's elements from the identity, so for a
+    proper subgroup it reaches only those; `cocycle` expands a class along
+    it, and `res_h1` walks G's back from H's generators.
     """
 
     group: Group
@@ -172,8 +174,9 @@ class H1Result(NamedTuple):
 
     def cocycle(self, values):
         """The cocycle with generator values `values`, one module vector per
-        element of G, along the tree: z(g s_i) = z(g) + g.x_i (for printing
-        and the tests; the engine never expands a class)."""
+        element of G, along the tree: z(g s_i) = z(g) + g.x_i, and None at
+        the elements of G outside H (for printing and the tests; the engine
+        never expands a class)."""
         module = self.module
         r, m = module.rank, module.modulus
         z = [None] * self.group.order
@@ -185,48 +188,40 @@ class H1Result(NamedTuple):
 
 
 def _subgroup_h1(module, sub):
-    """(generators, tree, H^1(H, M) as a QuotientPresentation) for a subgroup H.
+    """H^1(H, M) as an H1Result, for any subgroup H of G = module.group.
 
-    Everything is in the indices of G = module.group.  H^1 = Z^1/B^1 is
-    ker A / im B (`QuotientPresentation`, one elimination): A is the relator
-    conditions (`_fox_system`) on the values at the generators of H's
-    polycyclic presentation, or, if H is not solvable, of the presentation
-    read off its Cayley graph on its generating set; B is a -> (s.a - a)_s.
-    A cocycle z of G restricts to the class with coordinates
-    `presentation.coordinates([z(s) for s in generators])`; `tree` builds
-    the elements of H from the generators.  Cached on the (immutable)
-    module per element set of H.
+    Everything is in the indices of G.  H^1 = Z^1/B^1 is ker A / im B
+    (`QuotientPresentation`, one elimination): A is the relator conditions
+    (`_fox_system`) on the values at the generators of `H.presentation()`,
+    B is a -> (s.a - a)_s.  Each generator of the quotient is checked on
+    the relator rows (A x = 0, which proves the class well defined).  A
+    cocycle z of G restricts to the class with coordinates
+    `presentation.coordinates([z(s) for s in generators])`.  Cached on the
+    (immutable) module per element set of H.
     """
     if not isinstance(sub, Subgroup) or sub.parent != module.group:
         raise ValueError("subgroup belongs to a different group")
     cache = module._subgroup_h1_cache
-    if sub.elements not in cache:
+    result = cache.get(sub.elements)
+    if result is None:
         group = module.group
-        pres = sub.presentation() or _cayley_presentation(group, sub.generating_set())
-        cache[sub.elements] = (pres.generators, pres.tree, QuotientPresentation(
-            _fox_system(group, module, pres), _differences(module, pres.generators),
-            module.modulus))
-    return cache[sub.elements]
+        pres = sub.presentation()
+        quotient = QuotientPresentation(_fox_system(group, module, pres),
+                                        _differences(module, pres.generators), module.modulus)
+        if not all(quotient._in_kernel(col) for col in quotient.generator_columns):
+            raise AssertionError("lifted representative is not a normalized cocycle")
+        result = cache[sub.elements] = H1Result(
+            group, module, quotient.structure, quotient, pres.generators, pres.tree)
+    return result
 
 
 def h1(group, module):
-    """H^1(G, M) = Z^1/B^1, its classes given by their generator values.
-
-    The presentation is that of `_subgroup_h1` on the full subgroup, so the
-    matrices have d rank columns instead of |G| rank.  Each generator of
-    the quotient is checked on the relator rows (A x = 0, which proves the
-    class well defined); no class is expanded to the elements of G.  Cached
-    on the (immutable) module.
-    """
+    """H^1(G, M) = Z^1/B^1, its classes given by their generator values:
+    `_subgroup_h1` on the full subgroup, so the matrices have d rank
+    columns instead of |G| rank.  No class is expanded to the elements of G."""
     if module.group != group:
         raise ValueError("module is over a different group")
-    if module._h1_cache is not None:
-        return module._h1_cache
-    gens, tree, pres = _subgroup_h1(module, full_subgroup(group))
-    if not all(pres._in_kernel(col) for col in pres.generator_columns):
-        raise AssertionError("lifted representative is not a normalized cocycle")
-    module._h1_cache = H1Result(group, module, pres.structure, pres, gens, tree)
-    return module._h1_cache
+    return _subgroup_h1(module, full_subgroup(group))
 
 
 def tate_h0(group, module):
@@ -271,9 +266,10 @@ def _restriction_rows(group, sub, module):
     full = h1(group, module)
     cols = full.presentation.generator_columns
     act, r, m = module.action_rows, module.rank, module.modulus
-    gens, _, pres = _subgroup_h1(module, sub)
+    target = _subgroup_h1(module, sub)
+    pres = target.presentation
     values = [[] for _ in cols]
-    for s in gens:
+    for s in target.generators:
         sums = [[0] * r for _ in cols]
         for g, i, gs in reversed(full.tree):
             if gs == s:
@@ -460,8 +456,8 @@ def dimension_shift_check(group, subgroups=None):
         subgroups = _default_shift_subgroups(group)
     reports = []
     for sub in sorted(dict.fromkeys(subgroups), key=lambda s: (s.order, s.elements)):
-        ideal_h1 = _subgroup_h1(ideal, sub)[2].structure
-        ring_h1 = _subgroup_h1(ring, sub)[2].structure
+        ideal_h1 = _subgroup_h1(ideal, sub).structure
+        ring_h1 = _subgroup_h1(ring, sub).structure
         expected = AbGroupStructure([sub.order] if sub.order > 1 else [])
         reports.append(ShiftReport(sub, ideal_h1, expected, ring_h1))
     return reports

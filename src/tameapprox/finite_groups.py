@@ -3,10 +3,11 @@
 Groups here are small (a few hundred elements at most), so a full
 multiplication table is the ground truth; it makes restriction maps and
 module actions index-level exact, and element ordering deterministic so that
-printed cocycles and JSON reports are reproducible.  A solvable group also
-carries a polycyclic presentation read off the table (`Group.presentation`),
-which the cohomology layer solves on; a group that is not solvable is solved
-on the presentation read off its Cayley graph (`_cayley_presentation`).
+printed cocycles and JSON reports are reproducible.  Each subgroup, G
+itself included (`full_subgroup`), owns the one presentation the
+cohomology layer solves on (`Subgroup.presentation`): the polycyclic one
+read off the table if it is solvable, else the one read off its Cayley
+graph (`_cayley_presentation`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ class Group:
     """
 
     __slots__ = ("order", "table", "names", "identity", "_inverses",
-                 "_orders", "_generators", "_cyclic_subgroups", "_presentation")
+                 "_orders", "_generators", "_cyclic_subgroups", "_full")
 
     def __init__(self, table, names=None):
         rows = tuple(tuple(int(x) for x in row) for row in table)
@@ -72,7 +73,7 @@ class Group:
         self._orders = None
         self._generators = None
         self._cyclic_subgroups = None
-        self._presentation = None
+        self._full = None
 
         gens = self.generating_set()
         for s in gens:  # Light's associativity test: s in the middle slot suffices
@@ -129,17 +130,6 @@ class Group:
                     queue.append(c)
         return elements
 
-    def presentation(self):
-        """The polycyclic presentation of this group, or None if it is not solvable.
-
-        Computed from the table on first use and cached; see
-        `PcPresentation`.
-        """
-        if self._presentation is None:
-            self._presentation = _polycyclic_presentation(
-                self, self.generating_set(), range(self.order)) or False
-        return self._presentation or None
-
     def _derived(self, gens):
         """(generators, elements) of [H, H] for H = <gens>.
 
@@ -187,7 +177,8 @@ class PcPresentation:
     Eick and O'Brien, Handbook of Computational Group Theory, 2005, ch. 8).
     `tree` lists the edges (g, i, g g_i) that build every normal form from
     the identity.  `_cayley_presentation` fills the same fields for a group
-    that is not solvable, with `relative_orders` None.  (A plain class:
+    that is not solvable, with `relative_orders` None; `Subgroup.presentation`
+    returns one or the other.  (A plain class:
     importing `dataclasses` was most of a cold import, so no class of the
     package uses it.)
     """
@@ -361,23 +352,22 @@ class Subgroup:
         """Generators in the parent's indices, chosen as `Group.generating_set`
         chooses them among this subgroup's elements."""
         if self._generators is None:
-            full = self.order == self.parent.order
-            self._generators = (self.parent.generating_set() if full
-                                else _greedy_generators(self.parent, self.elements))
+            self._generators = _greedy_generators(self.parent, self.elements)
         return self._generators
 
     def presentation(self):
-        """The polycyclic presentation of this subgroup in the parent's indices,
-        or None if it is not solvable; the parent's own for the full subgroup.
+        """This subgroup's presentation in the parent's indices, on
+        `generating_set()`: the polycyclic one if it is solvable, else the
+        one read off its Cayley graph (`relative_orders` None).
 
-        It is the image of `as_group().presentation()` under `elements`, but
-        no standalone Group is built for it.  Cached.
+        Each is the image of that of `full_subgroup(as_group())` under
+        `elements`, but no standalone Group is built for it.  Cached.
         """
         if self._presentation is None:
-            full = self.order == self.parent.order
-            self._presentation = (self.parent.presentation() if full else _polycyclic_presentation(
-                self.parent, self.generating_set(), self.elements)) or False
-        return self._presentation or None
+            gens = self.generating_set()
+            self._presentation = (_polycyclic_presentation(self.parent, gens, self.elements)
+                                  or _cayley_presentation(self.parent, gens))
+        return self._presentation
 
     def as_group(self):
         """This subgroup re-indexed as a standalone Group.
@@ -422,7 +412,10 @@ def subgroup_generated(group, gens):
 
 
 def full_subgroup(group):
-    return Subgroup(group, range(group.order))
+    """G as a Subgroup of itself, built once per Group."""
+    if group._full is None:
+        group._full = Subgroup(group, range(group.order))
+    return group._full
 
 
 def trivial_subgroup(group):

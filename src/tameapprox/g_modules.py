@@ -84,8 +84,7 @@ class GModule:
     (`trivial_module`, `group_ring`, `augmentation_ideal`, `restrict`).
     """
 
-    __slots__ = ("group", "modulus", "rank", "action_rows", "label",
-                 "_h1_cache", "_subgroup_h1_cache")
+    __slots__ = ("group", "modulus", "rank", "action_rows", "label", "_subgroup_h1_cache")
 
     def __init__(self, group, modulus, rank, action, label=None):
         m, r = _sizes(modulus, rank)
@@ -125,7 +124,6 @@ class GModule:
         self.rank = rank
         self.action_rows = rows
         self.label = label or f"module of rank {rank} over Z/{modulus}"
-        self._h1_cache = None
         self._subgroup_h1_cache = {}
 
     def _matrix(self, terms):
@@ -392,8 +390,12 @@ def module_from_json(group, obj):
         raise ValueError("module JSON 'action' must be an object")
     keys = {*range(group.order), *map(str, range(group.order))}
     for key in action_obj:
+        if type(key) not in (str, int):
+            raise ValueError(f"module JSON 'action' key {key!r} is not a string or an integer")
         if key not in keys:
             raise ValueError(f"module JSON 'action' key {key!r} names no element")
+        if type(key) is int and str(key) in action_obj:
+            raise ValueError(f"module JSON 'action' gives element {key} twice, as '{key}' and as {key}")
     action = []
     for g in range(group.order):
         key = str(g)

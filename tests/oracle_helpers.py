@@ -36,8 +36,10 @@ B column by column,
 `uit_reduce` and `UitPrimePowerQuotient` (a dense U^-1 updated on every
 row operation, and U from an identity block) for the coordinate
 functionals and the generators replayed from the operation log,
-and `reference_smith_decomposition` for the Smith reduction that carries
-its transforms as augmented rows and columns.
+`reference_smith_decomposition` for the Smith reduction that carries
+its transforms as augmented rows and columns,
+and `two_branch_ellth_root` (a bit-flip lift for ell = 2 beside the digit
+search for odd ell) for the one Hensel loop of `ellth_root_in_zell`.
 """
 
 from itertools import product
@@ -290,11 +292,12 @@ def expanded_res_h1(group, sub, module):
     """`res_h1` read through full expansions: each generator of h1(G, M)
     expanded to all |G| elements, read at the generators of H, and put in
     the coordinates of H^1(H, M); a list of rows."""
-    _, tree, _ = _subgroup_h1(module, full_subgroup(group))
-    reps = [expand_along_tree(group, module, tree, col)
+    full = _subgroup_h1(module, full_subgroup(group))
+    reps = [expand_along_tree(group, module, full.tree, col)
             for col in h1(group, module).presentation.generator_columns]
-    gens, _, pres = _subgroup_h1(module, sub)
-    images = [pres.coordinates([x for s in gens for x in rep[s]]) for rep in reps]
+    local = _subgroup_h1(module, sub)
+    pres = local.presentation
+    images = [pres.coordinates([x for s in local.generators for x in rep[s]]) for rep in reps]
     return [[image[i] for image in images] for i in range(len(pres.structure.invariant_factors))]
 
 
@@ -988,3 +991,35 @@ def brute_is_square_in_q2(d, depth=12):
     mod = 1 << depth
     target = d % mod
     return any((x * x) % mod == target for x in range(1, mod, 2))
+
+
+def two_branch_ellth_root(q, ell, precision=8):
+    """`ellth_root_in_zell` as it was written with a separate ell = 2 branch:
+    a witness x with x^ell == q (mod ell^precision), or None."""
+    q, ell = int(q), int(ell)
+    precision = max(int(precision), 3 if ell == 2 else 2)
+    if ell == 2:
+        if q % 8 != 1:
+            return None
+        x = 1
+        for k in range(3, precision):
+            # x odd, so adding 2^(k-1) flips x*x mod 2^(k+1) by exactly 2^k
+            if (x * x - q) % (1 << (k + 1)):
+                x += 1 << (k - 1)
+        mod = 1 << precision
+    else:
+        if q % (ell * ell) != 1:
+            return None
+        x = 1
+        for j in range(2, precision):
+            target = ell ** (j + 1)
+            step = ell ** (j - 1)
+            for c in range(ell):
+                if (pow(x + c * step, ell, target) - q) % target == 0:
+                    x += c * step
+                    break
+            else:
+                return None
+        mod = ell ** precision
+    assert (pow(x, ell, mod) - q) % mod == 0
+    return x % mod

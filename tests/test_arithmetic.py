@@ -34,6 +34,7 @@ from oracle_helpers import (
     brute_is_square_in_q2,
     brute_is_square_mod_odd_prime,
     trial_division_factor,
+    two_branch_ellth_root,
 )
 
 
@@ -312,6 +313,23 @@ class TestHenselWitness:
         q = 1 + 25 * 3  # 76 == 1 (mod 25)
         x = ellth_root_in_zell(q, 5, 6)
         assert x is not None and (pow(x, 5, 5 ** 6) - q) % 5 ** 6 == 0
+
+    def test_one_loop_matches_the_two_branches(self):
+        # a seeded sample of q < 40000, half of them in the congruence class
+        # that has roots, at every precision the certificates and tests use
+        rng = random.Random(22)
+        checked = found = 0
+        for ell in (2, 3, 5, 7):
+            step = 8 if ell == 2 else ell * ell
+            qs = [rng.randrange(-100, 40000) for _ in range(150)]
+            qs += [1 + step * rng.randrange(40000 // step) for _ in range(150)]
+            for q in qs:
+                for precision in (0, 2, 3, 4, 8, 13, 24):
+                    x = ellth_root_in_zell(q, ell, precision)
+                    assert x == two_branch_ellth_root(q, ell, precision), (q, ell, precision)
+                    checked += 1
+                    found += x is not None
+        assert checked == 4 * 300 * 7 and found >= 4 * 150 * 7
 
 
 class TestKummerPairValidation:

@@ -474,14 +474,14 @@ class TestFullCochainOracle:
     def test_builtin_groups(self):
         for g, mod in battery_modules():
             res = h1(g, mod)
-            assert res.generators == g.presentation().generators
+            assert res.generators == full_subgroup(g).presentation().generators
             assert res.structure == full_cochain_h1(g, mod) == cayley_h1(g, mod)[0], \
                 (g, mod.label)
 
     def test_random_modules(self):
         for g, mod in sweep_modules():
             res = h1(g, mod)
-            assert res.generators == g.presentation().generators
+            assert res.generators == full_subgroup(g).presentation().generators
             assert res.structure == full_cochain_h1(g, mod) == cayley_h1(g, mod)[0], \
                 (g, mod.label)
 
@@ -503,7 +503,8 @@ class TestCyclicRestriction:
         for g, mod in battery_modules() + sweep_modules():
             subs = all_subgroups(g) if g.order in (4, 6, 8) else cyclic_subgroups(g)
             for sub in subs:
-                gens, tree, pres = _subgroup_h1(mod, sub)
+                local = _subgroup_h1(mod, sub)
+                gens, tree, pres = local.generators, local.tree, local.presentation
                 assert brute_generated(g, gens) == set(sub.elements)
                 assert {y for _, _, y in tree} | {g.identity} == set(sub.elements)
                 res = restrict(mod, sub)
@@ -530,10 +531,9 @@ class TestCyclicRestriction:
         # H^1(V4, I) = Z/4, while every ker N_g / (g - 1)I here has order 2
         g = builtin_group("klein4")
         ideal = augmentation_ideal(g, 4)[0]
-        full = full_subgroup(g)
-        assert full.presentation() is g.presentation()
-        gens, _, pres = _subgroup_h1(ideal, full)
-        assert len(gens) == 2 and pres.structure == AbGroupStructure([4])
+        full = _subgroup_h1(ideal, full_subgroup(g))
+        assert full is h1(g, ideal)
+        assert len(full.generators) == 2 and full.structure == AbGroupStructure([4])
         assert all(norm_formula_h1(ideal, x) == AbGroupStructure([2])
                    for x in range(4) if x != g.identity)
 
@@ -546,7 +546,7 @@ class TestCyclicRestriction:
         for g, mod in battery_modules() + sweep_modules():
             _, _, coordinates = cayley_h1(g, mod)
             full = h1(g, mod)
-            relators = _fox_system(g, mod, g.presentation())
+            relators = _fox_system(g, mod, full_subgroup(g).presentation())
             m = mod.modulus
             for values in sha_sigma(g, mod, places=[]).generators:
                 assert len(values) == len(full.generators) * mod.rank
@@ -568,7 +568,7 @@ class TestCyclicRestriction:
         s5 = symmetric_group_5()
         a5 = subgroup_generated(s5, [s5.names.index("(0 1 2 3 4)"), s5.names.index("(0 1 2)")])
         s4 = subgroup_generated(s5, [s5.names.index("(0 1 2 3)"), s5.names.index("(0 1)")])
-        assert (a5.order, s4.order) == (60, 24) and a5.presentation() is None
+        assert (a5.order, s4.order) == (60, 24) and a5.presentation().relative_orders is None
         mats, dim = _coset_permutation(s5, s4)
         expected = [  # H^1(A5, M), and the kernel of H^1(S5, M) -> H^1(A5, M)
             (trivial_module(s5, 2), [], [2]),  # the sign character dies on A5
@@ -577,7 +577,8 @@ class TestCyclicRestriction:
             (GModule(s5, 3, dim, mats), [3], []),
         ]
         for mod, local, kernel in expected:
-            gens, _, pres = _subgroup_h1(mod, a5)
+            solved = _subgroup_h1(mod, a5)
+            gens, pres = solved.generators, solved.presentation
             assert gens == a5.generating_set()
             assert brute_generated(s5, gens) == set(a5.elements)
             res = restrict(mod, a5)
@@ -600,14 +601,14 @@ class TestOperationLogSystems:
             for mod in (augmentation_ideal(g, n)[0], group_ring(g, n), trivial_module(g, 6)):
                 m = mod.modulus
                 for sub in all_subgroups(g):
-                    pres = sub.presentation() or _cayley_presentation(g, sub.generating_set())
+                    pres = sub.presentation()
                     a_rows = _fox_system(g, mod, pres)
                     b_rows = _differences(mod, pres.generators)
                     cocycles = kernel_mod(as_matrix(a_rows, len(b_rows)), m)
                     vectors = [cocycles.column(j) for j in range(cocycles.cols)]
                     logged, dense = both_kernel_paths(a_rows, b_rows, m, vectors)
                     assert logged == dense, (name, mod.label, sub)
-                    assert logged[0] == _subgroup_h1(mod, sub)[2].structure
+                    assert logged[0] == _subgroup_h1(mod, sub).structure
                     checked += 1
         assert checked == 3 * sum(len(all_subgroups(builtin_group(name)))
                                   for name in TestFullCochainOracle.BUILTINS)
@@ -616,7 +617,7 @@ class TestOperationLogSystems:
 def old_pair_subgroup_h1(mod, sub):
     """H^1(H, M) from the `_subgroup_h1` system and the old pair."""
     g, m = mod.group, mod.modulus
-    pres = sub.presentation() or _cayley_presentation(g, sub.generating_set())
+    pres = sub.presentation()
     return old_pair_quotient(_fox_system(g, mod, pres), _differences(mod, pres.generators), m)
 
 
@@ -628,7 +629,7 @@ def old_pair_restriction_kernel(g, mod, subgroups):
     rows = []
     for sub in subgroups:
         res = res_h1(g, sub, mod)
-        deltas = _subgroup_h1(mod, sub)[2].structure.invariant_factors
+        deltas = _subgroup_h1(mod, sub).structure.invariant_factors
         rows += [[m // d * x for x in res.row(i)] for i, d in enumerate(deltas)]
     relations = [[d if i == j else 0 for j in range(len(factors))] for i, d in enumerate(factors)]
     return old_pair_quotient(rows, relations, m).structure
@@ -655,7 +656,7 @@ class TestKernelRoutineAgainstOldPair:
                 (g, mod.label)
             subs = all_subgroups(g)
             for sub in subs:
-                assert (_subgroup_h1(mod, sub)[2].structure
+                assert (_subgroup_h1(mod, sub).structure
                         == old_pair_subgroup_h1(mod, sub).structure), (g, mod.label, sub)
                 assert (_restriction_kernel(g, mod, [sub]).structure
                         == old_pair_restriction_kernel(g, mod, [sub])), (g, mod.label, sub)
@@ -692,7 +693,7 @@ class TestOneConstructor:
         assert not ideal._subgroup_h1_cache
         assert among_made(h1(g, ideal).presentation)
         for sub in all_subgroups(g):
-            assert among_made(_subgroup_h1(ideal, sub)[2]), sub
+            assert among_made(_subgroup_h1(ideal, sub).presentation), sub
         assert built(tate_h0(g, ideal))
         assert built(sha_cyc(g, ideal))
         records = _biquadratic_model(3, 7)[0]
@@ -811,6 +812,72 @@ class TestSubgroupGuard:
         assert len(shifts) == len(all_subgroups(g)) and all(r.passed for r in shifts)
 
 
+class TestOneRecord:
+    """`_subgroup_h1` is the one H^1 solver and cache: it returns an H1Result
+    for every subgroup, G included, and checks A x = 0 on every generator
+    column of each."""
+
+    def test_h1_is_the_full_subgroup_record(self):
+        for name in ("z2", "klein4", "q8", "zlxzln:2:3"):
+            g = builtin_group(name)
+            for mod in (augmentation_ideal(g, g.order)[0], trivial_module(g, 6)):
+                res = h1(g, mod)
+                assert res is h1(g, mod)
+                assert res is _subgroup_h1(mod, full_subgroup(g))
+                assert res.structure is res.presentation.structure
+
+    def test_proper_subgroup_record(self):
+        # the tree of a proper subgroup reaches only its elements, and a
+        # class expands to a cocycle of H with None elsewhere
+        g = builtin_group("z2xz4")
+        ideal = augmentation_ideal(g, 8)[0]
+        for sub in all_subgroups(g)[1:-1]:
+            res = _subgroup_h1(ideal, sub)
+            assert isinstance(res, H1Result) and res is _subgroup_h1(ideal, sub)
+            assert (res.group, res.module) == (g, ideal)
+            assert res.structure == AbGroupStructure([sub.order])
+            for col in res.presentation.generator_columns:
+                z = res.cocycle(col)
+                assert [x for x in range(g.order) if z[x] is not None] == list(sub.elements)
+                local = restrict(ideal, sub)
+                assert is_cocycle(local.group, local, [z[x] for x in sub.elements])
+
+    @staticmethod
+    def faulty_members(monkeypatch):
+        """Fresh module caches, and every quotient the cohomology layer builds
+        on one generator of the rank-3 ideal of klein4 (a cyclic member)
+        given a generator column outside ker A."""
+        monkeypatch.setattr(g_modules, "_RING_CACHE", {})
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+
+        class Faulty(QuotientPresentation):
+            __slots__ = ()
+
+            def __init__(self, a_rows, b_rows, modulus):
+                super().__init__(a_rows, b_rows, modulus)
+                if self.dim == 3 and self.generator_columns:
+                    units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+                    bad = next(u for u in units if not self._in_kernel(u))
+                    self.generator_columns = (bad,) * len(self.generator_columns)
+
+        monkeypatch.setattr(cohomology, "QuotientPresentation", Faulty)
+
+    def test_check_runs_on_a_proper_member(self, monkeypatch):
+        self.faulty_members(monkeypatch)
+        g = builtin_group("klein4")
+        ideal = augmentation_ideal(g, 4)[0]
+        assert h1(g, ideal).structure == AbGroupStructure([4])  # G itself is sound
+        with pytest.raises(AssertionError, match="lifted representative is not a normalized cocycle"):
+            sha_cyc(g, ideal)
+
+    def test_check_through_the_cli(self, monkeypatch, capsys):
+        self.faulty_members(monkeypatch)
+        assert main(["sha-cyc", "--group", "builtin:klein4", "--module", "aug"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: lifted representative is not a normalized cocycle\n"
+
+
 def cayley_pairs():
     """(group, module, generators of a subgroup) for the Cayley-presentation
     check: every subgroup of each builtin group with four modules, every
@@ -855,10 +922,10 @@ class TestCayleyPresentation:
     def test_not_solvable_subgroup_solves_on_it(self):
         s5 = symmetric_group_5()
         a5 = subgroup_generated(s5, [s5.names.index("(0 1 2 3 4)"), s5.names.index("(0 1 2)")])
-        gens, tree, pres = _subgroup_h1(trivial_module(s5, 2), a5)
+        local = _subgroup_h1(trivial_module(s5, 2), a5)
         expected = _cayley_presentation(s5, a5.generating_set())
-        assert (gens, tree) == (expected.generators, expected.tree)
-        assert pres.structure == AbGroupStructure()  # A5 is perfect
+        assert (local.generators, local.tree) == (expected.generators, expected.tree)
+        assert local.presentation.structure == AbGroupStructure()  # A5 is perfect
 
 
 class TestNotSolvableFallback:

@@ -361,29 +361,31 @@ def assert_presentation(g, pc, elements):
 
 
 class TestPolycyclicPresentation:
-    """Group.presentation against the Cayley table, read without the code under test."""
+    """The presentation of a whole solvable group, `full_subgroup(g).presentation()`,
+    against the Cayley table, read without the code under test."""
 
     def test_against_cayley_table(self):
         for g in presentation_groups():
-            assert_presentation(g, g.presentation(), range(g.order))
+            assert_presentation(g, full_subgroup(g).presentation(), range(g.order))
 
     def test_layers_follow_the_derived_series(self):
         # S4 > A4 > V4 > 1: factors 2, 3 and 2 x 2
         s4 = from_permutations([(1, 2, 3, 0), (1, 0, 2, 3)])
-        assert s4.presentation().relative_orders == (2, 3, 2, 2)
+        assert full_subgroup(s4).presentation().relative_orders == (2, 3, 2, 2)
         # abelian groups take one layer, largest orders first from the bottom
-        assert builtin_group("zlxzln:2:3").presentation().relative_orders == (2, 8)
-        assert builtin_group("z8").presentation().relative_orders == (8,)
-        assert cyclic_group(1).presentation().generators == ()
+        assert full_subgroup(builtin_group("zlxzln:2:3")).presentation().relative_orders == (2, 8)
+        assert full_subgroup(builtin_group("z8")).presentation().relative_orders == (8,)
+        assert full_subgroup(cyclic_group(1)).presentation().generators == ()
 
     def test_cached_on_the_group(self):
         g = builtin_group("q8")
-        assert g.presentation() is g.presentation()
+        assert full_subgroup(g).presentation() is full_subgroup(g).presentation()
 
     def test_not_solvable_has_none(self):
+        # no polycyclic presentation: A5 is presented by its Cayley graph
         a5 = from_permutations([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
         assert a5.order == 60
-        assert a5.presentation() is None
+        assert full_subgroup(a5).presentation().relative_orders is None
 
 
 class TestSubgroupPresentation:
@@ -397,7 +399,7 @@ class TestSubgroupPresentation:
         checked = 0
         for g in groups:
             for sub in all_subgroups(g):
-                pc, local = sub.presentation(), sub.as_group().presentation()
+                pc, local = sub.presentation(), full_subgroup(sub.as_group()).presentation()
                 image = sub.elements
                 assert pc.generators == tuple(image[x] for x in local.generators), (g, sub)
                 assert pc.relative_orders == local.relative_orders
@@ -412,15 +414,38 @@ class TestSubgroupPresentation:
     def test_full_subgroup_shares_the_parent(self):
         g = builtin_group("q8")
         full = full_subgroup(g)
-        assert full.presentation() is g.presentation()
+        assert full_subgroup(g) is full and full.parent is g
+        assert full.presentation() is full.presentation()
         assert full.generating_set() == g.generating_set()
 
     def test_not_solvable_has_none(self):
+        # no polycyclic presentation: A5 inside S5 is presented by its Cayley graph
         s5 = from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
         a5 = subgroup_generated(s5, [s5.names.index("(0 1 2 3 4)"), s5.names.index("(0 1 2)")])
         assert a5.order == 60
-        assert a5.presentation() is None
+        assert a5.presentation().relative_orders is None
         assert brute_generated(s5, a5.generating_set()) == set(a5.elements)
+
+    def test_not_solvable_is_the_cayley_presentation(self):
+        # A5 itself and A5 inside S5, field for field
+        a5 = from_permutations([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
+        s5 = from_permutations([(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+        inside = subgroup_generated(
+            s5, [s5.names.index("(0 1 2 3 4)"), s5.names.index("(0 1 2)")])
+        for g, sub in ((a5, full_subgroup(a5)), (s5, inside)):
+            pres = sub.presentation()
+            expected = _cayley_presentation(g, sub.generating_set())
+            for field in ("generators", "relative_orders", "relators", "tree"):
+                assert getattr(pres, field) == getattr(expected, field), (g, field)
+            assert sub.presentation() is pres
+
+    def test_full_subgroup_is_built_once(self):
+        for name in ("z2", "q8", "zlxzln:2:3"):
+            g = builtin_group(name)
+            assert full_subgroup(g) is full_subgroup(g)
+            assert full_subgroup(g).elements == tuple(range(g.order))
+        # an equal group built afresh gets its own, equal one
+        assert full_subgroup(builtin_group("q8")) == full_subgroup(builtin_group("q8"))
 
 
 class TestCayleyPresentation:

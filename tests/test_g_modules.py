@@ -1,4 +1,5 @@
 import random
+import re
 from math import gcd
 
 import pytest
@@ -249,6 +250,23 @@ class TestModuleValidation:
     def test_module_from_json_rejects_a_key_naming_no_element(self, key):
         action = {"0": [[1]], "1": [[3]], key: [[1]]}
         with pytest.raises(ValueError, match=f"'action' key {key!r} names no element"):
+            module_from_json(cyclic_group(2), {"modulus": 4, "rank": 1, "action": action})
+
+    @pytest.mark.parametrize("key", [True, False, 1.0, 0.0])
+    def test_module_from_json_rejects_a_key_of_another_type(self, key):
+        # each equals an element index, but is not a JSON key nor an index
+        action = {"0": [[1]], "1": [[3]], key: [[1]]}
+        message = f"module JSON 'action' key {key!r} is not a string or an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            module_from_json(cyclic_group(2), {"modulus": 4, "rank": 1, "action": action})
+
+    @pytest.mark.parametrize("action, element", [
+        ({"0": [[1]], "1": [[3]], 1: [[1]]}, 1),
+        ({0: [[1]], "0": [[1]], "1": [[3]]}, 0),
+    ])
+    def test_module_from_json_rejects_an_element_given_twice(self, action, element):
+        message = f"module JSON 'action' gives element {element} twice, as '{element}' and as {element}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             module_from_json(cyclic_group(2), {"modulus": 4, "rank": 1, "action": action})
 
     def test_module_from_json_takes_integer_keys(self):
