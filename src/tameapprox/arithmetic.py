@@ -34,7 +34,7 @@ from .finite_groups import (
     product_of_prime_powers,
     subgroup_generated,
 )
-from .g_modules import augmentation_ideal
+from .g_modules import _ideal_module
 # primality and factoring live in the leaf module `primes`, which the
 # elimination layer shares; the names stay importable from here
 from .primes import _UINT64_MAX, _brent_rho, factorize, is_prime
@@ -541,7 +541,7 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
 
     group = product_of_prime_powers(ell, n, limit=group_limit)
     modulus = ell ** (n + 1)
-    ideal, _, _ = augmentation_ideal(group, modulus)
+    ideal = _ideal_module(group, modulus)
     cert.group_order = group.order
     cert.group_exponent = group.exponent()
     cert.module_rank = ideal.rank

@@ -55,7 +55,7 @@ from .finite_groups import (
     group_from_json,
     subgroup_generated,
 )
-from .g_modules import augmentation_ideal, group_ring, module_from_json, trivial_module
+from .g_modules import _ideal_module, group_ring, module_from_json, trivial_module
 from .zmod_linalg import NotInSpanError
 
 LIMIT_ENV_VAR = "TAMEAPPROX_GROUP_LIMIT"
@@ -85,9 +85,11 @@ def _load_group(source, limit):
 def _load_module(spec, group, modulus):
     m = group.order if modulus is None else modulus
     if spec == "aug":
-        return augmentation_ideal(group, m)[0]
+        return _ideal_module(group, m)
     if spec == "ring":
         return group_ring(group, m)
+    if modulus is not None:
+        raise UsageError("--modulus applies only to --module aug and ring")
     if spec.startswith("trivial:"):
         try:
             m = int(spec.split(":", 1)[1])
@@ -463,10 +465,7 @@ def main(argv=None):
         # before ValueError: NotInSpanError subclasses it, but means a bug here
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, SearchBoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, SearchBoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

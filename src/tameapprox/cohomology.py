@@ -45,7 +45,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .finite_groups import Group, Subgroup, cyclic_subgroups, full_subgroup
-from .g_modules import GModule, augmentation_ideal, group_ring
+from .g_modules import GModule, _ideal_module, group_ring
 from .primes import is_prime
 from .zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresentation
 
@@ -413,7 +413,7 @@ def verify_augmentation_lemma(group):
     n = group.order
     e = group.exponent()
     f = n // e
-    ideal, _, _ = augmentation_ideal(group, n)
+    ideal = _ideal_module(group, n)
     computed = sha_cyc(group, ideal)
     expected = AbGroupStructure([f] if f > 1 else [])
     return LemmaReport(order=n, exponent=e, expected=expected, computed=computed)
@@ -450,7 +450,7 @@ def dimension_shift_check(group, subgroups=None):
     twice is reported once.
     """
     n = group.order
-    ideal, _, _ = augmentation_ideal(group, n)
+    ideal = _ideal_module(group, n)
     ring = group_ring(group, n)
     if subgroups is None:
         subgroups = _default_shift_subgroups(group)

@@ -504,9 +504,7 @@ def from_permutations(gens, *, limit=DEFAULT_ORDER_LIMIT):
     ident = tuple(range(degree))
     elements = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        base = queue.pop(0)
+    for base in elements:  # the list grows while it is walked
         for p in gens:
             prod = tuple(p[base[i]] for i in range(degree))  # p after base
             if prod not in index:
@@ -514,7 +512,6 @@ def from_permutations(gens, *, limit=DEFAULT_ORDER_LIMIT):
                     raise ValueError(f"group closure exceeds the order limit {limit}")
                 index[prod] = len(elements)
                 elements.append(prod)
-                queue.append(prod)
     n = len(elements)
     table = [
         [index[tuple(b[a[i]] for i in range(degree))] for b in elements]

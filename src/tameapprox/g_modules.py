@@ -3,7 +3,8 @@
 The central objects are the group ring (Z/m)[G], its augmentation ideal I
 with basis {g - 1 : g != e}, restrictions to subgroups, and the unit-twisted
 dual.  A module is always free as a Z/m-module, (Z/m)^r; only the G-action
-varies.
+varies.  The engine reads I alone, from `_ideal_module`; `augmentation_ideal`
+adds and checks the maps of 0 -> I -> (Z/m)[G] -> Z/m -> 0.
 
 Row format: `module.action_rows[g]` is the r x r matrix of g as a tuple of
 r rows, and row i is a tuple of the (column, residue) pairs of its nonzero
@@ -81,7 +82,7 @@ class GModule:
     `GModule(group, m, r, matrices)` takes dense matrices and runs the
     check: the one constructor for outside input.  `_from_validated` skips
     it for rows whose construction proves them a homomorphism
-    (`trivial_module`, `group_ring`, `augmentation_ideal`, `restrict`).
+    (`trivial_module`, `group_ring`, `_ideal_module`, `restrict`).
     """
 
     __slots__ = ("group", "modulus", "rank", "action_rows", "label", "_subgroup_h1_cache")
@@ -249,20 +250,17 @@ def group_ring(group, modulus):
     return ring
 
 
-def augmentation_ideal(group, modulus):
-    """The augmentation ideal I of (Z/m)[G] with basis {g - 1 : g != e}.
-
-    Returns (I, incl, aug) where incl: I -> (Z/m)[G] is the basis inclusion
-    and aug: (Z/m)[G] -> Z/m is the all-ones augmentation; aug o incl = 0 and
-    incl is injective mod m, so the three-term sequence is exact.  Cached per
-    (group, modulus) for the life of the process, like the group ring.
+def _ideal_module(group, modulus):
+    """The augmentation ideal I of (Z/m)[G] with basis {g - 1 : g != e}, the
+    module alone: what the engine reads.  Cached per (group, modulus) for
+    the life of the process, like the group ring.
 
     From g(h - 1) = (gh - 1) - (g - 1): for g != e, row gh of g's matrix
     is the unit row of h for each h != g^-1, and row g is -1 in every
     column, one row shared by all elements; 2r - 1 entries per element.
     Not checked again: this is the ring's action on I = ker aug, a
-    G-invariant submodule, in the basis g - 1.  The module maps and the
-    exactness check cross-check these rows against the ring's.
+    G-invariant submodule, in the basis g - 1.  `augmentation_ideal`
+    cross-checks these rows against the ring's.
     """
     key = (group, modulus)
     if key in _IDEAL_CACHE:
@@ -285,18 +283,23 @@ def augmentation_ideal(group, modulus):
         rows.append(tuple(mat))
     ideal = GModule._from_validated(group, m, r, tuple(rows),
                                     f"augmentation ideal of (Z/{modulus})[G]")
+    _IDEAL_CACHE[key] = ideal
+    return ideal
 
-    ring = group_ring(group, modulus)
-    incl_rows = [[0] * r for _ in range(n)]
-    for i, h in enumerate(basis):
-        incl_rows[h][i] += 1
-        incl_rows[e][i] -= 1
-    incl = ModuleMap(ideal, ring, IntMatrix.from_rows(incl_rows))
-    aug = ModuleMap(ring, trivial_module(group, modulus),
-                    IntMatrix.from_rows([[1] * n]))
 
-    _check_augmentation_exactness(incl.matrix, aug.matrix, basis, m)
-    _IDEAL_CACHE[key] = (ideal, incl, aug)
+def augmentation_ideal(group, modulus):
+    """(I, incl, aug): the ideal of `_ideal_module`, its basis inclusion
+    incl: I -> (Z/m)[G] and the all-ones augmentation aug: (Z/m)[G] -> Z/m.
+    Only I is cached: every call builds both maps, checks them on the
+    generators and checks that the sequence is exact.
+    """
+    ideal = _ideal_module(group, modulus)
+    n, e, ring = group.order, group.identity, group_ring(group, modulus)
+    basis = [g for g in range(n) if g != e]
+    incl = ModuleMap(ideal, ring, IntMatrix(n, n - 1, [(x == h) - (x == e)
+                                                      for x in range(n) for h in basis]))
+    aug = ModuleMap(ring, trivial_module(group, modulus), IntMatrix(1, n, [1] * n))
+    _check_augmentation_exactness(incl.matrix, aug.matrix, basis, ideal.modulus)
     return ideal, incl, aug
 
 

@@ -245,11 +245,8 @@ class SmithDecomposition(NamedTuple):
 
     @property
     def d(self):
-        m = IntMatrix.zero(self.rows, self.cols)
-        data = [list(r) for r in m._data]
-        for i, di in enumerate(self.diagonal):
-            data[i][i] = di
-        return IntMatrix.from_rows(data)
+        return IntMatrix(self.rows, self.cols, [self.diagonal[i] if i == j else 0
+                                                for i in range(self.rows) for j in range(self.cols)])
 
 
 def _nearest_quotient(a, d):

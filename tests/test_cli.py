@@ -240,6 +240,26 @@ class TestErrorHandling:
         assert status == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["h1", "--group", "builtin:z4", "--module", "trivial:3", "--modulus", "5"],
+        ["sha-cyc", "--group", "builtin:z4", "--module", "module.json", "--modulus", "7"],
+    ])
+    def test_modulus_is_refused_where_it_does_not_apply(self, capsys, tmp_path, monkeypatch, argv):
+        # each module names its own modulus, 3 or the file's 4
+        monkeypatch.chdir(tmp_path)
+        Path("module.json").write_text(json.dumps(
+            {"modulus": 4, "rank": 1, "action": {str(g): [[1]] for g in range(4)}}))
+        status, out, err = run_cli(capsys, *argv)
+        assert (status, out) == (2, "")
+        assert err == "error: --modulus applies only to --module aug and ring\n"
+
+    def test_unwritable_output_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        status, out, err = run_cli(capsys, "h1", "--group", "builtin:z2",
+                                   "--output", str(target))
+        assert (status, out) == (2, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
     def test_bad_subgroup_spec(self, capsys):
         status, _, err = run_cli(capsys, "dimension-shift", "--group", "builtin:z4",
                                  "--subgroup", "a,b")

@@ -1,10 +1,11 @@
+import json
 import random
 import re
 from math import gcd
 
 import pytest
 
-from tameapprox import g_modules
+from tameapprox import cli, g_modules
 from tameapprox.cohomology import sha_cyc
 from tameapprox.finite_groups import (
     builtin_group,
@@ -16,6 +17,7 @@ from tameapprox.finite_groups import (
 from tameapprox.g_modules import (
     GModule,
     ModuleMap,
+    _ideal_module,
     _mul,
     _sparse,
     augmentation_ideal,
@@ -108,7 +110,54 @@ class TestAugmentationIdeal:
         assert augmentation_ideal(again, 8)[0] is first[0]
         assert group_ring(again, 8) is group_ring(first[0].group, 8)
         assert augmentation_ideal(again, 4)[0] is not first[0]
+        assert _ideal_module(again, 8) is augmentation_ideal(builtin_group("zlxzln:2:2"), 8)[0]
         assert len(g_modules._IDEAL_CACHE) == 2
+        assert all(type(v) is GModule for v in g_modules._IDEAL_CACHE.values())
+
+    def test_public_call_checks_on_every_call(self, monkeypatch):
+        # only the module is cached: a cached pair of maps would skip the checks
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+        g = builtin_group("s3")
+        ideal, _, _ = augmentation_ideal(g, 6)
+
+        def failing(*args):
+            raise AssertionError("exactness checked")
+
+        monkeypatch.setattr(g_modules, "_check_augmentation_exactness", failing)
+        with pytest.raises(AssertionError, match="exactness checked"):
+            augmentation_ideal(g, 6)
+        assert _ideal_module(g, 6) is ideal
+
+    def test_engine_builds_no_dense_matrix_and_no_map(self, monkeypatch, capsys):
+        monkeypatch.setattr(g_modules, "_RING_CACHE", {})
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+        built = []
+        for cls in (IntMatrix, ModuleMap):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _name=cls.__name__):
+                built.append(_name)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        for argv in (["sha-cyc", "--group", "builtin:zlxzln:2:3", "--module", "aug"],
+                     ["h1", "--group", "builtin:q8", "--module", "aug"],
+                     ["verify-lemma", "--group", "builtin:z3xz3"],
+                     ["dimension-shift", "--group", "builtin:klein4"],
+                     ["certify", "--ell", "3", "--n", "1", "--p", "7"]):
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        # four ideals were built, not read from an earlier test: certify(3, 1, 7)
+        # reads verify-lemma's (z3xz3, 9)
+        assert len(g_modules._IDEAL_CACHE) == 4
+        assert built == []
+
+    def test_sha_cyc_on_the_ideal_builds_no_group_ring(self, monkeypatch, capsys):
+        monkeypatch.setattr(g_modules, "_RING_CACHE", {})
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+        assert cli.main(["sha-cyc", "--group", "builtin:q8", "--module", "aug"]) == 0
+        assert json.loads(capsys.readouterr().out)["structure"] == ["2"]
+        assert g_modules._RING_CACHE == {}
 
     def test_exact_sequence(self):
         for name in BUILTINS:

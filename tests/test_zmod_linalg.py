@@ -57,6 +57,7 @@ def random_quotient_inputs():
 
 def assert_snf_contract(mat):
     u, d, v = snf(mat)
+    assert (d.rows, d.cols) == (mat.rows, mat.cols)
     assert u @ mat @ v == d
     assert abs(u.det()) == 1
     assert abs(v.det()) == 1
@@ -106,6 +107,9 @@ class TestSNF:
     def test_rectangular_and_empty_shapes(self):
         assert_snf_contract(IntMatrix.from_rows([[3, 0, 0, 7]]))
         assert_snf_contract(IntMatrix(4, 1, [6, 10, 15, 0]))
+        # D keeps the shape of a matrix with no rows or no columns
+        for rows, cols in [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0), (0, 0)]:
+            assert_snf_contract(IntMatrix(rows, cols, []))
         dec = smith_decomposition(IntMatrix(3, 0, []))
         assert dec.diagonal == ()
         assert dec.v == IntMatrix.identity(0)
