@@ -573,19 +573,15 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
 
     model = _biquadratic_model if (ell, n) == (2, 1) else _kummer_model
     (records, cert.places, cert.sigma0_labels, cert.sigma0_exact,
-     cert.sigma0_statement, designated, model_checks) = model(
+     cert.sigma0_statement, model_checks) = model(
         p, q, group, ell=ell, n=n, euler=euler, root=root, precision=precision)
     checks.extend(model_checks)
 
-    sigma0_excluded = [str(v) for v in cert.sigma0_labels]
+    designated = cert.designated_places = [str(v) for v in cert.sigma0_labels]
     sha_full = sha_sigma(group, ideal, records, excluded=())
-    sha_s0 = sha_sigma(group, ideal, records, excluded=sigma0_excluded)
+    sha_s0 = sha_sigma(group, ideal, records, excluded=designated)
     cert.sha_full = sha_full.structure
     cert.sha_sigma0 = sha_s0.structure
-    cert.designated_places = list(designated)
-    for key in designated:
-        rest = [v for v in sigma0_excluded if v != key]
-        cert.sha_sigma0_minus[key] = sha_sigma(group, ideal, records, excluded=rest).structure
 
     add("sigma0_kernel_is_cyclic_kernel",
         "the restriction kernel for Sigma_0 equals the cyclic-subgroup kernel"
@@ -598,6 +594,8 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
          "full_kernel": _structure_json(sha_full.structure)},
         sha_s0.structure != sha_full.structure)
     for key in designated:
+        rest = [v for v in designated if v != key]
+        cert.sha_sigma0_minus[key] = sha_sigma(group, ideal, records, excluded=rest).structure
         add(f"removal:{key}",
             f"Sha^1 for Sigma_0 minus {{{key}}} equals Sha^1, so approximation holds there",
             {"kernel": _structure_json(cert.sha_sigma0_minus[key])},
@@ -618,8 +616,9 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
 
 
 # A place model maps (p, q, group, hypothesis witnesses) to the places of the
-# certificate: (records, place rows, Sigma_0 labels, exact, statement,
-# designated keys, its own CertChecks, each computed from its witness).
+# certificate: (records, place rows, Sigma_0 labels, exact, statement, its own
+# CertChecks, each computed from its witness).  The designated places are the
+# Sigma_0 labels as strings.
 
 def _biquadratic_model(p, q, group=None, **_):
     """The exact model for (ell, n) = (2, 1): k = Q, L = Q(sqrt p, sqrt q).
@@ -631,9 +630,8 @@ def _biquadratic_model(p, q, group=None, **_):
     """
     records, rows = biquadratic_place_records(KummerPair(p, q), group)
     sigma0 = [int(rec.label) for rec in records if rec.subgroup.order == 4]
-    keys = [str(v) for v in sigma0]
     statement = (
-        f"Sigma_0(Q, I) = {{{', '.join(keys)}}}: the places with full (non-cyclic)"
+        f"Sigma_0(Q, I) = {{{', '.join(map(str, sigma0))}}}: the places with full (non-cyclic)"
         " decomposition group, computed from local square classes at 2 and at the primes"
         " dividing a*b"
     )
@@ -642,7 +640,7 @@ def _biquadratic_model(p, q, group=None, **_):
         "no place in Sigma_0 divides ell = 2 (= the residue characteristic of |I|),"
         " so Sigma_0 lies in the ramified-but-coprime bad set",
         {"sigma0": sigma0}, 2 not in sigma0)
-    return records, rows, sigma0, True, statement, keys, [check]
+    return records, rows, sigma0, True, statement, [check]
 
 
 def _kummer_model(p, q, group, *, ell, n, euler, root, precision):
@@ -693,7 +691,7 @@ def _kummer_model(p, q, group, *, ell, n, euler, root, precision):
             f"places over ell = {ell} have cyclic decomposition groups and are not in Sigma_0",
             disjoint_witness, _disjoint_from_ell_holds(ell, disjoint_witness)),
     ]
-    return records, rows, over_p_keys, False, statement, over_p_keys, checks
+    return records, rows, over_p_keys, False, statement, checks
 
 
 def _full_over_p_holds(ell, n, p, q, witness):

@@ -216,8 +216,8 @@ def _cmd_dimension_shift(args, limit):
 
 
 def _cmd_sigma0(args, limit):
-    # the designated keys of the biquadratic model are its Sigma_0 as strings
-    _, witnesses, *_, sigma0, _ = _biquadratic_model(args.a, args.b)
+    _, witnesses, labels, *_ = _biquadratic_model(args.a, args.b)
+    sigma0 = [str(v) for v in labels]
     report = {
         "command": "sigma0",
         "a": str(args.a),

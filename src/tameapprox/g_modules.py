@@ -365,7 +365,12 @@ def dual_module(module, twist=None):
     elif callable(twist):
         tw = [int(twist(x)) % m for x in range(n)]
     else:
-        tw = [int(twist[x]) % m for x in range(n)]
+        tw = []
+        for x in range(n):
+            try:
+                tw.append(int(twist[x]) % m)
+            except LookupError:
+                raise ValueError(f"twist({x}) has no value") from None
     for x in range(n):
         if gcd(tw[x], m) != 1:
             raise ValueError(f"twist({x}) = {tw[x]} is not a unit mod {m}")

@@ -276,6 +276,11 @@ def smith_decomposition(mat):
     below them C rows I_C, as wide as A, make [A ; I_C], so every column
     operation also builds V.  Pivot search and divisibility checks read only
     the first C columns of the first R rows.
+
+    Step t clears the pivot's column, then its row, with nearest-quotient
+    operations.  It starts over on a remainder, which becomes the pivot,
+    or when the pivot does not divide the rest of the submatrix, after
+    adding the first offending row to row t.
     """
     R, C = mat.rows, mat.cols
     a = mat.row_lists()
@@ -290,94 +295,51 @@ def smith_decomposition(mat):
             if y:
                 ai[j] -= q * y
 
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-
     def col_swap(j, k):
         for r in a:
             r[j], r[k] = r[k], r[j]
 
-    def col_sub(j, k, q):
-        # col_j -= q * col_k
-        for r in a:
-            r[j] -= q * r[k]
+    def pivot_row(i):
+        # row i becomes row t, negated if its pivot is negative
+        a[t], a[i] = a[i], a[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
 
     t = 0
     limit = min(R, C)
     while t < limit:
-        # locate pivot: minimal |entry|, lowest (row, col) on ties
-        best_abs = 0
-        best_i = best_j = -1
-        for i in range(t, R):
-            ai = a[i]
-            for j in range(t, C):
-                x = ai[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best_abs == 0 or ax < best_abs:
-                        best_abs, best_i, best_j = ax, i, j
-                        if ax == 1:
-                            break
-            if best_abs == 1:
-                break
-        if best_abs == 0:
+        best = min(((abs(x), i, j) for i in range(t, R)
+                    for j, x in enumerate(a[i][t:C], t) if x), default=None)
+        if best is None:
             break
-        if best_i != t:
-            a[t], a[best_i] = a[best_i], a[t]
-        if best_j != t:
-            col_swap(t, best_j)
-        if a[t][t] < 0:
-            row_negate(t)
-
+        _, i, j = best
+        col_swap(t, j)
+        pivot_row(i)
         while True:
-            # clear column t; a remainder smaller than the pivot becomes the pivot
-            restart = False
+            d = a[t][t]
             for i in range(t + 1, R):
-                x = a[i][t]
-                if x:
-                    d = a[t][t]
-                    q = _nearest_quotient(x, d)
-                    if q:
-                        row_sub(i, t, q)
+                if a[i][t]:
+                    row_sub(i, t, _nearest_quotient(a[i][t], d))
                     if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        if a[t][t] < 0:
-                            row_negate(t)
-                        restart = True
+                        pivot_row(i)
                         break
-            if restart:
-                continue
-            for j in range(t + 1, C):
-                x = a[t][j]
-                if x:
-                    d = a[t][t]
-                    q = _nearest_quotient(x, d)
-                    if q:
-                        col_sub(j, t, q)
+            else:
+                for j in range(t + 1, C):
                     if a[t][j]:
-                        col_swap(t, j)
-                        if a[t][t] < 0:
-                            row_negate(t)
-                        restart = True
-                        break
-            if restart:
-                continue
-            break
-
-        # pivot must divide the rest of the submatrix before we advance
-        d = a[t][t]
-        fixed = True
-        for i in range(t + 1, R):
-            ai = a[i]
-            for j in range(t + 1, C):
-                if ai[j] % d:
-                    row_sub(t, i, -1)  # row_t += row_i, reintroduces the offender
-                    fixed = False
+                        q = _nearest_quotient(a[t][j], d)
+                        for r in a:
+                            r[j] -= q * r[t]
+                        if a[t][j]:
+                            col_swap(t, j)
+                            pivot_row(t)
+                            break
+                else:
                     break
-            if not fixed:
-                break
-        if fixed:
+        bad = next((i for i in range(t + 1, R) if any(x % d for x in a[i][t + 1:C])), None)
+        if bad is None:
             t += 1
+        else:
+            row_sub(t, bad, -1)  # row_t += row_bad, reintroduces the offender
 
     diag = tuple(a[i][i] for i in range(limit))
     return SmithDecomposition(

@@ -412,6 +412,13 @@ class TestDual:
         with pytest.raises(ValueError, match="multiplicative"):
             dual_module(ideal4, {0: 1, 1: 3, 2: 3, 3: 3})
 
+    def test_twist_missing_an_element_is_refused(self):
+        ring = group_ring(cyclic_group(4), 4)
+        with pytest.raises(ValueError, match=re.escape("twist(2) has no value")):
+            dual_module(ring, [1, 1])
+        with pytest.raises(ValueError, match=re.escape("twist(1) has no value")):
+            dual_module(ring, {0: 1})
+
     def test_nontrivial_twist_changes_action(self):
         g = cyclic_group(2)
         triv = trivial_module(g, 4)

@@ -1,4 +1,6 @@
 import random
+import sys
+import types
 
 import pytest
 
@@ -124,29 +126,37 @@ class TestSNF:
 
 
 def reference_shapes():
-    """Seeded integer matrices with 0-12 rows and columns, empty ones included.
+    """Seeded integer matrices with 0-20 rows and columns, empty ones included.
 
     Dense, sparse and low-rank (a product through 1-3 inner columns) kinds,
     plus diagonals whose entries do not divide each other, so that the
     reduction runs its pivot swaps, remainders and divisibility fix-ups.
+    The 13-20 shapes, dense ones with entries up to 10^6 and sparse ones
+    three quarters zero, run long remainder chains and repeated fix-ups.
     """
     rng = random.Random(404)
-    mats = [IntMatrix(r, c, []) for r, c in ((0, 0), (0, 5), (7, 0))]
-    mats += [IntMatrix.diagonal(d) for d in ([2, 3], [6, 4, 9], [0, 5, 10])]
-    for _ in range(90):
-        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
-        kind = rng.choice(("dense", "sparse", "low-rank"))
+
+    def shape(rows, cols, kind, bound, zeros):
         if kind == "dense":
-            entries = [rng.randint(-50, 50) for _ in range(rows * cols)]
+            entries = [rng.randint(-bound, bound) for _ in range(rows * cols)]
         elif kind == "sparse":
-            entries = [rng.choice((0, 0, 0, 2, -3, 4, 6, 9)) for _ in range(rows * cols)]
+            entries = [rng.choice((0,) * zeros + (2, -3, 4, 6, 9))
+                       for _ in range(rows * cols)]
         else:
             k = rng.randint(1, 3)
             left = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
             right = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
             entries = [sum(left[i][t] * right[t][j] for t in range(k))
                        for i in range(rows) for j in range(cols)]
-        mats.append(IntMatrix(rows, cols, entries))
+        return IntMatrix(rows, cols, entries)
+
+    mats = [IntMatrix(r, c, []) for r, c in ((0, 0), (0, 5), (7, 0))]
+    mats += [IntMatrix.diagonal(d) for d in ([2, 3], [6, 4, 9], [0, 5, 10])]
+    for _ in range(90):
+        rows, cols = rng.randint(0, 12), rng.randint(0, 12)
+        mats.append(shape(rows, cols, rng.choice(("dense", "sparse", "low-rank")), 50, 3))
+    for kind in ("dense", "sparse", "low-rank") * 3:
+        mats.append(shape(rng.randint(13, 20), rng.randint(13, 20), kind, 10 ** 6, 15))
     return mats
 
 
@@ -161,6 +171,38 @@ class TestReferenceSmith:
             assert dec.v == v
             assert dec.diagonal == diagonal
             assert (dec.rows, dec.cols) == (mat.rows, mat.cols)
+
+    def test_the_shapes_run_every_line(self):
+        # a branch that no shape reaches is not pinned by the test above
+        def nested(code):
+            yield code
+            for const in code.co_consts:
+                if isinstance(const, types.CodeType):
+                    yield from nested(const)
+
+        codes = set(nested(smith_decomposition.__code__))  # helpers and genexprs too
+        lines = {line for code in codes for *_, line in code.co_lines() if line is not None}
+        ran = set()
+
+        def trace_lines(frame, event, arg):
+            ran.add(frame.f_lineno)
+            return trace_lines
+
+        def trace_calls(frame, event, arg):
+            if frame.f_code in codes:
+                ran.add(frame.f_lineno)  # a def line runs no line event of its own
+                return trace_lines
+            return None
+
+        shapes = reference_shapes()
+        previous = sys.gettrace()
+        sys.settrace(trace_calls)
+        try:
+            for mat in shapes:
+                smith_decomposition(mat)
+        finally:
+            sys.settrace(previous)
+        assert sorted(lines - ran) == []
 
 
 class TestKernelMod:
