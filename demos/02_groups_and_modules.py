@@ -47,11 +47,11 @@ print()
 # ----------------------------------------------------------------------
 order2 = [h for h in cyclic_subgroups(klein) if h.order == 2][0]
 res = restrict(ring, order2)
-print("ring restricted to an order-2 subgroup acts by:", res.action[1])
+print("ring restricted to an order-2 subgroup acts by:", res.act_matrix(1))
 
 plain_dual = dual_module(ideal)
 print("dual action(g) is transpose of action(g^-1):",
-      plain_dual.action[1] == tuple(zip(*ideal.action[klein.inverse(1)])))
+      plain_dual.act_matrix(1) == tuple(zip(*ideal.act_matrix(klein.inverse(1)))))
 
 # a quadratic character twist: the nontrivial map Z/2 x Z/2 -> {1, 3} mod 4
 chi = {0: 1, 1: 3, 2: 1, 3: 3}

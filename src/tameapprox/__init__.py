@@ -71,7 +71,6 @@ from .arithmetic import (
     legendre,
     local_square,
     sigma0_biquadratic,
-    squarefree_part,
 )
 
 __version__ = "0.1.0"
@@ -90,5 +89,5 @@ __all__ = [
     "Certificate", "KummerPair", "LocalSquareClass", "SearchBoundError",
     "certify", "decomposition_subgroup", "factorize", "find_p", "find_q",
     "is_ellth_power_residue", "is_prime", "kronecker", "legendre",
-    "local_square", "sigma0_biquadratic", "squarefree_part",
+    "local_square", "sigma0_biquadratic",
 ]

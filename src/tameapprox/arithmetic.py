@@ -56,19 +56,6 @@ def is_squarefree(n):
     return all(e == 1 for e in factorize(n).values())
 
 
-def squarefree_part(n):
-    """The squarefree integer with the same class in Q*/Q*^2."""
-    n = int(n)
-    if n == 0:
-        raise ValueError("0 has no squarefree part")
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factorize(n).items():
-        if e % 2:
-            out *= p
-    return out
-
-
 def legendre(a, p):
     """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
     p = int(p)

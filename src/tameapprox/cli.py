@@ -13,13 +13,13 @@ strict grammar: exact long flags given as `--flag value` or `--flag=value`,
 `type`, `choices`, `required`, `store_true`, `append` and defaults (a string
 default passes through `type`, as in argparse).  Anything else -- `-h`, an
 abbreviated or unknown flag, a missing value or one that starts with `-`, a
-value that fails its type or choices, a missing required option, `--` --
-goes to argparse (`command_parser`, or `build_parser` when no command is
-named), so help, usage errors and exit codes are argparse's own.  The
-invariant: for every argv the fast parse accepts, its namespace equals
-`command_parser(name).parse_args(argv)` (`vars` compared).  argparse is
-imported only on the second path: its first use in a process (it imports
-`gettext` and then `locale`) costs more than most commands' cohomology.
+value that fails its type or choices, a missing required option, `--`, or
+no command name at all -- goes to argparse, `build_parser().parse_args(argv)`,
+so help, usage errors and exit codes are argparse's own.  The invariant: for
+every argv the fast parse accepts,
+`vars(_fast_parse(name, argv)) == vars(build_parser().parse_args([name, *argv]))`.
+argparse is imported only on the second path: its first use in a process (it
+imports `gettext` and then `locale`) costs more than most commands' cohomology.
 """
 
 from __future__ import annotations
@@ -239,10 +239,16 @@ def _cmd_find_params(args, limit):
     ell, n = args.ell, args.n
     if ell is None or n is None:
         raise UsageError("find-params requires --ell and --n")
-    if args.p is not None:
-        p = args.p
-    else:
+    if args.p is None:
         p = find_p(ell, n, start=args.start)
+    else:
+        p = args.p
+        if n < 1:
+            raise UsageError("n must be >= 1")
+        # certify refutes a p outside the progression, and find_q sees only
+        # p mod ell; an ell below 2 is left to find_q, which refuses it
+        if ell > 1 and p % ell ** n != 1:
+            raise UsageError(f"--p {p} fails p == 1 (mod {ell}^{n} = {ell ** n})")
     q = find_q(ell, p, bound=args.search_bound)
     report = {
         "command": "find-params",
@@ -360,9 +366,10 @@ class _Declared(dict):
 
 
 def _fast_parse(name, argv):
-    """`command_parser(name).parse_args(argv)` as a namespace with the same
-    `vars`, read straight from the command's declarations; None when `argv`
-    leaves the strict grammar of the module docstring or would fail to parse."""
+    """`build_parser().parse_args([name, *argv])` as a namespace with the
+    same `vars`, read straight from the command's declarations; None when
+    `argv` leaves the strict grammar of the module docstring or would fail
+    to parse."""
     declared = _Declared()
     _COMMANDS[name].add_options(declared)
     dest = {flag: flag[2:].replace("-", "_") for flag in declared}
@@ -408,28 +415,27 @@ def _fast_parse(name, argv):
 
 
 def build_parser():
-    """The parser of every command, for `tameapprox -h` and usage errors."""
+    """The parser of every command, for each argv the fast parse declines:
+    `tameapprox -h`, help, usage errors and abbreviated flags."""
     import argparse
+
+    class CommandParser(argparse.ArgumentParser):
+        # a command reports its unrecognized arguments under its own usage
+        # line; argparse would leave them to the top-level parser's
+        def parse_known_args(self, args=None, namespace=None):
+            namespace, extras = super().parse_known_args(args, namespace)
+            if extras:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            return namespace, extras
 
     parser = argparse.ArgumentParser(
         prog="tameapprox",
         description="Certified counterexamples to tame approximation via"
                     " Tate-Shafarevich restriction kernels.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=CommandParser)
     for name, command in _COMMANDS.items():
         command.add_options(sub.add_parser(name, help=command.help))
-    return parser
-
-
-def command_parser(name):
-    """The parser of command `name` alone; parses the arguments after the
-    command name to the same Namespace as `build_parser()` parses the whole."""
-    import argparse
-
-    parser = argparse.ArgumentParser(prog=f"tameapprox {name}")
-    _COMMANDS[name].add_options(parser)
-    parser.set_defaults(command=name)
     return parser
 
 
@@ -452,12 +458,10 @@ def run(args):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    # Building every command's parser costs more than parsing; a known
-    # command name needs only its own, and argparse only when the fast parse
-    # declines.
+    args = None
     if argv and argv[0] in _COMMANDS:
-        args = _fast_parse(argv[0], argv[1:]) or command_parser(argv[0]).parse_args(argv[1:])
-    else:
+        args = _fast_parse(argv[0], argv[1:])
+    if args is None:  # argparse, only for what the fast parse declines
         args = build_parser().parse_args(argv)
     try:
         return run(args)

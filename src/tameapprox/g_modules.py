@@ -15,12 +15,11 @@ group ring stores one entry per row (a permutation), the augmentation ideal
 at most 2r per element, and the engine reads these rows only, so its work
 per element is the number of nonzeros, not r^2.  `GModule._matrix` is the
 one place dense rows are built, for a group-ring element sum k g acting on
-M; `GModule.act_matrix(g)` and the `GModule.action` view read through it.
+M; `GModule.act_matrix(g)`, the one dense reader, reads through it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from math import gcd
 from operator import mul
 
@@ -142,11 +141,6 @@ class GModule:
         """The dense r x r matrix of g, with residues in [0, m)."""
         return tuple(map(tuple, self._matrix(((g, 1),))))
 
-    @property
-    def action(self):
-        """Dense view: `action[g]` is `act_matrix(g)`, built when read."""
-        return _DenseAction(self)
-
     def act(self, g, vec):
         m = self.modulus
         return tuple(sum(a * vec[j] for j, a in row) % m for row in self.action_rows[g])
@@ -157,26 +151,6 @@ class GModule:
 
     def __repr__(self):
         return f"GModule({self.label}, |G|={self.group.order})"
-
-
-class _DenseAction(Sequence):
-    """The dense matrices of a module, one per element, built on each read."""
-
-    __slots__ = ("_module",)
-
-    def __init__(self, module):
-        self._module = module
-
-    def __len__(self):
-        return len(self._module.action_rows)
-
-    def __getitem__(self, g):
-        return self._module.act_matrix(g)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
 
 
 class ModuleMap:
@@ -210,8 +184,11 @@ class ModuleMap:
         self.matrix = mat
 
     def apply(self, vec):
+        vec = list(vec)
+        if len(vec) != self.source.rank:
+            raise ValueError(f"vector length {len(vec)} does not match {self.source.rank} columns")
         m = self.target.modulus
-        return tuple(x % m for x in self.matrix.mul_vector(vec))
+        return tuple(sum(map(mul, row, vec)) % m for row in self.matrix._data)
 
 
 # Keyed by (group, modulus); a Group hashes by its table, so an equal group

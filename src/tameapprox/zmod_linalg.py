@@ -74,20 +74,6 @@ class IntMatrix:
         return cls(n, m, [x for r in rows for x in r])
 
     @classmethod
-    def from_columns(cls, col_seq, dim=None):
-        """Build from a list of column vectors; `dim` disambiguates the empty list."""
-        cols = [list(c) for c in col_seq]
-        if not cols:
-            if dim is None:
-                raise ValueError("dim is required for an empty column list")
-            return cls(dim, 0, [])
-        n = len(cols[0])
-        for j, c in enumerate(cols):
-            if len(c) != n:
-                raise ValueError(f"column {j} has {len(c)} entries, expected {n}")
-        return cls(n, len(cols), [cols[j][i] for i in range(n) for j in range(len(cols))])
-
-    @classmethod
     def identity(cls, n):
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
 
@@ -141,12 +127,6 @@ class IntMatrix:
                 out.append([sum(a * b for a, b in zip(arow, bcol)) for bcol in bt])
             return IntMatrix(self.rows, other.cols, [x for r in out for x in r])
         return NotImplemented
-
-    def mul_vector(self, vec):
-        vec = list(vec)
-        if len(vec) != self.cols:
-            raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
-        return tuple(sum(a * v for a, v in zip(row, vec)) for row in self._data)
 
     def mod(self, m):
         return IntMatrix(self.rows, self.cols, [x % m for row in self._data for x in row])
@@ -515,13 +495,14 @@ def kernel_mod(mat, modulus):
 
     One reduction of the transpose per prime power of the modulus
     (`_kernel_vectors`).  Zero columns are dropped; an injective map yields
-    a 0-column matrix.
+    a `mat.cols x 0` matrix.
     """
     m = int(modulus)
     if m < 1:
         raise ValueError("modulus must be >= 1")
     at_rows = list(zip(*mat._data)) if mat.rows else [()] * mat.cols
-    return IntMatrix.from_columns(_kernel_vectors(at_rows, m), dim=mat.cols)
+    vecs = _kernel_vectors(at_rows, m)
+    return IntMatrix(mat.cols, len(vecs), [v[i] for i in range(mat.cols) for v in vecs])
 
 
 class _PrimePowerQuotient:

@@ -180,7 +180,7 @@ def brute_cocycles(group, module, count_only=False):
         gens = [x for x in range(n) if x != group.identity]
         tree = spanning_tree(group, gens)
     vectors = all_vectors(m, r)
-    action = module.action
+    action = [module.act_matrix(g) for g in range(n)]
     table = group.table
     e = group.identity
     found = [] if not count_only else None
@@ -213,7 +213,7 @@ def all_pairs_is_cocycle(group, module, rep):
     n, m = group.order, module.modulus
     return all(
         tuple(x % m for x in rep[group.table[g][h]])
-        == vec_add(rep[g], mat_vec(module.action[g], rep[h], m), m)
+        == vec_add(rep[g], mat_vec(module.act_matrix(g), rep[h], m), m)
         for g in range(n) for h in range(n)
     )
 
@@ -242,7 +242,7 @@ def brute_coboundaries(group, module):
     n, r, m = group.order, module.rank, module.modulus
     out = set()
     for a in all_vectors(m, r):
-        cob = tuple(vec_sub(mat_vec(module.action[g], a, m), a, m) for g in range(n))
+        cob = tuple(vec_sub(mat_vec(module.act_matrix(g), a, m), a, m) for g in range(n))
         out.add(cob)
     return out
 
@@ -251,7 +251,7 @@ def is_brute_coboundary(group, module, rep):
     n, r, m = group.order, module.rank, module.modulus
     for a in all_vectors(m, r):
         if all(
-            tuple(rep[g]) == vec_sub(mat_vec(module.action[g], a, m), a, m)
+            tuple(rep[g]) == vec_sub(mat_vec(module.act_matrix(g), a, m), a, m)
             for g in range(n)
         ):
             return True
@@ -480,8 +480,8 @@ def dense_quotient_presentation(sub_gens, amb_gens, m):
                  for i, d in enumerate(delta) if d >= 2)
 
     def coordinates(vector):
-        c = [yi // di for yi, di in zip(u_amb.mul_vector(vector), diag)]
-        full = u_rel.mul_vector(c)
+        c = [yi // di for yi, di in zip(int_mat_vec(u_amb, vector), diag)]
+        full = int_mat_vec(u_rel, c)
         return tuple(full[i] % d for i, d in enumerate(delta) if d >= 2)
 
     return factors, gens, coordinates
@@ -695,6 +695,18 @@ class SpanQuotientPresentation:
 def as_matrix(rows, cols):
     """The IntMatrix with these rows, `cols` wide (which a 0-row list needs)."""
     return IntMatrix(len(rows), cols, [x for row in rows for x in row])
+
+
+def as_columns(cols, dim):
+    """The IntMatrix with these columns, each `dim` long (which an empty list needs)."""
+    assert all(len(col) == dim for col in cols)
+    return IntMatrix(dim, len(cols), [col[i] for i in range(dim) for col in cols])
+
+
+def int_mat_vec(mat, vec):
+    """mat @ vec over Z, for an IntMatrix `mat` and a vector as long as it is wide."""
+    assert len(vec) == mat.cols
+    return tuple(sum(a * v for a, v in zip(row, vec)) for row in mat._data)
 
 
 def old_pair_quotient(a_rows, b_rows, m):

@@ -21,7 +21,6 @@ from tameapprox.arithmetic import (
     legendre,
     local_square,
     sigma0_biquadratic,
-    squarefree_part,
     _cyclic_over_ell_holds,
     _disjoint_from_ell_holds,
     _ellth_power_locally_holds,
@@ -80,11 +79,6 @@ class TestFactorization:
         assert factorize(360) == {2: 3, 3: 2, 5: 1}
         assert factorize(-17) == {17: 1}
         assert factorize(2 ** 32 + 1) == {641: 1, 6700417: 1}
-
-    def test_squarefree_part(self):
-        assert squarefree_part(60) == 15
-        assert squarefree_part(-12) == -3
-        assert squarefree_part(49) == 1
 
 
 class TestResidueSymbols:

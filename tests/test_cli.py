@@ -202,6 +202,23 @@ class TestVerificationCommands:
         report = json.loads(out)
         assert (report["p"], report["q"]) == ("3", "17")
 
+    @pytest.mark.parametrize("ell, n, p, err", [
+        ("2", "2", "7", "error: --p 7 fails p == 1 (mod 2^2 = 4)\n"),
+        ("3", "2", "7", "error: --p 7 fails p == 1 (mod 3^2 = 9)\n"),
+        ("2", "0", "3", "error: n must be >= 1\n"),
+    ])
+    def test_find_params_refuses_p_outside_the_progression(self, capsys, ell, n, p, err):
+        # certify would refute each pair at p_congruence or n_positive
+        assert run_cli(capsys, "find-params", "--ell", ell, "--n", n, "--p", p) == (2, "", err)
+
+    def test_find_params_given_p_is_certified(self, capsys):
+        for ell, n, p in (("2", "2", "5"), ("3", "1", "7")):
+            status, out, _ = run_cli(capsys, "find-params", "--ell", ell, "--n", n, "--p", p)
+            assert status == 0 and json.loads(out)["p"] == p
+            q = json.loads(out)["q"]
+            status, out, _ = run_cli(capsys, "certify", "--ell", ell, "--n", n, "--p", p, "--q", q)
+            assert (status, json.loads(out)["conclusion"]) == (0, "certified"), (ell, n, p, q)
+
 
 class TestGroupSources:
     def test_group_json_file(self, capsys, tmp_path):
@@ -386,8 +403,9 @@ def exits(capsys, parse):
 
 
 class TestCommandParsers:
-    """`main` builds the parser of the named command alone, and it parses the
-    arguments after the name as the parser of every command parses the whole."""
+    """`main` reads a named command's arguments with the fast parse, and
+    leaves what it declines (help, usage errors, abbreviations) to
+    `build_parser`, the one argparse parser."""
 
     def test_cases_cover_every_command(self):
         assert list(PARSE_CASES) == list(cli._COMMANDS)
@@ -395,16 +413,16 @@ class TestCommandParsers:
     @pytest.mark.parametrize("argv", [[name] + args for name, cases in PARSE_CASES.items()
                                       for args in cases])
     def test_same_namespace(self, argv):
-        args = cli.command_parser(argv[0]).parse_args(argv[1:])
-        assert args == cli.build_parser().parse_args(argv)
+        args = cli._fast_parse(argv[0], argv[1:])
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
         assert args.command == argv[0]
 
     @pytest.mark.parametrize("name", list(PARSE_CASES))
     def test_same_help(self, capsys, name):
-        one = exits(capsys, lambda: cli.command_parser(name).parse_args(["-h"]))
         full = exits(capsys, lambda: cli.build_parser().parse_args([name, "-h"]))
-        assert one == full == exits(capsys, lambda: main([name, "--help"]))
-        assert one[0] == 0 and words(one[1]).startswith(f"usage: tameapprox {name} [-h]")
+        assert full == exits(capsys, lambda: main([name, "-h"]))
+        assert full == exits(capsys, lambda: main([name, "--help"]))
+        assert full[0] == 0 and words(full[1]).startswith(f"usage: tameapprox {name} [-h]")
 
     @pytest.mark.parametrize("argv", [["certify", "--ell", "x"], ["h1"], ["sigma0", "--a", "1"],
                                       ["h1", "--group", "builtin:z2", "--format", "xml"]])
@@ -414,9 +432,9 @@ class TestCommandParsers:
         assert status == 2 and words(err).startswith(f"usage: tameapprox {argv[0]} ")
 
     def test_known_command_builds_its_parser_only(self, capsys, monkeypatch):
+        # the fast parse reads the declarations: no argparse parser is built
         argv = ["sha-cyc", "--group", "builtin:z2", "--module", "trivial:2"]
         monkeypatch.setattr(cli, "build_parser", None)
-        monkeypatch.setattr(cli, "command_parser", None)
         monkeypatch.setattr(sys, "argv", ["tameapprox"] + argv)
         assert main() == 0  # argv=None reads sys.argv
         out = capsys.readouterr().out
@@ -444,6 +462,17 @@ class TestCommandParsers:
         assert (status, out) == (2, "")
         assert words(err).startswith("usage: tameapprox [-h]") and words(message) in words(err)
         assert (status, out, err) == exits(capsys, lambda: cli.build_parser().parse_args(argv))
+
+    def test_abbreviations_fall_back_to_argparse(self, capsys):
+        # argparse expands --search and --hensel; the fast parse reads --flag=value
+        golden = (GOLDEN_DIR / "certify_2_1_3.json").read_text()
+        fallback = ["certify", "--ell", "2", "--n", "1", "--p", "3",
+                    "--search", "4294967296", "--hensel", "8"]
+        fast = ["certify", "--ell=2", "--n=1", "--p=3"]
+        assert cli._fast_parse(fallback[0], fallback[1:]) is None
+        assert cli._fast_parse(fast[0], fast[1:]) is not None
+        for argv in (fallback, fast):
+            assert run_cli(capsys, *argv) == (0, golden, ""), argv
 
     def test_no_argv_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["tameapprox"])
@@ -524,6 +553,7 @@ class TestFastParse:
     every argv it accepts, the namespace is the one argparse gives."""
 
     def test_same_vars_as_argparse_or_declined(self):
+        parser = cli.build_parser()
         accepted = declined = 0
         for name, argv in declared_argvs():
             fast = cli._fast_parse(name, argv)
@@ -531,7 +561,7 @@ class TestFastParse:
                 declined += 1
                 continue
             accepted += 1
-            assert vars(fast) == vars(cli.command_parser(name).parse_args(argv)), (name, argv)
+            assert vars(fast) == vars(parser.parse_args([name, *argv])), (name, argv)
         assert accepted > 100 and declined > 100
 
     @pytest.mark.parametrize("argv", DECLINED)
@@ -555,7 +585,7 @@ class TestFastParse:
 
         monkeypatch.setitem(cli._COMMANDS, "probe", cli.Command("", add_options, None))
         args = cli._fast_parse("probe", ["--depth", "3"])
-        assert vars(args) == vars(cli.command_parser("probe").parse_args(["--depth", "3"]))
+        assert vars(args) == vars(cli.build_parser().parse_args(["probe", "--depth", "3"]))
         assert args.width == 7
         assert cli._fast_parse("probe", []) is None  # argparse rejects the default "x"
 
@@ -645,7 +675,8 @@ def malformed_groups(rng, group):
 def malformed_modules(rng, module):
     """Seeded module JSON objects that are wrong in type, shape or keys."""
     m, r = module.modulus, module.rank
-    action = {str(g): [list(row) for row in mat] for g, mat in enumerate(module.action)}
+    action = {str(g): [list(row) for row in module.act_matrix(g)]
+              for g in range(module.group.order)}
     valid = {"modulus": m, "rank": r, "action": action}
     g = str(rng.randrange(len(action)))
     mat = action[g]
@@ -722,7 +753,7 @@ class TestMalformedJson:
                                          "names": list(group.names)}))
             mpath.write_text(json.dumps({
                 "modulus": module.modulus, "rank": str(module.rank),
-                "action": {str(g): [list(row) for row in mat]
-                           for g, mat in enumerate(module.action)}}))
+                "action": {str(g): [list(row) for row in module.act_matrix(g)]
+                           for g in range(module.group.order)}}))
             status, _, err = run_cli(capsys, "h1", "--group", str(gpath), "--module", str(mpath))
             assert status == 0, err

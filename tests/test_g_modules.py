@@ -42,13 +42,18 @@ BUILTINS = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "z2xz4", "z3xz3",
             "z2xz2xz2", "s3", "q8"]
 
 
+def dense_action(module):
+    """The dense matrix of every element, in element order."""
+    return tuple(map(module.act_matrix, range(module.group.order)))
+
+
 def assert_action_homomorphism(module):
     g = module.group
     m = module.modulus
     for a in range(g.order):
         for b in range(g.order):
-            left = dense_mat_mul_mod(module.action[a], module.action[b], m)
-            assert left == module.action[g.table[a][b]]
+            left = dense_mat_mul_mod(module.act_matrix(a), module.act_matrix(b), m)
+            assert left == module.act_matrix(g.table[a][b])
 
 
 class TestGroupRing:
@@ -56,19 +61,19 @@ class TestGroupRing:
         g = cyclic_group(2)
         ring = group_ring(g, 4)
         assert ring.rank == 2
-        assert ring.action[1] == ((0, 1), (1, 0))
+        assert ring.act_matrix(1) == ((0, 1), (1, 0))
 
     def test_klein_permutation_module(self):
         ring = group_ring(builtin_group("klein4"), 4)
         assert ring.rank == 4
-        for mat in ring.action:
+        for mat in dense_action(ring):
             for row in mat:
                 assert sorted(row) == [0, 0, 0, 1]
 
     def test_actions_are_permutation_matrices(self):
         for name in ("z4", "s3", "q8"):
             ring = group_ring(builtin_group(name), 6)
-            for mat in ring.action:
+            for mat in dense_action(ring):
                 for row in mat:
                     assert sum(row) == 1 and set(row) <= {0, 1}
             assert_action_homomorphism(ring)
@@ -91,7 +96,7 @@ class TestAugmentationIdeal:
         # s*(s-1) = 1-s = -(s-1) == (s-1) mod 2
         ideal, _, _ = augmentation_ideal(cyclic_group(2), 2)
         assert ideal.rank == 1
-        assert ideal.action[1] == ((1,),)
+        assert ideal.act_matrix(1) == ((1,),)
 
     def test_size_formula(self):
         for name in ("klein4", "z2xz4", "s3"):
@@ -240,10 +245,10 @@ class TestModuleValidation:
         g = builtin_group("q8")
         first, second, j = g.generating_set()
         ring = group_ring(g, 8)
-        mat = ring.action[j]
+        mat = ring.act_matrix(j)
         for s, commutes in ((first, True), (second, False)):
-            left = dense_mat_mul_mod(ring.action[s], mat, 8)
-            assert (left == dense_mat_mul_mod(mat, ring.action[s], 8)) is commutes
+            left = dense_mat_mul_mod(ring.act_matrix(s), mat, 8)
+            assert (left == dense_mat_mul_mod(mat, ring.act_matrix(s), 8)) is commutes
         with pytest.raises(ValueError, match=f"commute with the action of element {second}$"):
             ModuleMap(ring, ring, IntMatrix.from_rows(mat))
 
@@ -323,7 +328,7 @@ class TestModuleValidation:
         g = cyclic_group(2)
         for action in ({0: [[1]], 1: [[3]]}, {0: [[1]], "1": [[3]]}):
             mod = module_from_json(g, {"modulus": 4, "rank": 1, "action": action})
-            assert tuple(mod.action) == (((1,),), ((3,),))
+            assert dense_action(mod) == (((1,),), ((3,),))
 
 
 class TestRestrict:
@@ -332,7 +337,7 @@ class TestRestrict:
         ring = group_ring(g, 4)
         res = restrict(ring, trivial_subgroup(g))
         assert res.group.order == 1
-        assert res.action[0] == tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+        assert res.act_matrix(0) == tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
     def test_full_group_is_same_module(self):
         # the module itself, so its cached H^1 serves the full subgroup too
@@ -348,7 +353,7 @@ class TestRestrict:
         sub = cyclic_subgroups(g)[1]
         res = restrict(ring, sub)
         assert res.group.order == 2
-        nontriv = res.action[1]
+        nontriv = res.act_matrix(1)
         moved = [i for i in range(4) if nontriv[i][i] == 0]
         assert len(moved) == 4  # no fixed basis vector
         for i in range(4):
@@ -368,11 +373,11 @@ class TestRestrict:
                                for i, x in enumerate(sub.elements))
                     ident = tuple(tuple(int(i == j) for j in range(module.rank))
                                   for i in range(module.rank))
-                    assert res.action[k.identity] == ident
+                    assert res.act_matrix(k.identity) == ident
                     for a in range(k.order):
                         for b in range(k.order):
-                            assert dense_mat_mul_mod(res.action[a], res.action[b], m) == \
-                                res.action[k.table[a][b]], (name, module.label, sub)
+                            assert dense_mat_mul_mod(res.act_matrix(a), res.act_matrix(b), m) == \
+                                res.act_matrix(k.table[a][b]), (name, module.label, sub)
 
 
 class TestDual:
@@ -380,13 +385,13 @@ class TestDual:
         g = builtin_group("klein4")
         triv = trivial_module(g, 4, rank=2)
         dual = dual_module(triv)
-        assert dual.action == triv.action
+        assert dense_action(dual) == dense_action(triv)
 
     def test_double_dual_restores_action(self):
         g = builtin_group("s3")
         ideal, _, _ = augmentation_ideal(g, 6)
         double = dual_module(dual_module(ideal))
-        assert double.action == ideal.action
+        assert dense_action(double) == dense_action(ideal)
         assert double.modulus == ideal.modulus
 
     def test_dual_is_transpose_inverse(self):
@@ -395,8 +400,8 @@ class TestDual:
         dual = dual_module(ideal)
         for x in range(g.order):
             inv = g.inverse(x)
-            src = ideal.action[inv]
-            assert dual.action[x] == tuple(
+            src = ideal.act_matrix(inv)
+            assert dual.act_matrix(x) == tuple(
                 tuple(src[j][i] % 4 for j in range(3)) for i in range(3)
             )
         assert_action_homomorphism(dual)
@@ -423,7 +428,7 @@ class TestDual:
         g = cyclic_group(2)
         triv = trivial_module(g, 4)
         twisted = dual_module(triv, {0: 1, 1: 3})
-        assert twisted.action[1] == ((3,),)
+        assert twisted.act_matrix(1) == ((3,),)
         assert_action_homomorphism(twisted)
 
     def test_dual_of_rank_zero_module(self):
@@ -474,10 +479,18 @@ class TestEquivariance:
             m = g.order
             ideal, incl, aug = augmentation_ideal(g, m)
             for x in range(g.order):
-                left = dense_mat_mul_mod(group_ring(g, m).action[x], incl.matrix._data, m)
-                right = dense_mat_mul_mod(incl.matrix._data, ideal.action[x], m)
+                left = dense_mat_mul_mod(group_ring(g, m).act_matrix(x), incl.matrix._data, m)
+                right = dense_mat_mul_mod(incl.matrix._data, ideal.act_matrix(x), m)
                 assert left == right
                 assert aug.apply(incl.matrix.column(0)) == (0,)
+
+    def test_apply_refuses_a_vector_of_the_wrong_length(self):
+        _, incl, aug = augmentation_ideal(builtin_group("klein4"), 4)
+        for f, good in ((incl, 3), (aug, 4)):
+            assert len(f.apply([1] * good)) == f.target.rank
+            for length in (0, good - 1, good + 1):
+                with pytest.raises(ValueError, match=f"vector length {length} does not match"):
+                    f.apply([1] * length)
 
     def test_generator_based_validation_large_group(self):
         g = cyclic_group(72)  # a bad matrix off the generating set is still caught
@@ -550,8 +563,8 @@ class TestSparseRows:
                 ideal, ring = _ideal_and_ring(group, m)
                 dense_ideal = dense_augmentation_ideal_action(group, m)
                 dense_ring = dense_group_ring_action(group, m)
-                assert tuple(ideal.action) == dense_ideal
-                assert tuple(ring.action) == dense_ring
+                assert dense_action(ideal) == dense_ideal
+                assert dense_action(ring) == dense_ring
                 # the dense constructor stores the same canonical rows
                 assert GModule(group, m, ideal.rank, dense_ideal).action_rows == ideal.action_rows
                 assert GModule(group, m, ring.rank, dense_ring).action_rows == ring.action_rows
@@ -566,7 +579,8 @@ class TestSparseRows:
                     probe._check_and_set(group, module.modulus, module.rank,
                                          module.action_rows, module.label)
                     assert probe.action_rows is module.action_rows
-                    assert module.action_rows == tuple(_sparse(mat, m) for mat in module.action)
+                    assert module.action_rows == tuple(_sparse(mat, m)
+                                                       for mat in dense_action(module))
 
     def test_rows_are_sparse(self):
         # the constructors have checked the canonical form; this bounds the size

@@ -20,6 +20,7 @@ from tameapprox.zmod_linalg import (
 )
 
 from oracle_helpers import (
+    as_columns,
     as_matrix,
     both_kernel_paths,
     both_quotient_paths,
@@ -27,6 +28,7 @@ from oracle_helpers import (
     coset_order_counts,
     dense_quotient_presentation,
     image_in_kernel,
+    int_mat_vec,
     old_pair_quotient,
     predicted_order_counts,
     reference_smith_decomposition,
@@ -219,10 +221,11 @@ class TestKernelMod:
 
     def test_injective_map_empty(self):
         gens = kernel_mod(IntMatrix.identity(3), 5)
-        assert gens.cols == 0
+        assert (gens.rows, gens.cols) == (3, 0)
         for m in RIDE_ALONG_MODULI:
             for mat in (IntMatrix.identity(3), IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])):
-                assert kernel_mod(mat, m).cols == 0
+                gens = kernel_mod(mat, m)
+                assert (gens.rows, gens.cols) == (mat.cols, 0)  # one row per column of mat
 
     def test_against_brute_force(self):
         rng = random.Random(42)
@@ -301,7 +304,7 @@ def assert_presentation_agrees(sub, amb, m, members):
         images = [oracle(gen) for gen in gens]
         relations = [[d * (i == j) for i in range(k)] for j, d in enumerate(factors)]
         *_, diagonal = reference_smith_decomposition(
-            IntMatrix.from_columns(images + relations), want_u=False, want_v=False)
+            as_columns(images + relations, k), want_u=False, want_v=False)
         assert diagonal == (1,) * k
     for j, gen in enumerate(gens):
         assert pres.coordinates(gen) == tuple(int(i == j) for i in range(k))
@@ -368,8 +371,8 @@ class TestQuotientStructure:
         for m, dim, amb_cols, sub_cols, amb_set in random_quotient_inputs():
             sub_set = span_mod(sub_cols, m, dim)
             s = quotient_structure(
-                IntMatrix.from_columns(sub_cols, dim=dim),
-                IntMatrix.from_columns(amb_cols, dim=dim),
+                as_columns(sub_cols, dim),
+                as_columns(amb_cols, dim),
                 m,
             )
             assert s.order == len(amb_set) // len(sub_set)
@@ -379,8 +382,8 @@ class TestQuotientStructure:
     def test_presentation_agrees_with_reference(self):
         for m, dim, amb_cols, sub_cols, amb_set in random_quotient_inputs():
             assert_presentation_agrees(
-                IntMatrix.from_columns(sub_cols, dim=dim),
-                IntMatrix.from_columns(amb_cols, dim=dim),
+                as_columns(sub_cols, dim),
+                as_columns(amb_cols, dim),
                 m, sorted(amb_set)[:40])
 
     def test_presentation_agrees_with_reference_larger(self):
@@ -391,14 +394,14 @@ class TestQuotientStructure:
             m = rng.choice([4, 8, 9, 16, 25, 27]) if trial < 40 else (6, 12, 36)[trial % 3]
             dim = rng.randint(2, 10)
             k = rng.randint(1, dim + 2)
-            amb = IntMatrix.from_columns(
+            amb = as_columns(
                 [[rng.choice((0, 0, 1, -1, rng.randint(0, m - 1))) for _ in range(dim)]
-                 for _ in range(k)])
+                 for _ in range(k)], dim)
 
             def member():
-                return amb.mul_vector([rng.randint(0, m - 1) for _ in range(k)])
+                return int_mat_vec(amb, [rng.randint(0, m - 1) for _ in range(k)])
 
-            sub = IntMatrix.from_columns([member() for _ in range(rng.randint(0, 3))], dim=dim)
+            sub = as_columns([member() for _ in range(rng.randint(0, 3))], dim)
             assert_presentation_agrees(sub, amb, m, [member() for _ in range(5)])
 
     def test_presentation_generators_and_coordinates(self):
@@ -468,14 +471,14 @@ class TestOperationLog:
             m = (4, 8, 9, 12, 25, 27, 36, 60)[trial % 8]
             dim = rng.randint(1, 9)
             k = rng.randint(1, dim + 2)
-            amb = IntMatrix.from_columns(
+            amb = as_columns(
                 [[rng.choice((0, 0, 1, -1, rng.randint(0, m - 1))) for _ in range(dim)]
-                 for _ in range(k)])
+                 for _ in range(k)], dim)
 
             def member():
-                return amb.mul_vector([rng.randint(0, m - 1) for _ in range(k)])
+                return int_mat_vec(amb, [rng.randint(0, m - 1) for _ in range(k)])
 
-            sub = IntMatrix.from_columns([member() for _ in range(rng.randint(0, 4))], dim=dim)
+            sub = as_columns([member() for _ in range(rng.randint(0, 4))], dim)
             vectors = ([amb.column(j) for j in range(k)] + [sub.column(j) for j in range(sub.cols)]
                        + [member() for _ in range(5)])
             logged, dense = both_quotient_paths(sub, amb, m, vectors)
