@@ -28,8 +28,6 @@ from .cohomology import PlaceRecord, dimension_shift_check, sha_sigma, verify_au
 from .finite_groups import (
     DEFAULT_ORDER_LIMIT,
     Subgroup,
-    cyclic_group,
-    direct_product,
     full_subgroup,
     product_of_prime_powers,
     subgroup_generated,
@@ -236,27 +234,20 @@ class KummerPair(_KummerPair):
         return ([2] if two_ramified else []) + odd
 
 
-def biquadratic_galois_group():
-    """Gal(Q(sqrt a, sqrt b)/Q) as Z/2 x Z/2.
-
-    Element index 2i + j is the automorphism sending sqrt a to (-1)^i sqrt a
-    and sqrt b to (-1)^j sqrt b.
-    """
-    return direct_product(cyclic_group(2), cyclic_group(2))
-
-
 def decomposition_subgroup(pair, place, group=None):
     """Decomposition subgroup at a place of Q, inside Z/2 x Z/2.
 
-    An automorphism lies in the local Galois group iff it fixes sqrt(d) for
-    every d in {a, b, ab} that is a square in Q_place, so the order is
-    4 / #(locally square classes among {1, a, b, ab}).  The three classes
-    are squarefree (KummerPair checks a and b; `third_class` multiplies
-    coprime squarefree factors), so they are not factored again: a*b may
-    exceed the 2**64 range of is_prime.
+    `group` is Gal(Q(sqrt a, sqrt b)/Q), `product_of_prime_powers(2, 1)` by
+    default: element index 2i + j is the automorphism sending sqrt a to
+    (-1)^i sqrt a and sqrt b to (-1)^j sqrt b.  An automorphism lies in the
+    local Galois group iff it fixes sqrt(d) for every d in {a, b, ab} that
+    is a square in Q_place, so the order is 4 / #(locally square classes
+    among {1, a, b, ab}).  The three classes are squarefree (KummerPair
+    checks a and b; `third_class` multiplies coprime squarefree factors), so
+    they are not factored again: a*b may exceed the 2**64 range of is_prime.
     """
     if group is None:
-        group = biquadratic_galois_group()
+        group = product_of_prime_powers(2, 1)
     elif group.order != 4 or group.exponent() != 2:
         raise ValueError("ambient group must be the Klein four-group")
     classes = [(1, 0, pair.a), (0, 1, pair.b), (1, 1, pair.third_class)]
@@ -282,7 +273,7 @@ def biquadratic_place_records(pair, group=None):
     Returns (records, witness_rows).
     """
     if group is None:
-        group = biquadratic_galois_group()
+        group = product_of_prime_powers(2, 1)
     ramified = set(pair.ramified_primes())
     scan = sorted({2} | {p for p in set(factorize(pair.a)) | set(factorize(pair.b))})
     records = []

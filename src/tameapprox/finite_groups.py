@@ -7,12 +7,13 @@ printed cocycles and JSON reports are reproducible.  Each subgroup, G
 itself included (`full_subgroup`), owns the one presentation the
 cohomology layer solves on (`Subgroup.presentation`): the polycyclic one
 read off the table if it is solvable, else the one read off its Cayley
-graph (`_cayley_presentation`).
+graph (`_cayley_presentation`), either one a `PcPresentation` NamedTuple.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from typing import NamedTuple
 
 DEFAULT_ORDER_LIMIT = 512
 
@@ -161,7 +162,7 @@ class Group:
         return f"Group(order={self.order})"
 
 
-class PcPresentation:
+class PcPresentation(NamedTuple):
     """A polycyclic presentation of a solvable group, checked against its table.
 
     `generators` g_1..g_d (element indices) with `relative_orders` r_i: the
@@ -178,18 +179,13 @@ class PcPresentation:
     `tree` lists the edges (g, i, g g_i) that build every normal form from
     the identity.  `_cayley_presentation` fills the same fields for a group
     that is not solvable, with `relative_orders` None; `Subgroup.presentation`
-    returns one or the other.  (A plain class:
-    importing `dataclasses` was most of a cold import, so no class of the
-    package uses it.)
+    returns one or the other.
     """
 
-    __slots__ = ("generators", "relative_orders", "relators", "tree")
-
-    def __init__(self, generators, relative_orders, relators, tree):
-        self.generators = generators
-        self.relative_orders = relative_orders
-        self.relators = relators
-        self.tree = tree
+    generators: tuple
+    relative_orders: tuple | None
+    relators: tuple
+    tree: tuple
 
 
 def _greedy_generators(group, elements):

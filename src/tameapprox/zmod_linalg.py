@@ -43,7 +43,8 @@ class NotInSpanError(ValueError):
 
 
 class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix, entries stored row-major.  Built from its
+    entries (a zero or diagonal matrix too), `from_rows` or `identity`."""
 
     __slots__ = ("rows", "cols", "_data")
 
@@ -76,16 +77,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
-    def diagonal(cls, diag):
-        diag = list(diag)
-        n = len(diag)
-        return cls(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
 
     @property
     def entries(self):
@@ -218,10 +209,6 @@ class SmithDecomposition(NamedTuple):
     diagonal: tuple
     rows: int
     cols: int
-
-    @property
-    def rank(self):
-        return sum(1 for d in self.diagonal if d != 0)
 
     @property
     def d(self):

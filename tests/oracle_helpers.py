@@ -449,6 +449,12 @@ def dense_mat_mul_mod(a, b, m):
     )
 
 
+def diagonal(diag):
+    """The square IntMatrix with `diag` on its diagonal."""
+    n = len(diag)
+    return IntMatrix(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
+
+
 def hstack(a, b):
     """[a | b] for matrices with the same number of rows."""
     assert a.rows == b.rows
@@ -464,7 +470,7 @@ def dense_quotient_presentation(sub_gens, amb_gens, m):
     ambient span.
     """
     dim = amb_gens.rows
-    m_block = IntMatrix.diagonal([m] * dim)
+    m_block = diagonal([m] * dim)
     flags = dict(want_u=True, want_u_inv=True, want_v=False)
     u_amb, u_amb_inv, _, _, diag = reference_smith_decomposition(
         hstack(amb_gens, m_block), **flags)
@@ -474,7 +480,7 @@ def dense_quotient_presentation(sub_gens, amb_gens, m):
     u_rel, u_rel_inv, _, _, delta = reference_smith_decomposition(
         IntMatrix.from_rows(coords), **flags)
     delta = delta[:dim]
-    w_prime = u_amb_inv @ IntMatrix.diagonal(diag) @ u_rel_inv
+    w_prime = u_amb_inv @ diagonal(diag) @ u_rel_inv
     factors = tuple(d for d in delta if d >= 2)
     gens = tuple(tuple(x % m for x in w_prime.column(i))
                  for i, d in enumerate(delta) if d >= 2)

@@ -7,7 +7,6 @@ from tameapprox import arithmetic, primes, zmod_linalg
 from tameapprox.arithmetic import (
     KummerPair,
     SearchBoundError,
-    biquadratic_galois_group,
     biquadratic_place_records,
     certify,
     decomposition_subgroup,
@@ -26,7 +25,12 @@ from tameapprox.arithmetic import (
     _ellth_power_locally_holds,
     _full_over_p_holds,
 )
-from tameapprox.finite_groups import DEFAULT_ORDER_LIMIT, Group, subgroup_generated
+from tameapprox.finite_groups import (
+    DEFAULT_ORDER_LIMIT,
+    Group,
+    product_of_prime_powers,
+    subgroup_generated,
+)
 from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, kernel_mod
 
 from oracle_helpers import (
@@ -216,7 +220,7 @@ class TestDecompositionSubgroups:
 
     def test_unramified_is_cyclic_generated_by_frobenius(self):
         pair = KummerPair(3, 17)
-        g = biquadratic_galois_group()
+        g = product_of_prime_powers(2, 1)
         for p in odd_primes_below(120):
             if p in (3, 17):
                 continue

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import subprocess
 import sys
@@ -513,9 +514,10 @@ def declared_flags(name):
 
 
 def declared_argvs():
-    """Every command with the PARSE_CASES argvs, the EDGE_CASES argvs, and
-    seeded random argvs: mostly its exact flags, some prefixes and strays, and
-    values that are good, odd or flag-like."""
+    """Every command with the PARSE_CASES argvs, the EDGE_CASES argvs,
+    `--flag=--` and `--flag --` for each declared flag, and seeded random
+    argvs: mostly its exact flags, some prefixes and strays, and values that
+    are good, odd or flag-like."""
     rng = random.Random(0xA59)
     values = ["1", "7", "json", "table", "builtin:z2", "2,3", "-1", "x", "", "-", "a=b", "=",
               "--", "-x", "--a", " 2"]
@@ -523,6 +525,8 @@ def declared_argvs():
         flags = list(declared_flags(name))
         noise = [f[:-1] for f in flags if len(f) > 3] + ["-h", "--", "--x", "x"]
         argvs = cases + [cases[0] + edge for edge in EDGE_CASES] + EDGE_CASES
+        argvs += [cases[0] + dashed for flag in flags
+                  for dashed in ([f"{flag}=--"], [flag, "--"])]
         for _ in range(300):
             argv = list(cases[0]) if rng.random() < 0.5 else []
             for _ in range(rng.randrange(1, 4)):
@@ -612,6 +616,40 @@ class TestFastParse:
         out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
                              text=True, check=True).stdout
         assert out == "[]\n"
+
+
+class TestDashDashValue:
+    """A value `--`, which argparse reads differently on each Python, is the
+    usage error for a missing value; no argv ends in a traceback."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["h1", "--group", "builtin:z2", "--output=--"], "--output"),
+        (["h1", "--group=--"], "--group"),
+        (["certify", "--ell=--", "--n", "1", "--p", "3"], "--ell"),
+    ])
+    def test_is_a_usage_error_as_a_process(self, tmp_path, argv, flag):
+        env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"))
+        proc = subprocess.run([sys.executable, "-m", "tameapprox.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert f"argument {flag}: " in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "--").exists()
+
+    def test_main_exits_0_1_or_2_on_every_declared_argv(self, capsys, tmp_path, monkeypatch):
+        # in tmp_path, where what one argv writes a later one may read as its group
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.LIMIT_ENV_VAR, raising=False)
+        parser = cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", lambda: parser)  # one build, not one per argv
+        for name, argv in declared_argvs():
+            try:
+                status = main([name, *argv])
+            except SystemExit as exc:  # argparse's own help and usage errors
+                status = exc.code
+                assert status in (0, 2), (name, argv)
+            assert status in (0, 1, 2), (name, argv, capsys.readouterr().err)
+            capsys.readouterr()
+        assert not (tmp_path / "--").exists()
 
 
 class TestLargeModuli:

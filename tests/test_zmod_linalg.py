@@ -27,6 +27,7 @@ from oracle_helpers import (
     brute_kernel_set,
     coset_order_counts,
     dense_quotient_presentation,
+    diagonal,
     image_in_kernel,
     int_mat_vec,
     old_pair_quotient,
@@ -153,7 +154,7 @@ def reference_shapes():
         return IntMatrix(rows, cols, entries)
 
     mats = [IntMatrix(r, c, []) for r, c in ((0, 0), (0, 5), (7, 0))]
-    mats += [IntMatrix.diagonal(d) for d in ([2, 3], [6, 4, 9], [0, 5, 10])]
+    mats += [diagonal(d) for d in ([2, 3], [6, 4, 9], [0, 5, 10])]
     for _ in range(90):
         rows, cols = rng.randint(0, 12), rng.randint(0, 12)
         mats.append(shape(rows, cols, rng.choice(("dense", "sparse", "low-rank")), 50, 3))
@@ -214,7 +215,7 @@ class TestKernelMod:
         assert span_mod([gens.column(j) for j in range(gens.cols)], 4, 1) == {(0,), (2,)}
 
     def test_zero_matrix_full_basis(self):
-        for mat in (IntMatrix.zero(2, 3), IntMatrix(0, 3, [])):
+        for mat in (IntMatrix(2, 3, [0] * 6), IntMatrix(0, 3, [])):
             gens = kernel_mod(mat, 6)
             assert span_mod([gens.column(j) for j in range(gens.cols)], 6, 3) == \
                 span_mod([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 6, 3)
