@@ -17,16 +17,22 @@ from random_modules import sweep_modules
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "certificate.schema.json"
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 REPO_DIR = Path(__file__).resolve().parent.parent
-# h1 printouts pinned byte for byte: file under tests/golden -> argv after "h1";
-# the A5 group file is named relative to the repository root, as in CI
-H1_GOLDENS = {
-    "h1_klein4_aug.json": ["--group", "builtin:klein4", "--module", "aug"],
-    "h1_q8_aug.json": ["--group", "builtin:q8", "--module", "aug"],
-    "h1_zlxzln_2_3_ring.json": ["--group", "builtin:zlxzln:2:3", "--module", "ring"],
-    "h1_s3_trivial_6.json": ["--group", "builtin:s3", "--module", "trivial:6"],
-    "h1_a5_aug.json": ["--group", "tests/golden/a5.json", "--module", "aug"],
-    "h1_klein4_aug.txt": ["--group", "builtin:klein4", "--module", "aug",
+# command printouts pinned byte for byte: file under tests/golden -> argv; the
+# A5 group file is named relative to the repository root, as in CI
+CLI_GOLDENS = {
+    "h1_klein4_aug.json": ["h1", "--group", "builtin:klein4", "--module", "aug"],
+    "h1_q8_aug.json": ["h1", "--group", "builtin:q8", "--module", "aug"],
+    "h1_zlxzln_2_3_ring.json": ["h1", "--group", "builtin:zlxzln:2:3", "--module", "ring"],
+    "h1_s3_trivial_6.json": ["h1", "--group", "builtin:s3", "--module", "trivial:6"],
+    "h1_a5_aug.json": ["h1", "--group", "tests/golden/a5.json", "--module", "aug"],
+    "h1_klein4_aug.txt": ["h1", "--group", "builtin:klein4", "--module", "aug",
                           "--format", "table"],
+    "sha_cyc_q8_aug.json": ["sha-cyc", "--group", "builtin:q8", "--module", "aug"],
+    "verify_lemma_z2xz4.json": ["verify-lemma", "--group", "builtin:z2xz4"],
+    "dimension_shift_s3_all.json": ["dimension-shift", "--group", "builtin:s3",
+                                    "--all-subgroups"],
+    "sigma0_3_17.json": ["sigma0", "--a", "3", "--b", "17"],
+    "find_params_3_1.json": ["find-params", "--ell", "3", "--n", "1"],
 }
 
 
@@ -101,14 +107,17 @@ class TestCertifyCommand:
             assert status == 0
             assert out.encode() == path.read_bytes(), path.name
 
-    def test_golden_h1_outputs(self, capsys, monkeypatch):
+    def test_golden_command_outputs(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_DIR)
-        assert sorted(p.name for p in (REPO_DIR / "tests" / "golden").glob("h1_*")) == \
-            sorted(H1_GOLDENS)
-        for name, argv in H1_GOLDENS.items():
-            status, out, err = run_cli(capsys, "h1", *argv)
+        golden_dir = REPO_DIR / "tests" / "golden"
+        # every golden but the demo printouts and the A5 group file is a command's
+        assert sorted(p.name for p in golden_dir.iterdir()
+                      if not p.name.startswith("demo_") and p.name != "a5.json") == \
+            sorted(CLI_GOLDENS)
+        for name, argv in CLI_GOLDENS.items():
+            status, out, err = run_cli(capsys, *argv)
             assert (status, err) == (0, ""), name
-            assert out.encode() == (REPO_DIR / "tests" / "golden" / name).read_bytes(), name
+            assert out.encode() == (golden_dir / name).read_bytes(), name
 
     def test_table_marks_a_partial_sigma0_only_with_its_statement(self, capsys):
         # ell = 4 is refuted before the place model runs, so there is no statement
