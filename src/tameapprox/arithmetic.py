@@ -285,7 +285,7 @@ def biquadratic_place_records(pair, group=None):
             "place": v,
             "ramified": v in ramified,
             "square_classes": {
-                str(d): _local_square_rule(d, v).is_square
+                d: _local_square_rule(d, v).is_square
                 for d in (pair.a, pair.b, pair.third_class)
             },
             "decomposition_order": sub.order,
@@ -377,66 +377,45 @@ class Certificate:
         return self.conclusion == "certified"
 
     def to_json_dict(self):
-        """Canonical JSON form; every integer is a decimal string."""
-        return {
-            "parameters": {
-                "ell": str(self.ell),
-                "n": str(self.n),
-                "p": str(self.p),
-                "q": None if self.q is None else str(self.q),
-            },
+        """Canonical JSON form, written by `_jsonify`."""
+        return _jsonify({
+            "parameters": {"ell": self.ell, "n": self.n, "p": self.p, "q": self.q},
             "field": self.field_desc,
-            "group": {
-                "description": f"Z/{self.ell}^{self.n} x Z/{self.ell}",
-                "order": str(self.group_order),
-                "exponent": str(self.group_exponent),
-            },
+            "group": {"description": f"Z/{self.ell}^{self.n} x Z/{self.ell}",
+                      "order": self.group_order, "exponent": self.group_exponent},
             "module": {
                 "description": f"augmentation ideal of (Z/{self.module_modulus})[G]",
-                "modulus": str(self.module_modulus),
-                "rank": str(self.module_rank),
-                "order_exponent": str(self.module_order_exponent),
+                "modulus": self.module_modulus, "rank": self.module_rank,
+                "order_exponent": self.module_order_exponent,
             },
             "checks": [
-                {
-                    "name": c.name,
-                    "statement": c.statement,
-                    "witness": _jsonify(c.witness),
-                    "pass": c.passed,
-                }
+                {"name": c.name, "statement": c.statement, "witness": c.witness,
+                 "pass": c.passed}
                 for c in self.checks
             ],
-            "sigma0": {
-                "labels": [str(v) for v in self.sigma0_labels],
-                "exact": self.sigma0_exact,
-                "statement": self.sigma0_statement,
-            },
-            "places": _jsonify(self.places),
-            "sha": {
-                "cyc": _structure_json(self.sha_cyc),
-                "sigma0": _structure_json(self.sha_sigma0),
-                "sigma0_minus": {
-                    str(k): _structure_json(v) for k, v in self.sha_sigma0_minus.items()
-                },
-                "full": _structure_json(self.sha_full),
-            },
-            "designated_places": [str(v) for v in self.designated_places],
+            "sigma0": {"labels": self.sigma0_labels, "exact": self.sigma0_exact,
+                       "statement": self.sigma0_statement},
+            "places": self.places,
+            "sha": {"cyc": self.sha_cyc, "sigma0": self.sha_sigma0,
+                    "sigma0_minus": self.sha_sigma0_minus, "full": self.sha_full},
+            "designated_places": self.designated_places,
             "conclusion": self.conclusion,
             "conclusion_detail": self.conclusion_detail,
-        }
-
-
-def _structure_json(structure):
-    """The invariant factors of an AbGroupStructure as decimal strings; None
-    for a structure not computed."""
-    return None if structure is None else [str(d) for d in structure.invariant_factors]
+        })
 
 
 def _jsonify(value):
+    """The canonical JSON form of a report value, written here alone: every
+    integer a decimal string (64-bit consumers never overflow), an
+    AbGroupStructure its invariant factors, a tuple a list, a dict key a
+    string; bools, None and strings pass through.  Any other value, a
+    record included, is a bug in the report: an AssertionError."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, int):
         return str(value)
+    if isinstance(value, AbGroupStructure):
+        return [str(d) for d in value.invariant_factors]
     # exact types: a record is a tuple too, but has no canonical form as a list
     if type(value) in (list, tuple):
         return [_jsonify(v) for v in value]
@@ -536,16 +515,13 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     add("sha_cyc_value",
         f"Sha^1_cyc(G, I) = Z/{ell} (the f = n/e invariant of the order-{group.order},"
         f" exponent-{group.exponent()} group)",
-        {"computed": _structure_json(lemma.computed),
-         "expected": _structure_json(lemma.expected)},
+        {"computed": lemma.computed, "expected": lemma.expected},
         lemma.passed and lemma.computed == AbGroupStructure([ell]))
 
     shifts = dimension_shift_check(group)
     add("dimension_shift",
         "H^1(H, I|_H) = Z/|H| and H^1(H, (Z/m)[G]|_H) = 0 for every cyclic subgroup and for G",
-        [{"subgroup_order": r.subgroup.order,
-          "ideal_h1": _structure_json(r.ideal_h1),
-          "ring_h1": _structure_json(r.ring_h1)}
+        [{"subgroup_order": r.subgroup.order, "ideal_h1": r.ideal_h1, "ring_h1": r.ring_h1}
          for r in shifts],
         all(r.passed for r in shifts))
 
@@ -564,19 +540,18 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     add("sigma0_kernel_is_cyclic_kernel",
         "the restriction kernel for Sigma_0 equals the cyclic-subgroup kernel"
         " (finite model of the omega identity)",
-        {"sigma0_kernel": _structure_json(sha_s0.structure)},
+        {"sigma0_kernel": sha_s0.structure},
         sha_s0.structure == lemma.computed)
     add("sha_quotient_nontrivial",
         "Sha^1_{Sigma_0}(k, I) != Sha^1(k, I), so approximation fails in Sigma_0",
-        {"sigma0_kernel": _structure_json(sha_s0.structure),
-         "full_kernel": _structure_json(sha_full.structure)},
+        {"sigma0_kernel": sha_s0.structure, "full_kernel": sha_full.structure},
         sha_s0.structure != sha_full.structure)
     for key in designated:
         rest = [v for v in designated if v != key]
         cert.sha_sigma0_minus[key] = sha_sigma(group, ideal, records, excluded=rest).structure
         add(f"removal:{key}",
             f"Sha^1 for Sigma_0 minus {{{key}}} equals Sha^1, so approximation holds there",
-            {"kernel": _structure_json(cert.sha_sigma0_minus[key])},
+            {"kernel": cert.sha_sigma0_minus[key]},
             cert.sha_sigma0_minus[key] == sha_full.structure)
 
     if all(c.passed for c in checks):

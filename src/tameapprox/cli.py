@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Every command emits a machine-readable JSON report (the canonical format;
-all integers are decimal strings so 64-bit consumers never overflow) or a
-human-readable table derived from it.  Exit status: 0 = success/certified,
+Every command builds its report from native values and emits it as
+machine-readable JSON (the canonical format, written by `arithmetic._jsonify`:
+all integers are decimal strings so 64-bit consumers never overflow) or as a
+human-readable table.  Exit status: 0 = success/certified,
 1 = a verification or certification failed, 2 = input or usage error,
 3 = internal error (a failed invariant of the engine, not of the input).
 
@@ -38,7 +39,6 @@ from .arithmetic import (
     SearchBoundError,
     _biquadratic_model,
     _jsonify,
-    _structure_json,
     certify,
     find_p,
     find_q,
@@ -102,10 +102,13 @@ def _load_module(spec, group, modulus):
 
 
 def _cocycle_json(group, rep):
-    return {group.names[g]: [str(x) for x in rep[g]] for g in range(group.order)}
+    return {group.names[g]: rep[g] for g in range(group.order)}
 
 
 def _emit(args, report, table_lines):
+    # before the format is read, so that a value with no canonical form is
+    # an internal error in table mode too
+    report = _jsonify(report)
     if args.format == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
@@ -125,11 +128,10 @@ def _cmd_h1(args, limit):
                zip(result.structure.invariant_factors, result.presentation.generator_columns)]
     report = {
         "command": "h1",
-        "group": {"source": args.group, "order": str(group.order)},
-        "module": {"label": module.label, "modulus": str(module.modulus),
-                   "rank": str(module.rank)},
-        "structure": _structure_json(result.structure),
-        "cocycles": [{"order": str(order), "values": _cocycle_json(group, rep)}
+        "group": {"source": args.group, "order": group.order},
+        "module": {"label": module.label, "modulus": module.modulus, "rank": module.rank},
+        "structure": result.structure,
+        "cocycles": [{"order": order, "values": _cocycle_json(group, rep)}
                      for order, rep in classes],
     }
     lines = [f"H^1 structure: {result.structure}"]
@@ -146,10 +148,9 @@ def _cmd_sha_cyc(args, limit):
     structure = sha_cyc(group, module)
     report = {
         "command": "sha-cyc",
-        "group": {"source": args.group, "order": str(group.order)},
-        "module": {"label": module.label, "modulus": str(module.modulus),
-                   "rank": str(module.rank)},
-        "structure": _structure_json(structure),
+        "group": {"source": args.group, "order": group.order},
+        "module": {"label": module.label, "modulus": module.modulus, "rank": module.rank},
+        "structure": structure,
     }
     return 0, report, [f"Sha^1_cyc structure: {structure}"]
 
@@ -159,11 +160,8 @@ def _cmd_verify_lemma(args, limit):
     rep = verify_augmentation_lemma(group)
     report = {
         "command": "verify-lemma",
-        "group": {"source": args.group, "order": str(rep.order),
-                  "exponent": str(rep.exponent)},
-        "expected": _structure_json(rep.expected),
-        "computed": _structure_json(rep.computed),
-        "pass": rep.passed,
+        "group": {"source": args.group, "order": rep.order, "exponent": rep.exponent},
+        "expected": rep.expected, "computed": rep.computed, "pass": rep.passed,
     }
     lines = [
         f"group order n = {rep.order}, exponent e = {rep.exponent}, f = n/e = {rep.order // rep.exponent}",
@@ -192,16 +190,12 @@ def _cmd_dimension_shift(args, limit):
     all_pass = all(r.passed for r in reports)
     report = {
         "command": "dimension-shift",
-        "group": {"source": args.group, "order": str(group.order)},
+        "group": {"source": args.group, "order": group.order},
         "subgroups": [
-            {
-                "order": str(r.subgroup.order),
-                "elements": [group.names[x] for x in r.subgroup.elements],
-                "ideal_h1": _structure_json(r.ideal_h1),
-                "ideal_expected": _structure_json(r.ideal_expected),
-                "ring_h1": _structure_json(r.ring_h1),
-                "pass": r.passed,
-            }
+            {"order": r.subgroup.order,
+             "elements": [group.names[x] for x in r.subgroup.elements],
+             "ideal_h1": r.ideal_h1, "ideal_expected": r.ideal_expected,
+             "ring_h1": r.ring_h1, "pass": r.passed}
             for r in reports
         ],
         "pass": all_pass,
@@ -219,16 +213,13 @@ def _cmd_dimension_shift(args, limit):
 
 def _cmd_sigma0(args, limit):
     _, witnesses, labels, *_ = _biquadratic_model(args.a, args.b)
-    sigma0 = [str(v) for v in labels]
-    report = {
-        "command": "sigma0",
-        "a": str(args.a),
-        "b": str(args.b),
-        "sigma0": sigma0,
-        "places": _jsonify(witnesses),
-    }
-    lines = [f"Sigma_0(Q, I) for Q(sqrt {args.a}, sqrt {args.b}): {{{', '.join(sigma0)}}}"]
-    for w in witnesses:
+    # canonical before the table reads it, so a place row with no canonical
+    # form is an internal error in both formats
+    report = _jsonify({"command": "sigma0", "a": args.a, "b": args.b,
+                       "sigma0": labels, "places": witnesses})
+    lines = [f"Sigma_0(Q, I) for Q(sqrt {args.a}, sqrt {args.b}):"
+             f" {{{', '.join(report['sigma0'])}}}"]
+    for w in report["places"]:
         lines.append(
             f"place {w['place']:>6}: |D| = {w['decomposition_order']}"
             f" ({'cyclic' if w['cyclic'] else 'full, non-cyclic'})"
@@ -252,10 +243,7 @@ def _cmd_find_params(args, limit):
         if ell > 1 and p % ell ** n != 1:
             raise UsageError(f"--p {p} fails p == 1 (mod {ell}^{n} = {ell ** n})")
     q = find_q(ell, p, bound=args.search_bound)
-    report = {
-        "command": "find-params",
-        "ell": str(ell), "n": str(n), "p": str(p), "q": str(q),
-    }
+    report = {"command": "find-params", "ell": ell, "n": n, "p": p, "q": q}
     return 0, report, [f"ell = {ell}, n = {n}, p = {p}, q = {q}"]
 
 
