@@ -12,6 +12,7 @@ graph (`_cayley_presentation`), either one a `PcPresentation` NamedTuple.
 
 from __future__ import annotations
 
+from itertools import product
 from math import lcm
 from typing import NamedTuple
 
@@ -529,34 +530,19 @@ def cyclic_group(n):
 def direct_product(*groups):
     """Direct product; element index packs coordinates big-endian.
 
-    For G x H the element (a, b) has index a*|H| + b, and names "(na,nb)".
+    For G x H the element (a, b) has index a*|H| + b, and names "(na,nb)";
+    each factor's names are kept as they are, so a nested product reads
+    "(na,(nb,nc))".
     """
     if not groups:
         raise ValueError("direct product of no groups")
     if len(groups) == 1:
         return groups[0]
-    head, *rest = groups
-    tail = direct_product(*rest)
-    n1, n2 = head.order, tail.order
-    n = n1 * n2
-
-    def unpack(x):
-        return divmod(x, n2)
-
-    table = []
-    for x in range(n):
-        a1, b1 = unpack(x)
-        row = []
-        for y in range(n):
-            a2, b2 = unpack(y)
-            row.append(head.table[a1][a2] * n2 + tail.table[b1][b2])
-        table.append(row)
-
-    def merge_names(na, nb):
-        nb_inner = nb[1:-1] if nb.startswith("(") and nb.endswith(")") else nb
-        return f"({na},{nb_inner})"
-
-    names = [merge_names(head.names[unpack(x)[0]], tail.names[unpack(x)[1]]) for x in range(n)]
+    table = [[0]]
+    for g in groups:  # (x, a) has index x*|g| + a
+        m = g.order
+        table = [[t * m + c for t in row for c in g.table[a]] for row in table for a in range(m)]
+    names = ["(" + ",".join(parts) + ")" for parts in product(*(g.names for g in groups))]
     return Group(table, names)
 
 

@@ -111,6 +111,21 @@ class TestConstruction:
         assert {(66, False), (66, True), (68, False), (68, True)} <= set(verdicts)
         assert sum(not ok for _, ok in verdicts) > 50
 
+    def test_direct_product_keeps_each_factors_names(self):
+        # names are one tuple over all factors; a tail factor's parentheses stay
+        s3, z2 = builtin_group("s3"), cyclic_group(2)
+        assert direct_product(z2, s3).names[1] == "(0,(0 1 2))"
+        assert direct_product(s3, z2).names[2] == "((0 1 2),0)"
+        tail = group_from_json({"table": [[0, 1], [1, 0]], "names": ["a", "(a)"]})
+        assert direct_product(z2, tail).names == ("(0,a)", "(0,(a))", "(1,a)", "(1,(a))")
+        assert direct_product(z2, direct_product(z2, z2)).names[:2] == ("(0,(0,0))", "(0,(0,1))")
+        assert direct_product(z2, z2, z2).names[:2] == ("(0,0,0)", "(0,0,1)")
+        # indexing stays big-endian: (a, b) is a*|H| + b
+        g = direct_product(cyclic_group(3), cyclic_group(4))
+        assert g.names[4 * 2 + 3] == "(2,3)"
+        assert g.table[4 * 1 + 2][4 * 2 + 3] == 4 * 0 + 1
+
+
 
 def _intercalate_loop(rng, group, swaps):
     """The Cayley table of `group` (identity 0) after `swaps` random
