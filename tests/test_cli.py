@@ -10,6 +10,7 @@ import pytest
 
 from tameapprox import cli
 from tameapprox.cli import main
+from tameapprox.finite_groups import builtin_group
 from tameapprox.zmod_linalg import NotInSpanError, QuotientPresentation
 
 from random_modules import sweep_modules
@@ -76,6 +77,28 @@ class TestCertifyCommand:
                                  "--p", "3", "--q", "15")
         assert status == 1
         assert json.loads(out)["conclusion"] == "refuted: q_prime"
+
+    def test_late_refutation(self, capsys, monkeypatch):
+        # every hypothesis holds, and then a cohomology check fails: the one
+        # refutation that comes after the place model, still a verification
+        # (exit 1) with a certificate that meets the schema
+        from tameapprox import arithmetic
+        from tameapprox.zmod_linalg import AbGroupStructure
+        shift = arithmetic.dimension_shift_check
+
+        def broken_shift(group):
+            first, *rest = shift(group)
+            return [first._replace(ring_h1=AbGroupStructure([2])), *rest]
+
+        monkeypatch.setattr(arithmetic, "dimension_shift_check", broken_shift)
+        status, out, err = run_cli(capsys, "certify", "--ell", "2", "--n", "1", "--p", "3")
+        assert (status, err) == (1, "")
+        report = json.loads(out)
+        assert report["conclusion"] == "refuted: dimension_shift"
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["dimension_shift"]
+        assert report["sha"]["sigma0"] == ["2"]  # the later checks still ran
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(report, json.loads(SCHEMA_PATH.read_text()))
 
     def test_prime_above_64_bits_is_an_input_error(self, capsys):
         big = str(2 ** 64 + 13)  # the least prime above 2**64
@@ -349,8 +372,17 @@ class TestErrorHandling:
          "subgroup generator -1 is not an element index in 0..7"),
         (["h1", "--group", "builtin:z4", "--module", "trivial:1"], "modulus must be >= 2"),
         (["h1", "--group", "builtin:z4", "--module", "trivial:0"], "modulus must be >= 2"),
+        (["h1", "--group", "broken.json"], "group file 'broken.json' is not valid JSON"),
+        (["h1", "--group", "builtin:z2", "--module", "trivial:x"], "bad trivial module spec"),
+        (["sha-cyc", "--group", "builtin:zlxzln:2"], "expected zlxzln:<ell>:<n>"),
+        (["sha-cyc", "--group", "builtin:zlxzln:a:b"], "non-integer parameters"),
+        (["verify-lemma", "--group", "z3.json", "--limit", "2"],
+         "group order 3 exceeds the limit 2"),
     ])
-    def test_bad_input_names_its_parameter(self, capsys, argv, message):
+    def test_bad_input_names_its_parameter(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        Path("broken.json").write_text('{"table": [[0, 1], [1, 0]]')
+        Path("z3.json").write_text(json.dumps({"table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))
         status, out, err = run_cli(capsys, *argv)
         assert status == 2 and out == ""
         assert err.startswith("error: ") and message in err, err
@@ -377,6 +409,10 @@ class TestErrorHandling:
         monkeypatch.setenv("TAMEAPPROX_GROUP_LIMIT", "16")
         status, out, _ = run_cli(capsys, "verify-lemma", "--group", "builtin:q8")
         assert status == 0
+        monkeypatch.setenv("TAMEAPPROX_GROUP_LIMIT", "abc")
+        status, out, err = run_cli(capsys, "verify-lemma", "--group", "builtin:q8")
+        assert (status, out) == (2, "")
+        assert err == "error: TAMEAPPROX_GROUP_LIMIT must be an integer, got 'abc'\n"
 
 
 PARSE_CASES = {
@@ -751,6 +787,127 @@ def malformed_modules(rng, module):
         [valid],
     ]
     return cases
+
+
+# values a mutation writes in place of a JSON node: wrong types, bools, a
+# float, huge and negative integers, null, and empty lists and objects
+JUNK = [True, False, None, 1.5, -1, 0, 2 ** 70, "x", [], {}, [[]]]
+
+
+def json_paths(value, path=()):
+    """The path (keys and indices) of every node of a JSON value."""
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def intercalate_swap(rng, table):
+    """Swap an intercalate a b / b a of a Cayley table (rows and columns 0
+    kept): still a loop with identity 0, but in general not associative."""
+    n = len(table)
+    found = [(i, k, j, col) for i in range(1, n) for k in range(i + 1, n)
+             for j in range(1, n) for col in range(j + 1, n)
+             if table[i][j] == table[k][col] and table[i][col] == table[k][j]]
+    if found:
+        i, k, j, col = rng.choice(found)
+        for row in (table[i], table[k]):
+            row[j], row[col] = row[col], row[j]
+
+
+def mutated(rng, value):
+    """A deep copy of a JSON value with one to three seeded mutations: a node
+    set to JUNK, a key or an entry deleted, an integer moved out of range,
+    or (in a group table) an intercalate swapped."""
+    def junk():
+        return json.loads(json.dumps(rng.choice(JUNK)))  # a fresh copy, never shared
+
+    value = json.loads(json.dumps(value))
+    for _ in range(rng.randint(1, 3)):
+        if isinstance(value, dict) and isinstance(value.get("table"), list) \
+                and rng.random() < 0.2:
+            if all(isinstance(row, list) and len(row) == len(value["table"])
+                   for row in value["table"]):
+                intercalate_swap(rng, value["table"])
+            continue
+        paths = list(json_paths(value))[1:]
+        if not paths:
+            break
+        *parent_path, key = rng.choice(paths)
+        parent = value
+        for step in parent_path:
+            parent = parent[step]
+        node, kind = parent[key], rng.randrange(3)
+        if kind == 1:
+            del parent[key]
+        elif kind == 2 and type(node) is int:
+            parent[key] = rng.choice([node + 1, -node - 1, node + 64, len(parent)])
+        else:
+            parent[key] = junk()
+    return value
+
+
+def mutation_seeds():
+    """Valid (group JSON, module JSON or None) pairs: groups given as a table
+    (with and without names) and as permutations, and modules over them."""
+    z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    klein4 = [[a ^ b for b in range(4)] for a in range(4)]
+    q8 = builtin_group("q8")
+    return [
+        ({"table": z4, "names": ["e", "a", "a2", "a3"]},
+         {"modulus": 4, "rank": 1, "action": {"0": [[1]], "1": [[3]], "2": [[1]], "3": [[3]]}}),
+        ({"table": klein4},
+         {"modulus": 2, "rank": 2, "action": {str(g): [[1, 0], [0, 1]] if g % 2 == 0
+                                              else [[0, 1], [1, 0]] for g in range(4)}}),
+        ({"permutations": [[1, 2, 0], [1, 0, 2]]}, None),
+        ({"table": [list(row) for row in q8.table], "names": list(q8.names)}, None),
+    ]
+
+
+class TestJsonMutations:
+    """Seeded mutations of valid group and module JSON, run through `main`
+    on the commands that read them: every case ends in exit 0, 1 or 2, with
+    exit 1 only from a command that ran a verification, and never in an
+    internal error or an uncaught exception."""
+
+    COUNT = 100  # mutants of each group and of each module
+
+    def check(self, capsys, argv):
+        argv = [*argv, "--limit", "64"]
+        try:
+            status = main(argv)
+        except Exception as exc:  # the failure this harness looks for
+            pytest.fail(f"{argv}: uncaught {type(exc).__name__}: {exc}")
+        out, err = capsys.readouterr()
+        verifies = argv[0] in ("verify-lemma", "dimension-shift")
+        assert status in ((0, 1, 2) if verifies else (0, 2)), (argv, status, err)
+        if status == 2:
+            assert out == "" and err.startswith("error: "), (argv, err)
+        else:
+            assert err == "" and json.loads(out)["command"] == argv[0], (argv, err)
+        return status
+
+    def test_seeded_mutations(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.LIMIT_ENV_VAR, raising=False)
+        rng = random.Random(0x15A)
+        statuses = []
+        for group, module in mutation_seeds():
+            for _ in range(self.COUNT):
+                Path("group.json").write_text(json.dumps(mutated(rng, group)))
+                for command in ("h1", "sha-cyc", "verify-lemma", "dimension-shift"):
+                    statuses.append(self.check(capsys, [command, "--group", "group.json"]))
+            if module is None:
+                continue
+            Path("group.json").write_text(json.dumps(group))
+            for _ in range(self.COUNT):
+                Path("module.json").write_text(json.dumps(mutated(rng, module)))
+                for command in ("h1", "sha-cyc"):
+                    statuses.append(self.check(capsys, [command, "--group", "group.json",
+                                                        "--module", "module.json"]))
+        # the mutants reach both outcomes: some still load, most are refused
+        assert statuses.count(0) > 20 and statuses.count(2) > len(statuses) // 2
 
 
 class TestMalformedJson:
