@@ -794,15 +794,6 @@ def malformed_modules(rng, module):
 JUNK = [True, False, None, 1.5, -1, 0, 2 ** 70, "x", [], {}, [[]]]
 
 
-def json_paths(value, path=()):
-    """The path (keys and indices) of every node of a JSON value."""
-    yield path
-    items = value.items() if isinstance(value, dict) else \
-        enumerate(value) if isinstance(value, list) else ()
-    for key, child in items:
-        yield from json_paths(child, path + (key,))
-
-
 def intercalate_swap(rng, table):
     """Swap an intercalate a b / b a of a Cayley table (rows and columns 0
     kept): still a loop with identity 0, but in general not associative."""
@@ -831,14 +822,16 @@ def mutated(rng, value):
                    for row in value["table"]):
                 intercalate_swap(rng, value["table"])
             continue
-        paths = list(json_paths(value))[1:]
-        if not paths:
+        # a random walk down from the root that stops at each level below it
+        # with probability 1/2, so half the mutations hit a top-level key
+        parent, key, node = None, None, value
+        while isinstance(node, (dict, list)) and node and (key is None or rng.random() < 0.5):
+            parent, key = node, rng.choice(list(node) if isinstance(node, dict)
+                                           else range(len(node)))
+            node = parent[key]
+        if parent is None:
             break
-        *parent_path, key = rng.choice(paths)
-        parent = value
-        for step in parent_path:
-            parent = parent[step]
-        node, kind = parent[key], rng.randrange(3)
+        kind = rng.randrange(3)
         if kind == 1:
             del parent[key]
         elif kind == 2 and type(node) is int:
