@@ -33,6 +33,8 @@ CLI_GOLDENS = {
     "dimension_shift_s3_all.json": ["dimension-shift", "--group", "builtin:s3",
                                     "--all-subgroups"],
     "sigma0_3_17.json": ["sigma0", "--a", "3", "--b", "17"],
+    "sigma0_3_17.txt": ["sigma0", "--a", "3", "--b", "17", "--format", "table"],
+    "certify_2_1_3.txt": ["certify", "--ell", "2", "--n", "1", "--p", "3", "--format", "table"],
     "find_params_3_1.json": ["find-params", "--ell", "3", "--n", "1"],
 }
 
