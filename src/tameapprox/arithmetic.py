@@ -21,6 +21,8 @@ the places come from one of two place models:
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import NamedTuple
 
@@ -376,9 +378,10 @@ class Certificate:
     def certified(self):
         return self.conclusion == "certified"
 
-    def to_json_dict(self):
-        """Canonical JSON form, written by `_jsonify`."""
-        return _jsonify({
+    def report(self):
+        """The certificate as native report values, in canonical key order;
+        `_canonical_json` writes its bytes."""
+        return {
             "parameters": {"ell": self.ell, "n": self.n, "p": self.p, "q": self.q},
             "field": self.field_desc,
             "group": {"description": f"Z/{self.ell}^{self.n} x Z/{self.ell}",
@@ -401,27 +404,47 @@ class Certificate:
             "designated_places": self.designated_places,
             "conclusion": self.conclusion,
             "conclusion_detail": self.conclusion_detail,
-        })
+        }
+
+    def to_json_dict(self):
+        """The canonical JSON form as a dict: `json.loads` of the bytes that
+        `_canonical_json` writes for `report()`, so the two cannot differ."""
+        return json.loads(_canonical_json(self.report()))
 
 
-def _jsonify(value):
-    """The canonical JSON form of a report value, written here alone: every
-    integer a decimal string (64-bit consumers never overflow), an
-    AbGroupStructure its invariant factors, a tuple a list, a dict key a
-    string; bools, None and strings pass through.  Any other value, a
-    record included, is a bug in the report: an AssertionError."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
+def _canonical_json(value, newline="\n"):
+    """The canonical JSON text of a report value, written here alone, in one
+    pass: `json.dumps(..., indent=2)`'s layout and string escapes, with
+    every integer a decimal string (64-bit consumers never overflow), an
+    AbGroupStructure its invariant factors, a tuple a list and a dict key
+    `str(key)`; bools, None and strings are JSON's own.  Any other value, a
+    record included, is a bug in the report: an AssertionError.  `newline`
+    is the line break and indent that precede `value`'s closing bracket."""
+    if isinstance(value, str):
+        return _quote(value)
     if isinstance(value, int):
-        return str(value)
-    if isinstance(value, AbGroupStructure):
-        return [str(d) for d in value.invariant_factors]
-    # exact types: a record is a tuple too, but has no canonical form as a list
-    if type(value) in (list, tuple):
-        return [_jsonify(v) for v in value]
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return _quote(str(value))
+    if value is None:
+        return "null"
+    inner = newline + "  "
     if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    raise AssertionError(f"no canonical JSON form for {type(value).__name__}")
+        if not value:
+            return "{}"
+        # keys that name one string (1 and "1") keep the first's place and the last's value
+        items = {str(k): v for k, v in value.items()}.items()
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _canonical_json(v, inner) for k, v in items]) + newline + "}"
+    if isinstance(value, AbGroupStructure):
+        value = [str(d) for d in value.invariant_factors]
+    # exact types: a record is a tuple too, but has no canonical form as a list
+    elif type(value) not in (list, tuple):
+        raise AssertionError(f"no canonical JSON form for {type(value).__name__}")
+    if not value:
+        return "[]"
+    return "[" + inner + ("," + inner).join(
+        [_canonical_json(v, inner) for v in value]) + newline + "]"
 
 
 def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,

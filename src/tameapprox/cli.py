@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Every command builds its report from native values and emits it as
-machine-readable JSON (the canonical format, written by `arithmetic._jsonify`:
-all integers are decimal strings so 64-bit consumers never overflow) or as a
-human-readable table.  Exit status: 0 = success/certified,
-1 = a verification or certification failed, 2 = input or usage error,
-3 = internal error (a failed invariant of the engine, not of the input).
+machine-readable JSON (the canonical format, written in one pass by
+`arithmetic._canonical_json`: all integers are decimal strings so 64-bit
+consumers never overflow) or as a human-readable table.  Exit status:
+0 = success/certified, 1 = a verification or certification failed, 2 = input
+or usage error, 3 = internal error (a failed invariant of the engine, not of
+the input).
 
 Arguments are parsed on one of two paths, both from the same declarations
 (each command's `add_options`).  When the first argument names a command,
@@ -38,7 +39,7 @@ from typing import NamedTuple
 from .arithmetic import (
     SearchBoundError,
     _biquadratic_model,
-    _jsonify,
+    _canonical_json,
     certify,
     find_p,
     find_q,
@@ -106,13 +107,12 @@ def _cocycle_json(group, rep):
 
 
 def _emit(args, report, table_lines):
-    # before the format is read, so that a value with no canonical form is
-    # an internal error in table mode too
-    report = _jsonify(report)
-    if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    else:
-        text = "\n".join(table_lines) + "\n"
+    # written before the format is read, so that a value with no canonical
+    # form is an internal error in table mode too
+    text = _canonical_json(report)
+    if args.format == "table":
+        text = "\n".join(table_lines)
+    text += "\n"
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -213,19 +213,20 @@ def _cmd_dimension_shift(args, limit):
 
 def _cmd_sigma0(args, limit):
     _, witnesses, labels, *_ = _biquadratic_model(args.a, args.b)
-    # canonical before the table reads it, so a place row with no canonical
-    # form is an internal error in both formats
-    report = _jsonify({"command": "sigma0", "a": args.a, "b": args.b,
-                       "sigma0": labels, "places": witnesses})
-    lines = [f"Sigma_0(Q, I) for Q(sqrt {args.a}, sqrt {args.b}):"
-             f" {{{', '.join(report['sigma0'])}}}"]
-    for w in report["places"]:
-        lines.append(
-            f"place {w['place']:>6}: |D| = {w['decomposition_order']}"
-            f" ({'cyclic' if w['cyclic'] else 'full, non-cyclic'})"
-            f" ramified={w['ramified']}"
-        )
-    return 0, report, lines
+    report = {"command": "sigma0", "a": args.a, "b": args.b,
+              "sigma0": labels, "places": witnesses}
+
+    def lines():
+        # a generator: `_emit` writes the JSON first, so a place row with no
+        # canonical form is an internal error before the table reads it
+        yield (f"Sigma_0(Q, I) for Q(sqrt {args.a}, sqrt {args.b}):"
+               f" {{{', '.join(map(str, labels))}}}")
+        for w in witnesses:
+            yield (f"place {w['place']:>6}: |D| = {w['decomposition_order']}"
+                   f" ({'cyclic' if w['cyclic'] else 'full, non-cyclic'})"
+                   f" ramified={w['ramified']}")
+
+    return 0, report, lines()
 
 
 def _cmd_find_params(args, limit):
@@ -254,7 +255,7 @@ def _cmd_certify(args, limit):
                    search_bound=args.search_bound,
                    hensel_precision=args.hensel_precision,
                    group_limit=limit)
-    report = cert.to_json_dict()
+    report = cert.report()
     lines = [
         f"certificate for (ell, n, p, q) = ({cert.ell}, {cert.n}, {cert.p}, {cert.q})",
         f"field: {cert.field_desc}",

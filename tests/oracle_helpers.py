@@ -38,8 +38,11 @@ row operation, and U from an identity block) for the coordinate
 functionals and the generators replayed from the operation log,
 `reference_smith_decomposition` for the Smith reduction that carries
 its transforms as augmented rows and columns,
-and `two_branch_ellth_root` (a bit-flip lift for ell = 2 beside the digit
-search for odd ell) for the one Hensel loop of `ellth_root_in_zell`.
+`two_branch_ellth_root` (a bit-flip lift for ell = 2 beside the digit
+search for odd ell) for the one Hensel loop of `ellth_root_in_zell`,
+and `oracle_jsonify` (a report value converted to plain JSON values, then
+written by `json.dumps(..., indent=2)`) for the one-pass writer
+`_canonical_json`.
 """
 
 from itertools import product
@@ -1041,3 +1044,23 @@ def two_branch_ellth_root(q, ell, precision=8):
         mod = ell ** precision
     assert (pow(x, ell, mod) - q) % mod == 0
     return x % mod
+
+
+def oracle_jsonify(value):
+    """The canonical JSON form of a report value as plain JSON values, for
+    `json.dumps(..., indent=2)` to write: every integer a decimal string, an
+    AbGroupStructure its invariant factors, a tuple a list, a dict key a
+    string; bools, None and strings pass through.  Any other value, a
+    record included, raises an AssertionError."""
+    if isinstance(value, bool) or value is None or isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, AbGroupStructure):
+        return [str(d) for d in value.invariant_factors]
+    # exact types: a record is a tuple too, but has no canonical form as a list
+    if type(value) in (list, tuple):
+        return [oracle_jsonify(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): oracle_jsonify(v) for k, v in value.items()}
+    raise AssertionError(f"no canonical JSON form for {type(value).__name__}")

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from tameapprox import cli
+from tameapprox import arithmetic, cli
+from tameapprox.arithmetic import Certificate, certify
 from tameapprox.cli import main
 from tameapprox.finite_groups import builtin_group
 from tameapprox.zmod_linalg import NotInSpanError, QuotientPresentation
@@ -84,7 +85,6 @@ class TestCertifyCommand:
         # every hypothesis holds, and then a cohomology check fails: the one
         # refutation that comes after the place model, still a verification
         # (exit 1) with a certificate that meets the schema
-        from tameapprox import arithmetic
         from tameapprox.zmod_linalg import AbGroupStructure
         shift = arithmetic.dimension_shift_check
 
@@ -131,6 +131,31 @@ class TestCertifyCommand:
             status, out, _ = run_cli(capsys, "certify", "--ell", ell, "--n", n, "--p", p)
             assert status == 0
             assert out.encode() == path.read_bytes(), path.name
+
+    def test_to_json_dict_is_the_printed_certificate(self, capsys):
+        for path in sorted(GOLDEN_DIR.glob("certify_*_*_*.json")):
+            ell, n, p = map(int, path.stem.split("_")[1:])
+            _, out, _ = run_cli(capsys, "certify", "--ell", str(ell), "--n", str(n), "--p", str(p))
+            assert certify(ell, n, p).to_json_dict() == json.loads(out), path.name
+
+    def test_json_is_written_in_one_pass(self, capsys, monkeypatch):
+        # the CLI writes a certificate straight from its native values: no
+        # stdlib encoder, and no dict form of the certificate on the way
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CLI must not take this path")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setattr(json.JSONEncoder, "encode", refuse)
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+        monkeypatch.setattr(Certificate, "to_json_dict", refuse)
+        assert not hasattr(arithmetic, "_jsonify") and not hasattr(cli, "_jsonify")
+        argv = ["certify", "--ell", "2", "--n", "1", "--p", "3"]
+        for golden, extra in ((GOLDEN_DIR / "certify_2_1_3.json", []),
+                              (REPO_DIR / "tests" / "golden" / "certify_2_1_3.txt",
+                               ["--format", "table"])):
+            status, out, err = run_cli(capsys, *argv, *extra)
+            assert (status, err) == (0, ""), golden.name
+            assert out.encode() == golden.read_bytes(), golden.name
 
     def test_golden_command_outputs(self, capsys, monkeypatch):
         monkeypatch.chdir(REPO_DIR)

@@ -2,6 +2,8 @@
 Certificate, canonical JSON that never falls back on a repr, and a cold
 import that loads neither `dataclasses` nor `inspect`."""
 
+import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from tameapprox import cli
-from tameapprox.arithmetic import Certificate, KummerPair, _jsonify, certify, local_square
+from tameapprox.arithmetic import Certificate, KummerPair, _canonical_json, certify, local_square
 from tameapprox.cohomology import (
     PlaceRecord,
     dimension_shift_check,
@@ -20,6 +22,8 @@ from tameapprox.cohomology import (
 from tameapprox.finite_groups import builtin_group, full_subgroup
 from tameapprox.g_modules import augmentation_ideal
 from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, smith_decomposition
+
+from oracle_helpers import oracle_jsonify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -139,15 +143,59 @@ class TestCertificate:
         assert not cert.certified
 
 
+# what a JSON string escapes, or passes through only under ensure_ascii: a
+# quote, a backslash, control characters, non-ASCII and astral code points
+SEED_CHARS = '"\\/\x00\x01\x1f\x7f\b\f\n\r\tab z09-\u00e9\u2028\u2029\ufeff\U0001d11e\U0001f600'
+SEED_STRUCTURES = (AbGroupStructure(), AbGroupStructure([2]), AbGroupStructure([2, 4]),
+                   AbGroupStructure([3, 3, 9]))
+
+
+def seeded_value(rng, depth=0):
+    """A random report value: nested dicts, lists and tuples (empty ones too)
+    over strings, bools, None, integers of every sign and size and
+    AbGroupStructures, with str, int, bool and tuple dict keys, some of
+    which name the same string ("1" and 1)."""
+    kind = rng.randrange(10 if depth < 4 else 6)
+    if kind == 0:
+        return "".join(rng.choice(SEED_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice((True, False, None))
+    if kind == 2:
+        return rng.choice((0, -1, 1, 2 ** 63, 2 ** 64 + 13, -(2 ** 70))) + rng.randrange(-3, 4)
+    if kind in (3, 4):
+        return rng.randrange(-10 ** rng.randrange(1, 30), 10 ** rng.randrange(1, 30))
+    if kind == 5:
+        return rng.choice(SEED_STRUCTURES)
+    items = [seeded_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    keys = ("a", "1", "\u00e9\"", "", 1, -2, 2 ** 65, True, False, (1, "x"))
+    return {rng.choice(keys): v for v in items}
+
+
 class TestCanonicalJson:
     def test_plain_values(self):
-        assert _jsonify((1, [True, None], {2: "x"}, AbGroupStructure([2, 4]), AbGroupStructure())) \
-            == ["1", [True, None], {"2": "x"}, ["2", "4"], []]
+        value = (1, [True, None], {2: "x"}, AbGroupStructure([2, 4]), AbGroupStructure())
+        assert json.loads(_canonical_json(value)) == ["1", [True, None], {"2": "x"}, ["2", "4"], []]
+        assert _canonical_json(value) == json.dumps(oracle_jsonify(value), indent=2)
+
+    def test_matches_the_oracle_on_seeded_values(self):
+        # the one-pass writer against the old path: convert, then json.dumps
+        rng = random.Random(28)
+        values = [seeded_value(rng) for _ in range(500)]
+        for value in values:
+            assert _canonical_json(value) == json.dumps(oracle_jsonify(value), indent=2), value
+        text = "".join(map(_canonical_json, values))
+        assert '\\"' in text and "\\ud834\\udd1e" in text and '"18446744073709551629"' in text
+        assert "{}" in text and "[]" in text and "true" in text and "null" in text
 
     @pytest.mark.parametrize("value", [object(), 1.5, KummerPair(3, 17), [local_square(3, 17)]])
     def test_foreign_objects_fail(self, value):
-        with pytest.raises(AssertionError, match="no canonical JSON form"):
-            _jsonify(value)
+        for convert in (_canonical_json, oracle_jsonify):
+            with pytest.raises(AssertionError, match="no canonical JSON form"):
+                convert(value)
 
     def test_foreign_object_is_an_internal_error(self, capsys, monkeypatch):
         model = cli._biquadratic_model
@@ -157,10 +205,11 @@ class TestCanonicalJson:
             return (records, witnesses + [object()], *rest)
 
         monkeypatch.setattr(cli, "_biquadratic_model", leaky)
-        status = cli.main(["sigma0", "--a", "3", "--b", "17"])
-        captured = capsys.readouterr()
-        assert status == 3 and captured.out == ""
-        assert captured.err == "internal error: no canonical JSON form for object\n"
+        for fmt in ("json", "table"):
+            status = cli.main(["sigma0", "--a", "3", "--b", "17", "--format", fmt])
+            captured = capsys.readouterr()
+            assert status == 3 and captured.out == "", fmt
+            assert captured.err == "internal error: no canonical JSON form for object\n", fmt
 
 
 def test_cold_import_loads_neither_dataclasses_nor_inspect():
