@@ -36,6 +36,8 @@ CLI_GOLDENS = {
     "sigma0_3_17.json": ["sigma0", "--a", "3", "--b", "17"],
     "sigma0_3_17.txt": ["sigma0", "--a", "3", "--b", "17", "--format", "table"],
     "certify_2_1_3.txt": ["certify", "--ell", "2", "--n", "1", "--p", "3", "--format", "table"],
+    "certify_2_1_2147483647.json": ["certify", "--ell", "2", "--n", "1", "--p", "2147483647"],
+    "sigma0_2147483647_41.json": ["sigma0", "--a", "2147483647", "--b", "41"],
     "find_params_3_1.json": ["find-params", "--ell", "3", "--n", "1"],
 }
 
