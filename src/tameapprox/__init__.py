@@ -65,7 +65,6 @@ from .arithmetic import (
     factorize,
     find_p,
     find_q,
-    is_ellth_power_residue,
     is_prime,
     kronecker,
     legendre,
@@ -88,6 +87,5 @@ __all__ = [
     "res_h1", "sha_cyc", "sha_sigma", "tate_h0", "verify_augmentation_lemma",
     "Certificate", "KummerPair", "LocalSquareClass", "SearchBoundError",
     "certify", "decomposition_subgroup", "factorize", "find_p", "find_q",
-    "is_ellth_power_residue", "is_prime", "kronecker", "legendre",
-    "local_square", "sigma0_biquadratic",
+    "is_prime", "kronecker", "legendre", "local_square", "sigma0_biquadratic",
 ]

@@ -9,10 +9,13 @@ the hypotheses on (ell, n, p, q), the cohomology of I and the Sha kernels;
 the places come from one of two place models:
 
 - `_biquadratic_model`, for ell = 2, n = 1 (k = Q, L = Q(sqrt p, sqrt q)):
-  every decomposition subgroup is computed exactly from local square
-  classes, and it holds the rule Sigma_0 = the places whose decomposition
-  subgroup is all of Z/2 x Z/2, which `sigma0_biquadratic` and the
-  `sigma0` command read from it;
+  every decomposition subgroup is read exactly from one table per place,
+  which of a, b and ab are squares in Q_v (the witness row's
+  `square_classes`), and it holds the rule Sigma_0 = the places whose
+  decomposition subgroup is all of Z/2 x Z/2, which `sigma0_biquadratic`
+  and the `sigma0` command read from it.  A place is checked once, where it
+  enters: by `local_square` or `decomposition_subgroup`, or as a prime by
+  construction in the scan; `_local_square_rule` trusts it;
 - `_kummer_model`, for every other (ell, n): it records the modular facts
   the construction reduces to, with the witnesses of the hypotheses (the
   Euler power of q mod p and the one Hensel lift of q's ell-th root), and
@@ -99,24 +102,6 @@ def kronecker(a, n):
     return result if n == 1 else 0
 
 
-def is_ellth_power_residue(q, p, ell):
-    """Whether q is an ell-th power mod p, i.e. q^((p-1)/ell) == 1 (mod p).
-
-    Requires ell | p - 1 (otherwise every unit is an ell-th power and the
-    criterion is undefined) and p not dividing q.
-    """
-    p, q, ell = int(p), int(q), int(ell)
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if not is_prime(ell):
-        raise ValueError(f"ell = {ell} is not prime")
-    if (p - 1) % ell:
-        raise ValueError(f"ell = {ell} does not divide p - 1 = {p - 1}")
-    if q % p == 0:
-        raise ValueError(f"p = {p} divides q = {q}")
-    return pow(q, (p - 1) // ell, p) == 1
-
-
 def find_p(ell, n, start=2, bound=_UINT64_MAX):
     """Least prime p >= start with p == 1 (mod ell^n), stepping the progression."""
     ell, n, start = int(ell), int(n), int(start)
@@ -135,7 +120,7 @@ def find_p(ell, n, start=2, bound=_UINT64_MAX):
 
 def find_q(ell, p, bound=2 ** 32):
     """Least odd prime q with the companion congruence that is not an
-    ell-th power mod p.
+    ell-th power mod p: q^((p-1)/ell) != 1, the Euler power `certify` records.
 
     The congruence is q == 1 (mod 8) for ell = 2 and q == 1 (mod ell^2)
     otherwise; it makes q an ell-th power in Q_ell, so the places over ell
@@ -149,7 +134,7 @@ def find_q(ell, p, bound=2 ** 32):
     step = 8 if ell == 2 else ell * ell
     q = 1 + step
     while q <= bound:
-        if q != p and is_prime(q) and not is_ellth_power_residue(q, p, ell):
+        if q != p and is_prime(q) and pow(q, (p - 1) // ell, p) != 1:
             return q
         q += step
     raise SearchBoundError(f"no admissible q <= {bound} for (ell, p) = ({ell}, {p})")
@@ -173,20 +158,24 @@ def local_square(d, place):
     d = int(d)
     if d == 0 or not is_squarefree(d):
         raise ValueError(f"{d} is not a nonzero squarefree integer")
-    return _local_square_rule(d, place)
+    return LocalSquareClass(place, d, _local_square_rule(d, _checked_place(place)))
+
+
+def _checked_place(place):
+    """`place` if it is "inf" or a prime int (not a bool), else a ValueError."""
+    if place != "inf" and (type(place) is not int or not is_prime(place)):
+        raise ValueError(f"place {place!r} is neither a prime nor 'inf'")
+    return place
 
 
 def _local_square_rule(d, place):
-    """`local_square` for a d already known to be squarefree, e.g. a class of a
-    KummerPair: d is not factored again, so it may exceed is_prime's range."""
+    """Whether the squarefree d (not factored, so ab may pass 2**64) is a square
+    in Q_place, by LocalSquareClass's rules; the caller has checked the place."""
     if place == "inf":
-        return LocalSquareClass("inf", d, d > 0)
-    p = int(place)
-    if not is_prime(p):
-        raise ValueError(f"place {place!r} is neither a prime nor 'inf'")
-    if p == 2:
-        return LocalSquareClass(2, d, d % 8 == 1)
-    return LocalSquareClass(p, d, d % p != 0 and legendre(d, p) == 1)
+        return d > 0
+    if place == 2:
+        return d % 8 == 1
+    return pow(d, (place - 1) // 2, place) == 1
 
 
 class _KummerPair(NamedTuple):
@@ -227,9 +216,7 @@ class KummerPair(_KummerPair):
 
     def ramified_primes(self):
         """The primes that ramify in Q(sqrt a, sqrt b)/Q, in increasing order."""
-        odd = sorted(
-            p for p in set(factorize(self.a)) | set(factorize(self.b)) if p != 2
-        )
+        odd = sorted((factorize(self.a).keys() | factorize(self.b).keys()) - {2})
         two_ramified = any(
             d % 2 == 0 or d % 4 == 3 for d in (self.a, self.b, self.third_class)
         )
@@ -241,30 +228,34 @@ def decomposition_subgroup(pair, place, group=None):
 
     `group` is Gal(Q(sqrt a, sqrt b)/Q), `product_of_prime_powers(2, 1)` by
     default: element index 2i + j is the automorphism sending sqrt a to
-    (-1)^i sqrt a and sqrt b to (-1)^j sqrt b.  An automorphism lies in the
-    local Galois group iff it fixes sqrt(d) for every d in {a, b, ab} that
-    is a square in Q_place, so the order is 4 / #(locally square classes
-    among {1, a, b, ab}).  The three classes are squarefree (KummerPair
-    checks a and b; `third_class` multiplies coprime squarefree factors), so
-    they are not factored again: a*b may exceed the 2**64 range of is_prime.
+    (-1)^i sqrt a and sqrt b to (-1)^j sqrt b, the indexing of every Klein
+    four-group with identity 0.  The group, then the place, is checked here
+    once, and the subgroup is read from the place's square-class table.
     """
+    group = _klein_group(group)
+    return _place_decomposition(pair, _checked_place(place), group)[1]
+
+
+def _klein_group(group):
+    """`group`, checked to be a Klein four-group indexed 2i + j; Z/2 x Z/2 for None."""
     if group is None:
-        group = product_of_prime_powers(2, 1)
-    elif group.order != 4 or group.exponent() != 2:
+        return product_of_prime_powers(2, 1)
+    if group.order != 4 or group.exponent() != 2:
         raise ValueError("ambient group must be the Klein four-group")
-    classes = [(1, 0, pair.a), (0, 1, pair.b), (1, 1, pair.third_class)]
-    square_exponents = [
-        (alpha, beta)
-        for alpha, beta, d in classes
-        if _local_square_rule(d, place).is_square
-    ]
-    members = [
-        2 * i + j
-        for i in range(2)
-        for j in range(2)
-        if all((i * alpha + j * beta) % 2 == 0 for alpha, beta in square_exponents)
-    ]
-    return Subgroup(group, members)
+    if group.identity != 0:
+        raise ValueError("the Klein four-group must be indexed 2i + j, with identity 0")
+    return group
+
+
+def _place_decomposition(pair, place, group):
+    """The table {d: d is a square in Q_place} for d = a, b, ab (squarefree,
+    not factored again), and the decomposition subgroup read from it: 2i + j
+    moves sqrt a if i, sqrt b if j and sqrt ab if i != j, and lies in it iff
+    it fixes each local square, so the order is 4 / #(squares in {1, a, b, ab})."""
+    table = {d: _local_square_rule(d, place) for d in (pair.a, pair.b, pair.third_class)}
+    sa, sb, sab = table.values()
+    return table, Subgroup(group, [2 * i + j for i in range(2) for j in range(2)
+                                   if not (sa and i or sb and j or sab and i != j)])
 
 
 def biquadratic_place_records(pair, group=None):
@@ -272,29 +263,24 @@ def biquadratic_place_records(pair, group=None):
 
     The record list contains every place that ramifies in Q(sqrt a, sqrt b)/Q
     (the place 2 is recorded even when unramified, for its witness table).
-    Returns (records, witness_rows).
+    The group is checked once.  Returns (records, witness_rows).
     """
-    if group is None:
-        group = product_of_prime_powers(2, 1)
+    group = _klein_group(group)
     ramified = set(pair.ramified_primes())
-    scan = sorted({2} | {p for p in set(factorize(pair.a)) | set(factorize(pair.b))})
-    records = []
-    witnesses = []
-    for v in scan:
-        sub = decomposition_subgroup(pair, v, group)
+    records, rows = [], []
+    for v in sorted({2} | ramified):
+        table, sub = _place_decomposition(pair, v, group)
         records.append(PlaceRecord(v, sub, v in ramified))
-        witnesses.append({
-            "place": v,
-            "ramified": v in ramified,
-            "square_classes": {
-                d: _local_square_rule(d, v).is_square
-                for d in (pair.a, pair.b, pair.third_class)
-            },
-            "decomposition_order": sub.order,
-            "cyclic": sub.is_cyclic(),
-            "elements": [group.names[x] for x in sub.elements],
-        })
-    return records, witnesses
+        rows.append(_place_row(records[-1], square_classes=table))
+    return records, rows
+
+
+def _place_row(rec, **square_classes):
+    """A place model's witness row for `rec`; the biquadratic model adds its table."""
+    sub = rec.subgroup
+    return {"place": rec.label, "ramified": rec.ramified, **square_classes,
+            "decomposition_order": sub.order, "cyclic": sub.is_cyclic(),
+            "elements": [sub.parent.names[x] for x in sub.elements]}
 
 
 def sigma0_biquadratic(pair):
@@ -634,13 +620,7 @@ def _kummer_model(p, q, group, *, ell, n, euler, root, precision):
     records = [PlaceRecord(f"over-{p}-{i + 1}", full, True) for i in range(phi)]
     over_p_keys = [rec.key for rec in records]
     records.append(PlaceRecord(f"over-{ell}", first_factor, True))
-    rows = [
-        {"place": rec.key, "ramified": rec.ramified,
-         "decomposition_order": rec.subgroup.order,
-         "cyclic": rec.subgroup.is_cyclic(),
-         "elements": [group.names[x] for x in rec.subgroup.elements]}
-        for rec in records
-    ]
+    rows = [_place_row(rec) for rec in records]
     statement = (
         f"Sigma_0 contains all {phi} places of {field} over p = {p};"
         f" it contains no place over ell = {ell}; membership of the remaining ramified"

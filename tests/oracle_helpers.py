@@ -40,6 +40,8 @@ functionals and the generators replayed from the operation log,
 its transforms as augmented rows and columns,
 `two_branch_ellth_root` (a bit-flip lift for ell = 2 beside the digit
 search for odd ell) for the one Hensel loop of `ellth_root_in_zell`,
+`is_ellth_power_residue` (Euler's criterion behind checks of p, ell and q)
+for the residue test that `find_q` applies to each candidate,
 and `oracle_jsonify` (a report value converted to plain JSON values, then
 written by `json.dumps(..., indent=2)`) for the one-pass writer
 `_canonical_json`.
@@ -56,6 +58,7 @@ from tameapprox.cohomology import (
     h1,
 )
 from tameapprox.finite_groups import full_subgroup
+from tameapprox.primes import is_prime
 from tameapprox import zmod_linalg
 from tameapprox.g_modules import restrict
 from tameapprox.zmod_linalg import (
@@ -1012,6 +1015,24 @@ def brute_is_square_in_q2(d, depth=12):
     mod = 1 << depth
     target = d % mod
     return any((x * x) % mod == target for x in range(1, mod, 2))
+
+
+def is_ellth_power_residue(q, p, ell):
+    """Whether q is an ell-th power mod p, i.e. q^((p-1)/ell) == 1 (mod p).
+
+    Requires ell | p - 1 (otherwise every unit is an ell-th power and the
+    criterion is undefined) and p not dividing q.
+    """
+    p, q, ell = int(p), int(q), int(ell)
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if not is_prime(ell):
+        raise ValueError(f"ell = {ell} is not prime")
+    if (p - 1) % ell:
+        raise ValueError(f"ell = {ell} does not divide p - 1 = {p - 1}")
+    if q % p == 0:
+        raise ValueError(f"p = {p} divides q = {q}")
+    return pow(q, (p - 1) // ell, p) == 1
 
 
 def two_branch_ellth_root(q, ell, precision=8):

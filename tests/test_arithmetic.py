@@ -14,7 +14,6 @@ from tameapprox.arithmetic import (
     factorize,
     find_p,
     find_q,
-    is_ellth_power_residue,
     is_prime,
     kronecker,
     legendre,
@@ -36,6 +35,7 @@ from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, kernel_mod
 from oracle_helpers import (
     brute_is_square_in_q2,
     brute_is_square_mod_odd_prime,
+    is_ellth_power_residue,
     trial_division_factor,
     two_branch_ellth_root,
 )
@@ -182,6 +182,12 @@ class TestLocalSquares:
         with pytest.raises(ValueError):
             local_square(0, 5)
 
+    def test_rejects_a_place_that_is_not_a_prime_int(self):
+        # a float or a string is not truncated or parsed to a nearby prime
+        for place in (2.5, "5", 5.0, True, 4, "abc"):
+            with pytest.raises(ValueError, match=f"place {place!r} is neither"):
+                local_square(3, place)
+
     def test_odd_primes_against_brute_force(self):
         squarefree = [d for d in range(-20, 21)
                       if d and all(e == 1 for e in trial_division_factor(abs(d)).values())
@@ -243,6 +249,22 @@ class TestDecompositionSubgroups:
 
         with pytest.raises(ValueError, match="Klein"):
             decomposition_subgroup(KummerPair(3, 17), 2, builtin_group("z4"))
+
+    def test_rejects_a_place_that_is_not_a_prime_int(self):
+        for place in (3.7, "17", 2.0, False, 9):
+            with pytest.raises(ValueError, match=f"place {place!r} is neither"):
+                decomposition_subgroup(KummerPair(3, 17), place)
+
+    def test_rejects_a_klein_group_not_indexed_2i_plus_j(self):
+        # the Klein four-group with identity 3 instead of 0
+        g = Group([[3, 2, 1, 0], [2, 3, 0, 1], [1, 0, 3, 2], [0, 1, 2, 3]])
+        assert g.order == 4 and g.exponent() == 2 and g.identity == 3
+        pair = KummerPair(3, 17)
+        for place in (2, 5, "inf"):
+            with pytest.raises(ValueError, match="indexed 2i \\+ j"):
+                decomposition_subgroup(pair, place, g)
+        with pytest.raises(ValueError, match="indexed 2i \\+ j"):
+            biquadratic_place_records(pair, g)
 
     def test_archimedean_place_never_full(self):
         for pair in (KummerPair(3, 17), KummerPair(-3, -17), KummerPair(-1, 2)):
@@ -592,3 +614,38 @@ class TestCheckedWitnesses:
                 assert False in verdicts
                 assert not _ellth_power_locally_holds(
                     ell, q, dict(w, precision_exponent=least - 1))
+
+
+class TestPrimalityTestsPerNumber:
+    # a number is tested for primality where it enters, not again in every
+    # helper it passes through
+    P = 2 ** 31 - 1
+
+    @staticmethod
+    def counted(monkeypatch):
+        real, calls = primes.is_prime, []
+
+        def counting(x):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(primes, "is_prime", counting)
+        monkeypatch.setattr(arithmetic, "is_prime", counting)
+        return calls
+
+    def test_biquadratic_model(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        assert arithmetic._biquadratic_model(self.P, 41)[2] == [41, self.P]
+        assert calls.count(self.P) <= 2 and calls.count(41) <= 2, calls
+
+    def test_certify_2_1(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        assert certify(2, 1, self.P).certified
+        assert calls.count(self.P) <= 4, calls
+
+    @pytest.mark.parametrize("ell, n", [(2, 2), (3, 1)])
+    def test_certify_kummer(self, monkeypatch, ell, n):
+        p = find_p(ell, n, start=2 ** 30)
+        calls = self.counted(monkeypatch)
+        assert certify(ell, n, p).certified
+        assert calls.count(p) <= 2, calls
