@@ -357,13 +357,15 @@ class PlaceRecord(NamedTuple):
 
 
 def _is_place_token(key):
+    """Whether `key` names a place in its one spelling: "inf", or a prime
+    written as `str` writes it (no sign, padding or leading zero)."""
     if key == "inf":
         return True
     try:
         value = int(key)
     except ValueError:
         return False
-    return value >= 2 and is_prime(value)
+    return str(value) == key and value >= 2 and is_prime(value)
 
 
 def sha_sigma(group, module, places, excluded=()):

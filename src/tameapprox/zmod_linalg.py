@@ -44,16 +44,21 @@ class NotInSpanError(ValueError):
 
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major.  Built from its
-    entries (a zero or diagonal matrix too), `from_rows` or `identity`."""
+    entries (a zero or diagonal matrix too), `from_rows` or `identity`.
+    Entries and dimensions must be `int`s (bools refused): nothing is
+    converted, so 0.5 or "7" is an error and not a truncated entry."""
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows, cols, entries):
-        rows = int(rows)
-        cols = int(cols)
+        if type(rows) is not int or type(cols) is not int:
+            raise ValueError(f"matrix dimensions {rows!r} x {cols!r} are not ints")
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = [int(x) for x in entries]
+        entries = list(entries)
+        for k, x in enumerate(entries):
+            if type(x) is not int:
+                raise ValueError(f"matrix entry {k} is {x!r}, not an int")
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"

@@ -4,7 +4,12 @@ from pathlib import Path
 import pytest
 
 from tameapprox import cohomology, g_modules
-from tameapprox.arithmetic import _biquadratic_model, certify
+from tameapprox.arithmetic import (
+    KummerPair,
+    _biquadratic_model,
+    biquadratic_place_records,
+    certify,
+)
 from tameapprox.cli import main
 
 from tameapprox.cohomology import (
@@ -373,6 +378,19 @@ class TestShaSigma:
         # is a no-op against the cyclic model
         res = sha_sigma(g, ideal, places, excluded=[3, 17, 5, "inf"])
         assert res.structure == AbGroupStructure([2])
+
+    def test_recorded_place_only_in_its_canonical_spelling(self):
+        # "03", " 3" and "+3" parse to the recorded 3, but are not its key:
+        # each once counted as an unrecorded place, and record 3 was kept
+        records, _ = biquadratic_place_records(KummerPair(3, 17))
+        klein = records[0].subgroup.parent
+        ideal = augmentation_ideal(klein, 4)[0]
+        assert sha_sigma(klein, ideal, records, ["3", "17"]).structure == AbGroupStructure([2])
+        for label in ("03", " 3", "+3", "3 "):
+            with pytest.raises(ValueError, match="^unknown excluded place label "):
+                sha_sigma(klein, ideal, records, [label, "17"])
+        assert sha_sigma(klein, ideal, records, [3, 17, 5, "inf"]).structure == \
+            AbGroupStructure([2])
 
     def test_foreign_subgroup_rejected(self):
         g, ideal, _ = self._klein_setup()

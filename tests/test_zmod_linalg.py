@@ -81,6 +81,27 @@ def assert_snf_contract(mat):
     return diag
 
 
+class TestIntMatrixTypes:
+    # each was once converted by int(): [[0.5, 2.9]] was stored as [[0, 2]],
+    # so `kernel_mod` solved 2y = 0 mod 4, and "7" read as 7
+    def test_refuses_entries_that_are_not_ints(self):
+        for make, message in (
+                (lambda: IntMatrix.from_rows([[0.5, 2.9]]), "matrix entry 0 is 0.5, not an int"),
+                (lambda: IntMatrix(1, 1, ["7"]), "matrix entry 0 is '7', not an int"),
+                (lambda: IntMatrix(1, 2, [1, True]), "matrix entry 1 is True, not an int"),
+                (lambda: IntMatrix.from_rows([[1], [2.0]]), "matrix entry 1 is 2.0, not an int")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                make()
+
+    def test_refuses_dimensions_that_are_not_ints(self):
+        for rows, cols in ((1.0, 1), (1, "1"), (True, 1)):
+            with pytest.raises(ValueError, match="^matrix dimensions .* are not ints$"):
+                IntMatrix(rows, cols, [0])
+
+    def test_int_entries_are_kept(self):
+        assert IntMatrix(2, 1, iter([-3, 2 ** 70])).entries == (-3, 2 ** 70)
+
+
 class TestSNF:
     def test_worked_example(self):
         # oracle: gcd row/col steps by hand; det = -8 = +-d1*d2 with d1 = 2
