@@ -1,10 +1,12 @@
 """Exact linear algebra: Smith normal form, kernels, and quotient structure.
 
-snf is the Smith normal form over Python's arbitrary-precision integers;
-kernel_mod and quotient_structure run an elimination over Z/p^e.  Every
-cohomology group in this package is a quotient ker A / im B presented by
-one such elimination of A, which kernel_mod shows on its own, and
-quotient_structure presents a quotient of spans the same way.  This script
+snf is the Smith normal form over Python's arbitrary-precision integers.
+Every cohomology group in this package is a quotient ker A / im B,
+presented by QuotientPresentation from one elimination of A over Z/p^e,
+and kernel_mod and quotient_structure are cases of it.  kernel_mod is
+ker A / im 0: one generator column per invariant factor of the kernel, of
+exactly that order.  quotient_structure presents a quotient of spans as
+ker A / im B, with A the annihilator of the ambient span.  This script
 walks the three.
 """
 

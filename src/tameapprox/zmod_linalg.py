@@ -7,8 +7,11 @@ of A^T with a log of its row operations U, in whose coordinates
 y = U^-T x the kernel is diagonal, and from which B's coordinates are read
 off (Kaczynski, Mischaikow and Mrozek, Computational Homology, 2004, ch. 3:
 one reduction per boundary map, carried with its change of basis).
-`kernel_mod` replays the same log once per generator it returns, and
-`quotient_structure` presents a quotient of spans as a kernel quotient.
+It is the only way into the elimination.  `kernel_mod` is its case B = 0,
+ker A / im 0: one generator column per invariant factor of ker A, of
+exactly that order.  `quotient_structure` presents a quotient of spans as
+a kernel quotient, the ambient span being the kernel of the annihilator
+that `kernel_mod`'s construction gives.
 
 The elimination works over the chain ring Z/p^e (Howell, "Spans in the
 module (Z_m)^s", 1986; Storjohann and Mulders, "Fast algorithms for linear
@@ -354,7 +357,7 @@ def _reduce(rows, p, e):
     t and bi, scale row t by unit^-1, then row_i -= f row_t for each (i, f)
     in ops.  U itself is never formed: `_undo` replays the log backwards to
     apply U^-1 to one vector, `_apply_ut` backwards and transposed to apply
-    U^T, and `_kernel_summands` reads U^-T off it forwards.
+    U^T, and `_PrimePowerQuotient` reads U^-T off it forwards.
     """
     q = p ** e
     R = len(rows)
@@ -431,15 +434,16 @@ def _apply_ut(log, vec, q):
     return vec
 
 
-def _kernel_summands(at_rows, p, e):
-    """ker A over Z/p^e from one logged reduction of A^T: (log, summands).
+class _PrimePowerQuotient:
+    """The p-primary part of ker A / im B, computed over Z/q, q = p^e.
 
-    `at_rows` are the columns of A.  With U A^T V = D and x = U^T y,
-    A x = V^-T D^T y, so x lies in ker A exactly when p^v_t y_t = 0 for
-    each pivot row t: ker A is the sum of the cyclic groups generated by
-    U^T (s_t e_t), s_t = p^(e - v_t) for a pivot row and 1 past the pivots.
-    Each summand with s_t < p^e is listed as (t, s_t, y_t), t ascending,
-    with y_t = (U^-T x)_t as a sparse functional [(index, coefficient)].
+    ker A comes from one logged reduction of A^T, whose rows `at_rows` are
+    the columns of A.  With U A^T V = D and x = U^T y, A x = V^-T D^T y, so
+    x lies in ker A exactly when p^v_t y_t = 0 for each pivot row t: ker A
+    is the sum of the cyclic groups generated by U^T (s_t e_t),
+    s_t = p^(e - v_t) for a pivot row and 1 past the pivots.  Each summand
+    with s_t < q is kept as (t, s_t, y_t), t ascending, with
+    y_t = (U^-T x)_t as a sparse functional [(index, coefficient)].
 
     U^-T x replays the log forward, transposed: step t swaps x_t and x_bi,
     multiplies x_t by unit, then adds f x_i for each (i, f) in ops.
@@ -448,61 +452,10 @@ def _kernel_summands(at_rows, p, e):
     made so far; past the last step, y_t is the entry of x that the swaps
     moved there.  So only the summands of a pivot row need a functional of
     more than one entry.
-    """
-    q = p ** e
-    vals, log = _reduce([[x % q for x in col] for col in at_rows], p, e)
-    perm = list(range(len(at_rows)))
-    kept = []
-    for (t, bi, unit, ops), v in zip(log, vals):
-        perm[t], perm[bi] = perm[bi], perm[t]
-        if v:
-            kept.append((t, p ** (e - v), [(perm[t], unit)] + [(perm[i], f) for i, f in ops]))
-    kept += [(t, 1, [(perm[t], 1)]) for t in range(len(vals), len(at_rows))]
-    return log, kept
 
-
-def _kernel_vectors(at_rows, m):
-    """Generators of ker A mod m, A given by its columns `at_rows`.
-
-    Per prime power q of m, each summand (t, s_t) that `_kernel_summands`
-    keeps gives the generator U^T (s_t e_t), s_t times row t of U, replayed
-    from the log (`_apply_ut`) and lifted to Z/m by CRT; t ascending, one
-    prime after another.
-    """
-    vecs = []
-    if m > 1:
-        for p, e in factorize(m).items():
-            q = p ** e
-            lift = _crt_lift(m, q)
-            log, kept = _kernel_summands(at_rows, p, e)
-            for t, s, _ in kept:
-                y = [0] * len(at_rows)
-                y[t] = s
-                vecs.append([x * lift % m for x in _apply_ut(log, y, q)])
-    return vecs
-
-
-def kernel_mod(mat, modulus):
-    """Generators of { x mod modulus : mat @ x == 0 (mod modulus) } as columns.
-
-    One reduction of the transpose per prime power of the modulus
-    (`_kernel_vectors`).  Zero columns are dropped; an injective map yields
-    a `mat.cols x 0` matrix.
-    """
-    m = int(modulus)
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    at_rows = list(zip(*mat._data)) if mat.rows else [()] * mat.cols
-    vecs = _kernel_vectors(at_rows, m)
-    return IntMatrix(mat.cols, len(vecs), [v[i] for i in range(mat.cols) for v in vecs])
-
-
-class _PrimePowerQuotient:
-    """The p-primary part of ker A / im B, computed over Z/q, q = p^e.
-
-    In the coordinates y = U^-T x of `_kernel_summands`, ker A is the sum
-    of Z/(q / s_t) over the kept summands t, and c_t = y_t / s_t is the
-    coordinate of x in summand t.  The relation step (`_relate`) reduces, in
+    In these coordinates ker A is the sum of Z/(q / s_t) over the kept
+    summands t, and c_t = y_t / s_t is the coordinate of x in summand t.
+    The relation step (`_relate`) reduces, in
     those coordinates, the columns of B next to (q / s_t) e_t for each
     summand of order below q: U_rel R V_rel has pivots p^w_j, so the
     quotient is the sum of Z/p^w_j plus a Z/q for each row without pivot.
@@ -515,8 +468,16 @@ class _PrimePowerQuotient:
     __slots__ = ("q", "lift", "factors", "gens", "_funcs", "_u_rel")
 
     def __init__(self, at_rows, b_rows, p, e, m):
-        log, kept = _kernel_summands(at_rows, p, e)
-        self.gens = [_apply_ut(log, y, p ** e) for y in self._relate(b_rows, kept, p, e, m)]
+        q = p ** e
+        vals, log = _reduce([[x % q for x in col] for col in at_rows], p, e)
+        perm = list(range(len(at_rows)))
+        kept = []
+        for (t, bi, unit, ops), v in zip(log, vals):
+            perm[t], perm[bi] = perm[bi], perm[t]
+            if v:
+                kept.append((t, p ** (e - v), [(perm[t], unit)] + [(perm[i], f) for i, f in ops]))
+        kept += [(t, 1, [(perm[t], 1)]) for t in range(len(vals), len(at_rows))]
+        self.gens = [_apply_ut(log, y, q) for y in self._relate(b_rows, kept, p, e, m)]
 
     def _relate(self, b_rows, kept, p, e, m):
         """The relation step over the kept summands (t, s_t, y_t) of ker A.
@@ -646,18 +607,33 @@ class QuotientPresentation:
         return tuple(x % d for x, d in zip(c, factors))
 
 
+def kernel_mod(mat, modulus):
+    """Generators of { x mod modulus : mat @ x == 0 (mod modulus) } as columns.
+
+    The kernel is the quotient ker A / im 0, so the columns are the
+    generators of `QuotientPresentation(rows of mat, [()] * mat.cols,
+    modulus)`: one per invariant factor d of the kernel, of order exactly d,
+    each combined across the primes of the modulus by CRT.  An injective map
+    yields a `mat.cols x 0` matrix; a modulus below 1 is refused.
+    """
+    gens = QuotientPresentation(mat._data, [()] * mat.cols, modulus).generator_columns
+    return IntMatrix(mat.cols, len(gens), [gen[i] for i in range(mat.cols) for gen in gens])
+
+
 def quotient_structure(sub_gens, amb_gens, modulus):
     """Invariant factors of (ambient span mod m)/(sub span mod m).
 
     Over Z/m, which is self-injective, the span of the ambient columns is
     the kernel of their annihilator, the rows a with a . amb_j = 0 for
-    every column (`_kernel_vectors` of the transpose); so this is
-    QuotientPresentation(annihilator rows, rows of sub_gens, m), which
-    also rejects a modulus below 1.  Requires every sub generator to lie in
-    the ambient span mod m; a violation raises NotInSpanError since it
-    signals a bug in the caller.
+    every column: the kernel generators, as `kernel_mod` reads them, of the
+    matrix whose rows are the ambient columns.  So this is
+    QuotientPresentation(annihilator rows, rows of sub_gens, m); the first
+    of the two presentations rejects a modulus below 1.  Requires every sub
+    generator to lie in the ambient span mod m; a violation raises
+    NotInSpanError since it signals a bug in the caller.
     """
-    m = int(modulus)
     if sub_gens.rows != amb_gens.rows:
         raise ValueError("sub and ambient generators live in different dimensions")
-    return QuotientPresentation(_kernel_vectors(amb_gens._data, m), sub_gens._data, m).structure
+    annihilator = QuotientPresentation(list(zip(*amb_gens._data)), [()] * amb_gens.rows,
+                                       modulus).generator_columns
+    return QuotientPresentation(annihilator, sub_gens._data, modulus).structure

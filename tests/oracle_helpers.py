@@ -25,10 +25,11 @@ augmentation sequence,
 sparse rows of the group ring and the augmentation ideal,
 `dense_quotient_presentation` (the presentation over Z with m*I padding, on
 the reference reduction) for the presentation over Z/p^e,
-`ride_along_kernel_vectors` (U riding along [A^T | I]) for the kernel
-generators of `kernel_mod` and of the span form's annihilator, which
-replay the operation log,
-`old_pair_quotient` (`kernel_mod`, then the span quotient
+`ride_along_kernel_vectors` (U riding along [A^T | I], one generator per
+summand per prime, as `kernel_mod` once returned them) for the kernels
+that seeded inputs and the oracles below are built from, so that none of
+them rests on `QuotientPresentation`,
+`old_pair_quotient` (the ride-along kernel, then the span quotient
 `SpanQuotientPresentation` with its own ambient reduction) for
 `QuotientPresentation`, which reads ker A / im B off one reduction,
 `image_in_kernel` (A B = 0 as one sparse matrix product) for its check of
@@ -68,11 +69,8 @@ from tameapprox.zmod_linalg import (
     QuotientPresentation,
     _crt_lift,
     _identity_rows,
-    _kernel_vectors,
     _PrimePowerQuotient,
     _undo,
-    kernel_mod,
-    quotient_structure,
 )
 
 
@@ -278,7 +276,7 @@ def full_cochain_h1(group, module):
     `cohomology.h1` solves on the generator values instead and must agree.
     """
     m = module.modulus
-    zgens = kernel_mod(coboundary1_matrix(group, module), m)
+    zgens = ride_along_kernel(coboundary1_matrix(group, module), m)
     return SpanQuotientPresentation(coboundary0_matrix(group, module), zgens, m).structure
 
 
@@ -439,11 +437,11 @@ def dense_augmentation_ideal_action(group, m):
 def dense_augmentation_exactness(incl, aug, m):
     """Whether 0 -> I -> (Z/m)[G] -> Z/m -> 0 is exact, by elimination:
     incl has no kernel mod m, aug o incl = 0, and im incl is all of ker aug."""
-    if kernel_mod(incl, m).cols != 0:
+    if ride_along_kernel(incl, m).cols != 0:
         return False
     if any(x % m for x in (aug @ incl).entries):
         return False
-    return quotient_structure(incl, kernel_mod(aug, m), m).is_trivial
+    return SpanQuotientPresentation(incl, ride_along_kernel(aug, m), m).structure.is_trivial
 
 
 def dense_mat_mul_mod(a, b, m):
@@ -575,12 +573,12 @@ def uit_reduce(rows, width, p, e, *, u_inv=False, log=None):
 
 
 def ride_along_kernel_vectors(at_rows, width, m):
-    """Generators of ker A mod m as `kernel_mod` built them with U riding
-    along: A has `width` rows and its columns are `at_rows`; per prime power
-    q of m, `uit_reduce` on [A^T | I] ends the identity block as U, and
-    each row u_t of U scaled by s_t < q (s_t = p^(e - v_t) for a pivot row,
-    1 past the pivots) is lifted to Z/m by CRT.  The oracle for
-    `zmod_linalg._kernel_vectors`."""
+    """Generators of ker A mod m with U riding along: A has `width` rows and
+    its columns are `at_rows`; per prime power q of m, `uit_reduce` on
+    [A^T | I] ends the identity block as U, and each row u_t of U scaled by
+    s_t < q (s_t = p^(e - v_t) for a pivot row, 1 past the pivots) is
+    lifted to Z/m by CRT: one generator per summand per prime, t ascending,
+    one prime after another."""
     vecs = []
     if m > 1:
         for p, e in trial_division_factor(m).items():
@@ -594,6 +592,13 @@ def ride_along_kernel_vectors(at_rows, width, m):
                 if s < q:
                     vecs.append([x * s % q * lift % m for x in row[width:]])
     return vecs
+
+
+def ride_along_kernel(mat, m):
+    """ker mat mod m as the IntMatrix whose columns are the
+    `ride_along_kernel_vectors` of the IntMatrix `mat`."""
+    at_rows = list(zip(*mat._data)) if mat.rows else [()] * mat.cols
+    return as_columns(ride_along_kernel_vectors(at_rows, mat.rows, m), mat.cols)
 
 
 class SpanPrimePowerQuotient:
@@ -722,12 +727,13 @@ def int_mat_vec(mat, vec):
 
 
 def old_pair_quotient(a_rows, b_rows, m):
-    """ker A / im B mod m from the earlier pair: `kernel_mod(A)`, then the
-    span quotient (`SpanQuotientPresentation`) of B inside it; the oracle
-    for `zmod_linalg.QuotientPresentation`, which takes the same row lists."""
+    """ker A / im B mod m from the earlier pair: the ride-along kernel of A,
+    then the span quotient (`SpanQuotientPresentation`) of B inside it; the
+    oracle for `zmod_linalg.QuotientPresentation`, which takes the same row
+    lists."""
     dim = len(b_rows)
     b = as_matrix(b_rows, len(b_rows[0]) if dim else 0)
-    return SpanQuotientPresentation(b, kernel_mod(as_matrix(a_rows, dim), m), m)
+    return SpanQuotientPresentation(b, ride_along_kernel(as_matrix(a_rows, dim), m), m)
 
 
 class UitPrimePowerQuotient(_PrimePowerQuotient):
@@ -757,8 +763,11 @@ class UitPrimePowerQuotient(_PrimePowerQuotient):
 def span_presentation(sub_gens, amb_gens, m):
     """(span of amb columns)/(span of sub columns) mod m as a
     `QuotientPresentation`, the way `quotient_structure` builds it: ker A
-    for A the annihilator of the ambient columns, over B = sub_gens."""
-    return QuotientPresentation(_kernel_vectors(amb_gens._data, m), sub_gens._data, m)
+    for A the annihilator of the ambient columns, itself the generators of
+    the kernel of the ambient columns as rows, over B = sub_gens."""
+    annihilator = QuotientPresentation(list(zip(*amb_gens._data)), [()] * amb_gens.rows,
+                                       m).generator_columns
+    return QuotientPresentation(annihilator, sub_gens._data, m)
 
 
 def uit_quotient_presentation(sub_gens, amb_gens, m):

@@ -48,7 +48,6 @@ from tameapprox.zmod_linalg import (
     AbGroupStructure,
     IntMatrix,
     QuotientPresentation,
-    kernel_mod,
     quotient_structure,
 )
 
@@ -65,7 +64,9 @@ from oracle_helpers import (
     full_cochain_h1,
     is_brute_coboundary,
     old_pair_quotient,
+    ride_along_kernel,
     span_presentation,
+    SpanQuotientPresentation,
 )
 from random_modules import _coset_permutation, sweep_modules
 
@@ -127,7 +128,7 @@ class TestH1:
 
         d1, _ = _cayley_system(g, ideal, g.generating_set())
         d0 = IntMatrix.from_rows(_differences(ideal, g.generating_set()))
-        pres = span_presentation(residues(d0), kernel_mod(residues(d1), 25), 25)
+        pres = span_presentation(residues(d0), ride_along_kernel(residues(d1), 25), 25)
         assert pres.structure == AbGroupStructure([25])
 
     def test_mismatched_group_rejected(self):
@@ -478,8 +479,8 @@ def norm_formula_h1(module, g):
              for i, row in enumerate(module.act_matrix(g))]
     if not r:
         return AbGroupStructure()
-    return span_presentation(IntMatrix.from_rows(minus),
-                             kernel_mod(IntMatrix.from_rows(norm), m), m).structure
+    return SpanQuotientPresentation(IntMatrix.from_rows(minus),
+                                    ride_along_kernel(IntMatrix.from_rows(norm), m), m).structure
 
 
 class TestFullCochainOracle:
@@ -622,7 +623,7 @@ class TestOperationLogSystems:
                     pres = sub.presentation()
                     a_rows = _fox_system(g, mod, pres)
                     b_rows = _differences(mod, pres.generators)
-                    cocycles = kernel_mod(as_matrix(a_rows, len(b_rows)), m)
+                    cocycles = ride_along_kernel(as_matrix(a_rows, len(b_rows)), m)
                     vectors = [cocycles.column(j) for j in range(cocycles.cols)]
                     logged, dense = both_kernel_paths(a_rows, b_rows, m, vectors)
                     assert logged == dense, (name, mod.label, sub)
@@ -655,8 +656,9 @@ def old_pair_restriction_kernel(g, mod, subgroups):
 
 class TestKernelRoutineAgainstOldPair:
     """Each quotient the engine reads off one elimination (`QuotientPresentation`)
-    against `kernel_mod` followed by the span quotient (the old pair): H^1 of
-    every subgroup, Tate H^0, and the restriction kernel of every subgroup."""
+    against the ride-along kernel followed by the span quotient (the old
+    pair): H^1 of every subgroup, Tate H^0, and the restriction kernel of
+    every subgroup."""
 
     def modules(self):
         out = []

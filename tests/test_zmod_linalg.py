@@ -1,6 +1,7 @@
 import random
 import sys
 import types
+from math import gcd, prod
 
 import pytest
 
@@ -11,7 +12,6 @@ from tameapprox.zmod_linalg import (
     QuotientPresentation,
     kernel_mod,
     _apply_ut,
-    _kernel_vectors,
     _reduce,
     _undo,
     quotient_structure,
@@ -244,7 +244,7 @@ class TestKernelMod:
     def test_injective_map_empty(self):
         gens = kernel_mod(IntMatrix.identity(3), 5)
         assert (gens.rows, gens.cols) == (3, 0)
-        for m in RIDE_ALONG_MODULI:
+        for m in CONTRACT_MODULI:
             for mat in (IntMatrix.identity(3), IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])):
                 gens = kernel_mod(mat, m)
                 assert (gens.rows, gens.cols) == (mat.cols, 0)  # one row per column of mat
@@ -262,45 +262,60 @@ class TestKernelMod:
             brute = brute_kernel_set(mat.row_lists(), m, cols)
             assert spanned == brute
 
-    def test_generators_match_ride_along(self):
-        # the exact generator columns, in order, against U riding along
-        # [A^T | I]: `old_pair_quotient`, the oracle for `QuotientPresentation`,
-        # calls `kernel_mod`, so it must not rest on the code under test
-        checked = 0
-        for m, mat in ride_along_shapes():
-            at_rows = list(zip(*mat._data)) if mat.rows else [()] * mat.cols
+    def test_generators_are_the_invariant_factors_of_the_kernel(self):
+        # the column orders d_1 | d_2 | ..., each >= 2, multiply to the size
+        # of the brute-force kernel, and the columns span it: so the sum of
+        # the Z/d_i maps onto ker A and is as large, and the d_i are its
+        # invariant factors, each with a generator of exactly that order
+        nonzero = several = 0
+        for m, mat in contract_shapes():
             ker = kernel_mod(mat, m)
             assert ker.rows == mat.cols
-            assert [list(ker.column(j)) for j in range(ker.cols)] == \
-                ride_along_kernel_vectors(at_rows, mat.rows, m), (m, mat)
-            checked += ker.cols > 0
-        assert checked >= 120
+            cols = [ker.column(j) for j in range(ker.cols)]
+            orders = [m // gcd(m, *col) for col in cols]
+            assert all(d >= 2 for d in orders), (m, mat)
+            assert all(b % a == 0 for a, b in zip(orders, orders[1:])), (m, mat)
+            brute = brute_kernel_set(mat.row_lists(), m, mat.cols)
+            assert prod(orders) == len(brute), (m, mat)
+            assert span_mod(cols, m, mat.cols) == brute, (m, mat)
+            nonzero += ker.cols > 0
+            several += ker.cols > 1
+        assert nonzero >= 120 and several >= 55, (nonzero, several)
 
-    def test_annihilator_matches_ride_along(self):
-        # the span form's annihilator: ker of the ambient generators' transpose
-        for m, mat in ride_along_shapes():
-            assert _kernel_vectors(mat._data, m) == \
-                ride_along_kernel_vectors(mat._data, mat.cols, m), (m, mat)
+    def test_one_generator_per_invariant_factor(self):
+        # one generator per summand per prime once gave 6 columns here
+        # (3 of order 2, 3 of order 3), and 3 for [[2, 4]] mod 12
+        ker = kernel_mod(IntMatrix(2, 3, [0] * 6), 6)
+        assert ker == IntMatrix.identity(3)
+        ker = kernel_mod(IntMatrix.from_rows([[2, 4]]), 12)
+        assert [ker.column(j) for j in range(ker.cols)] == [(6, 0), (4, 1)]
+
+    def test_rejects_modulus_below_one(self):
+        for m in (0, -6):
+            with pytest.raises(ValueError, match="^modulus must be >= 1$"):
+                kernel_mod(IntMatrix.identity(2), m)
 
 
-RIDE_ALONG_MODULI = (1, 4, 6, 12, 27, 36, 60)
+CONTRACT_MODULI = (1, 4, 6, 12, 27, 36, 60)
 
 
-def ride_along_shapes():
-    """Seeded (m, A) for the kernel generator oracle: 30 random matrices per
-    modulus, with repeated, zero and half-modulus entries, then the 0-row,
+def contract_shapes():
+    """Seeded (m, A) for the kernel contract: 30 random matrices per
+    modulus, with repeated, zero and half-modulus entries and as many
+    columns as brute force enumerates (m^cols <= 4096), then the 0-row,
     0-column, 0 x 0 and injective shapes."""
     rng = random.Random(1919)
     out = []
-    for m in RIDE_ALONG_MODULI:
+    for m in CONTRACT_MODULI:
+        widest = max(c for c in range(1, 7) if m ** c <= 4096)
         for _ in range(30):
-            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            rows, cols = rng.randint(1, 3), rng.randint(1, widest)
             out.append((m, IntMatrix(rows, cols, [
                 rng.choice((0, 0, 1, -1, m // 2, rng.randrange(m), rng.randint(-9, 9)))
                 for _ in range(rows * cols)])))
-        out += [(m, IntMatrix(0, 3, [])), (m, IntMatrix(3, 0, [])), (m, IntMatrix(0, 0, [])),
-                (m, IntMatrix.identity(3)), (m, IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])),
-                (m, IntMatrix.from_rows([[1, 2, 3]]))]
+        out += [(m, IntMatrix(0, 2, [])), (m, IntMatrix(2, 0, [])), (m, IntMatrix(0, 0, [])),
+                (m, IntMatrix.identity(2)), (m, IntMatrix.from_rows([[1, 0], [0, 1], [1, 1]])),
+                (m, IntMatrix.from_rows([[1, 2]]))]
     return out
 
 
@@ -511,8 +526,9 @@ KERNEL_MODULI = (2, 4, 8, 9, 12, 36, 72, 101)
 
 
 def kernel_columns(a_rows, dim, m):
-    ker = kernel_mod(as_matrix(a_rows, dim), m)
-    return [ker.column(j) for j in range(ker.cols)]
+    """Generators of ker A mod m from U riding along, not from the code under test."""
+    at_rows = list(zip(*a_rows)) if a_rows else [()] * dim
+    return [tuple(vec) for vec in ride_along_kernel_vectors(at_rows, len(a_rows), m)]
 
 
 def combination(columns, coeffs, dim, m):
@@ -522,7 +538,7 @@ def combination(columns, coeffs, dim, m):
 def random_kernel_inputs():
     """Seeded (m, dim, A rows, B rows, kernel generators): A random, with
     some columns repeated or zero, and B = K R, K the generators of ker A
-    from `kernel_mod` and R random, so im B lies inside ker A."""
+    from `kernel_columns` and R random, so im B lies inside ker A."""
     rng = random.Random(1606)
     for trial in range(160):
         m = KERNEL_MODULI[trial % len(KERNEL_MODULI)]
@@ -583,8 +599,9 @@ def outside_kernel(a_rows, dim, m, rng):
 
 
 class TestKernelQuotient:
-    """ker A / im B from one elimination, against `kernel_mod` followed by
-    the span quotient with its own ambient reduction (`old_pair_quotient`)."""
+    """ker A / im B from one elimination, against the ride-along kernel
+    followed by the span quotient with its own ambient reduction
+    (`old_pair_quotient`)."""
 
     def test_random_against_old_pair(self):
         rng = random.Random(7)
