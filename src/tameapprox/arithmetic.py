@@ -394,7 +394,13 @@ class Certificate:
 
     def to_json_dict(self):
         """The canonical JSON form as a dict: `json.loads` of the bytes that
-        `_canonical_json` writes for `report()`, so the two cannot differ."""
+        `_canonical_json` writes for `report()`, so the two cannot differ.
+
+        The CLI prints the text and never calls this.  It stays for the
+        readers that want the certificate as plain JSON values in process:
+        the benchmark's correctness check of each certificate
+        (`perfbench/child.py`), demo 05 and the tests.  Parsing the text is
+        slower than walking the report, but none of them is timed on it."""
         return json.loads(_canonical_json(self.report()))
 
 
