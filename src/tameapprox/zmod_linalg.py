@@ -455,8 +455,8 @@ class _PrimePowerQuotient:
 
     In these coordinates ker A is the sum of Z/(q / s_t) over the kept
     summands t, and c_t = y_t / s_t is the coordinate of x in summand t.
-    The relation step (`_relate`) reduces, in
-    those coordinates, the columns of B next to (q / s_t) e_t for each
+    The relation step (`_relate`) reduces, in those coordinates, the
+    columns of B next to (q / s_t) e_t for each
     summand of order below q: U_rel R V_rel has pivots p^w_j, so the
     quotient is the sum of Z/p^w_j plus a Z/q for each row without pivot.
     The j-th generator is U^T (s * w), w = U_rel^-1 e_j, both replayed from

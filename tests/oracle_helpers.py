@@ -763,8 +763,8 @@ class UitPrimePowerQuotient(_PrimePowerQuotient):
 def span_presentation(sub_gens, amb_gens, m):
     """(span of amb columns)/(span of sub columns) mod m as a
     `QuotientPresentation`, the way `quotient_structure` builds it: ker A
-    for A the annihilator of the ambient columns, itself the generators of
-    the kernel of the ambient columns as rows, over B = sub_gens."""
+    over B = sub_gens, where the rows of A, the annihilator of the ambient
+    columns, generate the kernel of the matrix whose rows are those columns."""
     annihilator = QuotientPresentation(list(zip(*amb_gens._data)), [()] * amb_gens.rows,
                                        m).generator_columns
     return QuotientPresentation(annihilator, sub_gens._data, m)

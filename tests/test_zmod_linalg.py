@@ -33,7 +33,7 @@ from oracle_helpers import (
     old_pair_quotient,
     predicted_order_counts,
     reference_smith_decomposition,
-    ride_along_kernel_vectors,
+    ride_along_kernel,
     span_mod,
     span_presentation,
     uit_reduce,
@@ -527,8 +527,8 @@ KERNEL_MODULI = (2, 4, 8, 9, 12, 36, 72, 101)
 
 def kernel_columns(a_rows, dim, m):
     """Generators of ker A mod m from U riding along, not from the code under test."""
-    at_rows = list(zip(*a_rows)) if a_rows else [()] * dim
-    return [tuple(vec) for vec in ride_along_kernel_vectors(at_rows, len(a_rows), m)]
+    ker = ride_along_kernel(as_matrix(a_rows, dim), m)
+    return [ker.column(j) for j in range(ker.cols)]
 
 
 def combination(columns, coeffs, dim, m):
