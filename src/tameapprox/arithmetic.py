@@ -448,11 +448,13 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     `_biquadratic_model` for (2, 1), `_kummer_model` otherwise.  See the
     Certificate docstring for the conclusion rule.  A failed hypothesis
     yields conclusion "refuted: <check>"; an exhausted q-search raises
-    SearchBoundError.
+    SearchBoundError, and a parameter that is not an int (a float is not
+    truncated) raises ValueError.
     """
-    ell, n, p = int(ell), int(n), int(p)
+    if any(type(x) is not int for x in (ell, n, p)) or not (q is None or type(q) is int):
+        raise ValueError(f"certify needs ints: ell={ell!r}, n={n!r}, p={p!r}, q={q!r}")
     # k = Q(zeta_(ell^n)), which is Q for ell^n = 2
-    cert = Certificate(ell=ell, n=n, p=p, q=None if q is None else int(q),
+    cert = Certificate(ell=ell, n=n, p=p, q=q,
                        field_desc="Q" if ell ** n == 2 else f"Q(zeta_{ell ** n})")
     checks = cert.checks
 

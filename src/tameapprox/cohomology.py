@@ -36,7 +36,10 @@ kernels take their conditions from its rows.  Only the members of a family
 that are maximal under inclusion are solved: for H <= K, res_H = res^K_H o
 res_K (Neukirch, Schmidt and Wingberg, Cohomology of Number Fields, ch. I
 §5), so a class that dies on K dies on H, and the joint kernel over the
-family is the one over its maximal members.
+family is the one over its maximal members.  A family that contains G
+itself (a place over p or a designated place, whose decomposition group is
+all of G, or a cyclic G among its cyclic subgroups) has kernel 0 and is
+not solved: res_G is the identity on H^1(G, M).
 """
 
 from __future__ import annotations
@@ -297,13 +300,14 @@ def _restriction_kernel(group, module, subgroups):
     """Joint kernel in H^1(G,M) of restriction to each listed subgroup.
 
     Every member is checked to be a subgroup of G before anything is
-    solved, even when H^1(G, M) = 0.  A member whose elements are a proper
-    subset of another member's is dropped: it adds no condition, as
-    res_H = res^K_H o res_K for H <= K.  Row i of `res_h1` on a kept member
-    lives in Z/delta_i, delta_i the i-th factor of H^1(H, M); scaled by
-    m / delta_i it is a row of A, a condition mod m.  The kernel is
-    ker A / im B in the coordinates of H^1(G, M), B the diagonal of its
-    factors (`QuotientPresentation`).
+    solved, even when H^1(G, M) = 0.  If a member has order |G|, the kernel
+    is 0 without elimination: that member is G, and res_G = id.  A member
+    whose elements are a proper subset of another member's is dropped: it
+    adds no condition, as res_H = res^K_H o res_K for H <= K.  Row i of
+    `res_h1` on a kept member lives in Z/delta_i, delta_i the i-th factor
+    of H^1(H, M); scaled by m / delta_i it is a row of A, a condition mod
+    m.  The kernel is ker A / im B in the coordinates of H^1(G, M), B the
+    diagonal of its factors (`QuotientPresentation`).
     """
     family = dict.fromkeys(subgroups)
     if any(sub.parent != group for sub in family):
@@ -312,7 +316,7 @@ def _restriction_kernel(group, module, subgroups):
     factors = h1_full.structure.invariant_factors
     k = len(factors)
     m = module.modulus
-    if k == 0:
+    if k == 0 or any(sub.order == group.order for sub in family):
         return ShaResult(AbGroupStructure(), (), h1_full.structure)
 
     family = sorted(family, key=lambda s: (s.order, s.elements))
@@ -376,8 +380,9 @@ def sha_sigma(group, module, places, excluded=()):
     excluded.  With nothing excluded this is Sha^1(L/k, M); excluding every
     non-cyclic record gives Sha^1_cyc.  The `places` list must contain every
     ramified place of the extension being modeled.  Only the maximal
-    members of that family are solved (`_restriction_kernel`): a kept
-    record whose decomposition subgroup is all of G leaves G alone.
+    members of that family are solved (`_restriction_kernel`), and none if
+    G is a member: a kept record whose decomposition subgroup is all of G,
+    or a cyclic G, gives kernel 0 at once, since res_G = id.
     """
     if module.group != group:
         raise ValueError("module is over a different group")

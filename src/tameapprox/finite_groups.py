@@ -36,7 +36,7 @@ class Group:
                  "_orders", "_generators", "_cyclic_subgroups", "_full")
 
     def __init__(self, table, names=None):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(tuple(row) for row in table)
         n = len(rows)
         if n == 0:
             raise ValueError("empty Cayley table")
@@ -44,6 +44,8 @@ class Group:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"table row {i} has {len(row)} entries, expected {n}")
+            if not all(type(x) is int for x in row):
+                raise ValueError(f"table row {i} has an entry that is not an int")
             if set(row) != full:
                 raise ValueError(f"table row {i} is not a permutation of 0..{n - 1}")
         for j in range(n):
@@ -488,13 +490,15 @@ def from_permutations(gens, *, limit=DEFAULT_ORDER_LIMIT):
     Elements are enumerated breadth-first from the identity with the
     generators applied in input order, so element indexing is deterministic.
     """
-    gens = [tuple(int(x) for x in p) for p in gens]
+    gens = [tuple(p) for p in gens]
     if not gens:
         raise ValueError("at least one generator permutation is required")
     degree = len(gens[0])
     for i, p in enumerate(gens):
         if len(p) != degree:
             raise ValueError(f"permutation {i} has degree {len(p)}, expected {degree}")
+        if not all(type(x) is int for x in p):
+            raise ValueError(f"permutation {i} has an entry that is not an int")
         if sorted(p) != list(range(degree)):
             raise ValueError(f"permutation {i} is not a permutation of 0..{degree - 1}")
 
@@ -520,7 +524,8 @@ def from_permutations(gens, *, limit=DEFAULT_ORDER_LIMIT):
 
 def cyclic_group(n):
     """Z/n with additive indexing: element k is k times the generator."""
-    n = int(n)
+    if type(n) is not int:
+        raise ValueError(f"cyclic group order {n!r} is not an int")
     if n < 1:
         raise ValueError("cyclic group order must be >= 1")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -576,7 +581,8 @@ def product_of_prime_powers(ell, n, *, limit=DEFAULT_ORDER_LIMIT):
     Its order ell^(n+1) is checked against `limit` before the Cayley table,
     whose size is quadratic in the order, is built.
     """
-    ell, n = int(ell), int(n)
+    if type(ell) is not int or type(n) is not int:
+        raise ValueError(f"ell = {ell!r} and n = {n!r} must be ints")
     if ell < 2 or n < 1:
         raise ValueError("need ell >= 2 and n >= 1")
     if ell ** (n + 1) > limit:

@@ -172,8 +172,10 @@ class AbGroupStructure(_AbGroupStructure):
     __slots__ = ()
 
     def __new__(cls, invariant_factors=()):
-        factors = tuple(int(d) for d in invariant_factors)
+        factors = tuple(invariant_factors)
         for d in factors:
+            if type(d) is not int:
+                raise ValueError(f"invariant factor {d!r} is not an int")
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2 (drop 1s, no infinite factors)")
         for a, b in zip(factors, factors[1:]):

@@ -10,7 +10,9 @@ presentation, `_cayley_system` (the Cayley-graph conditions, built edge
 by edge) for `_fox_system` on `_cayley_presentation`,
 `cayley_restriction_kernel` for the restriction kernels read from
 ker N_g / (g-1)M on cyclic subgroups and solved on the maximal members of
-a family only,
+a family only, `solved_restriction_kernel` (every member solved by
+elimination, as before a family containing G was known to give 0) for
+that rule of `_restriction_kernel`,
 `expand_along_tree` (each class expanded to all of G, edge by edge) for
 `H1Result.cocycle`, and `expanded_res_h1` (each class of G expanded, then
 read at H's generators) for `res_h1`, which walks G's tree from them,
@@ -49,10 +51,13 @@ written by `json.dumps(..., indent=2)`) for the one-pass writer
 """
 
 from itertools import product
+from operator import mul
 from unittest import mock
 
 from tameapprox.cohomology import (
+    ShaResult,
     _differences,
+    _restriction_rows,
     _subgroup_h1,
     coboundary0_matrix,
     coboundary1_matrix,
@@ -382,6 +387,26 @@ def cayley_restriction_kernel(group, module, subgroups):
     relations = [[d if i == j else 0 for j in range(len(factors))]
                  for i, d in enumerate(factors)]
     return old_pair_quotient(rows, relations, m).structure
+
+
+def solved_restriction_kernel(group, module, subgroups):
+    """`_restriction_kernel` as a ShaResult, solved by elimination on the rows
+    of `res_h1` for every member, so without its rule that a family
+    containing G has kernel 0."""
+    m = module.modulus
+    full = h1(group, module)
+    factors = full.structure.invariant_factors
+    rows = []
+    for sub in subgroups:
+        res_rows, deltas = _restriction_rows(group, sub, module)
+        rows += [[m // delta * x for x in row] for row, delta in zip(res_rows, deltas)]
+    relations = [[d if i == j else 0 for j in range(len(factors))]
+                 for i, d in enumerate(factors)]
+    pres = QuotientPresentation(rows, relations, m)
+    entries = list(zip(*full.presentation.generator_columns))
+    gens = tuple(tuple(sum(map(mul, col, xs)) % m for xs in entries)
+                 for col in pres.generator_columns)
+    return ShaResult(pres.structure, gens, full.structure)
 
 
 def brute_generated(group, gens):

@@ -433,6 +433,12 @@ class TestCertify:
         assert certify(2, 1, -3).conclusion == "refuted: p_prime"
         assert certify(2, 1, 3, -17).conclusion == "refuted: q_prime"
 
+    def test_parameters_that_are_not_ints_are_refused(self):
+        # certify(2.0, 1, 3.9) once certified p = 3
+        for args in ((2.0, 1, 3.9), (2, 1.0, 3), (2, 1, "3"), (2, 1, 3, 17.0), (True, 1, 3)):
+            with pytest.raises(ValueError, match="^certify needs ints: "):
+                certify(*args)
+
     def test_default_group_limit(self):
         assert inspect.signature(certify).parameters["group_limit"].default == DEFAULT_ORDER_LIMIT
 

@@ -30,7 +30,9 @@ CLI_GOLDENS = {
     "h1_klein4_aug.txt": ["h1", "--group", "builtin:klein4", "--module", "aug",
                           "--format", "table"],
     "sha_cyc_q8_aug.json": ["sha-cyc", "--group", "builtin:q8", "--module", "aug"],
+    "sha_cyc_z8_aug.json": ["sha-cyc", "--group", "builtin:z8", "--module", "aug"],
     "verify_lemma_z2xz4.json": ["verify-lemma", "--group", "builtin:z2xz4"],
+    "verify_lemma_z8.json": ["verify-lemma", "--group", "builtin:z8"],
     "dimension_shift_s3_all.json": ["dimension-shift", "--group", "builtin:s3",
                                     "--all-subgroups"],
     "sigma0_3_17.json": ["sigma0", "--a", "3", "--b", "17"],

@@ -65,10 +65,11 @@ from oracle_helpers import (
     is_brute_coboundary,
     old_pair_quotient,
     ride_along_kernel,
+    solved_restriction_kernel,
     span_presentation,
     SpanQuotientPresentation,
 )
-from random_modules import _coset_permutation, sweep_modules
+from random_modules import _coset_permutation, random_gmodule, sweep_modules
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
 BATTERY = ["klein4", "z2xz4", "z4", "z3xz3", "s3", "z6", "q8", "z2xz2xz2"]
@@ -687,8 +688,9 @@ class TestKernelRoutineAgainstOldPair:
 
 
 class TestOneConstructor:
-    """Every quotient the engine returns is built by
-    `QuotientPresentation.__init__`, the span the benchmark tracer wraps."""
+    """Every quotient the engine computes is built by
+    `QuotientPresentation.__init__`, the span the benchmark tracer wraps; a
+    kernel forced to 0 is returned without one."""
 
     def test_every_presentation_comes_from_the_constructor(self, monkeypatch):
         monkeypatch.setattr(g_modules, "_RING_CACHE", {})
@@ -718,9 +720,14 @@ class TestOneConstructor:
         assert built(sha_cyc(g, ideal))
         records = _biquadratic_model(3, 7)[0]
         klein = records[0].subgroup.parent
-        for excluded in ((), [rec.key for rec in records if rec.subgroup.order == 4]):
-            assert built(sha_sigma(klein, augmentation_ideal(klein, 4)[0], records,
-                                   excluded).structure), excluded
+        klein_ideal = augmentation_ideal(klein, 4)[0]
+        sigma0 = [rec.key for rec in records if rec.subgroup.order == 4]
+        assert built(sha_sigma(klein, klein_ideal, records, sigma0).structure)
+        # with every record kept, G is in the family: its kernel is 0, and
+        # no quotient is built for it
+        before = len(made)
+        assert sha_sigma(klein, klein_ideal, records).structure.is_trivial
+        assert len(made) == before
         for report in dimension_shift_check(g):
             assert built(report.ideal_h1) and built(report.ring_h1), report.subgroup
         assert built(quotient_structure(IntMatrix.from_rows([[2], [0]]), IntMatrix.identity(2), 4))
@@ -735,7 +742,7 @@ class TestMaximalMembers:
         # a fresh ideal: G, then each maximal cyclic subgroup once; z8 is
         # its own maximal cyclic subgroup, and Z/8 x Z/2 has 5 of its 8.
         # The rows of res_h1, the one restriction routine, are read once per
-        # maximal one
+        # maximal one, and never for z8: a family containing G has kernel 0
         monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
         calls = []
         restriction_rows = cohomology._restriction_rows
@@ -750,7 +757,7 @@ class TestMaximalMembers:
         assert not ideal._subgroup_h1_cache
         assert sha_cyc(g, ideal).order == g.order // g.exponent()
         assert len(ideal._subgroup_h1_cache) == solved
-        assert len(calls) == {"z8": 1, "zlxzln:2:3": 5}[name]
+        assert len(calls) == {"z8": 0, "zlxzln:2:3": 5}[name]
 
     def test_foreign_subgroup_inside_a_member_rejected(self):
         # every index of a subgroup of z2xz4 lies inside z8 itself
@@ -779,6 +786,38 @@ class TestMaximalMembers:
                             == cayley_restriction_kernel(g, mod, family)), (p, q, excluded)
                     checked += 1
         assert checked == 4 * (8 + 8 + 8 + 8 + 2 + 8)
+
+
+class TestFamilyContainingG:
+    """A family with a member of order |G| has kernel 0, returned without
+    elimination (res_G is the identity); the same family solved member by
+    member (`solved_restriction_kernel`) gives the same ShaResult."""
+
+    @staticmethod
+    def nontrivial_h1(g, modules):
+        full = full_subgroup(g)
+        for mod in modules:
+            for family in ([full], cyclic_subgroups(g) + [full], all_subgroups(g)):
+                solved = solved_restriction_kernel(g, mod, family)
+                assert solved.structure.is_trivial, mod.label
+                assert _restriction_kernel(g, mod, family) == solved, mod.label
+        return sum(not h1(g, mod).structure.is_trivial for mod in modules)
+
+    def test_acceptance_battery(self):
+        rng = random.Random(32)
+        nontrivial = 0
+        for name in BATTERY:
+            g = builtin_group(name)
+            modules = [augmentation_ideal(g, g.order)[0], group_ring(g, g.order),
+                       trivial_module(g, 4)]
+            modules += [random_gmodule(g, rng) for _ in range(3)]
+            nontrivial += self.nontrivial_h1(g, modules)
+        # the rule is checked on classes, not only on zero groups
+        assert nontrivial >= 25
+
+    def test_seeded_sweep(self):
+        nontrivial = sum(self.nontrivial_h1(g, [mod]) for g, mod in sweep_modules())
+        assert nontrivial >= 10
 
 
 class TestSubgroupGuard:

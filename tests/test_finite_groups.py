@@ -61,6 +61,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="limit"):
             from_permutations([tuple(range(1, 7)) + (0,)], limit=5)
 
+    def test_refuses_inputs_that_are_not_ints(self):
+        # each was once converted by int(), so a float was truncated: the
+        # first three built Z/2 and the last Z/4 x Z/2
+        for make, message in (
+                (lambda: from_permutations([(1.9, 0.2)]),
+                 "^permutation 0 has an entry that is not an int$"),
+                (lambda: from_permutations([(1, 0), (0, "1")]),
+                 "^permutation 1 has an entry that is not an int$"),
+                (lambda: Group([[0, 1.9], [1, 0]]), "^table row 0 has an entry that is not an int$"),
+                (lambda: Group([[0, 1], [True, 0]]),
+                 "^table row 1 has an entry that is not an int$"),
+                (lambda: cyclic_group(2.7), r"^cyclic group order 2\.7 is not an int$"),
+                (lambda: cyclic_group("3"), "^cyclic group order '3' is not an int$"),
+                (lambda: product_of_prime_powers(2.9, 1.5),
+                 r"^ell = 2\.9 and n = 1\.5 must be ints$"),
+                (lambda: product_of_prime_powers(2, 1.0),
+                 r"^ell = 2 and n = 1\.0 must be ints$")):
+            with pytest.raises(ValueError, match=message):
+                make()
+
     def test_group_axioms_scanned(self):
         for name in BATTERY:
             g = builtin_group(name)

@@ -18,16 +18,22 @@ from math import lcm
 import pytest
 
 from tameapprox.cohomology import (
+    _restriction_kernel,
     dimension_shift_check,
     h1,
     sha_cyc,
     verify_augmentation_lemma,
 )
-from tameapprox.finite_groups import all_subgroups, cyclic_subgroups, from_permutations
+from tameapprox.finite_groups import (
+    all_subgroups,
+    cyclic_subgroups,
+    from_permutations,
+    full_subgroup,
+)
 from tameapprox.g_modules import augmentation_ideal
 from tameapprox.zmod_linalg import AbGroupStructure
 
-from oracle_helpers import cayley_restriction_kernel
+from oracle_helpers import cayley_restriction_kernel, solved_restriction_kernel
 from random_modules import random_gmodule
 
 PERMUTATIONS = {
@@ -84,14 +90,32 @@ def test_dimension_shift_over_every_subgroup(name):
     assert all(report.passed for report in reports)
 
 
+def seeded_modules(g):
+    """Six seeded random modules over g, and its augmentation ideal."""
+    rng = random.Random(16)
+    modules = [random_gmodule(g, rng, max_size=81) for _ in range(6)]
+    return modules + [augmentation_ideal(g, g.order)[0]]
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_sha_cyc_against_cayley_oracle(name):
     g = group(name)
-    rng = random.Random(16)
-    modules = [random_gmodule(g, rng, max_size=81) for _ in range(6)]
-    modules.append(augmentation_ideal(g, g.order)[0])
+    modules = seeded_modules(g)
     cyclic = cyclic_subgroups(g)
     for mod in modules:
         assert sha_cyc(g, mod) == cayley_restriction_kernel(g, mod, cyclic), mod.label
     # the restriction is tested on classes, not only on zero groups
     assert sum(not h1(g, mod).structure.is_trivial for mod in modules) >= 3
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_family_containing_g_against_the_solved_kernel(name):
+    # res_G is the identity, so the kernel is 0 without elimination; the
+    # same family solved member by member gives the same ShaResult
+    g = group(name)
+    full = full_subgroup(g)
+    for mod in seeded_modules(g):
+        for family in ([full], cyclic_subgroups(g) + [full]):
+            solved = solved_restriction_kernel(g, mod, family)
+            assert solved.structure.is_trivial, mod.label
+            assert _restriction_kernel(g, mod, family) == solved, mod.label

@@ -61,6 +61,13 @@ from tameapprox.g_modules import _ideal_module
 group = from_permutations([(1, 2, 3, 0), (1, 0, 2, 3)])
 sha_cyc(group, _ideal_module(group, group.order))
 """,
+    "sha_cyc D16": """
+from tameapprox.cohomology import sha_cyc
+from tameapprox.finite_groups import from_permutations
+from tameapprox.g_modules import _ideal_module
+group = from_permutations([(1, 2, 3, 4, 5, 6, 7, 0), (0, 7, 6, 5, 4, 3, 2, 1)])
+sha_cyc(group, _ideal_module(group, group.order))
+""",
     "sha_cyc (Z/2)^5": """
 from tameapprox.cohomology import sha_cyc
 from tameapprox.finite_groups import cyclic_group, direct_product

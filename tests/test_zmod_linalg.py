@@ -721,6 +721,13 @@ class TestAbGroupStructure:
         with pytest.raises(ValueError):
             AbGroupStructure([1, 2])
 
+    def test_refuses_factors_that_are_not_ints(self):
+        # [2.5, "4"] once read Z/2 x Z/4
+        for factors, bad in (([2.5, "4"], r"2\.5"), ([2, "4"], "'4'"), ([2.0], r"2\.0"),
+                             ([True], "True")):
+            with pytest.raises(ValueError, match=f"^invariant factor {bad} is not an int$"):
+                AbGroupStructure(factors)
+
     def test_order_and_exponent(self):
         s = AbGroupStructure([2, 6])
         assert s.invariant_factors == (2, 6)
