@@ -40,7 +40,7 @@ from .finite_groups import (
 from .g_modules import _ideal_module
 # primality and factoring live in the leaf module `primes`, which the
 # elimination layer shares; the names stay importable from here
-from .primes import _UINT64_MAX, _brent_rho, factorize, is_prime
+from .primes import _UINT64_MAX, _brent_rho, _int, factorize, is_prime
 from .zmod_linalg import AbGroupStructure
 
 
@@ -53,7 +53,7 @@ class SearchBoundError(RuntimeError):
 
 
 def is_squarefree(n):
-    n = abs(int(n))
+    n = abs(_int(n, "n"))
     if n == 0:
         return False
     return all(e == 1 for e in factorize(n).values())
@@ -61,10 +61,9 @@ def is_squarefree(n):
 
 def legendre(a, p):
     """Legendre symbol (a/p) for an odd prime p, via Euler's criterion."""
-    p = int(p)
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    a = int(a) % p
+    a = _int(a, "a") % p
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
@@ -72,7 +71,7 @@ def legendre(a, p):
 
 def kronecker(a, n):
     """Kronecker symbol (a/n), the full extension of Jacobi/Legendre."""
-    a, n = int(a), int(n)
+    a, n = _int(a, "a"), _int(n, "n")
     if n == 0:
         return 1 if a in (1, -1) else 0
     result = 1
@@ -104,7 +103,7 @@ def kronecker(a, n):
 
 def find_p(ell, n, start=2, bound=_UINT64_MAX):
     """Least prime p >= start with p == 1 (mod ell^n), stepping the progression."""
-    ell, n, start = int(ell), int(n), int(start)
+    ell, n, start = _int(ell, "ell"), _int(n, "n"), _int(start, "start")
     if not is_prime(ell):
         raise ValueError(f"ell = {ell} is not prime")
     if n < 1:
@@ -126,7 +125,7 @@ def find_q(ell, p, bound=2 ** 32):
     otherwise; it makes q an ell-th power in Q_ell, so the places over ell
     keep cyclic decomposition groups.
     """
-    ell, p = int(ell), int(p)
+    ell, p = _int(ell, "ell"), _int(p, "p")
     if not is_prime(ell) or not is_prime(p):
         raise ValueError("ell and p must be prime")
     if (p - 1) % ell:
@@ -155,7 +154,7 @@ class LocalSquareClass(NamedTuple):
 
 
 def local_square(d, place):
-    d = int(d)
+    d = _int(d, "d")
     if d == 0 or not is_squarefree(d):
         raise ValueError(f"{d} is not a nonzero squarefree integer")
     return LocalSquareClass(place, d, _local_square_rule(d, _checked_place(place)))
@@ -194,7 +193,7 @@ class KummerPair(_KummerPair):
     __slots__ = ()
 
     def __new__(cls, a, b):
-        a, b = int(a), int(b)
+        a, b = _int(a, "a"), _int(b, "b")
         for name, value in (("a", a), ("b", b)):
             if value == 0 or not is_squarefree(value):
                 raise ValueError(f"{name} = {value} is not a nonzero squarefree integer")
@@ -296,7 +295,7 @@ def sigma0_biquadratic(pair):
 def _hensel_precision(ell, precision):
     """The precision exponent `ellth_root_in_zell` works to: at least 3 for
     ell = 2 and 2 otherwise, where the congruence on q starts."""
-    return max(int(precision), 3 if ell == 2 else 2)
+    return max(_int(precision, "Hensel precision"), 3 if ell == 2 else 2)
 
 
 def ellth_root_in_zell(q, ell, precision=8):
@@ -305,7 +304,7 @@ def ellth_root_in_zell(q, ell, precision=8):
     Exists whenever q == 1 (mod 8) for ell = 2, or q == 1 (mod ell^2) for odd
     ell: such units are ell-th powers in Z_ell (digit-by-digit Hensel lift).
     """
-    q, ell = int(q), int(ell)
+    q, ell = _int(q, "q"), _int(ell, "ell")
     precision = _hensel_precision(ell, precision)
     if q % (8 if ell == 2 else ell * ell) != 1:
         return None
@@ -448,11 +447,12 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     `_biquadratic_model` for (2, 1), `_kummer_model` otherwise.  See the
     Certificate docstring for the conclusion rule.  A failed hypothesis
     yields conclusion "refuted: <check>"; an exhausted q-search raises
-    SearchBoundError, and a parameter that is not an int (a float is not
-    truncated) raises ValueError.
+    SearchBoundError, and a parameter that breaks the integer rule of
+    `primes._int` raises ValueError.
     """
-    if any(type(x) is not int for x in (ell, n, p)) or not (q is None or type(q) is int):
-        raise ValueError(f"certify needs ints: ell={ell!r}, n={n!r}, p={p!r}, q={q!r}")
+    ell, n, p = _int(ell, "ell"), _int(n, "n"), _int(p, "p")
+    q = q if q is None else _int(q, "q")
+    precision = _hensel_precision(ell, hensel_precision)
     # k = Q(zeta_(ell^n)), which is Q for ell^n = 2
     cert = Certificate(ell=ell, n=n, p=p, q=q,
                        field_desc="Q" if ell ** n == 2 else f"Q(zeta_{ell ** n})")
@@ -481,9 +481,7 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
         return refute()
 
     if q is None:
-        q = find_q(ell, p, bound=search_bound)
-    q = int(q)
-    cert.q = q
+        q = cert.q = find_q(ell, p, bound=search_bound)
 
     ok = add("q_prime", f"q = {q} is prime", {"q": q}, q >= 0 and is_prime(q))
     ok &= add("q_odd", f"q = {q} is odd", {"q": q}, q % 2 == 1)
@@ -497,7 +495,6 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
             f"q^((p-1)/{ell}) != 1 (mod p), so q is not an {ell}-th power mod p",
             {"euler_power": euler}, euler != 1,
         )
-        precision = _hensel_precision(ell, hensel_precision)
         root = ellth_root_in_zell(q, ell, precision)
         local_stmt = (
             f"q == 1 (mod 8) makes q a square in Q_2"
@@ -599,7 +596,7 @@ def _biquadratic_model(p, q, group=None, **_):
     p and q are any KummerPair classes.
     """
     records, rows = biquadratic_place_records(KummerPair(p, q), group)
-    sigma0 = [int(rec.label) for rec in records if rec.subgroup.order == 4]
+    sigma0 = [rec.label for rec in records if rec.subgroup.order == 4]
     statement = (
         f"Sigma_0(Q, I) = {{{', '.join(map(str, sigma0))}}}: the places with full (non-cyclic)"
         " decomposition group, computed from local square classes at 2 and at the primes"

@@ -12,9 +12,11 @@ graph (`_cayley_presentation`), either one a `PcPresentation` NamedTuple.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 from math import lcm
 from typing import NamedTuple
+
+from .primes import _int
 
 DEFAULT_ORDER_LIMIT = 512
 
@@ -36,7 +38,8 @@ class Group:
                  "_orders", "_generators", "_cyclic_subgroups", "_full")
 
     def __init__(self, table, names=None):
-        rows = tuple(tuple(row) for row in table)
+        rows = tuple(tuple(map(_int, row, repeat(f"an entry of table row {i}")))
+                     for i, row in enumerate(table))
         n = len(rows)
         if n == 0:
             raise ValueError("empty Cayley table")
@@ -44,8 +47,6 @@ class Group:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"table row {i} has {len(row)} entries, expected {n}")
-            if not all(type(x) is int for x in row):
-                raise ValueError(f"table row {i} has an entry that is not an int")
             if set(row) != full:
                 raise ValueError(f"table row {i} is not a permutation of 0..{n - 1}")
         for j in range(n):
@@ -317,7 +318,7 @@ class Subgroup:
     __slots__ = ("parent", "elements", "_as_group", "_generators", "_presentation")
 
     def __init__(self, parent, elements):
-        elems = tuple(sorted({int(x) for x in elements}))
+        elems = tuple(sorted({_int(x, "subgroup element") for x in elements}))
         for x in elems:
             if not 0 <= x < parent.order:
                 raise ValueError(f"element index {x} out of range for group of order {parent.order}")
@@ -403,7 +404,7 @@ def subgroup_generated(group, gens):
     """
     gens = list(gens)
     for g in gens:
-        if type(g) is not int or not 0 <= g < group.order:
+        if not 0 <= _int(g, "subgroup generator") < group.order:
             raise ValueError(
                 f"subgroup generator {g!r} is not an element index in 0..{group.order - 1}")
     closed = group._close(set(gens))
@@ -497,9 +498,7 @@ def from_permutations(gens, *, limit=DEFAULT_ORDER_LIMIT):
     for i, p in enumerate(gens):
         if len(p) != degree:
             raise ValueError(f"permutation {i} has degree {len(p)}, expected {degree}")
-        if not all(type(x) is int for x in p):
-            raise ValueError(f"permutation {i} has an entry that is not an int")
-        if sorted(p) != list(range(degree)):
+        if sorted(map(_int, p, repeat(f"an entry of permutation {i}"))) != list(range(degree)):
             raise ValueError(f"permutation {i} is not a permutation of 0..{degree - 1}")
 
     ident = tuple(range(degree))
@@ -524,9 +523,7 @@ def from_permutations(gens, *, limit=DEFAULT_ORDER_LIMIT):
 
 def cyclic_group(n):
     """Z/n with additive indexing: element k is k times the generator."""
-    if type(n) is not int:
-        raise ValueError(f"cyclic group order {n!r} is not an int")
-    if n < 1:
+    if _int(n, "cyclic group order") < 1:
         raise ValueError("cyclic group order must be >= 1")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return Group(table, [str(k) for k in range(n)])
@@ -581,8 +578,7 @@ def product_of_prime_powers(ell, n, *, limit=DEFAULT_ORDER_LIMIT):
     Its order ell^(n+1) is checked against `limit` before the Cayley table,
     whose size is quadratic in the order, is built.
     """
-    if type(ell) is not int or type(n) is not int:
-        raise ValueError(f"ell = {ell!r} and n = {n!r} must be ints")
+    ell, n = _int(ell, "ell"), _int(n, "n")
     if ell < 2 or n < 1:
         raise ValueError("need ell >= 2 and n >= 1")
     if ell ** (n + 1) > limit:

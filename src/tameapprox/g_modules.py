@@ -24,13 +24,14 @@ from math import gcd
 from operator import mul
 
 from .finite_groups import Subgroup, _int_rows
+from .primes import _int
 from .zmod_linalg import IntMatrix
 
 
 def _sparse(mat, m):
     """The rows of a dense integer matrix in canonical sparse form mod m."""
-    return tuple(tuple((j, v) for j, x in enumerate(row) if (v := int(x) % m))
-                 for row in mat)
+    return tuple(tuple((j, v) for j, x in enumerate(row)
+                       if (v := _int(x, "action matrix entry") % m)) for row in mat)
 
 
 def _row_times(row, mat, m):
@@ -56,11 +57,10 @@ def _unit_rows(r):
 
 
 def _sizes(modulus, rank):
-    """(m, r) as ints, checked: every builder runs this on user input."""
-    m = int(modulus)
+    """(m, r), checked: every builder runs this on user input."""
+    m, r = _int(modulus, "modulus"), _int(rank, "rank")
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    r = int(rank)
     if r < 0:
         raise ValueError("rank must be >= 0")
     return m, r
@@ -216,13 +216,13 @@ def group_ring(group, modulus):
     again: g.(h.e_k) = e_((gh)k) = (gh).e_k is associativity, which `Group`
     has proved.
     """
-    key = (group, modulus)
+    m, n = _sizes(modulus, group.order)
+    key = (group, m)
     if key in _RING_CACHE:
         return _RING_CACHE[key]
-    m, n = _sizes(modulus, group.order)
     unit = _unit_rows(n)
     rows = tuple(tuple(unit[x] for x in group.table[group.inverse(g)]) for g in range(n))
-    ring = GModule._from_validated(group, m, n, rows, f"(Z/{modulus})[G]")
+    ring = GModule._from_validated(group, m, n, rows, f"(Z/{m})[G]")
     _RING_CACHE[key] = ring
     return ring
 
@@ -239,11 +239,11 @@ def _ideal_module(group, modulus):
     G-invariant submodule, in the basis g - 1.  `augmentation_ideal`
     cross-checks these rows against the ring's.
     """
-    key = (group, modulus)
-    if key in _IDEAL_CACHE:
-        return _IDEAL_CACHE[key]
     n = group.order
     m, r = _sizes(modulus, n - 1)
+    key = (group, m)
+    if key in _IDEAL_CACHE:
+        return _IDEAL_CACHE[key]
     e = group.identity
     basis = [g for g in range(n) if g != e]  # basis vector i is (basis[i] - 1)
     pos = {g: i for i, g in enumerate(basis)}
@@ -259,7 +259,7 @@ def _ideal_module(group, modulus):
                 mat[pos[gh]] = unit[i]
         rows.append(tuple(mat))
     ideal = GModule._from_validated(group, m, r, tuple(rows),
-                                    f"augmentation ideal of (Z/{modulus})[G]")
+                                    f"augmentation ideal of (Z/{m})[G]")
     _IDEAL_CACHE[key] = ideal
     return ideal
 
@@ -327,8 +327,9 @@ def restrict(module, sub):
 def dual_module(module, twist=None):
     """Unit-twisted dual: action(g) = twist(g) * action(g^{-1})^T over Z/m.
 
-    The dual keeps the module's modulus m, also at rank 0.  `twist` maps
-    element indices to units mod m and must be multiplicative, checked at
+    The dual keeps the module's modulus m, also at rank 0.  `twist`, a dict
+    or a list (not a function), gives each element index an int unit mod m,
+    a missing one refused, and must be multiplicative, checked at
     (generator s, any b): the a with tw(a)tw(b) = tw(ab) for all b are
     closed under products, as tw(ac)tw(b) = tw(a)tw(c)tw(b) = tw(a(cb)).
     Omitted it is identically 1, giving the plain dual whose double dual
@@ -338,16 +339,13 @@ def dual_module(module, twist=None):
     m = module.modulus
     n = g.order
     if twist is None:
-        tw = [1] * n
-    elif callable(twist):
-        tw = [int(twist(x)) % m for x in range(n)]
-    else:
-        tw = []
-        for x in range(n):
-            try:
-                tw.append(int(twist[x]) % m)
-            except LookupError:
-                raise ValueError(f"twist({x}) has no value") from None
+        twist = [1] * n
+    tw = []
+    for x in range(n):
+        try:
+            tw.append(_int(twist[x], f"twist({x})") % m)
+        except LookupError:
+            raise ValueError(f"twist({x}) has no value") from None
     for x in range(n):
         if gcd(tw[x], m) != 1:
             raise ValueError(f"twist({x}) = {tw[x]} is not a unit mod {m}")

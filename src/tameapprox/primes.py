@@ -6,6 +6,11 @@ Pollard rho, so a modulus with a large prime factor costs a few modular
 powers, not a trial division up to its square root.  The elimination in
 `zmod_linalg` factors its moduli here, and `arithmetic` re-exports the
 three names.
+
+`_int` holds the one integer rule of the Python API, for every layer: an
+argument that stands for an integer must be an `int`, and a bool is not
+one.  A float, a string or anything else raises ValueError; nothing is
+truncated or parsed, so `is_prime(7.9)` is an error, not `is_prime(7)`.
 """
 
 from __future__ import annotations
@@ -19,9 +24,16 @@ _UINT64_MAX = 2 ** 64
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _int(value, what):
+    """`value` if it is an int (not a bool), else a ValueError naming `what`."""
+    if type(value) is not int:
+        raise ValueError(f"{what} is {value!r}, not an int")
+    return value
+
+
 def is_prime(x):
     """Deterministic primality for 0 <= x <= 2**64 (Miller-Rabin, fixed bases)."""
-    x = int(x)
+    _int(x, "x")
     if x < 0:
         raise ValueError("is_prime expects a nonnegative integer")
     if x > _UINT64_MAX:
@@ -87,7 +99,7 @@ def factorize(n):
     Raises ValueError if a cofactor above 2**64 is left after the primes
     below 50 are stripped, since `is_prime` cannot decide it.
     """
-    n = abs(int(n))
+    n = abs(_int(n, "n"))
     if n == 0:
         raise ValueError("cannot factor 0")
     whole = n

@@ -34,7 +34,7 @@ from itertools import compress
 from operator import mul
 from typing import NamedTuple
 
-from .primes import factorize
+from .primes import _int, factorize
 
 
 class NotInSpanError(ValueError):
@@ -48,20 +48,16 @@ class NotInSpanError(ValueError):
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major.  Built from its
     entries (a zero or diagonal matrix too), `from_rows` or `identity`.
-    Entries and dimensions must be `int`s (bools refused): nothing is
-    converted, so 0.5 or "7" is an error and not a truncated entry."""
+    Entries and dimensions follow the integer rule of `primes._int`."""
 
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows, cols, entries):
-        if type(rows) is not int or type(cols) is not int:
-            raise ValueError(f"matrix dimensions {rows!r} x {cols!r} are not ints")
-        if rows < 0 or cols < 0:
+        if min(_int(rows, "matrix rows"), _int(cols, "matrix cols")) < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         entries = list(entries)
         for k, x in enumerate(entries):
-            if type(x) is not int:
-                raise ValueError(f"matrix entry {k} is {x!r}, not an int")
+            _int(x, f"matrix entry {k}")
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
@@ -166,7 +162,8 @@ class AbGroupStructure(_AbGroupStructure):
 
     Factors equal to 1 are never stored, so equality of structures is literal
     equality of the factor tuples; the empty tuple is the trivial group.
-    Every construction validates, `_replace` and `_make` included.
+    Every construction validates, `_replace` and `_make` included, each
+    factor by the integer rule of `primes._int`.
     """
 
     __slots__ = ()
@@ -174,9 +171,7 @@ class AbGroupStructure(_AbGroupStructure):
     def __new__(cls, invariant_factors=()):
         factors = tuple(invariant_factors)
         for d in factors:
-            if type(d) is not int:
-                raise ValueError(f"invariant factor {d!r} is not an int")
-            if d < 2:
+            if _int(d, "invariant factor") < 2:
                 raise ValueError(f"invariant factor {d} < 2 (drop 1s, no infinite factors)")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
@@ -546,7 +541,7 @@ class QuotientPresentation:
     __slots__ = ("structure", "generator_columns", "modulus", "dim", "_parts", "_a_cols")
 
     def __init__(self, a_rows, b_rows, modulus):
-        m = int(modulus)
+        m = _int(modulus, "modulus")
         if m < 1:
             raise ValueError("modulus must be >= 1")
         dim = len(b_rows)

@@ -434,9 +434,12 @@ class TestCertify:
         assert certify(2, 1, 3, -17).conclusion == "refuted: q_prime"
 
     def test_parameters_that_are_not_ints_are_refused(self):
-        # certify(2.0, 1, 3.9) once certified p = 3
-        for args in ((2.0, 1, 3.9), (2, 1.0, 3), (2, 1, "3"), (2, 1, 3, 17.0), (True, 1, 3)):
-            with pytest.raises(ValueError, match="^certify needs ints: "):
+        # certify(2.0, 1, 3.9) once certified p = 3; the message is the
+        # integer rule's, naming the first parameter that breaks it
+        for args, message in (((2.0, 1, 3.9), r"ell is 2\.0"), ((2, 1.0, 3), r"n is 1\.0"),
+                              ((2, 1, "3"), "p is '3'"), ((2, 1, 3, 17.0), r"q is 17\.0"),
+                              ((True, 1, 3), "ell is True")):
+            with pytest.raises(ValueError, match=f"^{message}, not an int$"):
                 certify(*args)
 
     def test_default_group_limit(self):

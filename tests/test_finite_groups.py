@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -63,22 +64,18 @@ class TestConstruction:
 
     def test_refuses_inputs_that_are_not_ints(self):
         # each was once converted by int(), so a float was truncated: the
-        # first three built Z/2 and the last Z/4 x Z/2
+        # first three built Z/2 and the last Z/4 x Z/2; the message is the
+        # integer rule's, naming the first argument that breaks it
         for make, message in (
-                (lambda: from_permutations([(1.9, 0.2)]),
-                 "^permutation 0 has an entry that is not an int$"),
-                (lambda: from_permutations([(1, 0), (0, "1")]),
-                 "^permutation 1 has an entry that is not an int$"),
-                (lambda: Group([[0, 1.9], [1, 0]]), "^table row 0 has an entry that is not an int$"),
-                (lambda: Group([[0, 1], [True, 0]]),
-                 "^table row 1 has an entry that is not an int$"),
-                (lambda: cyclic_group(2.7), r"^cyclic group order 2\.7 is not an int$"),
-                (lambda: cyclic_group("3"), "^cyclic group order '3' is not an int$"),
-                (lambda: product_of_prime_powers(2.9, 1.5),
-                 r"^ell = 2\.9 and n = 1\.5 must be ints$"),
-                (lambda: product_of_prime_powers(2, 1.0),
-                 r"^ell = 2 and n = 1\.0 must be ints$")):
-            with pytest.raises(ValueError, match=message):
+                (lambda: from_permutations([(1.9, 0.2)]), r"an entry of permutation 0 is 1\.9"),
+                (lambda: from_permutations([(1, 0), (0, "1")]), "an entry of permutation 1 is '1'"),
+                (lambda: Group([[0, 1.9], [1, 0]]), r"an entry of table row 0 is 1\.9"),
+                (lambda: Group([[0, 1], [True, 0]]), "an entry of table row 1 is True"),
+                (lambda: cyclic_group(2.7), r"cyclic group order is 2\.7"),
+                (lambda: cyclic_group("3"), "cyclic group order is '3'"),
+                (lambda: product_of_prime_powers(2.9, 1.5), r"ell is 2\.9"),
+                (lambda: product_of_prime_powers(2, 1.0), r"n is 1\.0")):
+            with pytest.raises(ValueError, match=f"^{message}, not an int$"):
                 make()
 
     def test_group_axioms_scanned(self):
@@ -244,8 +241,15 @@ class TestSubgroups:
 
     @pytest.mark.parametrize("gens", [[99], [8], [-1], [1, -8], [1.0], ["1"], [True], [None]])
     def test_generator_outside_the_group_is_rejected(self, gens):
+        # an int outside 0..7 is out of range; anything else, 1.0 and True
+        # included, breaks the integer rule
         g = cyclic_group(8)
-        with pytest.raises(ValueError, match="not an element index in 0..7"):
+        bad = gens[-1]
+        if type(bad) is int:
+            message = rf"^subgroup generator {bad} is not an element index in 0\.\.7$"
+        else:
+            message = f"^subgroup generator is {re.escape(repr(bad))}, not an int$"
+        with pytest.raises(ValueError, match=message):
             subgroup_generated(g, gens)
 
     def test_closure_validated(self):

@@ -119,6 +119,20 @@ class TestAugmentationIdeal:
         assert len(g_modules._IDEAL_CACHE) == 2
         assert all(type(v) is GModule for v in g_modules._IDEAL_CACHE.values())
 
+    def test_the_modulus_is_checked_before_the_caches(self, monkeypatch):
+        # 8.0 once returned the cached Z/8 ideal, and 4.5 cached a second
+        # Z/4 ring under the key 4.5
+        monkeypatch.setattr(g_modules, "_RING_CACHE", {})
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+        g = builtin_group("klein4")
+        ideal, ring = _ideal_module(g, 8), group_ring(g, 4)
+        for build, modulus, bad in ((_ideal_module, 8.0, r"8\.0"), (group_ring, 4.5, r"4\.5")):
+            with pytest.raises(ValueError, match=f"^modulus is {bad}, not an int$"):
+                build(g, modulus)
+        assert _ideal_module(g, 8) is ideal and group_ring(g, 4) is ring
+        assert list(g_modules._IDEAL_CACHE) == [(g, 8)]
+        assert list(g_modules._RING_CACHE) == [(g, 4)]
+
     def test_public_call_checks_on_every_call(self, monkeypatch):
         # only the module is cached: a cached pair of maps would skip the checks
         monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
@@ -423,6 +437,12 @@ class TestDual:
             dual_module(ring, [1, 1])
         with pytest.raises(ValueError, match=re.escape("twist(1) has no value")):
             dual_module(ring, {0: 1})
+
+    def test_a_function_is_not_a_twist(self):
+        # only a mapping or a sequence is read; a function is not subscriptable
+        triv = trivial_module(cyclic_group(2), 4)
+        with pytest.raises(TypeError):
+            dual_module(triv, lambda x: 3 if x else 1)
 
     def test_nontrivial_twist_changes_action(self):
         g = cyclic_group(2)

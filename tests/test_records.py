@@ -95,11 +95,18 @@ class TestAbGroupStructure:
 
 class TestKummerPair:
     def test_normalises_every_construction(self):
-        built = [KummerPair("3", 17), KummerPair(a=3, b="17"), KummerPair._make(["3", "17"]),
-                 KummerPair(3, 5)._replace(b="17")]
+        built = [KummerPair(3, 17), KummerPair(a=3, b=17), KummerPair._make([3, 17]),
+                 KummerPair(3, 5)._replace(b=17)]
         for pair in built:
             assert type(pair) is KummerPair and pair == (3, 17)
             assert type(pair.a) is int and type(pair.b) is int
+        # KummerPair("3", 17) once parsed "3": each path now refuses a string
+        for build, message in ((lambda: KummerPair("3", 17), "a is '3'"),
+                               (lambda: KummerPair(a=3, b="17"), "b is '17'"),
+                               (lambda: KummerPair._make(["3", "17"]), "a is '3'"),
+                               (lambda: KummerPair(3, 5)._replace(b="17"), "b is '17'")):
+            with pytest.raises(ValueError, match=f"^{message}, not an int$"):
+                build()
 
     @pytest.mark.parametrize("build", [
         lambda: KummerPair(12, 5),

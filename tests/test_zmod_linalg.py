@@ -94,8 +94,10 @@ class TestIntMatrixTypes:
                 make()
 
     def test_refuses_dimensions_that_are_not_ints(self):
-        for rows, cols in ((1.0, 1), (1, "1"), (True, 1)):
-            with pytest.raises(ValueError, match="^matrix dimensions .* are not ints$"):
+        # the integer rule's message, naming the dimension that breaks it
+        for rows, cols, message in ((1.0, 1, r"matrix rows is 1\.0"), (1, "1", "matrix cols is '1'"),
+                                    (True, 1, "matrix rows is True")):
+            with pytest.raises(ValueError, match=f"^{message}, not an int$"):
                 IntMatrix(rows, cols, [0])
 
     def test_int_entries_are_kept(self):
@@ -722,10 +724,10 @@ class TestAbGroupStructure:
             AbGroupStructure([1, 2])
 
     def test_refuses_factors_that_are_not_ints(self):
-        # [2.5, "4"] once read Z/2 x Z/4
+        # [2.5, "4"] once read Z/2 x Z/4; the integer rule's message
         for factors, bad in (([2.5, "4"], r"2\.5"), ([2, "4"], "'4'"), ([2.0], r"2\.0"),
                              ([True], "True")):
-            with pytest.raises(ValueError, match=f"^invariant factor {bad} is not an int$"):
+            with pytest.raises(ValueError, match=f"^invariant factor is {bad}, not an int$"):
                 AbGroupStructure(factors)
 
     def test_order_and_exponent(self):
