@@ -29,7 +29,8 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import NamedTuple
 
-from .cohomology import PlaceRecord, dimension_shift_check, sha_sigma, verify_augmentation_lemma
+from .cohomology import (PlaceRecord, _is_place, dimension_shift_check, sha_sigma,
+                         verify_augmentation_lemma)
 from .finite_groups import (
     DEFAULT_ORDER_LIMIT,
     Subgroup,
@@ -161,8 +162,8 @@ def local_square(d, place):
 
 
 def _checked_place(place):
-    """`place` if it is "inf" or a prime int (not a bool), else a ValueError."""
-    if place != "inf" and (type(place) is not int or not is_prime(place)):
+    """`place` if `cohomology._is_place` holds for it, else a ValueError."""
+    if not _is_place(place):
         raise ValueError(f"place {place!r} is neither a prime nor 'inf'")
     return place
 
@@ -668,9 +669,10 @@ def _full_over_p_holds(ell, n, p, q, witness):
 
 def _cyclic_over_ell_holds(ell, q, precision, witness):
     """`decomposition_cyclic_over_ell` from its witness: root^ell == q modulo
-    ell^precision, at the precision `ellth_root_in_zell` works to."""
+    ell^precision, a precision already at its `_hensel_precision` floor
+    (`certify` floors it; `_ellth_power_locally_holds` checks it)."""
     root = witness["root"]
-    mod = ell ** _hensel_precision(ell, precision)
+    mod = ell ** precision
     return root is not None and (pow(root, ell, mod) - q) % mod == 0
 
 

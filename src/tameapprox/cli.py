@@ -18,9 +18,9 @@ abbreviated or unknown flag, a missing value or one that starts with `-`, a
 value that fails its type or choices, a missing required option, `--`, or
 no command name at all -- goes to argparse, `build_parser().parse_args(argv)`,
 so help, usage errors and exit codes are argparse's own, except that a
-value `--` (`--flag=--`, read differently by each Python) is refused after
-the parse as a missing value, exit 2.  The invariant: for every argv the
-fast parse accepts,
+value `--` (`--flag=--`, read differently by each Python) is refused before
+either parser reads it, as a missing value, exit 2.  The invariant: for every
+argv the fast parse accepts,
 `vars(_fast_parse(name, argv)) == vars(build_parser().parse_args([name, *argv]))`.
 argparse is imported only on the second path: its first use in a process (it
 imports `gettext` and then `locale`) costs more than most commands' cohomology.
@@ -356,19 +356,14 @@ class _Declared(dict):
         self[flag] = spec
 
 
-def _declared(name):
-    """The `_Declared` options of command `name`, and each flag's dest."""
-    declared = _Declared()
-    _COMMANDS[name].add_options(declared)
-    return declared, {flag: flag[2:].replace("-", "_") for flag in declared}
-
-
 def _fast_parse(name, argv):
     """`build_parser().parse_args([name, *argv])` as a namespace with the
     same `vars`, read straight from the command's declarations; None when
     `argv` leaves the strict grammar of the module docstring or would fail
     to parse."""
-    declared, dest = _declared(name)
+    declared = _Declared()
+    _COMMANDS[name].add_options(declared)
+    dest = {flag: flag[2:].replace("-", "_") for flag in declared}
     values = {"command": name}
     for flag, spec in declared.items():
         store_true = spec.get("action") == "store_true"
@@ -451,29 +446,19 @@ def run(args):
     return status
 
 
-def _argparse_args(argv):
-    """`build_parser().parse_args(argv)`, with a `--flag=--` refused as the
-    usage error for a missing value: argparse on Python 3.10-3.12 stores an
-    empty list for it, neither converted nor checked, and on 3.13 "--"."""
-    args = build_parser().parse_args(argv)
-    declared, dest = _declared(args.command)
-    for flag, spec in declared.items():
-        value = getattr(args, dest[flag])
-        for item in (value or ()) if spec.get("action") == "append" else (value,):
-            if isinstance(item, list) or item == "--":
-                raise UsageError(f"argument {flag}: expected one argument")
-    return args
-
-
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = None
-    if argv and argv[0] in _COMMANDS:
-        args = _fast_parse(argv[0], argv[1:])
     try:
+        # argparse stores a `--flag=--` value as [] on Python 3.10-3.12, neither
+        # converted nor checked, and as "--" on 3.13: it is a missing value
+        for token in argv:
+            flag, _, value = token.partition("=")
+            if value == "--" and flag.startswith("--"):
+                raise UsageError(f"argument {flag}: expected one argument")
+        args = _fast_parse(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
         if args is None:  # argparse, only for what the fast parse declines
-            args = _argparse_args(argv)
+            args = build_parser().parse_args(argv)
         return run(args)
     except (NotInSpanError, AssertionError) as exc:
         # before ValueError: NotInSpanError subclasses it, but means a bug here

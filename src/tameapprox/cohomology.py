@@ -360,16 +360,19 @@ class PlaceRecord(NamedTuple):
         return str(self.label)
 
 
+def _is_place(label):
+    """Whether `label` is a place of Q: "inf", or a prime int (not a bool)."""
+    return label == "inf" or type(label) is int and label >= 2 and is_prime(label)
+
+
 def _is_place_token(key):
-    """Whether `key` names a place in its one spelling: "inf", or a prime
-    written as `str` writes it (no sign, padding or leading zero)."""
-    if key == "inf":
-        return True
+    """Whether the string `key` names a place by `_is_place` in its one spelling:
+    "inf", or a prime as `str` writes it (no sign, padding or leading zero)."""
     try:
-        value = int(key)
+        label = key if key == "inf" else int(key)
     except ValueError:
         return False
-    return str(value) == key and value >= 2 and is_prime(value)
+    return str(label) == key and _is_place(label)
 
 
 def sha_sigma(group, module, places, excluded=()):

@@ -12,11 +12,11 @@ graph (`_cayley_presentation`), either one a `PcPresentation` NamedTuple.
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import product
 from math import lcm
 from typing import NamedTuple
 
-from .primes import _int
+from .primes import _int, _ints
 
 DEFAULT_ORDER_LIMIT = 512
 
@@ -38,7 +38,7 @@ class Group:
                  "_orders", "_generators", "_cyclic_subgroups", "_full")
 
     def __init__(self, table, names=None):
-        rows = tuple(tuple(map(_int, row, repeat(f"an entry of table row {i}")))
+        rows = tuple(_ints(row, lambda k: f"an entry of table row {i}")
                      for i, row in enumerate(table))
         n = len(rows)
         if n == 0:
@@ -313,12 +313,16 @@ def _cayley_presentation(group, gens):
 
 
 class Subgroup:
-    """A subgroup of a parent Group, stored as a sorted element index set."""
+    """A subgroup of a parent Group, stored as a sorted element index set.
 
-    __slots__ = ("parent", "elements", "_as_group", "_generators", "_presentation")
+    Only `presentation()`, which every solve over the subgroup reads, is
+    cached; `generating_set()` and `as_group()` are built on each call.
+    """
+
+    __slots__ = ("parent", "elements", "_presentation")
 
     def __init__(self, parent, elements):
-        elems = tuple(sorted({_int(x, "subgroup element") for x in elements}))
+        elems = tuple(sorted(set(_ints(elements, lambda k: "subgroup element"))))
         for x in elems:
             if not 0 <= x < parent.order:
                 raise ValueError(f"element index {x} out of range for group of order {parent.order}")
@@ -333,8 +337,6 @@ class Subgroup:
                     )
         self.parent = parent
         self.elements = elems
-        self._as_group = None
-        self._generators = None
         self._presentation = None
 
     @property
@@ -351,9 +353,7 @@ class Subgroup:
     def generating_set(self):
         """Generators in the parent's indices, chosen as `Group.generating_set`
         chooses them among this subgroup's elements."""
-        if self._generators is None:
-            self._generators = _greedy_generators(self.parent, self.elements)
-        return self._generators
+        return _greedy_generators(self.parent, self.elements)
 
     def presentation(self):
         """This subgroup's presentation in the parent's indices, on
@@ -374,15 +374,9 @@ class Subgroup:
 
         Local element i corresponds to parent element `self.elements[i]`.
         """
-        if self._as_group is None:
-            idx = {x: i for i, x in enumerate(self.elements)}
-            table = [
-                [idx[self.parent.table[a][b]] for b in self.elements]
-                for a in self.elements
-            ]
-            names = [self.parent.names[x] for x in self.elements]
-            self._as_group = Group(table, names)
-        return self._as_group
+        idx = {x: i for i, x in enumerate(self.elements)}
+        table = [[idx[self.parent.table[a][b]] for b in self.elements] for a in self.elements]
+        return Group(table, [self.parent.names[x] for x in self.elements])
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):
@@ -498,7 +492,7 @@ def from_permutations(gens, *, limit=DEFAULT_ORDER_LIMIT):
     for i, p in enumerate(gens):
         if len(p) != degree:
             raise ValueError(f"permutation {i} has degree {len(p)}, expected {degree}")
-        if sorted(map(_int, p, repeat(f"an entry of permutation {i}"))) != list(range(degree)):
+        if sorted(_ints(p, lambda k: f"an entry of permutation {i}")) != list(range(degree)):
             raise ValueError(f"permutation {i} is not a permutation of 0..{degree - 1}")
 
     ident = tuple(range(degree))

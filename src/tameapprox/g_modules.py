@@ -191,8 +191,9 @@ class ModuleMap:
         return tuple(sum(map(mul, row, vec)) % m for row in self.matrix._data)
 
 
-# Keyed by (group, modulus); a Group hashes by its table, so an equal group
-# built later hits.  Entries live for the process.
+# Keyed by (group, modulus); a Group hashes and compares by its table, so an
+# equal group built later hits, and a hit's `.group` may carry other names:
+# name elements from the caller's group.  Entries live for the process.
 _RING_CACHE = {}
 _IDEAL_CACHE = {}
 

@@ -31,6 +31,16 @@ def _int(value, what):
     return value
 
 
+def _ints(values, what):
+    """`values` as a tuple, under `_int`'s rule in one scan of their types;
+    only if a type is not int does `_int` walk them, `what(k)` naming entry k."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        for k, x in enumerate(values):
+            _int(x, what(k))
+    return values
+
+
 def is_prime(x):
     """Deterministic primality for 0 <= x <= 2**64 (Miller-Rabin, fixed bases)."""
     _int(x, "x")

@@ -34,7 +34,7 @@ from itertools import compress
 from operator import mul
 from typing import NamedTuple
 
-from .primes import _int, factorize
+from .primes import _int, _ints, factorize
 
 
 class NotInSpanError(ValueError):
@@ -55,9 +55,7 @@ class IntMatrix:
     def __init__(self, rows, cols, entries):
         if min(_int(rows, "matrix rows"), _int(cols, "matrix cols")) < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = list(entries)
-        for k, x in enumerate(entries):
-            _int(x, f"matrix entry {k}")
+        entries = _ints(entries, lambda k: f"matrix entry {k}")
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"

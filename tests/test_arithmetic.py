@@ -184,8 +184,9 @@ class TestLocalSquares:
 
     def test_rejects_a_place_that_is_not_a_prime_int(self):
         # a float or a string is not truncated or parsed to a nearby prime
-        for place in (2.5, "5", 5.0, True, 4, "abc"):
-            with pytest.raises(ValueError, match=f"place {place!r} is neither"):
+        # and -3 once got is_prime's "expects a nonnegative integer"
+        for place in (2.5, "5", 5.0, True, 4, "abc", -3):
+            with pytest.raises(ValueError, match=f"^place {place!r} is neither a prime nor 'inf'$"):
                 local_square(3, place)
 
     def test_odd_primes_against_brute_force(self):
@@ -251,8 +252,8 @@ class TestDecompositionSubgroups:
             decomposition_subgroup(KummerPair(3, 17), 2, builtin_group("z4"))
 
     def test_rejects_a_place_that_is_not_a_prime_int(self):
-        for place in (3.7, "17", 2.0, False, 9):
-            with pytest.raises(ValueError, match=f"place {place!r} is neither"):
+        for place in (3.7, "17", 2.0, False, 9, -5):
+            with pytest.raises(ValueError, match=f"^place {place!r} is neither a prime nor 'inf'$"):
                 decomposition_subgroup(KummerPair(3, 17), place)
 
     def test_rejects_a_klein_group_not_indexed_2i_plus_j(self):

@@ -713,6 +713,18 @@ class TestDashDashValue:
         assert f"argument {flag}: " in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "--").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["dimension-shift", "--group", "builtin:s3", "--subgroup=--"], "--subgroup"),
+        (["h1", "--group", "builtin:z2", "--out=--"], "--out"),  # named as typed
+    ])
+    def test_is_refused_before_either_parser(self, capsys, tmp_path, monkeypatch, argv, flag):
+        # an append option and an abbreviation: neither parser is reached
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_fast_parse", None)
+        monkeypatch.setattr(cli, "build_parser", None)
+        assert run_cli(capsys, *argv) == (2, "", f"error: argument {flag}: expected one argument\n")
+        assert not (tmp_path / "--").exists()
+
     def test_main_exits_0_1_or_2_on_every_declared_argv(self, capsys, tmp_path, monkeypatch):
         # in tmp_path, where what one argv writes a later one may read as its group
         monkeypatch.chdir(tmp_path)

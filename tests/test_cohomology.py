@@ -388,7 +388,7 @@ class TestShaSigma:
         klein = records[0].subgroup.parent
         ideal = augmentation_ideal(klein, 4)[0]
         assert sha_sigma(klein, ideal, records, ["3", "17"]).structure == AbGroupStructure([2])
-        for label in ("03", " 3", "+3", "3 "):
+        for label in ("03", " 3", "+3", "3 ", "-3", "1", "4"):
             with pytest.raises(ValueError, match="^unknown excluded place label "):
                 sha_sigma(klein, ideal, records, [label, "17"])
         assert sha_sigma(klein, ideal, records, [3, 17, 5, "inf"]).structure == \

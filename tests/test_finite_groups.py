@@ -278,6 +278,15 @@ class TestSubgroups:
                     parent = g.table[s.elements[a]][s.elements[b]]
                     assert s.elements[k.table[a][b]] == parent
 
+    def test_uncached_reads_repeat(self):
+        # generating_set and as_group are rebuilt on each call; presentation is cached
+        for name in ("z2xz4", "s3", "q8"):
+            for s in all_subgroups(builtin_group(name)):
+                assert s.generating_set() == s.generating_set()
+                first, second = s.as_group(), s.as_group()
+                assert (first.table, first.names) == (second.table, second.names)
+                assert s.presentation() is s.presentation()
+
     def test_is_cyclic(self):
         g = builtin_group("z2xz4")
         assert not full_subgroup(g).is_cyclic()

@@ -2,16 +2,20 @@ import json
 import random
 import re
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from tameapprox import cli, g_modules
+from tameapprox.arithmetic import _canonical_json, certify
 from tameapprox.cohomology import sha_cyc
 from tameapprox.finite_groups import (
+    Group,
     builtin_group,
     cyclic_group,
     cyclic_subgroups,
     full_subgroup,
+    product_of_prime_powers,
     trivial_subgroup,
 )
 from tameapprox.g_modules import (
@@ -38,6 +42,7 @@ from oracle_helpers import (
 )
 from random_modules import characters, sweep_modules
 
+REPO_DIR = Path(__file__).resolve().parent.parent
 BUILTINS = ["z2", "z3", "z4", "z5", "z6", "z8", "klein4", "z2xz4", "z3xz3",
             "z2xz2xz2", "s3", "q8"]
 
@@ -118,6 +123,17 @@ class TestAugmentationIdeal:
         assert _ideal_module(again, 8) is augmentation_ideal(builtin_group("zlxzln:2:2"), 8)[0]
         assert len(g_modules._IDEAL_CACHE) == 2
         assert all(type(v) is GModule for v in g_modules._IDEAL_CACHE.values())
+
+    def test_certificate_names_come_from_its_own_group(self, monkeypatch):
+        # the caches compare tables, not names: a certificate must name its
+        # elements from the group it built, never from a cached module's group
+        monkeypatch.setattr(g_modules, "_RING_CACHE", {})
+        monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
+        renamed = Group(product_of_prime_powers(2, 2).table, names=[f"x{i}" for i in range(8)])
+        assert _ideal_module(renamed, 8).group.names[1] == "x1"
+        assert group_ring(renamed, 8).group.names[1] == "x1"
+        golden = REPO_DIR / "perfbench" / "golden" / "certify_2_2_5.json"
+        assert _canonical_json(certify(2, 2, 5).report()) + "\n" == golden.read_text()
 
     def test_the_modulus_is_checked_before_the_caches(self, monkeypatch):
         # 8.0 once returned the cached Z/8 ideal, and 4.5 cached a second
