@@ -25,6 +25,7 @@ the places come from one of two place models:
 from __future__ import annotations
 
 import json
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import NamedTuple
@@ -118,6 +119,12 @@ def find_p(ell, n, start=2, bound=_UINT64_MAX):
     raise SearchBoundError(f"no prime p == 1 (mod {step}) with {start} <= p <= {bound}")
 
 
+def _q_exponent(ell):
+    """The exponent e of the companion congruence q == 1 (mod ell^e): 3 for
+    ell = 2 (q == 1 mod 8), 2 otherwise; it is also the least Hensel precision."""
+    return 3 if ell == 2 else 2
+
+
 def find_q(ell, p, bound=2 ** 32):
     """Least odd prime q with the companion congruence that is not an
     ell-th power mod p: q^((p-1)/ell) != 1, the Euler power `certify` records.
@@ -131,7 +138,7 @@ def find_q(ell, p, bound=2 ** 32):
         raise ValueError("ell and p must be prime")
     if (p - 1) % ell:
         raise ValueError(f"need p == 1 (mod {ell}) for the residue criterion")
-    step = 8 if ell == 2 else ell * ell
+    step = ell ** _q_exponent(ell)
     q = 1 + step
     while q <= bound:
         if q != p and is_prime(q) and pow(q, (p - 1) // ell, p) != 1:
@@ -223,53 +230,48 @@ class KummerPair(_KummerPair):
         return ([2] if two_ramified else []) + odd
 
 
-def decomposition_subgroup(pair, place, group=None):
+@cache
+def _biquadratic_galois_group():
+    """Gal(Q(sqrt a, sqrt b)/Q) = `product_of_prime_powers(2, 1)`, built once
+    per process: element index 2i + j is the automorphism sending sqrt a to
+    (-1)^i sqrt a and sqrt b to (-1)^j sqrt b."""
+    return product_of_prime_powers(2, 1)
+
+
+def decomposition_subgroup(pair, place):
     """Decomposition subgroup at a place of Q, inside Z/2 x Z/2.
 
-    `group` is Gal(Q(sqrt a, sqrt b)/Q), `product_of_prime_powers(2, 1)` by
-    default: element index 2i + j is the automorphism sending sqrt a to
-    (-1)^i sqrt a and sqrt b to (-1)^j sqrt b, the indexing of every Klein
-    four-group with identity 0.  The group, then the place, is checked here
-    once, and the subgroup is read from the place's square-class table.
+    Its parent is `_biquadratic_galois_group()`, one group for every pair
+    and place.  The place is checked here once, and the subgroup is read
+    from the place's square-class table.
     """
-    group = _klein_group(group)
-    return _place_decomposition(pair, _checked_place(place), group)[1]
+    return _place_decomposition(pair, _checked_place(place))[1]
 
 
-def _klein_group(group):
-    """`group`, checked to be a Klein four-group indexed 2i + j; Z/2 x Z/2 for None."""
-    if group is None:
-        return product_of_prime_powers(2, 1)
-    if group.order != 4 or group.exponent() != 2:
-        raise ValueError("ambient group must be the Klein four-group")
-    if group.identity != 0:
-        raise ValueError("the Klein four-group must be indexed 2i + j, with identity 0")
-    return group
-
-
-def _place_decomposition(pair, place, group):
+def _place_decomposition(pair, place):
     """The table {d: d is a square in Q_place} for d = a, b, ab (squarefree,
     not factored again), and the decomposition subgroup read from it: 2i + j
     moves sqrt a if i, sqrt b if j and sqrt ab if i != j, and lies in it iff
     it fixes each local square, so the order is 4 / #(squares in {1, a, b, ab})."""
     table = {d: _local_square_rule(d, place) for d in (pair.a, pair.b, pair.third_class)}
     sa, sb, sab = table.values()
-    return table, Subgroup(group, [2 * i + j for i in range(2) for j in range(2)
-                                   if not (sa and i or sb and j or sab and i != j)])
+    return table, Subgroup(_biquadratic_galois_group(),
+                           [2 * i + j for i in range(2) for j in range(2)
+                            if not (sa and i or sb and j or sab and i != j)])
 
 
-def biquadratic_place_records(pair, group=None):
+def biquadratic_place_records(pair):
     """PlaceRecords at 2 and at every prime dividing a*b, with witnesses.
 
     The record list contains every place that ramifies in Q(sqrt a, sqrt b)/Q
     (the place 2 is recorded even when unramified, for its witness table).
-    The group is checked once.  Returns (records, witness_rows).
+    Each decomposition subgroup's parent is `_biquadratic_galois_group()`.
+    Returns (records, witness_rows).
     """
-    group = _klein_group(group)
     ramified = set(pair.ramified_primes())
     records, rows = [], []
     for v in sorted({2} | ramified):
-        table, sub = _place_decomposition(pair, v, group)
+        table, sub = _place_decomposition(pair, v)
         records.append(PlaceRecord(v, sub, v in ramified))
         rows.append(_place_row(records[-1], square_classes=table))
     return records, rows
@@ -293,13 +295,19 @@ def sigma0_biquadratic(pair):
     return _biquadratic_model(pair.a, pair.b)[2]
 
 
+# The precision exponent of the witness root that `certify` records: any
+# precision from `_q_exponent(ell)` up proves the same fact, that q is an
+# ell-th power in Q_ell; it changes only the digits of the root.
+_HENSEL_PRECISION = 8
+
+
 def _hensel_precision(ell, precision):
-    """The precision exponent `ellth_root_in_zell` works to: at least 3 for
-    ell = 2 and 2 otherwise, where the congruence on q starts."""
-    return max(_int(precision, "Hensel precision"), 3 if ell == 2 else 2)
+    """The precision exponent `ellth_root_in_zell` works to: at least
+    `_q_exponent(ell)`, where the congruence on q starts."""
+    return max(_int(precision, "Hensel precision"), _q_exponent(ell))
 
 
-def ellth_root_in_zell(q, ell, precision=8):
+def ellth_root_in_zell(q, ell, precision=_HENSEL_PRECISION):
     """A witness x with x^ell == q (mod ell^precision), or None.
 
     Exists whenever q == 1 (mod 8) for ell = 2, or q == 1 (mod ell^2) for odd
@@ -307,7 +315,7 @@ def ellth_root_in_zell(q, ell, precision=8):
     """
     q, ell = _int(q, "q"), _int(ell, "ell")
     precision = _hensel_precision(ell, precision)
-    if q % (8 if ell == 2 else ell * ell) != 1:
+    if q % ell ** _q_exponent(ell) != 1:
         return None
     x = 1
     for j in range(2, precision):
@@ -439,8 +447,7 @@ def _canonical_json(value, newline="\n"):
         [_canonical_json(v, inner) for v in value]) + newline + "]"
 
 
-def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
-            group_limit=DEFAULT_ORDER_LIMIT):
+def certify(ell, n, p, q=None, *, search_bound=2 ** 32, group_limit=DEFAULT_ORDER_LIMIT):
     """Build and verify the counterexample certificate for (ell, n, p[, q]).
 
     Checks the prime-search hypotheses, the cohomology of the augmentation
@@ -449,11 +456,11 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     Certificate docstring for the conclusion rule.  A failed hypothesis
     yields conclusion "refuted: <check>"; an exhausted q-search raises
     SearchBoundError, and a parameter that breaks the integer rule of
-    `primes._int` raises ValueError.
+    `primes._int` raises ValueError.  The local witness root of q is lifted
+    to the precision ell^8 (`_HENSEL_PRECISION`).
     """
     ell, n, p = _int(ell, "ell"), _int(n, "n"), _int(p, "p")
     q = q if q is None else _int(q, "q")
-    precision = _hensel_precision(ell, hensel_precision)
     # k = Q(zeta_(ell^n)), which is Q for ell^n = 2
     cert = Certificate(ell=ell, n=n, p=p, q=q,
                        field_desc="Q" if ell ** n == 2 else f"Q(zeta_{ell ** n})")
@@ -487,7 +494,7 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     ok = add("q_prime", f"q = {q} is prime", {"q": q}, q >= 0 and is_prime(q))
     ok &= add("q_odd", f"q = {q} is odd", {"q": q}, q % 2 == 1)
     ok &= add("q_distinct_from_p", f"q = {q} differs from p = {p}", {"p": p, "q": q}, q != p)
-    qmod = 8 if ell == 2 else ell * ell
+    qmod = ell ** _q_exponent(ell)
     ok &= add("q_congruence", f"q == 1 (mod {qmod})", {"q_mod": q % qmod}, q % qmod == 1)
     if ok:
         euler = pow(q, (p - 1) // ell, p)
@@ -496,16 +503,16 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
             f"q^((p-1)/{ell}) != 1 (mod p), so q is not an {ell}-th power mod p",
             {"euler_power": euler}, euler != 1,
         )
-        root = ellth_root_in_zell(q, ell, precision)
+        root = ellth_root_in_zell(q, ell, _HENSEL_PRECISION)
         local_stmt = (
             f"q == 1 (mod 8) makes q a square in Q_2"
             if ell == 2
             else f"q == 1 (mod {ell}^2) makes q an {ell}-th power in Q_{ell}"
         )
-        witness = {"root": root, "precision_exponent": precision}
+        witness = {"root": root, "precision_exponent": _HENSEL_PRECISION}
         ok &= add(
             "q_ellth_power_locally_at_ell",
-            local_stmt + f"; witness root to precision {ell}^{precision}",
+            local_stmt + f"; witness root to precision {ell}^{_HENSEL_PRECISION}",
             witness, _ellth_power_locally_holds(ell, q, witness),
         )
     if not ok:
@@ -540,10 +547,10 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
          for r in shifts],
         all(r.passed for r in shifts))
 
-    model = _biquadratic_model if (ell, n) == (2, 1) else _kummer_model
     (records, cert.places, cert.sigma0_labels, cert.sigma0_exact,
-     cert.sigma0_statement, model_checks) = model(
-        p, q, group, ell=ell, n=n, euler=euler, root=root, precision=precision)
+     cert.sigma0_statement, model_checks) = (
+        _biquadratic_model(p, q) if (ell, n) == (2, 1)
+        else _kummer_model(p, q, group, ell=ell, n=n, euler=euler, root=root))
     checks.extend(model_checks)
 
     designated = cert.designated_places = [str(v) for v in cert.sigma0_labels]
@@ -583,12 +590,12 @@ def certify(ell, n, p, q=None, *, search_bound=2 ** 32, hensel_precision=8,
     return cert
 
 
-# A place model maps (p, q, group, hypothesis witnesses) to the places of the
+# A place model maps (p, q[, group, hypothesis witnesses]) to the places of the
 # certificate: (records, place rows, Sigma_0 labels, exact, statement, its own
 # CertChecks, each computed from its witness).  The designated places are the
 # Sigma_0 labels as strings.
 
-def _biquadratic_model(p, q, group=None, **_):
+def _biquadratic_model(p, q):
     """The exact model for (ell, n) = (2, 1): k = Q, L = Q(sqrt p, sqrt q).
 
     Every decomposition subgroup comes from local square classes, and
@@ -596,7 +603,7 @@ def _biquadratic_model(p, q, group=None, **_):
     Z/2 x Z/2; `sigma0_biquadratic` and the `sigma0` command read it here.
     p and q are any KummerPair classes.
     """
-    records, rows = biquadratic_place_records(KummerPair(p, q), group)
+    records, rows = biquadratic_place_records(KummerPair(p, q))
     sigma0 = [rec.label for rec in records if rec.subgroup.order == 4]
     statement = (
         f"Sigma_0(Q, I) = {{{', '.join(map(str, sigma0))}}}: the places with full (non-cyclic)"
@@ -611,13 +618,13 @@ def _biquadratic_model(p, q, group=None, **_):
     return records, rows, sigma0, True, statement, [check]
 
 
-def _kummer_model(p, q, group, *, ell, n, euler, root, precision):
+def _kummer_model(p, q, group, *, ell, n, euler, root):
     """The partial model for (ell, n) != (2, 1): k = Q(zeta_(ell^n)).
 
     Each of the ell^n - ell^(n-1) places over p has decomposition group all
     of G, the place over ell has the cyclic factor Z/ell^n; the places over
     q stay undetermined.  `euler` = q^((p-1)/ell) mod p and the Hensel
-    `root` of q to `precision` are the hypothesis witnesses, reused here.
+    `root` of q to `_HENSEL_PRECISION` are the hypothesis witnesses, reused here.
     """
     field = f"Q(zeta_{ell ** n})"
     phi = ell ** n - ell ** (n - 1)
@@ -647,7 +654,7 @@ def _kummer_model(p, q, group, *, ell, n, euler, root, precision):
             "decomposition_cyclic_over_ell",
             f"q is an {ell}-th power in Q_{ell}, so the decomposition group of the place"
             f" over {ell} embeds in the cyclic factor Z/{ell}^{n}",
-            cyclic_witness, _cyclic_over_ell_holds(ell, q, precision, cyclic_witness)),
+            cyclic_witness, _cyclic_over_ell_holds(ell, q, _HENSEL_PRECISION, cyclic_witness)),
         CertCheck(
             "sigma0_disjoint_from_ell",
             f"places over ell = {ell} have cyclic decomposition groups and are not in Sigma_0",
@@ -669,8 +676,8 @@ def _full_over_p_holds(ell, n, p, q, witness):
 
 def _cyclic_over_ell_holds(ell, q, precision, witness):
     """`decomposition_cyclic_over_ell` from its witness: root^ell == q modulo
-    ell^precision, a precision already at its `_hensel_precision` floor
-    (`certify` floors it; `_ellth_power_locally_holds` checks it)."""
+    ell^precision, a precision at or above its `_hensel_precision` floor
+    (`_HENSEL_PRECISION`; `_ellth_power_locally_holds` checks a recorded one)."""
     root = witness["root"]
     mod = ell ** precision
     return root is not None and (pow(root, ell, mod) - q) % mod == 0

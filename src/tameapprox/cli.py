@@ -12,14 +12,14 @@ Arguments are parsed on one of two paths, both from the same declarations
 (each command's `add_options`).  When the first argument names a command,
 `_fast_parse` reads the rest straight from that command's declarations, in a
 strict grammar: exact long flags given as `--flag value` or `--flag=value`,
-`type`, `choices`, `required`, `store_true`, `append` and defaults (a string
-default passes through `type`, as in argparse).  Anything else -- `-h`, an
-abbreviated or unknown flag, a missing value or one that starts with `-`, a
-value that fails its type or choices, a missing required option, `--`, or
-no command name at all -- goes to argparse, `build_parser().parse_args(argv)`,
-so help, usage errors and exit codes are argparse's own, except that a
-value `--` (`--flag=--`, read differently by each Python) is refused before
-either parser reads it, as a missing value, exit 2.  The invariant: for every
+`type`, `choices`, `required`, `store_true`, `append` and defaults.
+Anything else -- `-h`, an abbreviated or unknown flag, a missing value or one
+that starts with `-`, a value that fails its type or choices, a missing
+required option, `--`, or no command name at all -- goes to argparse,
+`build_parser().parse_args(argv)`, so help, usage errors and exit codes are
+argparse's own, except that a value `--` (`--flag=--`, read differently by
+each Python) is refused before either parser reads it, as a missing value,
+exit 2.  The invariant: for every
 argv the fast parse accepts,
 `vars(_fast_parse(name, argv)) == vars(build_parser().parse_args([name, *argv]))`.
 argparse is imported only on the second path: its first use in a process (it
@@ -29,7 +29,6 @@ imports `gettext` and then `locale`) costs more than most commands' cohomology.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from collections.abc import Callable
 from functools import partial
@@ -60,8 +59,6 @@ from .finite_groups import (
 )
 from .g_modules import _ideal_module, group_ring, module_from_json, trivial_module
 from .zmod_linalg import NotInSpanError
-
-LIMIT_ENV_VAR = "TAMEAPPROX_GROUP_LIMIT"
 
 
 class UsageError(ValueError):
@@ -120,8 +117,8 @@ def _emit(args, report, table_lines):
             fh.write(text)
 
 
-def _cmd_h1(args, limit):
-    group = _load_group(args.group, limit)
+def _cmd_h1(args):
+    group = _load_group(args.group, args.limit)
     module = _load_module(args.module, group, args.modulus)
     result = h1(group, module)
     classes = [(order, result.cocycle(col)) for order, col in
@@ -142,8 +139,8 @@ def _cmd_h1(args, limit):
     return 0, report, lines
 
 
-def _cmd_sha_cyc(args, limit):
-    group = _load_group(args.group, limit)
+def _cmd_sha_cyc(args):
+    group = _load_group(args.group, args.limit)
     module = _load_module(args.module, group, args.modulus)
     structure = sha_cyc(group, module)
     report = {
@@ -155,8 +152,8 @@ def _cmd_sha_cyc(args, limit):
     return 0, report, [f"Sha^1_cyc structure: {structure}"]
 
 
-def _cmd_verify_lemma(args, limit):
-    group = _load_group(args.group, limit)
+def _cmd_verify_lemma(args):
+    group = _load_group(args.group, args.limit)
     rep = verify_augmentation_lemma(group)
     report = {
         "command": "verify-lemma",
@@ -183,8 +180,8 @@ def _parse_subgroup_flags(group, args):
     return subs
 
 
-def _cmd_dimension_shift(args, limit):
-    group = _load_group(args.group, limit)
+def _cmd_dimension_shift(args):
+    group = _load_group(args.group, args.limit)
     subs = _parse_subgroup_flags(group, args)
     reports = dimension_shift_check(group, subs)
     all_pass = all(r.passed for r in reports)
@@ -211,7 +208,7 @@ def _cmd_dimension_shift(args, limit):
     return (0 if all_pass else 1), report, lines
 
 
-def _cmd_sigma0(args, limit):
+def _cmd_sigma0(args):
     _, witnesses, labels, *_ = _biquadratic_model(args.a, args.b)
     report = {"command": "sigma0", "a": args.a, "b": args.b,
               "sigma0": labels, "places": witnesses}
@@ -229,7 +226,7 @@ def _cmd_sigma0(args, limit):
     return 0, report, lines()
 
 
-def _cmd_find_params(args, limit):
+def _cmd_find_params(args):
     ell, n = args.ell, args.n
     if ell is None or n is None:
         raise UsageError("find-params requires --ell and --n")
@@ -248,13 +245,11 @@ def _cmd_find_params(args, limit):
     return 0, report, [f"ell = {ell}, n = {n}, p = {p}, q = {q}"]
 
 
-def _cmd_certify(args, limit):
+def _cmd_certify(args):
     if args.ell is None or args.n is None or args.p is None:
         raise UsageError("certify requires --ell, --n and --p")
     cert = certify(args.ell, args.n, args.p, args.q,
-                   search_bound=args.search_bound,
-                   hensel_precision=args.hensel_precision,
-                   group_limit=limit)
+                   search_bound=args.search_bound, group_limit=args.limit)
     report = cert.report()
     lines = [
         f"certificate for (ell, n, p, q) = ({cert.ell}, {cert.n}, {cert.p}, {cert.q})",
@@ -273,12 +268,13 @@ def _cmd_certify(args, limit):
     return (0 if cert.certified else 1), report, lines
 
 
-def _add_common(p, group=False, module=False, params=False):
+def _add_common(p, group=False, module=False, params=False, limit=False):
     p.add_argument("--format", choices=("json", "table"), default="json",
                    help="output format (JSON is canonical)")
     p.add_argument("--output", default="-", help="output path, '-' for stdout")
-    p.add_argument("--limit", type=int, default=None,
-                   help=f"group order limit (default {DEFAULT_ORDER_LIMIT}; env {LIMIT_ENV_VAR})")
+    if group or limit:  # the commands that build a group
+        p.add_argument("--limit", type=int, default=DEFAULT_ORDER_LIMIT,
+                       help=f"group order limit (default {DEFAULT_ORDER_LIMIT})")
     if group:
         p.add_argument("--group", required=True,
                        help="builtin:<name> or path to a group JSON file")
@@ -314,11 +310,9 @@ def _add_find_params(p):
 
 
 def _add_certify(p):
-    _add_common(p, params=True)
+    _add_common(p, params=True, limit=True)
     p.add_argument("--q", type=int, default=None,
                    help="companion prime (default: least admissible)")
-    p.add_argument("--hensel-precision", type=int, default=8,
-                   help="ell-adic precision exponent for the local witness")
 
 
 class Command(NamedTuple):
@@ -395,12 +389,9 @@ def _fast_parse(name, argv):
             if action == "append":
                 value = (values[dest[flag]] or []) + [value]
             values[dest[flag]] = value
-        for flag, spec in unseen.items():
-            if spec.get("required"):
-                return None
-            if isinstance(spec.get("default"), str):
-                values[dest[flag]] = spec.get("type", str)(spec["default"])
     except (TypeError, ValueError):
+        return None
+    if any(spec.get("required") for spec in unseen.values()):
         return None
     return SimpleNamespace(**values)
 
@@ -431,17 +422,7 @@ def build_parser():
 
 
 def run(args):
-    limit = args.limit
-    if limit is None:
-        env = os.environ.get(LIMIT_ENV_VAR)
-        if env is not None:
-            try:
-                limit = int(env)
-            except ValueError:
-                raise UsageError(f"{LIMIT_ENV_VAR} must be an integer, got {env!r}") from None
-        else:
-            limit = DEFAULT_ORDER_LIMIT
-    status, report, lines = _COMMANDS[args.command].run(args, limit)
+    status, report, lines = _COMMANDS[args.command].run(args)
     _emit(args, report, lines)
     return status
 

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .finite_groups import Group, Subgroup, cyclic_subgroups, full_subgroup
 from .g_modules import GModule, _ideal_module, group_ring
-from .primes import is_prime
+from .primes import _UINT64_MAX, is_prime
 from .zmod_linalg import AbGroupStructure, IntMatrix, QuotientPresentation
 
 __all__ = [
@@ -361,8 +361,9 @@ class PlaceRecord(NamedTuple):
 
 
 def _is_place(label):
-    """Whether `label` is a place of Q: "inf", or a prime int (not a bool)."""
-    return label == "inf" or type(label) is int and label >= 2 and is_prime(label)
+    """Whether `label` is a place of Q: "inf", or a prime int (not a bool);
+    a label above 2**64, where `is_prime` is not deterministic, is not one."""
+    return label == "inf" or type(label) is int and 2 <= label <= _UINT64_MAX and is_prime(label)
 
 
 def _is_place_token(key):

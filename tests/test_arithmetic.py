@@ -24,12 +24,14 @@ from tameapprox.arithmetic import (
     _ellth_power_locally_holds,
     _full_over_p_holds,
 )
+from tameapprox.cohomology import sha_sigma
 from tameapprox.finite_groups import (
     DEFAULT_ORDER_LIMIT,
     Group,
     product_of_prime_powers,
     subgroup_generated,
 )
+from tameapprox.g_modules import _ideal_module
 from tameapprox.zmod_linalg import AbGroupStructure, IntMatrix, kernel_mod
 
 from oracle_helpers import (
@@ -227,11 +229,11 @@ class TestDecompositionSubgroups:
 
     def test_unramified_is_cyclic_generated_by_frobenius(self):
         pair = KummerPair(3, 17)
-        g = product_of_prime_powers(2, 1)
         for p in odd_primes_below(120):
             if p in (3, 17):
                 continue
-            sub = decomposition_subgroup(pair, p, g)
+            sub = decomposition_subgroup(pair, p)
+            g = sub.parent
             assert sub.is_cyclic()
             i = 0 if legendre(pair.a, p) == 1 else 1
             j = 0 if legendre(pair.b, p) == 1 else 1
@@ -245,27 +247,46 @@ class TestDecompositionSubgroups:
                 if decomposition_subgroup(pair, p).order == 4:
                     assert p in ramified, (pair, p)
 
-    def test_rejects_wrong_ambient_group(self):
-        from tameapprox.finite_groups import builtin_group
-
-        with pytest.raises(ValueError, match="Klein"):
-            decomposition_subgroup(KummerPair(3, 17), 2, builtin_group("z4"))
-
     def test_rejects_a_place_that_is_not_a_prime_int(self):
         for place in (3.7, "17", 2.0, False, 9, -5):
             with pytest.raises(ValueError, match=f"^place {place!r} is neither a prime nor 'inf'$"):
                 decomposition_subgroup(KummerPair(3, 17), place)
 
-    def test_rejects_a_klein_group_not_indexed_2i_plus_j(self):
-        # the Klein four-group with identity 3 instead of 0
-        g = Group([[3, 2, 1, 0], [2, 3, 0, 1], [1, 0, 3, 2], [0, 1, 2, 3]])
-        assert g.order == 4 and g.exponent() == 2 and g.identity == 3
+    def test_a_place_above_64_bits_gets_the_place_message(self):
+        # is_prime is not deterministic there, so the label is no place of Q
+        big = 2 ** 64 + 13
+        with pytest.raises(ValueError, match=f"^place {big} is neither a prime nor 'inf'$"):
+            local_square(3, big)
+        with pytest.raises(ValueError, match=f"^place {big} is neither a prime nor 'inf'$"):
+            decomposition_subgroup(KummerPair(3, 17), big)
+        group = product_of_prime_powers(2, 1)
+        records, _ = biquadratic_place_records(KummerPair(3, 17))
+        with pytest.raises(ValueError, match=f"^unknown excluded place label '{big}'$"):
+            sha_sigma(group, _ideal_module(group, 4), records, excluded=[str(big)])
+
+    def test_every_subgroup_has_one_parent(self):
+        # one Klein four-group per process, whatever the pair or the place
         pair = KummerPair(3, 17)
-        for place in (2, 5, "inf"):
-            with pytest.raises(ValueError, match="indexed 2i \\+ j"):
-                decomposition_subgroup(pair, place, g)
-        with pytest.raises(ValueError, match="indexed 2i \\+ j"):
-            biquadratic_place_records(pair, g)
+        parent = decomposition_subgroup(pair, 2).parent
+        assert decomposition_subgroup(pair, 3).parent is parent
+        assert decomposition_subgroup(KummerPair(-7, 10), "inf").parent is parent
+        records, _ = biquadratic_place_records(pair)
+        assert records and all(rec.subgroup.parent is parent for rec in records)
+        assert parent == product_of_prime_powers(2, 1)
+
+    def test_certificate_records_belong_to_its_group(self, monkeypatch):
+        seen = []
+
+        def spy(group, module, places, excluded=()):
+            seen.append((group, places))
+            return sha_sigma(group, module, places, excluded)
+
+        monkeypatch.setattr(arithmetic, "sha_sigma", spy)
+        assert certify(2, 1, 3).certified
+        assert seen
+        for group, places in seen:
+            assert group.order == 4 and places
+            assert all(rec.subgroup.parent == group for rec in places)
 
     def test_archimedean_place_never_full(self):
         for pair in (KummerPair(3, 17), KummerPair(-3, -17), KummerPair(-1, 2)):
@@ -603,27 +624,25 @@ class TestCheckedWitnesses:
     def test_local_root_check_follows_its_witness(self):
         rng = random.Random(0x10CA1)
         for ell, n, p in [(2, 1, 3), (2, 1, 5)] + self.PARAMS:
-            for requested in (-3, 0, 2, 3, 8, 11):
-                cert = certify(ell, n, p, hensel_precision=requested)
-                q = cert.q
-                check = next(c for c in cert.checks if c.name == "q_ellth_power_locally_at_ell")
-                w = check.witness
-                # the precision recorded is the one the root was lifted to
-                least = 3 if ell == 2 else 2
-                assert w["precision_exponent"] == max(requested, least)
-                assert check.statement.endswith(f"{ell}^{w['precision_exponent']}")
-                assert check.passed and _ellth_power_locally_holds(ell, q, w)
-                mod = ell ** w["precision_exponent"]
-                assert not _ellth_power_locally_holds(ell, q, dict(w, root=None))
-                verdicts = set()
-                for _ in range(10):
-                    bad = (w["root"] + rng.randrange(1, mod)) % mod
-                    valid = pow(bad, ell, mod) == q % mod
-                    assert _ellth_power_locally_holds(ell, q, dict(w, root=bad)) == valid
-                    verdicts.add(valid)
-                assert False in verdicts
-                assert not _ellth_power_locally_holds(
-                    ell, q, dict(w, precision_exponent=least - 1))
+            cert = certify(ell, n, p)
+            q = cert.q
+            check = next(c for c in cert.checks if c.name == "q_ellth_power_locally_at_ell")
+            w = check.witness
+            # the one precision, 8, is the one the root was lifted to
+            assert w == {"root": ellth_root_in_zell(q, ell, 8), "precision_exponent": 8}
+            assert check.statement.endswith(f"{ell}^8")
+            assert check.passed and _ellth_power_locally_holds(ell, q, w)
+            mod = ell ** 8
+            assert not _ellth_power_locally_holds(ell, q, dict(w, root=None))
+            verdicts = set()
+            for _ in range(60):
+                bad = (w["root"] + rng.randrange(1, mod)) % mod
+                valid = pow(bad, ell, mod) == q % mod
+                assert _ellth_power_locally_holds(ell, q, dict(w, root=bad)) == valid
+                verdicts.add(valid)
+            assert False in verdicts
+            least = 3 if ell == 2 else 2
+            assert not _ellth_power_locally_holds(ell, q, dict(w, precision_exponent=least - 1))
 
 
 class TestPrimalityTestsPerNumber:

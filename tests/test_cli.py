@@ -358,7 +358,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("exc", [NotInSpanError("lost a generator"),
                                      AssertionError("lost a generator")])
     def test_internal_error_exits_3(self, capsys, monkeypatch, exc):
-        def broken(args, limit):
+        def broken(args):
             raise exc
 
         monkeypatch.setitem(cli._COMMANDS, "sha-cyc", cli._COMMANDS["sha-cyc"]._replace(run=broken))
@@ -434,18 +434,28 @@ class TestErrorHandling:
         assert status == 2
         assert "limit" in err
 
-    def test_group_limit_env(self, capsys, monkeypatch):
+    def test_no_environment_variable_sets_the_limit(self, capsys, monkeypatch):
+        # --limit is the one override; the variable the CLI once read does nothing
         monkeypatch.setenv("TAMEAPPROX_GROUP_LIMIT", "4")
-        status, _, err = run_cli(capsys, "verify-lemma", "--group", "builtin:q8")
-        assert status == 2
-        assert "limit" in err
-        monkeypatch.setenv("TAMEAPPROX_GROUP_LIMIT", "16")
-        status, out, _ = run_cli(capsys, "verify-lemma", "--group", "builtin:q8")
-        assert status == 0
-        monkeypatch.setenv("TAMEAPPROX_GROUP_LIMIT", "abc")
         status, out, err = run_cli(capsys, "verify-lemma", "--group", "builtin:q8")
+        assert (status, err) == (0, "")
+        assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize("argv, extra", [
+        (["sigma0", "--a", "3", "--b", "17", "--limit", "4"], "--limit 4"),
+        (["certify", "--ell", "2", "--n", "1", "--p", "3", "--hensel-precision", "9"],
+         "--hensel-precision 9"),
+    ])
+    def test_removed_options_are_unrecognized(self, capsys, argv, extra):
+        # sigma0 builds no group of a chosen order, and certify's precision is fixed
+        assert cli._fast_parse(argv[0], argv[1:]) is None
+        status, out, err = exits(capsys, lambda: main(argv))
         assert (status, out) == (2, "")
-        assert err == "error: TAMEAPPROX_GROUP_LIMIT must be an integer, got 'abc'\n"
+        assert err.endswith(f"tameapprox {argv[0]}: error: unrecognized arguments: {extra}\n")
+
+    def test_limit_is_declared_where_a_group_is_built(self):
+        with_limit = {name for name in cli._COMMANDS if "--limit" in declared_flags(name)}
+        assert with_limit == {"h1", "sha-cyc", "verify-lemma", "dimension-shift", "certify"}
 
 
 PARSE_CASES = {
@@ -463,7 +473,7 @@ PARSE_CASES = {
     "sigma0": [["--a", "3", "--b", "17"], ["--b=-1", "--a=5", "--format", "table"]],
     "find-params": [[], ["--ell", "2", "--n", "1", "--start=10", "--search-bound", "100"]],
     "certify": [["--ell", "2", "--n", "1", "--p", "3"],
-                ["--ell=3", "--n=1", "--p=7", "--q", "13", "--hensel-precision=-3",
+                ["--ell=3", "--n=1", "--p=7", "--q", "13", "--limit=27",
                  "--search-bound=99", "--output", "out.json"]],
 }
 
@@ -543,10 +553,10 @@ class TestCommandParsers:
         assert (status, out, err) == exits(capsys, lambda: cli.build_parser().parse_args(argv))
 
     def test_abbreviations_fall_back_to_argparse(self, capsys):
-        # argparse expands --search and --hensel; the fast parse reads --flag=value
+        # argparse expands --search and --lim; the fast parse reads --flag=value
         golden = (GOLDEN_DIR / "certify_2_1_3.json").read_text()
         fallback = ["certify", "--ell", "2", "--n", "1", "--p", "3",
-                    "--search", "4294967296", "--hensel", "8"]
+                    "--search", "4294967296", "--lim", "512"]
         fast = ["certify", "--ell=2", "--n=1", "--p=3"]
         assert cli._fast_parse(fallback[0], fallback[1:]) is None
         assert cli._fast_parse(fast[0], fast[1:]) is not None
@@ -567,7 +577,7 @@ EDGE_CASES = [
     ["--subgroup", "1", "--subgroup", "2,3"], ["--all-subgroups", "--all-subgroups"],
     ["--output", "-"], ["--b", "-1"], ["--b=-1"], ["--group="], ["--group=a=b"],
     ["--group", ""], ["--output", "a b"], ["--output=--"], ["--group=--"],
-    ["--search", "99"], ["--hensel", "8"], ["--all-subgroups=1"], ["--all-subgroups="],
+    ["--search", "99"], ["--lim", "8"], ["--all-subgroups=1"], ["--all-subgroups="],
     ["--limit"], ["--"], ["-h"], ["--help"], ["--limit", "x"], ["--format", "xml"],
     ["--b", "1"], ["--limit", " 7 "], ["--n", "1_0"], ["stray"],
 ]
@@ -575,7 +585,7 @@ EDGE_CASES = [
 # Outside the grammar: the fast parse must leave these to argparse.
 DECLINED = [
     ["certify", "--ell", "2", "--n", "1", "--p", "3", "--search", "99"],
-    ["certify", "--ell", "2", "--n", "1", "--p", "3", "--hensel", "8"],
+    ["certify", "--ell", "2", "--n", "1", "--p", "3", "--lim", "8"],
     ["certify", "--ell", "x"], ["certify", "--ell"], ["certify", "--ell", "-2"],
     ["certify", "--", "--ell", "2"], ["certify", "-h"], ["certify", "--help"],
     ["sigma0", "--b", "1"], ["sigma0", "--a", "1", "--b", "-1"],
@@ -660,17 +670,6 @@ class TestFastParse:
         for argv in argvs:
             assert cli._fast_parse(argv[0], argv[1:]) is not None, argv
 
-    def test_string_default_passes_through_type(self, monkeypatch):
-        def add_options(parser):
-            parser.add_argument("--width", type=int, default="7")
-            parser.add_argument("--depth", type=int, default="x")
-
-        monkeypatch.setitem(cli._COMMANDS, "probe", cli.Command("", add_options, None))
-        args = cli._fast_parse("probe", ["--depth", "3"])
-        assert vars(args) == vars(cli.build_parser().parse_args(["probe", "--depth", "3"]))
-        assert args.width == 7
-        assert cli._fast_parse("probe", []) is None  # argparse rejects the default "x"
-
     def test_declarations_use_only_what_the_fast_parse_reads(self):
         for name in cli._COMMANDS:
             for flag, spec in declared_flags(name).items():
@@ -678,6 +677,8 @@ class TestFastParse:
                 assert set(spec) <= {"action", "type", "choices", "default", "required",
                                      "help", "metavar"}, (name, flag)
                 assert spec.get("action") in (None, "store_true", "append"), (name, flag)
+                # argparse passes a string default through `type`; the fast parse does not
+                assert not ("type" in spec and isinstance(spec.get("default"), str)), (name, flag)
 
     def test_commands_load_no_argparse(self):
         # -I -S: no site-packages and no user site, so nothing imports argparse for us
@@ -728,7 +729,6 @@ class TestDashDashValue:
     def test_main_exits_0_1_or_2_on_every_declared_argv(self, capsys, tmp_path, monkeypatch):
         # in tmp_path, where what one argv writes a later one may read as its group
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv(cli.LIMIT_ENV_VAR, raising=False)
         parser = cli.build_parser()
         monkeypatch.setattr(cli, "build_parser", lambda: parser)  # one build, not one per argv
         for name, argv in declared_argvs():
@@ -928,7 +928,6 @@ class TestJsonMutations:
 
     def test_seeded_mutations(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv(cli.LIMIT_ENV_VAR, raising=False)
         rng = random.Random(0x15A)
         statuses = []
         for group, module in mutation_seeds():

@@ -99,7 +99,6 @@ SLOTS = [
     ("certify", "n", lambda v: certify(2, v, 3)),
     ("certify", "p", lambda v: certify(2, 1, v)),
     ("certify", "q", lambda v: certify(2, 1, 3, v)),
-    ("certify", "Hensel precision", lambda v: certify(2, 1, 3, hensel_precision=v)),
 ]
 
 
@@ -141,9 +140,9 @@ VALID = {
     "local_square": lambda: local_square(7, 3).is_square is True,
     "KummerPair": lambda: KummerPair(3, 17) == (3, 17),
     "ellth_root_in_zell": lambda: ellth_root_in_zell(17, 2, 9) == 233,
-    "certify": lambda: _witness(certify(2, 1, 3, 17, hensel_precision=9),
-                                "q_ellth_power_locally_at_ell") == {"root": 233,
-                                                                    "precision_exponent": 9},
+    "certify": lambda: _witness(certify(2, 1, 3, 17),
+                                "q_ellth_power_locally_at_ell") == {"root": 105,
+                                                                    "precision_exponent": 8},
 }
 
 
@@ -161,12 +160,12 @@ def test_an_int_gives_the_result_it_always_gave(entry):
 
 
 # each was once truncated by int(): is_prime(7.9) was True, kernel_mod
-# solved mod 4, and the certificate recorded precision_exponent 9
+# solved mod 4, and find_q searched for a companion of p = 17
 @pytest.mark.parametrize("call, message", [
     (lambda: is_prime(7.9), r"^x is 7\.9, not an int$"),
     (lambda: kernel_mod(TWO, 4.7), r"^modulus is 4\.7, not an int$"),
-    (lambda: certify(2, 1, 3, hensel_precision=9.7), r"^Hensel precision is 9\.7, not an int$"),
-], ids=["is_prime(7.9)", "kernel_mod(M, 4.7)", "certify(2, 1, 3, hensel_precision=9.7)"])
+    (lambda: find_q(2, 17.9), r"^p is 17\.9, not an int$"),
+], ids=["is_prime(7.9)", "kernel_mod(M, 4.7)", "find_q(2, 17.9)"])
 def test_the_truncations_once_seen_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
