@@ -25,7 +25,6 @@ the places come from one of two place models:
 from __future__ import annotations
 
 import json
-from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 from typing import NamedTuple
@@ -230,20 +229,12 @@ class KummerPair(_KummerPair):
         return ([2] if two_ramified else []) + odd
 
 
-@cache
-def _biquadratic_galois_group():
-    """Gal(Q(sqrt a, sqrt b)/Q) = `product_of_prime_powers(2, 1)`, built once
-    per process: element index 2i + j is the automorphism sending sqrt a to
-    (-1)^i sqrt a and sqrt b to (-1)^j sqrt b."""
-    return product_of_prime_powers(2, 1)
-
-
 def decomposition_subgroup(pair, place):
     """Decomposition subgroup at a place of Q, inside Z/2 x Z/2.
 
-    Its parent is `_biquadratic_galois_group()`, one group for every pair
-    and place.  The place is checked here once, and the subgroup is read
-    from the place's square-class table.
+    Its parent is `product_of_prime_powers(2, 1)`, one group per process
+    for every pair and place.  The place is checked here once, and the
+    subgroup is read from the place's square-class table.
     """
     return _place_decomposition(pair, _checked_place(place))[1]
 
@@ -255,7 +246,7 @@ def _place_decomposition(pair, place):
     it fixes each local square, so the order is 4 / #(squares in {1, a, b, ab})."""
     table = {d: _local_square_rule(d, place) for d in (pair.a, pair.b, pair.third_class)}
     sa, sb, sab = table.values()
-    return table, Subgroup(_biquadratic_galois_group(),
+    return table, Subgroup(product_of_prime_powers(2, 1),
                            [2 * i + j for i in range(2) for j in range(2)
                             if not (sa and i or sb and j or sab and i != j)])
 
@@ -265,7 +256,8 @@ def biquadratic_place_records(pair):
 
     The record list contains every place that ramifies in Q(sqrt a, sqrt b)/Q
     (the place 2 is recorded even when unramified, for its witness table).
-    Each decomposition subgroup's parent is `_biquadratic_galois_group()`.
+    Each decomposition subgroup's parent is `product_of_prime_powers(2, 1)`,
+    the group `certify(2, 1, p)` builds.
     Returns (records, witness_rows).
     """
     ramified = set(pair.ramified_primes())

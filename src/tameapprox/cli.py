@@ -45,6 +45,7 @@ from .arithmetic import (
 )
 from .cohomology import (
     _default_shift_subgroups,
+    _order_modulus,
     dimension_shift_check,
     h1,
     sha_cyc,
@@ -83,11 +84,12 @@ def _load_group(source, limit):
 
 
 def _load_module(spec, group, modulus):
-    m = group.order if modulus is None else modulus
+    if spec in ("aug", "ring") and modulus is None:
+        modulus = _order_modulus(group)
     if spec == "aug":
-        return _ideal_module(group, m)
+        return _ideal_module(group, modulus)
     if spec == "ring":
-        return group_ring(group, m)
+        return group_ring(group, modulus)
     if modulus is not None:
         raise UsageError("--modulus applies only to --module aug and ring")
     if spec.startswith("trivial:"):

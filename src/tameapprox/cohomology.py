@@ -419,9 +419,16 @@ class LemmaReport(NamedTuple):
         return self.expected == self.computed
 
 
+def _order_modulus(group):
+    """|G|, the modulus of the ideal and the ring when none is given; not Z/1."""
+    if group.order == 1:
+        raise ValueError("the group has order 1, and the default modulus |G| must be >= 2")
+    return group.order
+
+
 def verify_augmentation_lemma(group):
     """Check Sha^1_cyc(G, I) == Z/(n/e) with I the augmentation ideal over Z/n."""
-    n = group.order
+    n = _order_modulus(group)
     e = group.exponent()
     f = n // e
     ideal = _ideal_module(group, n)
@@ -460,7 +467,7 @@ def dimension_shift_check(group, subgroups=None):
     `_subgroup_h1`, whichever kind of subgroup H is.  A subgroup listed
     twice is reported once.
     """
-    n = group.order
+    n = _order_modulus(group)
     ideal = _ideal_module(group, n)
     ring = group_ring(group, n)
     if subgroups is None:

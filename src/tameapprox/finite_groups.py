@@ -157,7 +157,7 @@ class Group:
     def __eq__(self, other):
         if not isinstance(other, Group):
             return NotImplemented
-        return self.table == other.table and self.identity == other.identity
+        return self is other or (self.table == other.table and self.identity == other.identity)
 
     def __hash__(self):
         return hash((self.table, self.identity))
@@ -566,18 +566,24 @@ def quaternion_group():
     return Group(table, names)
 
 
+_PRIME_POWER_PRODUCTS = {}  # (ell, n) -> the one Group of product_of_prime_powers
+
+
 def product_of_prime_powers(ell, n, *, limit=DEFAULT_ORDER_LIMIT):
     """Z/ell^n x Z/ell, the Galois group of the certified extensions.
 
-    Its order ell^(n+1) is checked against `limit` before the Cayley table,
-    whose size is quadratic in the order, is built.
+    One Group per (ell, n) per process.  The arguments and the order
+    ell^(n+1) against `limit` are checked on every call, before the lookup;
+    only the first call builds the Cayley table, quadratic in the order.
     """
     ell, n = _int(ell, "ell"), _int(n, "n")
     if ell < 2 or n < 1:
         raise ValueError("need ell >= 2 and n >= 1")
     if ell ** (n + 1) > limit:
         raise ValueError(f"group order {ell}^{n + 1} exceeds the limit {limit}")
-    return direct_product(cyclic_group(ell ** n), cyclic_group(ell))
+    if (ell, n) not in _PRIME_POWER_PRODUCTS:
+        _PRIME_POWER_PRODUCTS[ell, n] = direct_product(cyclic_group(ell ** n), cyclic_group(ell))
+    return _PRIME_POWER_PRODUCTS[ell, n]
 
 
 def builtin_group(name, *, limit=DEFAULT_ORDER_LIMIT):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tameapprox import arithmetic, primes, zmod_linalg
+from tameapprox import arithmetic, finite_groups, primes, zmod_linalg
 from tameapprox.arithmetic import (
     KummerPair,
     SearchBoundError,
@@ -419,8 +419,8 @@ class TestCertify:
         assert cert.sigma0_labels == sorted([p, cert.q])
 
     def test_warm_certify_builds_only_its_group(self, monkeypatch):
-        # Z/3, Z/3 and their product; the subgroups' standalone groups come
-        # from the cached restrictions instead of being rebuilt per call
+        # and only once: the first call's group is the one of every later
+        # call, and no subgroup is rebuilt as a standalone group
         certify(3, 1, 7)
         sizes = []
         init = Group.__init__
@@ -431,7 +431,17 @@ class TestCertify:
 
         monkeypatch.setattr(Group, "__init__", counting_init)
         assert certify(3, 1, 7).certified
-        assert len(sizes) <= 3, sizes
+        assert sizes == []
+
+    def test_a_warm_sweep_keeps_one_group_per_family(self, monkeypatch):
+        monkeypatch.setattr(finite_groups, "_PRIME_POWER_PRODUCTS", {})
+        families = [(2, 1), (2, 2), (3, 1)]
+        p = dict.fromkeys(families, 2)
+        for _ in range(100):  # 300 certificates, the families in turn
+            for ell, n in families:
+                p[ell, n] = find_p(ell, n, start=p[ell, n] + 1)
+                assert certify(ell, n, p[ell, n]).certified
+        assert sorted(finite_groups._PRIME_POWER_PRODUCTS) == families
 
     def test_flagship_auto_q(self):
         cert = certify(2, 1, 3)

@@ -420,6 +420,28 @@ class TestErrorHandling:
         assert status == 2 and out == ""
         assert err.startswith("error: ") and message in err, err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-lemma"],
+        ["h1", "--module", "aug"],
+        ["h1", "--module", "ring"],
+        ["sha-cyc", "--module", "aug"],
+        ["dimension-shift"],
+    ])
+    def test_order_1_is_refused_where_the_modulus_defaults_to_it(
+            self, capsys, tmp_path, monkeypatch, argv):
+        # the user gave no modulus: the message names the group's order
+        monkeypatch.chdir(tmp_path)
+        Path("one.json").write_text('{"table": [[0]]}')
+        assert run_cli(capsys, argv[0], "--group", "one.json", *argv[1:]) == (
+            2, "", "error: the group has order 1, and the default modulus |G| must be >= 2\n")
+
+    def test_order_1_with_its_own_modulus_is_solved(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("one.json").write_text('{"table": [[0]]}')
+        status, out, err = run_cli(capsys, "h1", "--group", "one.json", "--module", "trivial:5")
+        assert (status, err) == (0, "")
+        assert json.loads(out)["structure"] == []
+
     def test_unknown_option_names_the_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "--bogus"])

@@ -345,6 +345,19 @@ class TestBuiltinsAndJson:
         with pytest.raises(ValueError, match=r"^group order 2\^41 exceeds the limit 512$"):
             product_of_prime_powers(2, 40)  # before any table is built
         assert product_of_prime_powers(3, 1, limit=9).order == 9
+        # the guard runs before the lookup: a cached group passes no smaller limit
+        with pytest.raises(ValueError, match=r"^group order 3\^2 exceeds the limit 8$"):
+            product_of_prime_powers(3, 1, limit=8)
+
+    @pytest.mark.parametrize("ell, n", [(2, 1), (2, 2), (3, 1), (5, 1)])
+    def test_product_of_prime_powers_is_one_group_per_process(self, ell, n):
+        group = product_of_prime_powers(ell, n)
+        assert product_of_prime_powers(ell, n) is group
+        assert builtin_group(f"zlxzln:{ell}:{n}") is group
+        # the names and table of a group built afresh
+        fresh = direct_product(cyclic_group(ell ** n), cyclic_group(ell))
+        assert fresh is not group
+        assert (group.names, group.table) == (fresh.names, fresh.table)
 
     @pytest.mark.parametrize("name, message", [
         ("zlxzln:2:0", "n must be >= 1 in 'zlxzln:2:0', got 0"),

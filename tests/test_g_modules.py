@@ -14,6 +14,7 @@ from tameapprox.finite_groups import (
     builtin_group,
     cyclic_group,
     cyclic_subgroups,
+    direct_product,
     full_subgroup,
     product_of_prime_powers,
     trivial_subgroup,
@@ -111,11 +112,12 @@ class TestAugmentationIdeal:
             assert ideal.size == m ** (g.order - 1)
 
     def test_an_equal_group_built_afresh_hits_the_cache(self, monkeypatch):
-        # warm certify builds its group anew on every call and relies on this
+        # the caches are keyed by table, not by object: an equal group built
+        # by another caller shares the cached ring and ideal
         monkeypatch.setattr(g_modules, "_RING_CACHE", {})
         monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
         first = augmentation_ideal(builtin_group("zlxzln:2:2"), 8)
-        again = builtin_group("zlxzln:2:2")
+        again = direct_product(cyclic_group(4), cyclic_group(2))
         assert again is not first[0].group
         assert augmentation_ideal(again, 8)[0] is first[0]
         assert group_ring(again, 8) is group_ring(first[0].group, 8)

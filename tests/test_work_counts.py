@@ -7,6 +7,7 @@ counts are summed over the calls: the calls themselves, rows x width at
 each call, pivot steps (`len(log)`) and row updates (the total of
 `len(ops)`).  Any change, up or down, fails; a change that moves a count
 updates `tests/golden/work_counts.json` and says which count moved and why.
+The same fresh-process run counts the `Group`s a second certificate builds.
 """
 
 import json
@@ -75,11 +76,45 @@ from tameapprox.g_modules import _ideal_module
 group = direct_product(*[cyclic_group(2)] * 5)
 sha_cyc(group, _ideal_module(group, group.order))
 """,
+    "sha_cyc (Z/2)^6": """
+from tameapprox.cohomology import sha_cyc
+from tameapprox.finite_groups import cyclic_group, direct_product
+from tameapprox.g_modules import _ideal_module
+group = direct_product(*[cyclic_group(2)] * 6)
+sha_cyc(group, _ideal_module(group, group.order))
+""",
+    "sha_cyc zlxzln:2:7": """
+from tameapprox.cohomology import sha_cyc
+from tameapprox.finite_groups import builtin_group
+from tameapprox.g_modules import _ideal_module
+group = builtin_group("zlxzln:2:7")
+sha_cyc(group, _ideal_module(group, group.order))
+""",
 }
 
+# a second certificate of one (ell, n) builds no Group: the first call's
+# group is the one of every later call
+SECOND_CERTIFICATE = """
+import json
+from tameapprox.arithmetic import certify
+from tameapprox.finite_groups import Group
 
-def work_counts(case):
-    code = COUNTING + CASES[case] + "\nprint(json.dumps(counts))\n"
+assert certify(2, 2, 5).certified
+built = []
+init = Group.__init__
+
+def counting(self, table, *args, **kwargs):
+    built.append(len(table))
+    init(self, table, *args, **kwargs)
+
+Group.__init__ = counting
+assert certify(2, 2, 5).certified
+print(json.dumps(built))
+"""
+
+
+def fresh_process(code):
+    """The JSON that `code` prints, run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
@@ -87,9 +122,17 @@ def work_counts(case):
     return json.loads(proc.stdout)
 
 
+def work_counts(case):
+    return fresh_process(COUNTING + CASES[case] + "\nprint(json.dumps(counts))\n")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_work_counts_match_golden(case):
     assert work_counts(case) == json.loads(GOLDEN.read_text())[case]
+
+
+def test_a_second_certificate_builds_no_group():
+    assert fresh_process(SECOND_CERTIFICATE) == []
 
 
 def test_golden_names_every_case():
