@@ -419,8 +419,8 @@ class TestCertify:
         assert cert.sigma0_labels == sorted([p, cert.q])
 
     def test_warm_certify_builds_only_its_group(self, monkeypatch):
-        # and only once: the first call's group is the one of every later
-        # call, and no subgroup is rebuilt as a standalone group
+        # the first call's group serves every later call, and no subgroup is
+        # rebuilt as a standalone group
         certify(3, 1, 7)
         sizes = []
         init = Group.__init__
