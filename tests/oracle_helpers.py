@@ -391,8 +391,8 @@ def cayley_restriction_kernel(group, module, subgroups):
 
 def solved_restriction_kernel(group, module, subgroups):
     """`_restriction_kernel` as a ShaResult, solved by elimination on the rows
-    of `res_h1` for every member, so without its rule that a family
-    containing G has kernel 0."""
+    of `res_h1` for every member, G included, so without its rule that a
+    family containing G has kernel 0 and solves nothing."""
     m = module.modulus
     full = h1(group, module)
     factors = full.structure.invariant_factors
@@ -406,7 +406,7 @@ def solved_restriction_kernel(group, module, subgroups):
     entries = list(zip(*full.presentation.generator_columns))
     gens = tuple(tuple(sum(map(mul, col, xs)) % m for xs in entries)
                  for col in pres.generator_columns)
-    return ShaResult(pres.structure, gens, full.structure)
+    return ShaResult(pres.structure, gens)
 
 
 def brute_generated(group, gens):

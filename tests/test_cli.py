@@ -226,6 +226,30 @@ class TestVerificationCommands:
         assert status == 0
         assert json.loads(out)["structure"] == ["4"]
 
+    @pytest.mark.parametrize("argv", [["sha-cyc", "--group", "builtin:z8", "--module", "aug"],
+                                      ["verify-lemma", "--group", "builtin:z8"]])
+    def test_a_cyclic_group_solves_nothing(self, argv):
+        # Z/8 is one of its own cyclic subgroups, so Sha^1_cyc is 0 by
+        # res_G = id; a fresh process, as no H^1 may come from a cache
+        code = (
+            "import io, sys, contextlib\n"
+            "from tameapprox import zmod_linalg\n"
+            "from tameapprox.cli import main\n"
+            "built = []\n"
+            "init = zmod_linalg.QuotientPresentation.__init__\n"
+            "def counted(self, *args):\n"
+            "    built.append(args)\n"
+            "    init(self, *args)\n"
+            "zmod_linalg.QuotientPresentation.__init__ = counted\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print(len(built))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_DIR / "src"))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out == "0\n"
+
     def test_dimension_shift_all_subgroups(self, capsys):
         status, out, _ = run_cli(capsys, "dimension-shift", "--group", "builtin:z2xz4",
                                  "--all-subgroups")

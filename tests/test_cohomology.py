@@ -737,12 +737,13 @@ class TestMaximalMembers:
     """A restriction kernel is solved on the members of its family that no
     other member contains: res_H = res^K_H o res_K for H <= K."""
 
-    @pytest.mark.parametrize("name, solved", [("z8", 1), ("zlxzln:2:3", 6)])
+    @pytest.mark.parametrize("name, solved", [("z8", 0), ("zlxzln:2:3", 6)])
     def test_sha_cyc_solves_only_the_maximal_cyclic_subgroups(self, monkeypatch, name, solved):
-        # a fresh ideal: G, then each maximal cyclic subgroup once; z8 is
-        # its own maximal cyclic subgroup, and Z/8 x Z/2 has 5 of its 8.
-        # The rows of res_h1, the one restriction routine, are read once per
-        # maximal one, and never for z8: a family containing G has kernel 0
+        # a fresh ideal: G, then each maximal cyclic subgroup once; Z/8 x Z/2
+        # has 5 maximal ones among its 8.  The rows of res_h1, the one
+        # restriction routine, are read once per maximal one.  z8 is its own
+        # maximal cyclic subgroup, so its family contains G: kernel 0, and
+        # nothing is solved, not even H^1(G, M)
         monkeypatch.setattr(g_modules, "_IDEAL_CACHE", {})
         calls = []
         restriction_rows = cohomology._restriction_rows
@@ -869,6 +870,34 @@ class TestSubgroupGuard:
         assert cert.conclusion == "certified"
         assert kernel == cayley_restriction_kernel(g, ideal, cyclic_subgroups(g) + [klein])
         assert len(shifts) == len(all_subgroups(g)) and all(r.passed for r in shifts)
+
+
+class TestModuleGuard:
+    """A module over another group is an input error on every path, and is
+    refused before a family containing G returns its kernel 0."""
+
+    PAIRS = [("z8", "z2xz4"), ("z4", "klein4"), ("z3", "z2")]
+
+    def test_module_over_another_group_rejected(self):
+        message = "^module is over a different group$"
+        for name, other in self.PAIRS:
+            g = builtin_group(name)
+            h = builtin_group(other)
+            full = full_subgroup(g)
+            for foreign in (augmentation_ideal(h, h.order)[0], trivial_module(h, 4)):
+                with pytest.raises(ValueError, match=message):
+                    h1(g, foreign)
+                with pytest.raises(ValueError, match=message):
+                    tate_h0(g, foreign)
+                with pytest.raises(ValueError, match=message):
+                    res_h1(g, cyclic_subgroups(g)[-1], foreign)
+                with pytest.raises(ValueError, match=message):
+                    sha_cyc(g, foreign)
+                with pytest.raises(ValueError, match=message):
+                    sha_sigma(g, foreign, [PlaceRecord(3, full, True)])
+                # G is a member, so the kernel would be 0 without a solve
+                with pytest.raises(ValueError, match=message):
+                    _restriction_kernel(g, foreign, [full])
 
 
 class TestOneRecord:

@@ -36,7 +36,7 @@ def records():
     return [
         (h1(g, ideal), ("group", "module", "structure", "presentation", "generators",
                         "tree")),
-        (sha_sigma(g, ideal, [place]), ("structure", "generators", "h1_structure")),
+        (sha_sigma(g, ideal, [place]), ("structure", "generators")),
         (place, ("label", "subgroup", "ramified")),
         (verify_augmentation_lemma(g), ("order", "exponent", "expected", "computed")),
         (dimension_shift_check(g)[0], ("subgroup", "ideal_h1", "ideal_expected", "ring_h1")),

@@ -8,6 +8,9 @@ each call, pivot steps (`len(log)`) and row updates (the total of
 `len(ops)`).  Any change, up or down, fails; a change that moves a count
 updates `tests/golden/work_counts.json` and says which count moved and why.
 The same fresh-process run counts the `Group`s a second certificate builds.
+The cases in `CI_CASES` take 0.3 to 1.3 s of CPU each, so tier-1 skips
+them and CI runs them as a script: `PYTHONPATH=src python
+tests/test_work_counts.py` exits 1 if any of their counts moved.
 """
 
 import json
@@ -40,6 +43,13 @@ zmod_linalg._reduce = counting
 """
 
 CASES = {
+    "sha_cyc Z/8": """
+from tameapprox.cohomology import sha_cyc
+from tameapprox.finite_groups import builtin_group
+from tameapprox.g_modules import _ideal_module
+group = builtin_group("z8")
+sha_cyc(group, _ideal_module(group, group.order))
+""",
     "certify(2,2,5)": """
 from tameapprox.arithmetic import certify
 assert certify(2, 2, 5).certified
@@ -90,7 +100,27 @@ from tameapprox.g_modules import _ideal_module
 group = builtin_group("zlxzln:2:7")
 sha_cyc(group, _ideal_module(group, group.order))
 """,
+    "sha_cyc A5": """
+from tameapprox.cohomology import sha_cyc
+from tameapprox.finite_groups import from_permutations
+from tameapprox.g_modules import _ideal_module
+group = from_permutations([(1, 2, 3, 4, 0), (1, 2, 0, 3, 4)])
+sha_cyc(group, _ideal_module(group, group.order))
+""",
+    "sha_cyc D128": """
+from tameapprox.cohomology import sha_cyc
+from tameapprox.finite_groups import from_permutations
+from tameapprox.g_modules import _ideal_module
+group = from_permutations([tuple(range(1, 64)) + (0,), (0,) + tuple(range(63, 0, -1))])
+sha_cyc(group, _ideal_module(group, group.order))
+""",
+    "certify(2,7,257)": """
+from tameapprox.arithmetic import certify
+assert certify(2, 7, 257).certified
+""",
 }
+
+CI_CASES = {"sha_cyc A5", "sha_cyc D128", "certify(2,7,257)"}
 
 # a second certificate of one (ell, n) builds no Group: the first call's
 # group is the one of every later call
@@ -126,7 +156,7 @@ def work_counts(case):
     return fresh_process(COUNTING + CASES[case] + "\nprint(json.dumps(counts))\n")
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(set(CASES) - CI_CASES))
 def test_work_counts_match_golden(case):
     assert work_counts(case) == json.loads(GOLDEN.read_text())[case]
 
@@ -137,3 +167,15 @@ def test_a_second_certificate_builds_no_group():
 
 def test_golden_names_every_case():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    golden = json.loads(GOLDEN.read_text())
+    moved = 0
+    for case in sorted(CI_CASES):
+        counts = work_counts(case)
+        print(case, counts)
+        if counts != golden[case]:
+            print(f"  moved: golden has {golden[case]}")
+            moved += 1
+    sys.exit(1 if moved else 0)
